@@ -234,7 +234,13 @@ def _verify_tasks(config: RunConfig) -> list:
 
 def cmd_verify(config: RunConfig) -> int:
     tasks = _verify_tasks(config)
-    workers = int(os.environ.get("MIOP_WORKERS", "1"))
+    text = os.environ.get("MIOP_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0  # rejected below with every other count < 1
+    if workers < 1:
+        raise ConfigurationError(f"MIOP_WORKERS must be an integer >= 1, got {text!r}")
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, tasks))

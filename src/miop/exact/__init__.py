@@ -1,17 +1,15 @@
 """Exact arithmetic core: scalar tower, polynomials, determinants."""
 from .matrix import PolyMatrix, det, det_cofactor, det_fraction_free
-from .poly import (NEG_INF, LaurentPoly, Poly, derivative, even_poly_to_eta,
-                   laurent_shift, laurent_to_eta, poly_arith, poly_exact_div,
-                   substitute)
+from .poly import (NEG_INF, LaurentPoly, Poly, even_poly_to_eta, laurent_shift,
+                   laurent_to_eta)
 from .scalars import (GaussianRational, I, Rational, Scalar, SqrtQRational,
                       conj, downcast, format_scalar, make_sqrtq, parse_scalar,
                       q_pow, rational_sqrt, scalar_sign, sqrt_q)
 
 __all__ = [
     "NEG_INF", "GaussianRational", "I", "LaurentPoly", "Poly", "PolyMatrix",
-    "Rational", "Scalar", "SqrtQRational", "conj", "derivative", "det",
-    "det_cofactor", "det_fraction_free", "downcast", "even_poly_to_eta",
-    "format_scalar", "laurent_shift", "laurent_to_eta", "make_sqrtq",
-    "parse_scalar", "poly_arith", "poly_exact_div", "q_pow", "rational_sqrt",
-    "scalar_sign", "sqrt_q", "substitute",
+    "Rational", "Scalar", "SqrtQRational", "conj", "det", "det_cofactor",
+    "det_fraction_free", "downcast", "even_poly_to_eta", "format_scalar",
+    "laurent_shift", "laurent_to_eta", "make_sqrtq", "parse_scalar", "q_pow",
+    "rational_sqrt", "scalar_sign", "sqrt_q",
 ]

@@ -390,26 +390,6 @@ class LaurentPoly:
         return f"LaurentPoly[{terms}]"
 
 
-# -- functional wrappers over the operator methods ---------------------------------
-
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ConfigurationError(f"unknown op {op!r}")
-
-
-def poly_exact_div(num: Poly, den: Poly) -> Poly:
-    return num.exact_div(den)
-
-
-def derivative(p: Poly) -> Poly:
-    return p.derivative()
-
-
 def laurent_shift(p: LaurentPoly, c, q) -> LaurentPoly:
     """Substitute z -> z*q**c exactly; c may be a half-integer."""
     c = Fraction(c)
@@ -421,14 +401,6 @@ def laurent_shift(p: LaurentPoly, c, q) -> LaurentPoly:
         e = c * k
         out.append(coeff * q_pow(q, e.numerator, e.denominator))
     return LaurentPoly(p.lo, out)
-
-
-def substitute(p: Poly, value, zero):
-    """Evaluate p at `value` in any ring with +, * and scalar absorption."""
-    acc = zero
-    for c in reversed(p.coeffs):
-        acc = acc * value + c
-    return acc
 
 
 # -- eta reductions ---------------------------------------------------------------

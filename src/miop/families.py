@@ -90,7 +90,7 @@ class FamilyParams:
                 f"got {len(lam)}"
             )
         for x in lam:
-            if isinstance(x, GaussianRational) and not x.is_real():
+            if isinstance(x, GaussianRational) and not x.is_real:
                 raise ConfigurationError("parameters must be real")
         if self.family == "AW":
             if self.q is None:

@@ -156,13 +156,6 @@ class IndexSet:
         return [[e.type, e.v] for e in self.entries]
 
 
-def ell(D) -> int:
-    """Degree of the denominator polynomial for the index set D."""
-    if not isinstance(D, IndexSet):
-        D = IndexSet.from_pairs(D)
-    return D.ell
-
-
 # -- result container ----------------------------------------------------------
 
 
@@ -525,16 +518,10 @@ def build_WAW(fp: FamilyParams, D: IndexSet, n_max: int = 8) -> MultiIndexedPair
     )
     P = {}
     p_rad = Fraction(1)
-    mat_fixed = _casoratian_matrix(fp, D, M + 1, classical_poly_x(fp, 0))
     for n in range(n_max + 1):
-        mat = (
-            mat_fixed
-            if n == 0
-            else _casoratian_matrix(fp, D, M + 1, classical_poly_x(fp, n))
-        )
         P[n], p_rad = _assemble(
             fp,
-            mat,
+            _casoratian_matrix(fp, D, M + 1, classical_poly_x(fp, n)),
             M + 1,
             M1,
             M2,
@@ -549,8 +536,3 @@ def build(fp: FamilyParams, D: IndexSet, n_max: int = 8) -> MultiIndexedPair:
     if fp.is_difference:
         return build_WAW(fp, D, n_max)
     return build_LJ(fp, D, n_max)
-
-
-def permuted(fp: FamilyParams, D: IndexSet, perm, n_max: int = 8) -> MultiIndexedPair:
-    """The pair built from a permutation of D; equals build(fp, D) up to sign."""
-    return build(fp, D.permute(perm), n_max)

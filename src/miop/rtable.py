@@ -111,69 +111,40 @@ class RTable:
         return rows
 
 
-def _default_coeffs(fp: FamilyParams) -> CoeffFn:
-    return lambda n: three_term(fp, n)
-
-
-def build_rtable_LJ(
+def build_rtable(
     fp: FamilyParams, M: int, window, coeffs: Optional[CoeffFn] = None
 ) -> RTable:
-    """Fill levels -1..M of the eta-picture table for the L and J families."""
-    if fp.family not in ("L", "J"):
-        raise ConfigurationError("build_rtable_LJ requires family L or J")
+    """Fill levels -1..M of the table; one recursion serves every family.
+
+    Three pieces depend on the family.  L and J recurse on polynomials in
+    eta, where the half-step shift and the reduction to eta are the
+    identity.  W and AW recurse on x-picture carriers, shift each level
+    s-1 entry to x + i gamma/2 and reduce every entry to eta; both forms
+    are stored.
+    """
     window = _check_window(window)
     if M < 0:
         raise ConfigurationError("depth M must be >= 0")
-    coeffs = coeffs or _default_coeffs(fp)
+    coeffs = coeffs or (lambda n: three_term(fp, n))
+    if fp.is_difference:
+        one, zero = carrier_one(fp), carrier_zero(fp)
+        shift = lambda p: x_shift(fp, p, _HALF)
+        reduce = lambda p: reduce_to_eta(fp, p)
+        eta_arg = lambda s: eta_at(fp, Fraction(-s, 2))
+    else:
+        one, zero = Poly.one(), Poly.zero()
+        shift = reduce = lambda p: p
+        eta_arg = lambda s: Poly.variable()
     lo, hi = window
-    entries: dict = {}
-    for n in range(lo - M - 1, hi + M + 2):
-        entries[(-1, n, 0)] = Poly.one()
-    eta = Poly.variable()
-    zero = Poly.zero()
-
-    def get(s, n, k):
-        return entries.get((s, n, k), zero)
-
-    for s in range(M + 1):
-        pad = M - s
-        for n in range(lo - pad, hi + pad + 1):
-            A, B, C = coeffs(n)
-            for k in range(-s - 1, s + 2):
-                val = (
-                    get(s - 1, n + 1, k - 1) * A
-                    + (B - eta) * get(s - 1, n, k)
-                    + get(s - 1, n - 1, k + 1) * C
-                )
-                entries[(s, n, k)] = val
-    return RTable(fp, M, window, entries)
-
-
-def build_rtable_WAW(
-    fp: FamilyParams, M: int, window, coeffs: Optional[CoeffFn] = None
-) -> RTable:
-    """Fill the x-picture table for W/AW and reduce every entry to eta."""
-    if not fp.is_difference:
-        raise ConfigurationError("build_rtable_WAW requires family W or AW")
-    window = _check_window(window)
-    if M < 0:
-        raise ConfigurationError("depth M must be >= 0")
-    coeffs = coeffs or _default_coeffs(fp)
-    lo, hi = window
-    one = carrier_one(fp)
-    zero = carrier_zero(fp)
     xentries: dict = {}
     entries: dict = {}
     for n in range(lo - M - 1, hi + M + 2):
         xentries[(-1, n, 0)] = one
         entries[(-1, n, 0)] = Poly.one()
 
-    def get(s, n, k):
-        return xentries.get((s, n, k), zero)
-
     for s in range(M + 1):
         pad = M - s
-        eta_arg = eta_at(fp, Fraction(-s, 2))
+        eta_s = eta_arg(s)
         shifted_cache: dict = {}
 
         def up(s1, n, k):
@@ -181,8 +152,7 @@ def build_rtable_WAW(
             key = (s1, n, k)
             got = shifted_cache.get(key)
             if got is None:
-                got = x_shift(fp, get(s1, n, k), _HALF)
-                shifted_cache[key] = got
+                got = shifted_cache[key] = shift(xentries.get(key, zero))
             return got
 
         for n in range(lo - pad, hi + pad + 1):
@@ -190,21 +160,12 @@ def build_rtable_WAW(
             for k in range(-s - 1, s + 2):
                 val = (
                     up(s - 1, n + 1, k - 1) * A
-                    + (B - eta_arg) * up(s - 1, n, k)
+                    + (B - eta_s) * up(s - 1, n, k)
                     + up(s - 1, n - 1, k + 1) * C
                 )
                 xentries[(s, n, k)] = val
-                entries[(s, n, k)] = reduce_to_eta(fp, val)
-    return RTable(fp, M, window, entries, xentries)
-
-
-def build_rtable(
-    fp: FamilyParams, M: int, window, coeffs: Optional[CoeffFn] = None
-) -> RTable:
-    """Family-dispatching front door."""
-    if fp.is_difference:
-        return build_rtable_WAW(fp, M, window, coeffs)
-    return build_rtable_LJ(fp, M, window, coeffs)
+                entries[(s, n, k)] = reduce(val)
+    return RTable(fp, M, window, entries, xentries if fp.is_difference else None)
 
 
 # -- structural identity checks ------------------------------------------------
@@ -225,13 +186,7 @@ def check_rprop(table: RTable) -> list:
     return bad
 
 
-def check_rprop2_rprop3(
-    fp: FamilyParams,
-    M: int,
-    window,
-    table: Optional[RTable] = None,
-    coeffs: Optional[CoeffFn] = None,
-) -> list:
+def check_rprop2_rprop3(table: RTable) -> list:
     """Violations of the two half-shift identities for W/AW tables.
 
     First identity: the odd half of a level-s entry equals the odd half of
@@ -240,11 +195,9 @@ def check_rprop2_rprop3(
     coefficient recursion, corrected by a level s-2 term; at s = 0 the
     correction factor is identically zero.
     """
+    fp = table.fp
     if not fp.is_difference:
         raise ConfigurationError("check_rprop2_rprop3 requires family W or AW")
-    if table is None:
-        table = build_rtable_WAW(fp, M, window, coeffs)
-    coeffs = coeffs or _default_coeffs(fp)
     M = table.M
     lo, hi = table.window
     bad = []
@@ -260,7 +213,7 @@ def check_rprop2_rprop3(
         e_dn = eta_at(fp, Fraction(-s, 2))
         corr = (e_dn - e_up) ** 2 * Fraction(1, 4)
         for n in range(lo - pad, hi + pad + 1):
-            A, B, C = coeffs(n)
+            A, B, C = three_term(fp, n)
             for k in range(-s - 1, s + 2):
                 cur = table.xentry(s, n, k)
                 c_dn, c_up = halves(cur)

@@ -18,6 +18,12 @@ the leading recurrence coefficient R^[M]_{n,M+1} (a constant) must be
 nonzero and deg P_{D,n} must equal ell + n over the tested range.  The
 probe raises GenericityError with a diagnostic instead of letting a
 downstream check fail obscurely.
+
+run_all builds the pair (Xi_D, P_{D,n}) and the depth-M table R^[s]_{n,k}
+once per (family, D) and hands them to every check.  Level s of that table
+is the depth-s table, so the prefix chain reads it too.  Only four objects
+are built apart: the override table, the pair at shifted parameters for
+the seed, the prefix pairs of depth s < M and the permuted pair.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GenericityError, LeadingCoefficientZero
+from .errors import ConfigurationError, GenericityError, LeadingCoefficientZero
 from .exact import Poly, format_scalar
 from .families import FamilyParams, shifted, three_term
 from .multiindex import IndexSet, MultiIndexedPair, build
@@ -126,32 +132,34 @@ def _rrp_residual(table: RTable, pair: MultiIndexedPair, M: int, n: int) -> Poly
     return acc
 
 
-def _needed_pair(fp, D, n_range, pair):
-    n_max = n_range[1] + D.M + 1
-    if pair is None or pair.n_max < n_max:
-        pair = build(fp, D, n_max=n_max)
-    return pair
+def shared_objects(fp: FamilyParams, D: IndexSet, n_range: tuple) -> tuple:
+    """The pair and the depth-M table that every check of run_all reads.
+
+    The table covers rows min(lo, -M-1)..hi, so the vanishing triangle is
+    inside it; the pair reaches n = hi + M + 1 for the recurrence and at
+    least n = 3 for the permutation probe.  The table is built first, so a
+    singular three-term coefficient is reported at the smallest n where it
+    occurs.
+    """
+    M = D.M
+    lo, hi = n_range
+    table = build_rtable(fp, M, (min(lo, -M - 1), hi))
+    pair = build(fp, D, n_max=max(hi + M + 1, 3))
+    return pair, table
 
 
 def check_rrp(
-    fp: FamilyParams,
-    D: IndexSet,
-    n_range: tuple,
-    pair: Optional[MultiIndexedPair] = None,
-    table: Optional[RTable] = None,
-    coeffs=None,
-    identity: str = "rrp",
+    pair: MultiIndexedPair, table: RTable, n_range: tuple, identity: str = "rrp"
 ) -> VerificationReport:
     """The (3+2M)-term recurrence as an exact zero polynomial for each n.
 
-    For M = 0 this is the classical three-term recurrence itself.  Rows
-    with n < 0 are reported as "structural" when they hold.
+    M is the depth of the pair; the table may be deeper, since its level M
+    is the depth-M table.  For M = 0 this is the classical three-term
+    recurrence itself.  Rows with n < 0 are reported as "structural" when
+    they hold.
     """
-    M = D.M
-    report = VerificationReport(identity, fp, D, n_range)
-    pair = _needed_pair(fp, D, n_range, pair)
-    if table is None:
-        table = build_rtable(fp, M, n_range, coeffs=coeffs)
+    M = pair.D.M
+    report = VerificationReport(identity, pair.fp, pair.D, n_range)
     for n in range(n_range[0], n_range[1] + 1):
         res = _rrp_residual(table, pair, M, n)
         if res.is_zero:
@@ -161,18 +169,14 @@ def check_rrp(
     return report
 
 
-def check_rrp_override(
-    fp: FamilyParams,
-    D: IndexSet,
-    n_range: tuple,
-    pair: Optional[MultiIndexedPair] = None,
-) -> VerificationReport:
+def check_rrp_override(pair: MultiIndexedPair, n_range: tuple) -> VerificationReport:
     """RRP for n >= 0 with the out-of-range convention altered (B_-1 := 7).
 
     A_-1 = 0 is kept: it is what makes the table, and hence the identity,
     insensitive to the rest of the convention for nonnegative n.
     """
-    lo = max(0, n_range[0])
+    fp = pair.fp
+    window = (max(0, n_range[0]), n_range[1])
 
     def coeffs(n):
         if n == -1:
@@ -180,27 +184,18 @@ def check_rrp_override(
             return (zero, Fraction(7), zero)
         return three_term(fp, n)
 
-    return check_rrp(fp, D, (lo, n_range[1]), pair=pair, coeffs=coeffs, identity="rrp-override")
+    table = build_rtable(fp, pair.D.M, window, coeffs=coeffs)
+    return check_rrp(pair, table, window, identity="rrp-override")
 
 
-def regenerate_from_initial(
-    fp: FamilyParams,
-    D: IndexSet,
-    N: int,
-    pair: Optional[MultiIndexedPair] = None,
-    table: Optional[RTable] = None,
-) -> VerificationReport:
+def regenerate_from_initial(pair: MultiIndexedPair, table: RTable, N: int) -> VerificationReport:
     """Rebuild P_{D,M+1..N} from the first M+1 members via the recurrence.
 
     Each step divides by the constant R^[M]_{n,M+1}; a zero there means
     the parameter point is non-generic and raises LeadingCoefficientZero.
     """
-    M = D.M
-    report = VerificationReport("regeneration", fp, D, (M + 1, N))
-    if pair is None or pair.n_max < N:
-        pair = build(fp, D, n_max=N)
-    if table is None:
-        table = build_rtable(fp, M, (0, max(N - M - 1, 0)))
+    M = pair.D.M
+    report = VerificationReport("regeneration", pair.fp, pair.D, (M + 1, N))
     regenerated = {n: pair.P_of(n) for n in range(M + 1)}
     for n in range(0, N - M):
         lead = table.entry(M, n, M + 1)
@@ -226,11 +221,10 @@ def regenerate_from_initial(
     return report
 
 
-def check_seed_proportionality(fp: FamilyParams, D: IndexSet) -> VerificationReport:
+def check_seed_proportionality(pair: MultiIndexedPair) -> VerificationReport:
     """P_{D,0}(eta; lambda) = c * Xi_D(eta; lambda + delta), c recorded."""
-    report = VerificationReport("seed-proportionality", fp, D, None)
-    pair = build(fp, D, n_max=0)
-    pair_s = build(shifted(fp), D, n_max=0)
+    report = VerificationReport("seed-proportionality", pair.fp, pair.D, None)
+    pair_s = build(shifted(pair.fp), pair.D, n_max=0)
     p0, xi_s = pair.P_of(0), pair_s.Xi
     if p0.degree != xi_s.degree:
         report.add("fail", witness=f"deg P_0 = {p0.degree} vs deg Xi(shifted) = {xi_s.degree}")
@@ -251,30 +245,31 @@ def check_seed_proportionality(fp: FamilyParams, D: IndexSet) -> VerificationRep
     return report
 
 
-def check_prefix_chain(fp: FamilyParams, D: IndexSet, n_range: tuple) -> VerificationReport:
-    """RRP at every prefix depth s = 0..M with the depth-s table R^[s]."""
+def check_prefix_chain(pair: MultiIndexedPair, table: RTable, n_range: tuple) -> VerificationReport:
+    """RRP at every prefix depth s = 0..M with level s of the depth-M table.
+
+    Level s of the table does not depend on M, so only the prefix pairs
+    for s < M are built; s = M reuses the full pair.
+    """
+    fp, D = pair.fp, pair.D
     report = VerificationReport("prefix-chain", fp, D, n_range)
     for s in range(D.M + 1):
         Ds = D.prefix(s)
-        sub = check_rrp(fp, Ds, n_range)
-        for row in sub.rows:
+        sub_pair = pair if s == D.M else build(fp, Ds, n_max=n_range[1] + s + 1)
+        for row in check_rrp(sub_pair, table, n_range).rows:
             report.add(row["status"], n=row["n"], witness=row["witness"], s=s, prefix=Ds.label())
     return report
 
 
-def check_degrees(
-    fp: FamilyParams, D: IndexSet, n_range: tuple, pair: Optional[MultiIndexedPair] = None
-) -> VerificationReport:
+def check_degrees(pair: MultiIndexedPair, n_range: tuple) -> VerificationReport:
     """deg Xi = ell and deg P_{D,n} = ell + n over the tested range."""
-    report = VerificationReport("degrees", fp, D, n_range)
-    hi = n_range[1]
-    if pair is None or pair.n_max < hi:
-        pair = build(fp, D, n_max=hi)
+    D = pair.D
+    report = VerificationReport("degrees", pair.fp, D, n_range)
     if pair.Xi.degree == D.ell:
         report.add("pass", witness=f"deg Xi = {D.ell}")
     else:
         report.add("fail", witness=f"deg Xi = {pair.Xi.degree}, expected ell = {D.ell}")
-    for n in range(max(0, n_range[0]), hi + 1):
+    for n in range(max(0, n_range[0]), n_range[1] + 1):
         d = pair.P_of(n).degree
         if d == D.ell + n:
             report.add("pass", n=n)
@@ -283,16 +278,15 @@ def check_degrees(
     return report
 
 
-def genericity_probe(fp: FamilyParams, D: IndexSet, n_range: tuple) -> None:
+def genericity_probe(pair: MultiIndexedPair, table: RTable, n_range: tuple) -> None:
     """Abort (GenericityError) unless the preset behaves generically.
 
     Checks the two hypotheses the identity statements rely on: the
     leading table entries R^[M]_{n,M+1} are nonzero constants and the
     degree law deg P_{D,n} = ell + n holds.
     """
-    M = D.M
+    fp, D, M = pair.fp, pair.D, pair.D.M
     lo, hi = max(0, n_range[0]), n_range[1]
-    table = build_rtable(fp, M, (lo, hi))
     for n in range(lo, hi + 1):
         lead = table.entry(M, n, M + 1)
         if lead.is_zero:
@@ -300,7 +294,7 @@ def genericity_probe(fp: FamilyParams, D: IndexSet, n_range: tuple) -> None:
                 f"R^[{M}]_{{{n},{M + 1}}} vanishes at {fp.family} lambda={fp.lam};"
                 " pick a different preset"
             )
-    deg = check_degrees(fp, D, (lo, hi))
+    deg = check_degrees(pair, (lo, hi))
     if not deg.passed:
         raise GenericityError(
             f"degree law fails at {fp.family} lambda={fp.lam} D={{{D.label()}}}:"
@@ -308,25 +302,23 @@ def genericity_probe(fp: FamilyParams, D: IndexSet, n_range: tuple) -> None:
         )
 
 
-def check_permutation(
-    fp: FamilyParams, D: IndexSet, n_max: int = 3, seed: int = 0
-) -> VerificationReport:
+def check_permutation(pair: MultiIndexedPair, n_max: int = 3, seed: int = 0) -> VerificationReport:
     """A random column permutation changes the pair by a global sign only."""
+    fp, D = pair.fp, pair.D
     report = VerificationReport("permutation", fp, D, (0, n_max))
     rng = random.Random(seed)
     perm = list(range(D.M))
     rng.shuffle(perm)
-    base = build(fp, D, n_max=n_max)
     other = build(fp, D.permute(tuple(perm)), n_max=n_max)
-    if base.Xi.lc == other.Xi.lc:
+    if pair.Xi.lc == other.Xi.lc:
         sign = Fraction(1)
-    elif base.Xi.lc == -other.Xi.lc:
+    elif pair.Xi.lc == -other.Xi.lc:
         sign = Fraction(-1)
     else:
         report.add("fail", witness=f"perm {perm}: |leading coefficient| changed")
         return report
-    objects = [("Xi", base.Xi, other.Xi)] + [
-        (f"P_{n}", base.P_of(n), other.P_of(n)) for n in range(n_max + 1)
+    objects = [("Xi", pair.Xi, other.Xi)] + [
+        (f"P_{n}", pair.P_of(n), other.P_of(n)) for n in range(n_max + 1)
     ]
     for name, a, b in objects:
         if a == b * sign:
@@ -336,30 +328,18 @@ def check_permutation(
     return report
 
 
-def check_rtable_shift(
-    fp: FamilyParams,
-    D: IndexSet,
-    n_range: tuple,
-    table: Optional[RTable] = None,
-) -> VerificationReport:
+def check_rtable_shift(table: RTable, D: IndexSet) -> VerificationReport:
     """Derivative law of the R-table (L/J) or the two half-shift laws (W/AW).
 
     Both reduce level s to level s-1, so a single depth-M table exercises
     every level at once; one row per level is reported.
     """
-    M = D.M
-    window = (min(n_range[0], -M - 1), n_range[1])
-    report = VerificationReport("rtable-shift", fp, D, window)
-    if table is None:
-        table = build_rtable(fp, M, window)
-    if fp.is_difference:
-        bad = check_rprop2_rprop3(fp, M, window, table=table)
-    else:
-        bad = check_rprop(table)
+    report = VerificationReport("rtable-shift", table.fp, D, table.window)
+    bad = check_rprop2_rprop3(table) if table.fp.is_difference else check_rprop(table)
     bad_by_s = {}
     for row in bad:
         bad_by_s.setdefault(row["s"], row)
-    for s in range(M + 1):
+    for s in range(table.M + 1):
         if s in bad_by_s:
             row = bad_by_s[s]
             report.add(
@@ -374,20 +354,11 @@ def check_rtable_shift(
     return report
 
 
-def check_vanishing(
-    fp: FamilyParams,
-    D: IndexSet,
-    n_range: tuple,
-    table: Optional[RTable] = None,
-) -> VerificationReport:
+def check_vanishing(table: RTable, D: IndexSet) -> VerificationReport:
     """R^[s]_{n,k} = 0 on the triangle -s-1 <= n <= -1, -n <= k <= s+1."""
-    M = D.M
-    window = (min(n_range[0], -M - 1), n_range[1])
-    report = VerificationReport("vanishing", fp, D, window)
-    if table is None:
-        table = build_rtable(fp, M, window)
-    bad = {(row["s"], row["n"], row["k"]) for row in check_vanishing_region(table, M)}
-    for s in range(M + 1):
+    report = VerificationReport("vanishing", table.fp, D, table.window)
+    bad = {(row["s"], row["n"], row["k"]) for row in check_vanishing_region(table)}
+    for s in range(table.M + 1):
         mine = sorted(t for t in bad if t[0] == s)
         if mine:
             _, n, k = mine[0]
@@ -407,27 +378,28 @@ def run_all(
 ) -> list:
     """All identity checks for one (fp, D), preceded by the genericity probe."""
     wanted = identities or list(IDENTITY_TAGS)
-    genericity_probe(fp, D, n_range)
-    pair = _needed_pair(fp, D, n_range, None)
-    table = build_rtable(fp, D.M, (min(n_range[0], -D.M - 1), n_range[1]))
+    if n_range[1] < 0:
+        raise ConfigurationError(f"--n-range upper end must be >= 0, got {n_range[1]}")
+    pair, table = shared_objects(fp, D, n_range)
+    genericity_probe(pair, table, n_range)
     reports = []
     if "rrp" in wanted:
-        reports.append(check_rrp(fp, D, n_range, pair=pair, table=table))
+        reports.append(check_rrp(pair, table, n_range))
     if "rrp-override" in wanted:
-        reports.append(check_rrp_override(fp, D, n_range, pair=pair))
+        reports.append(check_rrp_override(pair, n_range))
     if "rtable-shift" in wanted:
-        reports.append(check_rtable_shift(fp, D, n_range, table=table))
+        reports.append(check_rtable_shift(table, D))
     if "vanishing" in wanted:
-        reports.append(check_vanishing(fp, D, n_range, table=table))
+        reports.append(check_vanishing(table, D))
     if "regeneration" in wanted:
-        reports.append(regenerate_from_initial(fp, D, max(n_range[1], D.M + 1), pair=pair))
+        reports.append(regenerate_from_initial(pair, table, max(n_range[1], D.M + 1)))
     if "seed-proportionality" in wanted:
-        reports.append(check_seed_proportionality(fp, D))
+        reports.append(check_seed_proportionality(pair))
     if "prefix-chain" in wanted:
-        reports.append(check_prefix_chain(fp, D, n_range))
+        reports.append(check_prefix_chain(pair, table, n_range))
     if "permutation" in wanted:
-        reports.append(check_permutation(fp, D, seed=seed))
+        reports.append(check_permutation(pair, seed=seed))
     if "degrees" in wanted:
-        reports.append(check_degrees(fp, D, n_range, pair=pair))
+        reports.append(check_degrees(pair, n_range))
     reports.sort(key=lambda r: (r.fp.family, r.D.label(), r.identity))
     return reports

@@ -75,7 +75,7 @@ def test_criterion_2_rtable_structure():
         fp = PRESETS[key]
         table = build_rtable(fp, 3, (-4, 12))
         if fp.is_difference:
-            assert check_rprop2_rprop3(fp, 3, (-4, 12), table=table) == []
+            assert check_rprop2_rprop3(table) == []
         else:
             assert check_rprop(table) == []
         assert check_vanishing_region(table, 3) == []
@@ -89,7 +89,8 @@ def test_criterion_3_recurrence_main_theorem():
     for key, label in COMBOS:
         fp = PRESETS[key]
         D = IndexSet.parse(label)
-        rep = check_rrp(fp, D, (-D.M - 1, 8), pair=get_pair(key, label))
+        table = build_rtable(fp, D.M, (-D.M - 1, 8))
+        rep = check_rrp(get_pair(key, label), table, (-D.M - 1, 8))
         assert rep.passed, rep.one_line()
         assert len(rep.rows) == 8 + D.M + 2
     elapsed = time.perf_counter() - t0
@@ -100,9 +101,7 @@ def test_criterion_3_recurrence_main_theorem():
 def test_criterion_4_degrees():
     t0 = time.perf_counter()
     for key, label in COMBOS:
-        fp = PRESETS[key]
-        D = IndexSet.parse(label)
-        rep = check_degrees(fp, D, (0, 8), pair=get_pair(key, label))
+        rep = check_degrees(get_pair(key, label), (0, 8))
         assert rep.passed, rep.one_line()
     _verdict(4, "degrees", t0)
 
@@ -112,7 +111,8 @@ def test_criterion_5_regeneration():
     for key, label in COMBOS:
         fp = PRESETS[key]
         D = IndexSet.parse(label)
-        rep = regenerate_from_initial(fp, D, 8, pair=get_pair(key, label))
+        table = build_rtable(fp, D.M, (0, 7 - D.M))
+        rep = regenerate_from_initial(get_pair(key, label), table, 8)
         assert rep.passed, rep.one_line()
         assert len(rep.rows) == 8 - D.M
     _verdict(5, "regeneration from initial data", t0)
@@ -121,7 +121,7 @@ def test_criterion_5_regeneration():
 def test_criterion_6_seed_proportionality():
     t0 = time.perf_counter()
     for key, label in COMBOS:
-        rep = check_seed_proportionality(PRESETS[key], IndexSet.parse(label))
+        rep = check_seed_proportionality(get_pair(key, label))
         assert rep.passed, rep.one_line()
     _verdict(6, "shape-invariance seed", t0)
 
@@ -132,7 +132,7 @@ def test_criterion_7_order_independence():
         D = IndexSet.parse(label)
         if D.M < 2:
             continue
-        rep = check_permutation(PRESETS[key], D, n_max=2, seed=11)
+        rep = check_permutation(get_pair(key, label), n_max=2, seed=11)
         assert rep.passed, rep.one_line()
     _verdict(7, "order independence", t0)
 

@@ -177,6 +177,21 @@ class TestVerify:
         _, pooled, _ = run_cli(capsys, *args)
         assert serial == pooled
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_worker_count_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MIOP_WORKERS", value)
+        code, out, err = run_cli(capsys, "verify", "--preset", "l-default", "--D", "I1")
+        assert code == 2
+        assert "MIOP_WORKERS" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_negative_range_end_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--preset", "l-default", "--D", "I1", "--n-range", "-4..-1"
+        )
+        assert code == 2
+        assert "--n-range" in err
+
     def test_d_without_family_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--D", "I1")
         assert code == 2

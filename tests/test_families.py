@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError, SingularCoefficient
-from miop.exact import Poly, SqrtQRational, scalar_sign
+from miop.exact import GaussianRational, Poly, SqrtQRational, scalar_sign
 from miop.families import (
     PRESETS,
     FamilyParams,
@@ -57,6 +57,10 @@ class TestFamilyParams:
             FamilyParams("W", (F(-1), F(1), F(1), F(1)))
         with pytest.raises(ConfigurationError):
             FamilyParams("AW", (F(1, 2), F(1, 3), F(1, 4), F(6, 5)), q=F(1, 4))
+
+    def test_nonreal_parameter_rejected(self):
+        with pytest.raises(ConfigurationError, match="real"):
+            FamilyParams("W", (GaussianRational(1, 1), F(1), F(1), F(1)))
 
     def test_range_override(self):
         fp = FamilyParams("L", (F(-3, 2),), check_range=False)

@@ -12,8 +12,6 @@ from miop.multiindex import (
     build,
     build_LJ,
     build_WAW,
-    ell,
-    permuted,
     phi_M,
     weight_descriptor,
 )
@@ -46,12 +44,12 @@ class TestIndexSet:
         assert IndexSet.parse("I1,II1").M == 2
 
     def test_ell_examples(self):
-        assert ell(IndexSet.parse("I1")) == 1
-        assert ell(IndexSet.parse("I1,I2")) == 2
-        assert ell(IndexSet.parse("I1,II1")) == 3
-        assert ell(IndexSet.parse("I1,I2,II1")) == 5
-        assert ell([("I", 1), ("II", 2)]) == 1 + 2 - 1 + 2
-        assert ell(IndexSet.parse("")) == 0
+        assert IndexSet.parse("I1").ell == 1
+        assert IndexSet.parse("I1,I2").ell == 2
+        assert IndexSet.parse("I1,II1").ell == 3
+        assert IndexSet.parse("I1,I2,II1").ell == 5
+        assert IndexSet.from_pairs([("I", 1), ("II", 2)]).ell == 1 + 2 - 1 + 2
+        assert IndexSet.parse("").ell == 0
 
     def test_prefix_and_permute(self):
         D = IndexSet.parse("I1,II2,I3")
@@ -191,7 +189,7 @@ class TestPermutation:
         fp = PRESETS["j-default"]
         D = IndexSet.parse("I1,I2")
         base = build(fp, D, n_max=2)
-        swapped = permuted(fp, D, (1, 0), n_max=2)
+        swapped = build(fp, D.permute((1, 0)), n_max=2)
         assert swapped.Xi == base.Xi * F(-1)
         for n in range(3):
             assert swapped.P_of(n) == base.P_of(n) * F(-1)
@@ -202,7 +200,7 @@ class TestPermutation:
         fp = PRESETS["w-default"]
         D = IndexSet.parse("I1,II1")
         base = build(fp, D, n_max=1)
-        swapped = permuted(fp, D, (1, 0), n_max=1)
+        swapped = build(fp, D.permute((1, 0)), n_max=1)
         assert swapped.Xi == base.Xi
         assert swapped.P_of(1) == base.P_of(1)
 
@@ -210,7 +208,7 @@ class TestPermutation:
         fp = PRESETS["l-default"]
         D = IndexSet.parse("I1,I2,I3")
         base = build(fp, D, n_max=0)
-        cycled = permuted(fp, D, (1, 2, 0), n_max=0)
+        cycled = build(fp, D.permute((1, 2, 0)), n_max=0)
         assert cycled.Xi == base.Xi
         assert cycled.P_of(0) == base.P_of(0)
 

@@ -18,8 +18,6 @@ from miop.families import (
 from miop.rtable import (
     RTable,
     build_rtable,
-    build_rtable_LJ,
-    build_rtable_WAW,
     check_rprop,
     check_rprop2_rprop3,
     check_vanishing_region,
@@ -37,32 +35,26 @@ class TestConstruction:
         assert build_rtable(PRESETS["l-default"], 0, (0, 2)).xentries is None
         assert build_rtable(PRESETS["w-default"], 0, (0, 2)).xentries is not None
 
-    def test_family_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            build_rtable_LJ(PRESETS["w-default"], 1, (0, 2))
-        with pytest.raises(ConfigurationError):
-            build_rtable_WAW(PRESETS["l-default"], 1, (0, 2))
-
     def test_bad_window(self):
         with pytest.raises(ConfigurationError):
-            build_rtable_LJ(PRESETS["l-default"], 1, (3, 1))
+            build_rtable(PRESETS["l-default"], 1, (3, 1))
         with pytest.raises(ConfigurationError):
-            build_rtable_LJ(PRESETS["l-default"], -1, (0, 2))
+            build_rtable(PRESETS["l-default"], -1, (0, 2))
 
     def test_seed_row(self):
-        t = build_rtable_LJ(PRESETS["l-default"], 1, (0, 3))
+        t = build_rtable(PRESETS["l-default"], 1, (0, 3))
         for n in range(-2, 6):
             assert t.entry(-1, n, 0) == Poly.one()
         assert t.entry(-1, 0, 1).is_zero
 
     def test_band_is_zero_outside(self):
-        t = build_rtable_LJ(PRESETS["l-default"], 1, (0, 3))
+        t = build_rtable(PRESETS["l-default"], 1, (0, 3))
         assert t.entry(0, 1, 2).is_zero
         assert t.entry(1, 1, 5).is_zero
 
     def test_level_zero_row(self):
         for fp in (PRESETS["l-default"], PRESETS["j-default"]):
-            t = build_rtable_LJ(fp, 0, (-1, 4))
+            t = build_rtable(fp, 0, (-1, 4))
             for n in range(-1, 5):
                 A, B, C = three_term(fp, n)
                 assert t.entry(0, n, 1) == Poly.constant(A)
@@ -71,7 +63,7 @@ class TestConstruction:
 
     def test_level_zero_row_difference(self):
         for fp in (PRESETS["w-default"], PRESETS["aw-default"]):
-            t = build_rtable_WAW(fp, 0, (0, 3))
+            t = build_rtable(fp, 0, (0, 3))
             for n in range(4):
                 A, B, C = three_term(fp, n)
                 assert t.entry(0, n, 1) == Poly.constant(A)
@@ -80,7 +72,7 @@ class TestConstruction:
 
     def test_s1_k0_display(self):
         fp = l32()
-        t = build_rtable_LJ(fp, 1, (0, 4))
+        t = build_rtable(fp, 1, (0, 4))
         for n in range(5):
             A, B, C = three_term(fp, n)
             C1 = three_term(fp, n + 1)[2]
@@ -88,13 +80,13 @@ class TestConstruction:
             assert t.entry(1, n, 0) == Poly.constant(A * C1 + Am * C) + (B - ETA) ** 2
 
     def test_s1_top_corner_frozen(self):
-        t = build_rtable_LJ(l32(), 1, (0, 2))
+        t = build_rtable(l32(), 1, (0, 2))
         assert t.entry(1, 0, 2) == Poly.constant(F(2))
 
     def test_leading_entry_is_A_product(self):
         for key in ("l-default", "j-default"):
             fp = PRESETS[key]
-            t = build_rtable_LJ(fp, 2, (0, 4))
+            t = build_rtable(fp, 2, (0, 4))
             for n in range(5):
                 prod = F(1)
                 for i in range(n, n + 3):
@@ -102,7 +94,7 @@ class TestConstruction:
                 assert t.entry(2, n, 3) == Poly.constant(prod)
 
     def test_xentry_requires_difference(self):
-        t = build_rtable_LJ(PRESETS["l-default"], 0, (0, 1))
+        t = build_rtable(PRESETS["l-default"], 0, (0, 1))
         with pytest.raises(ConfigurationError):
             t.xentry(0, 0, 0)
 
@@ -127,17 +119,17 @@ class TestDegreeLaw:
 class TestRprop:
     @pytest.mark.parametrize("key", ["l-default", "j-default"])
     def test_derivative_lowers_level(self, key):
-        t = build_rtable_LJ(PRESETS[key], 3, (-4, 6))
+        t = build_rtable(PRESETS[key], 3, (-4, 6))
         assert check_rprop(t) == []
 
     def test_rejects_difference_tables(self):
-        t = build_rtable_WAW(PRESETS["w-default"], 0, (0, 1))
+        t = build_rtable(PRESETS["w-default"], 0, (0, 1))
         with pytest.raises(ConfigurationError):
             check_rprop(t)
 
     def test_s1_k0_by_hand(self):
         fp = l32()
-        t = build_rtable_LJ(fp, 1, (1, 1))
+        t = build_rtable(fp, 1, (1, 1))
         B1 = three_term(fp, 1)[1]
         assert t.entry(1, 1, 0).derivative() == (B1 - ETA) * F(-2)
 
@@ -151,14 +143,14 @@ class TestRprop:
                 return (F(0), F(7), F(5))
             return three_term(fp, n)
 
-        t = build_rtable_LJ(fp, 2, (-3, 4), coeffs=coeffs)
+        t = build_rtable(fp, 2, (-3, 4), coeffs=coeffs)
         assert check_rprop(t) == []
 
     @given(num=st.integers(min_value=1, max_value=30))
     @settings(max_examples=10, deadline=None)
     def test_random_g(self, num):
         fp = FamilyParams("L", (F(1, 2) + F(num, 7),))
-        t = build_rtable_LJ(fp, 2, (-3, 3))
+        t = build_rtable(fp, 2, (-3, 3))
         assert check_rprop(t) == []
 
 
@@ -166,29 +158,29 @@ class TestRprop23:
     @pytest.mark.parametrize("key", ["w-default", "aw-default", "aw-q13"])
     def test_half_shift_identities(self, key):
         fp = PRESETS[key]
-        assert check_rprop2_rprop3(fp, 2, (-3, 3)) == []
+        assert check_rprop2_rprop3(build_rtable(fp, 2, (-3, 3))) == []
 
     def test_reuses_prebuilt_table(self):
         fp = PRESETS["w-default"]
-        t = build_rtable_WAW(fp, 1, (-2, 3))
-        assert check_rprop2_rprop3(fp, 1, (-2, 3), table=t) == []
+        t = build_rtable(fp, 1, (-2, 3))
+        assert check_rprop2_rprop3(t) == []
 
     def test_rejects_continuous(self):
         with pytest.raises(ConfigurationError):
-            check_rprop2_rprop3(PRESETS["l-default"], 1, (0, 2))
+            check_rprop2_rprop3(build_rtable(PRESETS["l-default"], 1, (0, 2)))
 
 
 class TestXPicture:
     @pytest.mark.parametrize("key", ["w-default", "aw-default", "aw-q13"])
     def test_self_conjugate(self, key):
         fp = PRESETS[key]
-        t = build_rtable_WAW(fp, 2, (-2, 3))
+        t = build_rtable(fp, 2, (-2, 3))
         for _, xp in t.xentries.items():
             assert star_x(fp, xp) == xp
 
     def test_wilson_s1_matches_shift_identities(self):
         fp = PRESETS["w-default"]
-        t = build_rtable_WAW(fp, 1, (-2, 3))
+        t = build_rtable(fp, 1, (-2, 3))
         s_id, p_id = eta_shift_identities(fp, 1)
         for n in range(-2, 4):
             A, B, C = three_term(fp, n)
@@ -204,7 +196,7 @@ class TestXPicture:
 
     def test_askey_wilson_s1_matches_shift_identities(self):
         fp = PRESETS["aw-q13"]
-        t = build_rtable_WAW(fp, 1, (0, 2))
+        t = build_rtable(fp, 1, (0, 2))
         s_id, p_id = eta_shift_identities(fp, 1)
         for n in range(3):
             A, B, C = three_term(fp, n)
@@ -223,7 +215,7 @@ class TestVanishingRegion:
         assert check_vanishing_region(t) == []
 
     def test_window_must_cover_region(self):
-        t = build_rtable_LJ(PRESETS["l-default"], 1, (0, 4))
+        t = build_rtable(PRESETS["l-default"], 1, (0, 4))
         with pytest.raises(ConfigurationError):
             check_vanishing_region(t)
 
@@ -238,16 +230,16 @@ class TestVanishingRegion:
                 return (F(0), F(7), F(5))
             return three_term(fp, n)
 
-        t = build_rtable_LJ(fp, 1, (-2, 2), coeffs=coeffs)
+        t = build_rtable(fp, 1, (-2, 2), coeffs=coeffs)
         assert check_vanishing_region(t) == []
         assert t.entry(1, -1, 0) == (F(7) - ETA) ** 2
-        plain = build_rtable_LJ(fp, 1, (-2, 2))
+        plain = build_rtable(fp, 1, (-2, 2))
         assert plain.entry(1, -1, 0) == ETA**2
 
 
 class TestExport:
     def test_rows_deterministic_and_complete(self):
-        t = build_rtable_LJ(l32(), 1, (0, 2))
+        t = build_rtable(l32(), 1, (0, 2))
         rows = t.to_rows()
         assert rows == t.to_rows()
         assert len(rows) == 3 * 5
