@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -375,13 +375,9 @@ def _config_from_args(args) -> RunConfig:
         config.D = IndexSet.parse(args.D)
         config.n_range = _parse_range(args.n, "--n")
         config.difference_weights = args.difference_weights
-        if args.scheme != "auto" or args.rtol is not None or args.nodes is not None:
-            spec = QuadratureSpec(
-                scheme=args.scheme if args.scheme != "auto" else "gauss-legendre",
-                nodes=args.nodes or 64,
-                rtol=args.rtol or 1e-11,
-            )
-            config.spec = spec
+        given = {k: v for k, v in (("nodes", args.nodes), ("rtol", args.rtol)) if v is not None}
+        if args.scheme != "auto" or given:
+            config.spec = QuadratureSpec(scheme=args.scheme, **given)
     return config
 
 

@@ -6,20 +6,14 @@ the small-size fast path and as the oracle in tests.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from ..errors import ConfigurationError
-from .poly import LaurentPoly, Poly
-from .scalars import conj as _conj_scalar
 
 
 def _zero_like(e):
-    return LaurentPoly.zero() if isinstance(e, LaurentPoly) else Poly.zero(e.var)
-
-
-def _one_like(e):
-    return LaurentPoly.one() if isinstance(e, LaurentPoly) else Poly.one(e.var)
+    """The zero of e's ring (same carrier, same variable)."""
+    return e * 0
 
 
 class PolyMatrix:
@@ -37,22 +31,11 @@ class PolyMatrix:
         first = entries[0][0]
         for row in entries:
             for e in row:
-                if type(e) is not type(first) or (
-                        isinstance(e, Poly) and e.var != first.var):
+                if type(e) is not type(first) or e.var != first.var:
                     raise ConfigurationError("matrix entries mix carriers")
         self.entries = entries
         self.rows = len(entries)
         self.cols = cols
-
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
-
-    def map_entries(self, f) -> "PolyMatrix":
-        return PolyMatrix(tuple(tuple(f(e) for e in row) for row in self.entries))
-
-    def conj(self) -> "PolyMatrix":
-        """Entrywise coefficient conjugation."""
-        return self.map_entries(lambda e: e.map_coeffs(_conj_scalar))
 
 
 def det_cofactor(m: PolyMatrix):

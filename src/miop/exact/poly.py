@@ -1,10 +1,15 @@
 """Dense exact polynomials in one variable, plus Laurent polynomials in z.
 
-Poly stores coefficients lowest-degree first under a variable tag ("eta" or
-"x"); LaurentPoly adds a lowest-exponent offset for z = e^{ix} expressions.
-Coefficients live anywhere in the scalar tower.  Both types are immutable
-and canonical (no zero end coefficients); the zero polynomial has degree
-NEG_INF.
+Both carriers of the recurrence share one ring core, _PolyBase: a
+coefficient run `coeffs` (lowest exponent first, no zero end coefficients)
+under a variable tag, starting at the exponent `lo`.  Poly fixes lo = 0 as
+a class constant and is used in "eta" and "x"; LaurentPoly stores its own
+lo, normalised so that coeffs[0] is nonzero, for z = e^{ix} expressions.
+Addition, multiplication, powers, evaluation and exact division are written
+once for the run and read lo for the exponent offset.  Coefficients live
+anywhere in the scalar tower.  Values are immutable; the zero polynomial
+has an empty run (degree NEG_INF for Poly, lo = 0 for LaurentPoly).
+Mixing the two carriers, or two variables, raises ConfigurationError.
 """
 from __future__ import annotations
 
@@ -12,16 +17,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..errors import ConfigurationError, InexactDivision, ReductionFailure
-from .scalars import Scalar, conj, downcast, format_scalar, parse_scalar, q_pow
+from .scalars import (GaussianRational, Scalar, SqrtQRational, conj, downcast,
+                      format_scalar, power, q_pow)
 
 NEG_INF = float("-inf")
 
-_SCALAR_TYPES = (int, Fraction)
-
-
-def _is_scalar(x) -> bool:
-    from .scalars import GaussianRational, SqrtQRational
-    return isinstance(x, (int, Fraction, GaussianRational, SqrtQRational))
+_SCALARS = (int, Fraction, GaussianRational, SqrtQRational)
 
 
 def _trim(coeffs: Sequence[Scalar]) -> tuple:
@@ -31,14 +32,174 @@ def _trim(coeffs: Sequence[Scalar]) -> tuple:
     return tuple(coeffs[:n])
 
 
-class Poly:
-    """Dense univariate polynomial, coeffs[i] multiplying variable**i."""
+class _PolyBase:
+    """sum coeffs[i] * var**(lo+i); the ring operations of both carriers."""
 
     __slots__ = ("coeffs", "var")
+
+    def _new(self, lo: int, coeffs: Iterable[Scalar]):
+        """A value of self's type and variable from a run starting at lo."""
+        raise NotImplementedError
+
+    def _operand(self, other):
+        """other as an element of self's ring, or None if it is not one."""
+        if isinstance(other, _SCALARS):
+            return self._new(0, (other,))
+        if not isinstance(other, _PolyBase):
+            return None
+        if type(other) is not type(self) or other.var != self.var:
+            raise ConfigurationError(
+                f"mixing {type(self).__name__} in {self.var!r} and "
+                f"{type(other).__name__} in {other.var!r}")
+        return other
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coeff(self, k: int) -> Scalar:
+        """Coefficient of var**k."""
+        i = k - self.lo
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def __eq__(self, other):
+        if isinstance(other, _SCALARS):
+            other = self._new(0, (other,))
+        elif type(other) is not type(self):
+            return NotImplemented
+        return (self.lo == other.lo and self.var == other.var
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.var, self.lo, self.coeffs))
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    # -- ring ops --------------------------------------------------------------
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        a, b = (self, other) if self.lo <= other.lo else (other, self)
+        out = list(a.coeffs)
+        n = len(out)
+        off = b.lo - a.lo
+        out.extend([Fraction(0)] * (off - n))
+        for i, c in enumerate(b.coeffs, off):
+            if i < n:
+                out[i] = out[i] + c
+            else:
+                out.append(c)
+        return self._new(a.lo, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(self.lo, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            if not other:
+                return self._new(0, ())
+            return self._new(self.lo, tuple(c * other for c in self.coeffs))
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return self._new(0, ())
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j, bj in enumerate(b):
+                out[i + j] = out[i + j] + ai * bj
+        return self._new(self.lo + other.lo, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        return power(self, n, self._new(0, (Fraction(1),)))
+
+    # -- evaluation ---------------------------------------------------------------
+    def __call__(self, x: Scalar) -> Scalar:
+        if isinstance(x, int):
+            x = Fraction(x)
+        acc: Scalar = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        lo = self.lo
+        if not lo:
+            return acc
+        return acc * x ** lo if lo > 0 else acc / x ** (-lo)
+
+    def map_coeffs(self, f):
+        return self._new(self.lo, tuple(f(c) for c in self.coeffs))
+
+    # -- division ------------------------------------------------------------------
+    def exact_div(self, den):
+        """self / den by long division; InexactDivision if den does not divide."""
+        den = self._operand(den)
+        if den.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dc = den.coeffs
+        dd = len(dc) - 1
+        dlc = dc[-1]
+        quot = [Fraction(0)] * max(len(rem) - dd, 0)
+        for i in range(len(rem) - 1, dd - 1, -1):
+            c = rem[i]
+            if not c:
+                continue
+            f = c / dlc
+            quot[i - dd] = f
+            for j, d in enumerate(dc):
+                rem[i - dd + j] = rem[i - dd + j] - f * d
+        if any(rem):
+            rdeg = max(i for i, c in enumerate(rem) if c)
+            raise InexactDivision(
+                f"nonzero remainder of degree {rdeg} dividing "
+                f"deg {len(self.coeffs) - 1} by deg {dd}")
+        return self._new(self.lo - den.lo, quot)
+
+    def __repr__(self):
+        name = type(self).__name__
+        if not self.coeffs:
+            return f"{name}(0, {self.var!r})"
+        terms = " + ".join(f"({format_scalar(c)})*{self.var}^{self.lo + i}"
+                           if self.lo + i else f"({format_scalar(c)})"
+                           for i, c in enumerate(self.coeffs) if c)
+        return f"{name}[{terms}]"
+
+
+class Poly(_PolyBase):
+    """Dense univariate polynomial, coeffs[i] multiplying variable**i."""
+
+    __slots__ = ()
+    lo = 0
 
     def __init__(self, coeffs: Iterable[Scalar] = (), var: str = "eta"):
         self.coeffs = _trim(tuple(coeffs))
         self.var = var
+
+    def _new(self, lo: int, coeffs: Iterable[Scalar]) -> "Poly":
+        return Poly(coeffs, self.var)
 
     @classmethod
     def zero(cls, var: str = "eta") -> "Poly":
@@ -56,201 +217,46 @@ class Poly:
     def constant(cls, c: Scalar, var: str = "eta") -> "Poly":
         return cls((c,), var)
 
-    # -- structure -----------------------------------------------------------
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def lc(self) -> Scalar:
         """Leading coefficient; zero polynomial has lc 0."""
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
-    def coeff(self, i: int) -> Scalar:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def _check_var(self, other: "Poly"):
-        if self.var != other.var:
-            raise ConfigurationError(
-                f"mixing variables {self.var!r} and {other.var!r}")
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.var == other.var and len(self.coeffs) == len(other.coeffs) \
-                and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        if _is_scalar(other):
-            return self == Poly.constant(other, self.var)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.var, self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    # -- ring ops --------------------------------------------------------------
-    def __add__(self, other):
-        if _is_scalar(other):
-            other = Poly.constant(other, self.var)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_var(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out, self.var)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs), self.var)
-
-    def __sub__(self, other):
-        if _is_scalar(other):
-            other = Poly.constant(other, self.var)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if _is_scalar(other):
-            if not other:
-                return Poly.zero(self.var)
-            return Poly(tuple(c * other for c in self.coeffs), self.var)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_var(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(self.var)
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return Poly(out, self.var)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = Poly.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    # -- calculus / evaluation ---------------------------------------------------
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0),
                     self.var)
 
-    def __call__(self, x: Scalar) -> Scalar:
-        if isinstance(x, int):
-            x = Fraction(x)
-        acc: Scalar = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """self(inner), result in inner's variable."""
-        acc = Poly.zero(inner.var)
+    def compose(self, inner):
+        """self(inner), a value in inner's ring (a Poly or a LaurentPoly)."""
+        acc = inner._new(0, ())
         for c in reversed(self.coeffs):
             acc = acc * inner + c
         return acc
 
-    def map_coeffs(self, f) -> "Poly":
-        return Poly(tuple(f(c) for c in self.coeffs), self.var)
-
     def conj_coeffs(self) -> "Poly":
         return self.map_coeffs(conj)
 
-    # -- division ------------------------------------------------------------------
-    def divmod(self, den: "Poly") -> tuple["Poly", "Poly"]:
-        self._check_var(den)
-        if den.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlc = den.lc
-        dd = len(den.coeffs) - 1
-        if len(rem) <= dd:
-            return Poly.zero(self.var), self
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            f = c / dlc
-            quot[i - dd] = f
-            for j, dc in enumerate(den.coeffs):
-                rem[i - dd + j] = rem[i - dd + j] - f * dc
-        return Poly(quot, self.var), Poly(rem, self.var)
 
-    def exact_div(self, den: "Poly") -> "Poly":
-        q, r = self.divmod(den)
-        if not r.is_zero:
-            raise InexactDivision(
-                f"nonzero remainder of degree {r.degree} dividing "
-                f"deg {self.degree} by deg {den.degree}")
-        return q
-
-    # -- io ----------------------------------------------------------------------
-    def to_json(self) -> dict:
-        return {"variable": self.var,
-                "coeffs": [format_scalar(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Poly":
-        return cls([parse_scalar(s) for s in obj["coeffs"]], obj["variable"])
-
-    def __repr__(self):
-        if self.is_zero:
-            return f"Poly(0, {self.var!r})"
-        terms = " + ".join(f"({format_scalar(c)})*{self.var}^{i}" if i else
-                           f"({format_scalar(c)})"
-                           for i, c in enumerate(self.coeffs) if c)
-        return f"Poly[{terms}]"
-
-
-class LaurentPoly:
+class LaurentPoly(_PolyBase):
     """sum coeffs[i] * z**(lo+i); canonical with nonzero end coefficients."""
 
-    __slots__ = ("lo", "coeffs", "var")
+    __slots__ = ("lo",)
 
     def __init__(self, lo: int = 0, coeffs: Iterable[Scalar] = (), var: str = "z"):
         coeffs = list(coeffs)
         lead = 0
         while lead < len(coeffs) and not coeffs[lead]:
             lead += 1
-        coeffs = coeffs[lead:]
-        lo += lead
-        self.coeffs = _trim(coeffs)
-        self.lo = lo if self.coeffs else 0
+        self.coeffs = _trim(coeffs[lead:])
+        self.lo = lo + lead if self.coeffs else 0
         self.var = var
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls(0, ())
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls(0, (Fraction(1),))
+    def _new(self, lo: int, coeffs: Iterable[Scalar]) -> "LaurentPoly":
+        return LaurentPoly(lo, coeffs, self.var)
 
     @classmethod
     def monomial(cls, k: int, c: Scalar = Fraction(1)) -> "LaurentPoly":
@@ -260,134 +266,13 @@ class LaurentPoly:
     def hi(self) -> int:
         return self.lo + len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, k: int) -> Scalar:
-        i = k - self.lo
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return (self.lo == other.lo and len(self.coeffs) == len(other.coeffs)
-                    and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
-        if _is_scalar(other):
-            return self == LaurentPoly(0, (other,))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lo, self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        if _is_scalar(other):
-            other = LaurentPoly(0, (other,))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.lo - lo + i] = c
-        for i, c in enumerate(other.coeffs):
-            out[other.lo - lo + i] = out[other.lo - lo + i] + c
-        return LaurentPoly(lo, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.lo, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if _is_scalar(other):
-            other = LaurentPoly(0, (other,))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if _is_scalar(other):
-            if not other:
-                return LaurentPoly.zero()
-            return LaurentPoly(self.lo, tuple(c * other for c in self.coeffs))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return LaurentPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
-            if not ai:
-                continue
-            for j, bj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ai * bj
-        return LaurentPoly(self.lo + other.lo, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __call__(self, z: Scalar) -> Scalar:
-        if isinstance(z, int):
-            z = Fraction(z)
-        acc: Scalar = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc * z ** self.lo if self.lo >= 0 else acc / z ** (-self.lo)
-
     def z_inverse(self) -> "LaurentPoly":
         """Substitute z -> 1/z (exact involution)."""
-        return LaurentPoly(-self.hi, tuple(reversed(self.coeffs)))
-
-    def map_coeffs(self, f) -> "LaurentPoly":
-        return LaurentPoly(self.lo, tuple(f(c) for c in self.coeffs))
+        return LaurentPoly(-self.hi, tuple(reversed(self.coeffs)), self.var)
 
     def star(self) -> "LaurentPoly":
         """Complex conjugate for real x when z = e^{ix}: conj coeffs, z -> 1/z."""
         return self.z_inverse().map_coeffs(conj)
-
-    def exact_div(self, den: "LaurentPoly") -> "LaurentPoly":
-        if den.is_zero:
-            raise ZeroDivisionError("Laurent division by zero")
-        num_poly = Poly(self.coeffs, "z")
-        den_poly = Poly(den.coeffs, "z")
-        q = num_poly.exact_div(den_poly)
-        return LaurentPoly(self.lo - den.lo, q.coeffs)
-
-    def to_json(self) -> dict:
-        return {"variable": self.var, "lo": self.lo,
-                "coeffs": [format_scalar(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LaurentPoly":
-        return cls(obj["lo"], [parse_scalar(s) for s in obj["coeffs"]],
-                   obj["variable"])
-
-    def __repr__(self):
-        if self.is_zero:
-            return "LaurentPoly(0)"
-        terms = " + ".join(f"({format_scalar(c)})*z^{self.lo + i}"
-                           for i, c in enumerate(self.coeffs) if c)
-        return f"LaurentPoly[{terms}]"
 
 
 def laurent_shift(p: LaurentPoly, c, q) -> LaurentPoly:

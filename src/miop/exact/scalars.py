@@ -123,14 +123,7 @@ class GaussianRational:
             return NotImplemented
         if n < 0:
             return 1 / (self ** (-n))
-        result = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, GaussianRational(1))
 
     # -- real-value helpers --------------------------------------------------
     def sign(self) -> int:
@@ -277,15 +270,8 @@ class SqrtQRational:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return (self._inverse()) ** (-n)
-        result: Scalar = Fraction(1)
-        base: Scalar = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return self._inverse() ** (-n)
+        return power(self, n, Fraction(1))
 
     def sign(self) -> int:
         """Exact sign of a real value a + b*sqrt(q)."""
@@ -317,6 +303,22 @@ class SqrtQRational:
 
 
 # -- tower-generic helpers ---------------------------------------------------
+
+def power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply; `one` is the ring's unit.
+
+    The one power loop of the exact core: scalars and both polynomial
+    carriers delegate their __pow__ here.
+    """
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
 
 def conj(x: Scalar) -> Scalar:
     if isinstance(x, (GaussianRational, SqrtQRational)):

@@ -19,7 +19,7 @@ This module owns:
   * virtual state polynomials, twists and energies,
   * spectral energies E_n,
   * the eta shift-sum and shift-product closed forms for W/AW,
-  * x-picture carrier helpers (shift, eta at a shifted point, phi, star,
+  * x-picture carrier helpers (shift, eta at a shifted point, phi,
     reduction back to eta) shared by the recurrence and determinant code.
 
 Everything here is exact; float data (weights, norms) lives in miop.quad.
@@ -304,58 +304,64 @@ def three_term(fp: FamilyParams, n: int):
         B = (h - g) * (g + h - 1) / (dm * dp)
         C = (2 * (n + g - half)) * (n + h - half) / (dm * d0)
         return (A, B, C)
+    # W and AW: every term over dm2 carries a factor n (W) or 1 - q^n (AW),
+    # so at n = 0 it is exactly 0 even where dm2 vanishes (b1 = 2, b4 = q^2)
+    C = Fraction(0)
     if fp.family == "W":
         a = fp.lam
         b1 = fp.b1
         d0 = _nonzero_den(fp, n, 2 * n + b1)
         dm1 = _nonzero_den(fp, n, 2 * n + b1 - 1)
-        dm2 = _nonzero_den(fp, n, 2 * n + b1 - 2)
         A = -(n + b1 - 1) / (dm1 * d0)
-        prod_all = Fraction(1)
-        for j in range(4):
-            for k in range(j + 1, 4):
-                prod_all = prod_all * (n + a[j] + a[k] - 1)
-        C = -(n * prod_all) / (dm2 * dm1)
         prod_1k = (n + a[0] + a[1]) * (n + a[0] + a[2]) * (n + a[0] + a[3])
-        prod_jk = (n + a[1] + a[2] - 1) * (n + a[1] + a[3] - 1) * (n + a[2] + a[3] - 1)
-        B = (
-            (n + b1 - 1) * prod_1k / (dm1 * d0)
-            + n * prod_jk / (dm2 * dm1)
-            - a[0] * a[0]
-        )
-        return (A, B, C)
+        B = (n + b1 - 1) * prod_1k / (dm1 * d0)
+        if n:
+            dm2 = _nonzero_den(fp, n, 2 * n + b1 - 2)
+            prod_all = Fraction(1)
+            for j in range(4):
+                for k in range(j + 1, 4):
+                    prod_all = prod_all * (n + a[j] + a[k] - 1)
+            C = -(n * prod_all) / (dm2 * dm1)
+            prod_jk = (n + a[1] + a[2] - 1) * (n + a[1] + a[3] - 1) * (n + a[2] + a[3] - 1)
+            B = B + n * prod_jk / (dm2 * dm1)
+        return (A, B - a[0] * a[0], C)
     a = fp.lam
     b4 = fp.b4
     qn = fp.qpow(n)
     d0 = _nonzero_den(fp, n, 1 - b4 * fp.qpow(2 * n))
     dm1 = _nonzero_den(fp, n, 1 - b4 * fp.qpow(2 * n - 1))
-    dm2 = _nonzero_den(fp, n, 1 - b4 * fp.qpow(2 * n - 2))
     A = (1 - b4 * fp.qpow(n - 1)) / (2 * dm1 * d0)
-    prod_all = Fraction(1)
-    for j in range(4):
-        for k in range(j + 1, 4):
-            prod_all = prod_all * (1 - a[j] * a[k] * fp.qpow(n - 1))
-    C = (1 - qn) * prod_all / (2 * dm2 * dm1)
     prod_1k = (
         (1 - a[0] * a[1] * qn) * (1 - a[0] * a[2] * qn) * (1 - a[0] * a[3] * qn)
-    )
-    prod_jk = (
-        (1 - a[1] * a[2] * fp.qpow(n - 1))
-        * (1 - a[1] * a[3] * fp.qpow(n - 1))
-        * (1 - a[2] * a[3] * fp.qpow(n - 1))
     )
     B = (
         (a[0] + 1 / a[0]) / 2
         - (1 - b4 * fp.qpow(n - 1)) * prod_1k / (2 * a[0] * dm1 * d0)
-        - a[0] * (1 - qn) * prod_jk / (2 * dm2 * dm1)
     )
+    if n:
+        dm2 = _nonzero_den(fp, n, 1 - b4 * fp.qpow(2 * n - 2))
+        prod_all = Fraction(1)
+        for j in range(4):
+            for k in range(j + 1, 4):
+                prod_all = prod_all * (1 - a[j] * a[k] * fp.qpow(n - 1))
+        C = (1 - qn) * prod_all / (2 * dm2 * dm1)
+        prod_jk = (
+            (1 - a[1] * a[2] * fp.qpow(n - 1))
+            * (1 - a[1] * a[3] * fp.qpow(n - 1))
+            * (1 - a[2] * a[3] * fp.qpow(n - 1))
+        )
+        B = B - a[0] * (1 - qn) * prod_jk / (2 * dm2 * dm1)
     return (A, B, C)
 
 
 # -- classical polynomials ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# A full verify-sweep or export pass holds fewer than 100 entries.
+_CLASSICAL_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CLASSICAL_CACHE_SIZE)
 def classical_poly(fp: FamilyParams, n: int) -> Poly:
     """P_n(eta), normalized by the recurrence seed P_0 = 1; zero for n < 0."""
     if n < 0:
@@ -480,12 +486,12 @@ def _require_difference(fp: FamilyParams):
 
 def carrier_zero(fp: FamilyParams) -> Carrier:
     _require_difference(fp)
-    return Poly.zero("x") if fp.family == "W" else LaurentPoly.zero()
+    return Poly.zero("x") if fp.family == "W" else LaurentPoly()
 
 
 def carrier_one(fp: FamilyParams) -> Carrier:
     _require_difference(fp)
-    return Poly.one("x") if fp.family == "W" else LaurentPoly.one()
+    return Poly.one("x") if fp.family == "W" else LaurentPoly.monomial(0)
 
 
 def eta_x(fp: FamilyParams) -> Carrier:
@@ -510,13 +516,7 @@ def poly_to_x(fp: FamilyParams, p: Poly) -> Carrier:
     _require_difference(fp)
     if p.var != "eta":
         raise ConfigurationError("poly_to_x expects a polynomial in eta")
-    inner = eta_x(fp)
-    if fp.family == "W":
-        return p.compose(inner)
-    acc = LaurentPoly.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * inner + c
-    return acc
+    return p.compose(eta_x(fp))
 
 
 def x_shift(fp: FamilyParams, p: Carrier, c) -> Carrier:
@@ -540,15 +540,6 @@ def eta_at(fp: FamilyParams, c) -> Carrier:
     lo = q_pow(fp.q, c.numerator, c.denominator)
     hi = q_pow(fp.q, -c.numerator, c.denominator)
     return LaurentPoly(-1, [lo / 2, 0, hi / 2])
-
-
-def star_x(fp: FamilyParams, p: Carrier) -> Carrier:
-    """The *-involution f*(x) = conj(f)(x): conjugate coefficients (W) or
-    conjugate plus z -> 1/z (AW)."""
-    _require_difference(fp)
-    if fp.family == "W":
-        return p.conj_coeffs()
-    return p.star()
 
 
 def reduce_to_eta(fp: FamilyParams, p: Carrier) -> Poly:

@@ -63,8 +63,6 @@ from .families import (
     classical_poly_x,
     phi_x,
     poly_to_x,
-    shifted,
-    twisted,
     virtual_poly,
     x_shift,
 )
@@ -203,24 +201,6 @@ class MultiIndexedPair:
             "P": format_scalar(self.p_radicand),
         }
         return obj
-
-
-@dataclass
-class WeightDescriptor:
-    """Data needed by the float backend to evaluate the deformed weight."""
-
-    fp: FamilyParams
-    D: IndexSet
-    shifted_fp: FamilyParams
-    Xi: Poly
-    c_F: Optional[Fraction]
-
-
-def weight_descriptor(fp: FamilyParams, D: IndexSet, pair: "MultiIndexedPair" = None) -> WeightDescriptor:
-    if pair is None:
-        pair = build(fp, D, n_max=0)
-    c_F = {"L": Fraction(2), "J": Fraction(-4)}.get(fp.family)
-    return WeightDescriptor(fp, D, twisted(fp, D.M1, D.M2), pair.Xi, c_F)
 
 
 # -- L/J: gauge-factored Wronskians ---------------------------------------------
@@ -377,7 +357,7 @@ def _poch_pm(a: Scalar, sign: int, m: int) -> Poly:
 
 def _qpoch_z(u: Scalar, q: Fraction, power: int, m: int) -> LaurentPoly:
     """(u z^power; q)_m as a Laurent polynomial (power is +1 or -1)."""
-    out = LaurentPoly.one()
+    out = LaurentPoly.monomial(0)
     for t in range(m):
         c = u * q_pow(q, t)
         if power == 1:
@@ -441,7 +421,7 @@ def _norm_divisor(fp: FamilyParams, R: int, lim34: int, lim12: int):
                 for j in range(1, lim + 1):
                     poly = poly * _poch_pm(a, +1, j) * _poch_pm(a, -1, j)
         return poly, scalar
-    poly = LaurentPoly.one()
+    poly = LaurentPoly.monomial(0)
     for ks, lim in (((3, 4), lim34), ((1, 2), lim12)):
         for k in ks:
             ak = fp.lam[k - 1]

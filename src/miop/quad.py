@@ -42,10 +42,11 @@ from .families import (
     energy,
     poly_to_x,
     reduce_to_eta,
+    twisted,
     virtual_energy,
     x_shift,
 )
-from .multiindex import IndexSet, MultiIndexedPair, build, weight_descriptor
+from .multiindex import IndexSet, MultiIndexedPair, build
 
 _MP_PREC = 120
 
@@ -126,6 +127,12 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.scheme not in ("auto", "gauss-legendre", "tanh-sinh"):
             raise ConfigurationError(f"unknown quadrature scheme {self.scheme!r}")
+        if self.nodes < 1:
+            raise ConfigurationError(f"quadrature needs nodes >= 1, got {self.nodes}")
+        if not self.rtol > 0:
+            raise ConfigurationError(f"quadrature needs rtol > 0, got {self.rtol}")
+        if self.max_levels < 1:
+            raise ConfigurationError(f"quadrature needs max_levels >= 1, got {self.max_levels}")
 
 
 @dataclass
@@ -295,8 +302,6 @@ def _difference_prefactor_sq(fp: FamilyParams, D: IndexSet) -> float:
     if fp.family == "W":
         return 1.0
     M1, M2 = D.M1, D.M2
-    from .families import twisted
-
     lam2 = twisted(fp, M1, M2).lam
     q = mpmath.mpf(fp.q.numerator) / fp.q.denominator
     # pairwise products collapse the half-integer q-powers of the twist
@@ -322,23 +327,18 @@ class _WeightData:
 
 
 def _weight_data(fp: FamilyParams, D: IndexSet, pair: Optional[MultiIndexedPair] = None) -> _WeightData:
-    wd = weight_descriptor(fp, D, pair)
+    if pair is None:
+        pair = build(fp, D, n_max=0)
     eta = _eta_of_x(fp)
-    phi0_sq = _phi0_sq(wd.shifted_fp)
+    phi0_sq = _phi0_sq(twisted(fp, D.M1, D.M2))
     if fp.family in ("L", "J"):
-        scale = float(wd.c_F) ** (2 * D.M)
-        return _WeightData(fp, D, eta, phi0_sq, FloatPoly.from_exact(wd.Xi), scale, True)
+        c_F = 2.0 if fp.family == "L" else -4.0
+        return _WeightData(fp, D, eta, phi0_sq, FloatPoly.from_exact(pair.Xi), c_F ** (2 * D.M), True)
     # W/AW: denominator Xi(x - i gamma/2) Xi(x + i gamma/2) as an exact eta-poly
-    if D.M == 0:
-        prod = Poly.one()
-        rad = Fraction(1)
-    else:
-        p = build(fp, D, n_max=0) if pair is None else pair
-        xi_x = poly_to_x(fp, p.Xi)
-        half = Fraction(1, 2)
-        prod = reduce_to_eta(fp, x_shift(fp, xi_x, -half) * x_shift(fp, xi_x, half))
-        rad = p.xi_radicand
-    scale = _difference_prefactor_sq(fp, D) / float(rad)
+    xi_x = poly_to_x(fp, pair.Xi)
+    half = Fraction(1, 2)
+    prod = reduce_to_eta(fp, x_shift(fp, xi_x, -half) * x_shift(fp, xi_x, half))
+    scale = _difference_prefactor_sq(fp, D) / float(pair.xi_radicand)
     return _WeightData(fp, D, eta, phi0_sq, FloatPoly.from_exact(prod), scale, False)
 
 

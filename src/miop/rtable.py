@@ -74,11 +74,6 @@ class RTable:
     entries: dict = field(repr=False)
     xentries: Optional[dict] = field(default=None, repr=False)
 
-    def level_window(self, s: int) -> tuple:
-        lo, hi = self.window
-        pad = self.M - s
-        return (lo - pad, hi + pad)
-
     def entry(self, s: int, n: int, k: int) -> Poly:
         """R^[s]_{n,k} in eta; zero outside the band |k| <= s+1."""
         return self.entries.get((s, n, k), Poly.zero())

@@ -96,6 +96,15 @@ class TestRtable:
         obj = json.loads(out)
         assert obj["window"] == [-3, 10]
 
+    @pytest.mark.parametrize("argv", [
+        ("--family", "W", "--a", "1/2,1/2,1/2,1/2"),  # b1 = 2
+        ("--family", "AW", "--a", "1/2,1/2,1/2,1/2", "--q", "1/4"),  # b4 = q^2
+    ], ids=["W", "AW"])
+    def test_removable_zero_at_n0_accepted(self, capsys, argv):
+        code, out, err = run_cli(capsys, "rtable", *argv, "--M", "1")
+        assert code == 0, err
+        assert json.loads(out)["rows"]
+
     def test_bad_window_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "rtable", "--preset", "j-default", "--M", "1", "--window", "5..1"
@@ -230,6 +239,24 @@ class TestOrtho:
         assert code == 0
         rel = [float(line.split(",")[4]) for line in out.splitlines()[1:]]
         assert max(rel) < 1e-10
+
+
+    def test_spec_flags_keep_auto_scheme(self, capsys):
+        # --rtol alone must not switch L off tanh-sinh
+        args = ("ortho", "--preset", "l-default", "--D", "I1", "--n", "0..1")
+        _, default, _ = run_cli(capsys, *args)
+        code, tuned, _ = run_cli(capsys, *args, "--rtol", "1e-10")
+        _, legendre, _ = run_cli(capsys, *args, "--rtol", "1e-10", "--scheme", "gauss-legendre")
+        assert code == 0
+        # the (0, 0) entry settles at the same tanh-sinh level either way
+        assert tuned.splitlines()[1] == default.splitlines()[1] != legendre.splitlines()[1]
+
+    @pytest.mark.parametrize("flag", ["--nodes=0", "--nodes=-3", "--rtol=0", "--rtol=-1e-9"])
+    def test_bad_spec_rejected(self, capsys, flag):
+        code, _, err = run_cli(capsys, "ortho", "--preset", "j-default", "--D", "I1",
+                               "--n", "0..1", flag)
+        assert code == 2
+        assert flag[2:flag.index("=")] in err and "Traceback" not in err
 
 
 class TestFlagValidation:

@@ -22,7 +22,6 @@ from miop.families import (
     poly_to_x,
     reduce_to_eta,
     shifted,
-    star_x,
     three_term,
     twisted,
     virtual_energy,
@@ -121,6 +120,20 @@ class TestThreeTerm:
     def test_wilson_c0_vanishes(self):
         assert three_term(PRESETS["w-default"], 0)[2] == 0
 
+    def test_wilson_removable_zero_at_n0(self):
+        # b1 = 2 zeroes the n = 0 value of 2n + b1 - 2, but C_0 carries n
+        fp = FamilyParams("W", (F(1, 2),) * 4)
+        assert three_term(fp, 0)[2] == 0
+        for n in range(6):
+            assert classical_poly(fp, n) == wilson_poly(fp.lam, n)
+
+    def test_askey_wilson_removable_zero_at_n0(self):
+        # b4 = q^2 zeroes 1 - b4 q^(2n-2) at n = 0, but C_0 carries 1 - q^n
+        fp = FamilyParams("AW", (F(1, 2),) * 4, q=F(1, 4))
+        assert three_term(fp, 0)[2] == 0
+        for n in range(6):
+            assert classical_poly(fp, n) == askey_wilson_poly(fp.lam, fp.q, n)
+
     def test_negative_n_zero(self):
         for fp in ALL_PRESETS:
             assert three_term(fp, -1) == (0, 0, 0)
@@ -140,6 +153,9 @@ class TestThreeTerm:
 
 
 class TestClassicalPoly:
+    def test_cache_is_bounded(self):
+        assert classical_poly.cache_info().maxsize is not None
+
     def test_laguerre_frozen(self):
         fp = FamilyParams("L", (F(3, 2),))
         assert classical_poly(fp, 0) == Poly.one()
@@ -235,7 +251,7 @@ class TestClassicalPolyX:
         for n in range(7):
             px = classical_poly_x(fp, n)
             assert px.z_inverse() == px
-            assert star_x(fp, px) == px
+            assert px.star() == px
 
     @pytest.mark.parametrize("fp", DIFF_PRESETS, ids=["w", "aw", "aw13"])
     def test_reduction_roundtrip(self, fp):
@@ -357,7 +373,7 @@ class TestCarriers:
     @pytest.mark.parametrize("fp", DIFF_PRESETS, ids=["w", "aw", "aw13"])
     def test_phi_real_and_odd(self, fp):
         phi = phi_x(fp)
-        assert star_x(fp, phi) == phi
+        assert (phi.conj_coeffs() if fp.family == "W" else phi.star()) == phi
         if fp.family == "W":
             assert phi.coeff(0) == 0 and phi.coeff(1) == 2
         else:

@@ -13,8 +13,8 @@ from miop.multiindex import (
     build_LJ,
     build_WAW,
     phi_M,
-    weight_descriptor,
 )
+from miop.quad import _phi0_sq, _weight_data
 from miop.rtable import build_rtable
 
 ETA = Poly.variable()
@@ -225,12 +225,10 @@ class TestPhiM:
         assert phi_M(fp, 3) == Poly([0, 2, 0, 8], var="x")
 
     def test_askey_wilson_self_conjugate(self):
-        from miop.families import star_x
-
         fp = PRESETS["aw-default"]
         for M in range(2, 5):
             p = phi_M(fp, M)
-            assert star_x(fp, p) == p
+            assert p.star() == p
 
     def test_negative_M_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -259,24 +257,26 @@ class TestNormTags:
 
 
 class TestWeightDescriptor:
+    """The weight data quad derives from (fp, D): c_F^{2M}, Xi_D, lambda^[M_I,M_II]."""
+
     def test_fields(self):
         fp = PRESETS["j-default"]
         D = IndexSet.parse("I1,II1")
-        wd = weight_descriptor(fp, D)
-        assert wd.c_F == F(-4)
-        assert wd.Xi.degree == D.ell
+        wd = _weight_data(fp, D)
+        assert wd.scale == (-4.0) ** (2 * D.M)
+        assert len(wd.xi_den.coeffs) - 1 == D.ell
         # lambda^[1,1] for J leaves (g, h) unchanged
-        assert wd.shifted_fp.lam == fp.lam
+        assert wd.phi0_sq(0.3) == _phi0_sq(fp)(0.3)
 
     def test_laguerre_shift(self):
         fp = PRESETS["l-default"]
-        wd = weight_descriptor(fp, IndexSet.parse("I1,I2"))
-        assert wd.c_F == F(2)
-        assert wd.shifted_fp.g == fp.g + 2
+        wd = _weight_data(fp, IndexSet.parse("I1,I2"))
+        assert wd.scale == 2.0 ** 4
+        assert wd.phi0_sq(0.7) == _phi0_sq(FamilyParams("L", (fp.g + 2,)))(0.7)
 
     def test_difference_family_has_no_cF(self):
-        wd = weight_descriptor(PRESETS["w-default"], IndexSet.parse("I1"))
-        assert wd.c_F is None
+        wd = _weight_data(PRESETS["w-default"], IndexSet.parse("I1"))
+        assert wd.scale == 1.0 and not wd.squared_den
 
 
 class TestJson:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError, InexactDivision, ReductionFailure
 from miop.exact import (NEG_INF, GaussianRational, LaurentPoly, Poly,
@@ -10,7 +11,7 @@ from miop.exact import (NEG_INF, GaussianRational, LaurentPoly, Poly,
                         sqrt_q)
 from miop.families import PRESETS, poly_to_x
 
-from .strategies import laurents, nonzero_polys, polys
+from .strategies import laurents, nonzero_polys, polys, rationals
 
 ETA = Poly.variable("eta")
 
@@ -173,15 +174,33 @@ class TestEtaReductions:
         assert even_poly_to_eta(lifted) == Poly(p.coeffs, "eta")
 
 
-class TestJson:
-    @given(polys())
-    def test_poly_roundtrip(self, p):
-        assert Poly.from_json(p.to_json()) == p
+def _as_poly(p: LaurentPoly) -> Poly:
+    """A Laurent value with no negative powers, as a Poly in z."""
+    assert p.is_zero or p.lo >= 0
+    return Poly([p.coeff(k) for k in range(p.hi + 1)], "z")
 
-    @given(laurents())
-    def test_laurent_roundtrip(self, p):
-        assert LaurentPoly.from_json(p.to_json()) == p
 
-    def test_layout(self):
-        obj = Poly([Fraction(1, 2), 0, 3], "eta").to_json()
-        assert obj == {"variable": "eta", "coeffs": ["1/2", "0", "3"]}
+class TestSharedCore:
+    """Poly and LaurentPoly share one ring core: at lo = 0 they must agree."""
+
+    @given(polys(var="z"), polys(var="z"), st.integers(0, 3), rationals())
+    @settings(max_examples=60)
+    def test_laurent_at_lo_zero_matches_poly(self, a, b, n, x):
+        la, lb = LaurentPoly(0, a.coeffs), LaurentPoly(0, b.coeffs)
+        assert _as_poly(la) == a and _as_poly(lb) == b
+        assert _as_poly(la + lb) == a + b
+        assert _as_poly(la - lb) == a - b
+        assert _as_poly(la * lb) == a * b
+        assert _as_poly(la ** n) == a ** n
+        assert la(x) == a(x)
+        if not b.is_zero:
+            assert _as_poly((la * lb).exact_div(lb)) == (a * b).exact_div(b)
+
+    @pytest.mark.parametrize("op", [
+        lambda p, l: p + l, lambda p, l: l + p, lambda p, l: p - l,
+        lambda p, l: l - p, lambda p, l: p * l, lambda p, l: l * p,
+        lambda p, l: p.exact_div(l), lambda p, l: l.exact_div(p),
+    ])
+    def test_mixing_carriers_rejected(self, op):
+        with pytest.raises(ConfigurationError):
+            op(Poly([1, 2], "z"), LaurentPoly(0, [1, 2]))

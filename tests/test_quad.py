@@ -66,6 +66,12 @@ class TestQuadratureSpec:
         with pytest.raises(ConfigurationError):
             QuadratureSpec(scheme="simpson")
 
+    @pytest.mark.parametrize("bad", [{"nodes": 0}, {"nodes": -3}, {"rtol": 0.0},
+                                     {"rtol": -1e-9}, {"max_levels": 0}])
+    def test_nonpositive_contract_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            QuadratureSpec(**bad)
+
     def test_doubling_contract_reported(self):
         spec = QuadratureSpec(scheme="gauss-legendre", nodes=8, rtol=1e-12)
         res = integrate_gl(math.cos, 0.0, 1.0, spec)
