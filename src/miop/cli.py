@@ -62,7 +62,7 @@ class RunConfig:
     fmt: str = "json"
     out: Optional[str] = None
     difference_weights: bool = False
-    spec: Optional[QuadratureSpec] = None
+    spec: QuadratureSpec = QuadratureSpec()
     preset: Optional[str] = None
 
 
@@ -149,8 +149,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"--out {out}: cannot write ({exc.strerror or exc})") from exc
 
 
 def _emit_json(config: RunConfig, payload: dict) -> None:
@@ -175,7 +178,7 @@ def cmd_gen(config: RunConfig) -> int:
 
 def cmd_rtable(config: RunConfig) -> int:
     table = build_rtable(config.fp, config.M, config.window)
-    rows = table.to_rows(all_levels=True)
+    rows = table.to_rows()
     if config.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -337,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     orth.add_argument("--D", default="", help="index set")
     orth.add_argument("--n", default="0..4", help="grid range 0..N")
     orth.add_argument(_DIFFERENCE_FLAG, action="store_true", dest="difference_weights")
-    orth.add_argument("--scheme", choices=["auto", "gauss-legendre", "tanh-sinh"], default="auto")
-    orth.add_argument("--rtol", type=float, default=None)
-    orth.add_argument("--nodes", type=int, default=None)
+    orth.add_argument("--rtol", type=float, default=None, help="acceptance tolerance (default 1e-12)")
+    orth.add_argument("--nodes", type=int, default=None,
+                      help="starting Gauss-Legendre order for J and AW (default 64)")
 
     return parser
 
@@ -376,8 +379,7 @@ def _config_from_args(args) -> RunConfig:
         config.n_range = _parse_range(args.n, "--n")
         config.difference_weights = args.difference_weights
         given = {k: v for k, v in (("nodes", args.nodes), ("rtol", args.rtol)) if v is not None}
-        if args.scheme != "auto" or given:
-            config.spec = QuadratureSpec(scheme=args.scheme, **given)
+        config.spec = QuadratureSpec(**given)
     return config
 
 

@@ -18,10 +18,15 @@ being handed to the float side.  The orthogonality statement under test:
     integral Psi_D^2 P_{D,n} P_{D,m} dx
         = prod_j (E_n - Etilde_{d_j}) * h_n * delta_{nm}.
 
-Quadrature uses Gauss-Legendre on finite intervals and tanh-sinh on
-(0, cutoff) for semi-infinite ones, with a node-doubling acceptance
-contract: the result is accepted once doubling moves it by less than
-the target tolerance, and NonConvergent is raised otherwise.
+The family picks the rule: Gauss-Legendre for J and AW on their finite
+periods, tanh-sinh for L and W on (0, cutoff).  Both share one
+node-doubling acceptance contract (QuadratureSpec: rtol and the starting
+Gauss-Legendre order): the result is accepted once doubling moves it by
+less than the target tolerance, and NonConvergent is raised otherwise.
+
+A grid builds one pair and one Weight: Psi_D^2 is derived and its
+denominator scanned for poles once, over the interval of the widest
+entry, and every (n, m) entry integrates against that weight.
 """
 
 from __future__ import annotations
@@ -115,22 +120,23 @@ def pairwise_sum(values) -> float:
 # -- quadrature engines -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureSpec:
-    """Scheme plus acceptance contract for the node-doubling loop."""
+    """Acceptance contract for the node-doubling loop.
 
-    scheme: str = "auto"  # "gauss-legendre" | "tanh-sinh" | "auto"
+    nodes is the starting Gauss-Legendre order; tanh-sinh always starts at
+    step h = 1/2 and does not read it.
+    """
+
     nodes: int = 64
-    rtol: float = 1e-11
+    rtol: float = 1e-12
     max_levels: int = 8
 
     def __post_init__(self):
-        if self.scheme not in ("auto", "gauss-legendre", "tanh-sinh"):
-            raise ConfigurationError(f"unknown quadrature scheme {self.scheme!r}")
         if self.nodes < 1:
             raise ConfigurationError(f"quadrature needs nodes >= 1, got {self.nodes}")
-        if not self.rtol > 0:
-            raise ConfigurationError(f"quadrature needs rtol > 0, got {self.rtol}")
+        if not 0 < self.rtol < math.inf:
+            raise ConfigurationError(f"quadrature needs a finite rtol > 0, got {self.rtol}")
         if self.max_levels < 1:
             raise ConfigurationError(f"quadrature needs max_levels >= 1, got {self.max_levels}")
 
@@ -153,19 +159,25 @@ def _accept(cur: float, prev: Optional[float], rtol: float, floor: float) -> boo
     return abs(cur - prev) <= rtol * max(abs(cur), floor)
 
 
-def integrate_gl(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec, floor: float = 0.0) -> QuadResult:
+def _integrate(nodes_at: Callable[[int], list], f, a: float, b: float, spec: QuadratureSpec,
+               floor: float, rule: str) -> QuadResult:
+    """Node-doubling loop shared by both rules; nodes_at(level) lists (x, w) on (-1, 1)."""
     half = (b - a) / 2.0
     mid = (a + b) / 2.0
-    n = spec.nodes
     prev = None
-    for _ in range(spec.max_levels):
-        xs, ws = _leggauss(n)
-        cur = half * pairwise_sum(w * f(mid + half * x) for x, w in zip(xs, ws))
+    for level in range(spec.max_levels):
+        nodes = nodes_at(level)
+        cur = half * pairwise_sum(w * f(mid + half * x) for x, w in nodes)
         if _accept(cur, prev, spec.rtol, floor):
-            return QuadResult(cur, abs(cur - prev), n)
+            return QuadResult(cur, abs(cur - prev), len(nodes))
         prev = cur
-        n *= 2
-    raise NonConvergent(f"Gauss-Legendre did not settle below rtol={spec.rtol} at {n // 2} nodes")
+    raise NonConvergent(f"{rule} did not settle below rtol={spec.rtol} in {spec.max_levels} levels")
+
+
+def integrate_gl(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec, floor: float = 0.0) -> QuadResult:
+    """Gauss-Legendre from spec.nodes nodes, doubling the order at each level."""
+    return _integrate(lambda level: list(zip(*_leggauss(spec.nodes << level))),
+                      f, a, b, spec, floor, "Gauss-Legendre")
 
 
 def _ts_nodes(h: float, t_max: float):
@@ -191,18 +203,9 @@ def _ts_nodes(h: float, t_max: float):
 
 
 def integrate_ts(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec, floor: float = 0.0) -> QuadResult:
-    half = (b - a) / 2.0
-    mid = (a + b) / 2.0
-    h = 0.5
-    prev = None
-    for level in range(spec.max_levels):
-        nodes = _ts_nodes(h, t_max=4.2)
-        cur = half * pairwise_sum(w * f(mid + half * x) for x, w in nodes)
-        if _accept(cur, prev, spec.rtol, floor):
-            return QuadResult(cur, abs(cur - prev), len(nodes))
-        prev = cur
-        h /= 2.0
-    raise NonConvergent(f"tanh-sinh did not settle below rtol={spec.rtol} at step {h * 2}")
+    """tanh-sinh from step h = 1/2, halving h at each level."""
+    return _integrate(lambda level: _ts_nodes(0.5 / 2**level, t_max=4.2),
+                      f, a, b, spec, floor, "tanh-sinh")
 
 
 # -- weights ----------------------------------------------------------------------
@@ -217,33 +220,30 @@ def _eta_of_x(fp: FamilyParams) -> Callable[[float], float]:
     }[fp.family]
 
 
-def _interval(fp: FamilyParams, cutoff: Optional[float] = None):
-    if fp.family == "L":
-        return (0.0, cutoff if cutoff else 12.0)
+def _interval(fp: FamilyParams, D: IndexSet, n: int, m: int) -> tuple:
+    """Integration interval of entry (n, m).
+
+    J and AW integrate over a fixed period.  L and W are cut where the
+    integrand tail falls below 1e-24 of scale, so their cutoff grows with
+    n + m (L) and with max(n, m) (W).
+    """
     if fp.family == "J":
         return (0.0, math.pi / 2.0)
-    if fp.family == "W":
-        return (0.0, cutoff if cutoff else 40.0)
-    return (0.0, math.pi)
-
-
-def _cutoff(fp: FamilyParams, D: IndexSet, n: int, m: int) -> Optional[float]:
-    """Upper integration limit with integrand tail below 1e-24 of scale."""
+    if fp.family == "AW":
+        return (0.0, math.pi)
     if fp.family == "L":
         # integrand ~ x^K e^{-x^2}, K = 2g + 2(n+m)
         K = 2.0 * float(fp.g) + 2.0 * (n + m) + 4.0
         x = 6.0
         while x * x - K * math.log(x) < 60.0:
             x += 1.0
-        return x
-    if fp.family == "W":
-        # |Gamma(a+ix)|^2-type weights decay like e^{-2 pi x} x^K
-        K = 2.0 * float(fp.b1) + 4.0 * (D.ell + max(n, m)) + 4.0
-        x = 10.0
-        while 2.0 * math.pi * x - K * math.log(x) < 60.0:
-            x += 2.0
-        return x
-    return None
+        return (0.0, x)
+    # |Gamma(a+ix)|^2-type weights decay like e^{-2 pi x} x^K
+    K = 2.0 * float(fp.b1) + 4.0 * (D.ell + max(n, m)) + 4.0
+    x = 10.0
+    while 2.0 * math.pi * x - K * math.log(x) < 60.0:
+        x += 2.0
+    return (0.0, x)
 
 
 def _phi0_sq(fp: FamilyParams) -> Callable[[float], float]:
@@ -255,7 +255,7 @@ def _phi0_sq(fp: FamilyParams) -> Callable[[float], float]:
         g2, h2 = 2.0 * float(fp.g), 2.0 * float(fp.h)
         return lambda x: math.sin(x) ** g2 * math.cos(x) ** h2
     if fp.family == "W":
-        avals = [complex(mpmath.mpf(a.numerator) / a.denominator) for a in fp.lam]
+        avals = [complex(float(a)) for a in fp.lam]
 
         def w_weight(x: float) -> float:
             ix = 1j * x
@@ -266,8 +266,9 @@ def _phi0_sq(fp: FamilyParams) -> Callable[[float], float]:
             return float(num / den)
 
         return w_weight
-    q = mpmath.mpf(fp.q.numerator) / fp.q.denominator
-    avals = [mpmath.mpf(a.numerator) / a.denominator for a in fp.lam]
+    # float() also reads the SqrtQRational parameters a twist by sqrt(q) leaves
+    q = mpmath.mpf(float(fp.q))
+    avals = [mpmath.mpf(float(a)) for a in fp.lam]
 
     def aw_weight(x: float) -> float:
         z = mpmath.exp(1j * x)
@@ -315,36 +316,48 @@ def _difference_prefactor_sq(fp: FamilyParams, D: IndexSet) -> float:
     return float(pref_sq)
 
 
-@dataclass
-class _WeightData:
-    fp: FamilyParams
-    D: IndexSet
-    eta: Callable[[float], float]
-    phi0_sq: Callable[[float], float]
-    xi_den: FloatPoly
-    scale: float
-    squared_den: bool  # True: divide by xi_den(eta)^2; False: xi_den is already the shift product
+class Weight:
+    """Psi_D(x)^2 of one pair: derived and scanned for poles once.
+
+    Holds the pair, eta(x), phi_0^2 at the twisted point, the float
+    denominator (Xi_D for L/J, squared at use; the shift product
+    Xi(x - i gamma/2) Xi(x + i gamma/2) for W/AW) and the scale.  The pole
+    scan covers the interval of the widest entry (n_max, n_max), which
+    contains the interval of every entry the pair can serve.
+    """
+
+    def __init__(self, pair: MultiIndexedPair):
+        fp, D = pair.fp, pair.D
+        self.pair = pair
+        self.eta = _eta_of_x(fp)
+        self.phi0_sq = _phi0_sq(twisted(fp, D.M1, D.M2))
+        self.squared_den = fp.family in ("L", "J")
+        if self.squared_den:
+            c_F = 2.0 if fp.family == "L" else -4.0
+            self.xi_den = FloatPoly.from_exact(pair.Xi)
+            self.scale = c_F ** (2 * D.M)
+        else:
+            # W/AW: denominator Xi(x - i gamma/2) Xi(x + i gamma/2) as an exact eta-poly
+            xi_x = poly_to_x(fp, pair.Xi)
+            half = Fraction(1, 2)
+            prod = reduce_to_eta(fp, x_shift(fp, xi_x, -half) * x_shift(fp, xi_x, half))
+            self.xi_den = FloatPoly.from_exact(prod)
+            self.scale = _difference_prefactor_sq(fp, D) / float(pair.xi_radicand)
+        _check_no_pole(self, *_interval(fp, D, pair.n_max, pair.n_max))
+
+    def den(self, e: float) -> float:
+        """The denominator of Psi_D^2 at eta = e."""
+        d = self.xi_den(e)
+        return d * d if self.squared_den else d
+
+    def __call__(self, x: float) -> float:
+        """Psi_D(x)^2."""
+        return self.scale * self.phi0_sq(x) / self.den(self.eta(x))
 
 
-def _weight_data(fp: FamilyParams, D: IndexSet, pair: Optional[MultiIndexedPair] = None) -> _WeightData:
-    if pair is None:
-        pair = build(fp, D, n_max=0)
-    eta = _eta_of_x(fp)
-    phi0_sq = _phi0_sq(twisted(fp, D.M1, D.M2))
-    if fp.family in ("L", "J"):
-        c_F = 2.0 if fp.family == "L" else -4.0
-        return _WeightData(fp, D, eta, phi0_sq, FloatPoly.from_exact(pair.Xi), c_F ** (2 * D.M), True)
-    # W/AW: denominator Xi(x - i gamma/2) Xi(x + i gamma/2) as an exact eta-poly
-    xi_x = poly_to_x(fp, pair.Xi)
-    half = Fraction(1, 2)
-    prod = reduce_to_eta(fp, x_shift(fp, xi_x, -half) * x_shift(fp, xi_x, half))
-    scale = _difference_prefactor_sq(fp, D) / float(pair.xi_radicand)
-    return _WeightData(fp, D, eta, phi0_sq, FloatPoly.from_exact(prod), scale, False)
-
-
-def _check_no_pole(wdata: _WeightData, a: float, b: float, samples: int = 2048):
-    lo, hi = sorted((wdata.eta(a + 1e-9), wdata.eta(b - 1e-9)))
-    vals = [wdata.xi_den(lo + (hi - lo) * i / (samples - 1)) for i in range(samples)]
+def _check_no_pole(weight: Weight, a: float, b: float, samples: int = 2048):
+    lo, hi = sorted((weight.eta(a + 1e-9), weight.eta(b - 1e-9)))
+    vals = [weight.xi_den(lo + (hi - lo) * i / (samples - 1)) for i in range(samples)]
     top = max(abs(v) for v in vals)
     if top == 0.0:
         raise PoleEncountered("denominator is identically zero on the interval")
@@ -355,22 +368,6 @@ def _check_no_pole(wdata: _WeightData, a: float, b: float, samples: int = 2048):
         prev = v
     if min(abs(v) for v in vals) < 1e-12 * top:
         raise PoleEncountered("denominator nearly vanishes on the integration interval")
-
-
-def weight(fp: FamilyParams, D: IndexSet, x: float) -> float:
-    """Psi_D(x)^2 at a single point; domain-checked."""
-    a, b = _interval(fp)
-    if fp.family in ("L", "W"):
-        if x <= 0:
-            raise ValueError(f"x = {x} outside the interval (0, infinity)")
-    elif not a < x < b:
-        raise ValueError(f"x = {x} outside the interval (0, {b})")
-    wdata = _weight_data(fp, D)
-    den = wdata.xi_den(wdata.eta(x))
-    if den == 0.0:
-        raise PoleEncountered(f"denominator vanishes at x = {x}")
-    den = den * den if wdata.squared_den else den
-    return wdata.scale * wdata.phi0_sq(x) / den
 
 
 # -- expected norms ---------------------------------------------------------------
@@ -425,69 +422,46 @@ def expected_norm(fp: FamilyParams, D: IndexSet, n: int) -> float:
 # -- orthogonality ----------------------------------------------------------------
 
 
-def _default_spec(fp: FamilyParams) -> QuadratureSpec:
-    if fp.family in ("L", "W"):
-        return QuadratureSpec(scheme="tanh-sinh", rtol=1e-12)
-    return QuadratureSpec(scheme="gauss-legendre", nodes=64, rtol=1e-12)
-
-
-def orthogonality_check(
-    fp: FamilyParams,
-    D: IndexSet,
-    n: int,
-    m: int,
-    spec: Optional[QuadratureSpec] = None,
-    pair: Optional[MultiIndexedPair] = None,
-):
+def orthogonality_check(weight: Weight, n: int, m: int, spec: QuadratureSpec = QuadratureSpec()):
     """Quadrature of Psi_D^2 P_{D,n} P_{D,m} against the norm-product formula.
 
     Returns (integral, expected, rel_err); rel_err for off-diagonal entries
-    is measured against the geometric mean of the two diagonal norms.
+    is measured against the geometric mean of the two diagonal norms.  J and
+    AW use Gauss-Legendre, L and W tanh-sinh.
     """
-    spec = spec or _default_spec(fp)
-    if pair is None or pair.n_max < max(n, m):
-        pair = build(fp, D, n_max=max(n, m))
-    wdata = _weight_data(fp, D, pair)
-    a, b = _interval(fp, cutoff=_cutoff(fp, D, n, m))
-    _check_no_pole(wdata, a, b)
+    pair = weight.pair
+    fp, D = pair.fp, pair.D
+    a, b = _interval(fp, D, n, m)
     pn = FloatPoly.from_exact(pair.P_of(n))
     pm = FloatPoly.from_exact(pair.P_of(m))
     # stored polynomials differ from verbatim ones by sqrt(p_radicand)
-    scale = wdata.scale * float(pair.p_radicand)
+    scale = weight.scale * float(pair.p_radicand)
+    eta, phi0_sq, den = weight.eta, weight.phi0_sq, weight.den
 
     def f(x: float) -> float:
-        e = wdata.eta(x)
-        den = wdata.xi_den(e)
-        den = den * den if wdata.squared_den else den
-        return scale * wdata.phi0_sq(x) / den * pn(e) * pm(e)
+        e = eta(x)
+        return scale * phi0_sq(x) / den(e) * pn(e) * pm(e)
 
-    floor = abs(expected_norm(fp, D, max(n, m)))
-    engine = integrate_ts if (spec.scheme == "tanh-sinh" or (spec.scheme == "auto" and fp.family in ("L", "W"))) else integrate_gl
-    result = engine(f, a, b, spec, floor=floor)
+    norm_n = expected_norm(fp, D, n)
+    norm_m = norm_n if m == n else expected_norm(fp, D, m)
+    integrate = integrate_ts if fp.family in ("L", "W") else integrate_gl
+    result = integrate(f, a, b, spec, floor=abs(norm_m if m > n else norm_n))
     if n == m:
-        expected = expected_norm(fp, D, n)
-        rel = abs(result.value - expected) / abs(expected)
-    else:
-        expected = 0.0
-        scale_ref = math.sqrt(abs(expected_norm(fp, D, n)) * abs(expected_norm(fp, D, m)))
-        rel = abs(result.value) / scale_ref
-    return result.value, expected, rel
+        return result.value, norm_n, abs(result.value - norm_n) / abs(norm_n)
+    return result.value, 0.0, abs(result.value) / math.sqrt(abs(norm_n) * abs(norm_m))
 
 
-def ortho_grid(
-    fp: FamilyParams,
-    D: IndexSet,
-    n_max: int,
-    spec: Optional[QuadratureSpec] = None,
-):
-    """All (n, m) with n <= m <= n_max; returns rows (n, m, integral, expected, rel_err)."""
-    pair = build(fp, D, n_max=n_max)
-    rows = []
-    for n in range(n_max + 1):
-        for m in range(n, n_max + 1):
-            integral, expected, rel = orthogonality_check(fp, D, n, m, spec=spec, pair=pair)
-            rows.append((n, m, integral, expected, rel))
-    return rows
+def ortho_grid(fp: FamilyParams, D: IndexSet, n_max: int, spec: QuadratureSpec = QuadratureSpec()):
+    """All (n, m) with n <= m <= n_max over one pair and one weight.
+
+    Returns rows (n, m, integral, expected, rel_err).
+    """
+    weight = Weight(build(fp, D, n_max=n_max))
+    return [
+        (n, m, *orthogonality_check(weight, n, m, spec))
+        for n in range(n_max + 1)
+        for m in range(n, n_max + 1)
+    ]
 
 
 # Deformed W/AW quadrature is meaningful only where the deformation adds no

@@ -87,11 +87,11 @@ class RTable:
             return carrier_zero(self.fp)
         return out
 
-    def to_rows(self, all_levels: bool = False) -> list:
-        """Deterministic flat listing for export: depth M, or every level."""
+    def to_rows(self) -> list:
+        """Deterministic flat listing for export, every level s = 0..M."""
         rows = []
         lo, hi = self.window
-        for s in range(0 if all_levels else self.M, self.M + 1):
+        for s in range(self.M + 1):
             for n in range(lo, hi + 1):
                 for k in range(-s - 1, s + 2):
                     p = self.entry(s, n, k)
@@ -233,12 +233,12 @@ def check_rprop2_rprop3(table: RTable) -> list:
     return bad
 
 
-def check_vanishing_region(table: RTable, M: Optional[int] = None) -> list:
+def check_vanishing_region(table: RTable) -> list:
     """Violations of R^[s]_{n,k} = 0 on -s-1 <= n <= -1, -n <= k <= s+1.
 
     Checked at every level s <= M, each of which is itself a depth-s table.
     """
-    M = table.M if M is None else M
+    M = table.M
     lo, hi = table.window
     if lo > -M - 1 or hi < -1:
         raise ConfigurationError(

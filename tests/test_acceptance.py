@@ -17,7 +17,7 @@ from miop.exact.matrix import PolyMatrix, det_cofactor, det_fraction_free
 from miop.exact.poly import even_poly_to_eta, laurent_to_eta
 from miop.families import PRESETS, FamilyParams, classical_poly, three_term
 from miop.multiindex import IndexSet, build
-from miop.quad import orthogonality_check
+from miop.quad import Weight, orthogonality_check
 from miop.rtable import (
     build_rtable,
     check_rprop,
@@ -78,7 +78,7 @@ def test_criterion_2_rtable_structure():
             assert check_rprop2_rprop3(table) == []
         else:
             assert check_rprop(table) == []
-        assert check_vanishing_region(table, 3) == []
+        assert check_vanishing_region(table) == []
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _verdict(2, "R-table structure", t0)
@@ -141,9 +141,9 @@ def test_criterion_8_orthogonality():
     t0 = time.perf_counter()
     empty = IndexSet.parse("")
     for key in ("l-default", "j-default"):
-        fp = PRESETS[key]
+        weight = Weight(build(PRESETS[key], empty, n_max=8))
         for n in range(9):
-            _, _, rel = orthogonality_check(fp, empty, n, n)
+            _, _, rel = orthogonality_check(weight, n, n)
             assert rel < 1e-9, (key, n, rel)
     deformed = [
         (PRESETS["l-default"], "I1"),
@@ -156,13 +156,12 @@ def test_criterion_8_orthogonality():
         (FamilyParams("J", (F(7, 3), F(11, 4))), "I1,I2"),
     ]
     for fp, label in deformed:
-        D = IndexSet.parse(label)
-        pair = build(fp, D, n_max=4)
+        weight = Weight(build(fp, IndexSet.parse(label), n_max=4))
         for n in range(3):
-            _, _, rel = orthogonality_check(fp, D, n, n, pair=pair)
+            _, _, rel = orthogonality_check(weight, n, n)
             assert rel < 1e-7, (fp.family, label, n, rel)
         for n, m in [(0, 1), (0, 2), (1, 2)]:
-            _, _, rel = orthogonality_check(fp, D, n, m, pair=pair)
+            _, _, rel = orthogonality_check(weight, n, m)
             assert rel < 1e-8, (fp.family, label, n, m, rel)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

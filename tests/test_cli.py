@@ -12,6 +12,9 @@ from miop.exact import Poly
 from miop.rtable import build_rtable
 
 
+_DIFFERENCE = "--enable-difference-weights"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -64,8 +67,22 @@ class TestGen:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["family"] == "L"
 
+    def test_output_to_missing_directory_rejected(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "pair.json"
+        code, out, err = run_cli(capsys, "gen", "--preset", "l-default", "--D", "I1",
+                                 "--out", str(target))
+        assert code == 2 and out == ""
+        assert "--out" in err and "Traceback" not in err
+
 
 class TestRtable:
+    def test_csv_to_missing_directory_rejected(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "table.csv"
+        code, _, err = run_cli(capsys, "rtable", "--preset", "l-default", "--M", "1",
+                               "--format", "csv", "--out", str(target))
+        assert code == 2
+        assert "--out" in err and "Traceback" not in err
+
     def test_top_corner_frozen(self, capsys):
         code, out, _ = run_cli(
             capsys, "rtable", "--family", "L", "--g", "7/3", "--M", "1", "--window", "-2..2"
@@ -246,17 +263,40 @@ class TestOrtho:
         args = ("ortho", "--preset", "l-default", "--D", "I1", "--n", "0..1")
         _, default, _ = run_cli(capsys, *args)
         code, tuned, _ = run_cli(capsys, *args, "--rtol", "1e-10")
-        _, legendre, _ = run_cli(capsys, *args, "--rtol", "1e-10", "--scheme", "gauss-legendre")
         assert code == 0
         # the (0, 0) entry settles at the same tanh-sinh level either way
-        assert tuned.splitlines()[1] == default.splitlines()[1] != legendre.splitlines()[1]
+        assert tuned.splitlines()[1] == default.splitlines()[1]
 
-    @pytest.mark.parametrize("flag", ["--nodes=0", "--nodes=-3", "--rtol=0", "--rtol=-1e-9"])
+    def test_nodes_alone_keeps_default_output(self, capsys):
+        # --nodes must not loosen the default rtol; tanh-sinh ignores nodes
+        args = ("ortho", "--preset", "l-default", "--D", "I1", "--n", "0..1")
+        _, default, _ = run_cli(capsys, *args)
+        code, tuned, _ = run_cli(capsys, *args, "--nodes", "64")
+        assert code == 0
+        assert tuned == default
+
+    @pytest.mark.parametrize("flag", ["--nodes=0", "--nodes=-3", "--rtol=0", "--rtol=-1e-9",
+                                      "--rtol=inf"])
     def test_bad_spec_rejected(self, capsys, flag):
         code, _, err = run_cli(capsys, "ortho", "--preset", "j-default", "--D", "I1",
                                "--n", "0..1", flag)
         assert code == 2
         assert flag[2:flag.index("=")] in err and "Traceback" not in err
+
+    def test_twisted_sqrt_q_parameters(self, capsys):
+        # q = 1/3 is not a square, so the twisted AW parameters carry sqrt(q)
+        code, out, _ = run_cli(capsys, "ortho", "--preset", "aw-q13", "--D", "II1",
+                               "--n", "0..1", _DIFFERENCE)
+        assert code == 0
+        rel = [float(line.split(",")[4]) for line in out.splitlines()[1:]]
+        assert len(rel) == 3 and max(rel) < 1e-10
+
+    def test_twisted_sqrt_q_bound_state_deficit(self, capsys):
+        # type I at aw-q13 owns a bound state: a visible deficit, not a crash
+        code, out, err = run_cli(capsys, "ortho", "--preset", "aw-q13", "--D", "I1",
+                                 "--n", "0..0", _DIFFERENCE)
+        assert code == 0 and "Traceback" not in err
+        assert float(out.splitlines()[1].split(",")[4]) > 1e-3
 
 
 class TestFlagValidation:

@@ -14,7 +14,7 @@ from miop.multiindex import (
     build_WAW,
     phi_M,
 )
-from miop.quad import _phi0_sq, _weight_data
+from miop.quad import Weight, _phi0_sq
 from miop.rtable import build_rtable
 
 ETA = Poly.variable()
@@ -257,12 +257,12 @@ class TestNormTags:
 
 
 class TestWeightDescriptor:
-    """The weight data quad derives from (fp, D): c_F^{2M}, Xi_D, lambda^[M_I,M_II]."""
+    """The weight quad derives from a pair: c_F^{2M}, Xi_D, lambda^[M_I,M_II]."""
 
     def test_fields(self):
         fp = PRESETS["j-default"]
         D = IndexSet.parse("I1,II1")
-        wd = _weight_data(fp, D)
+        wd = Weight(build(fp, D, n_max=0))
         assert wd.scale == (-4.0) ** (2 * D.M)
         assert len(wd.xi_den.coeffs) - 1 == D.ell
         # lambda^[1,1] for J leaves (g, h) unchanged
@@ -270,12 +270,12 @@ class TestWeightDescriptor:
 
     def test_laguerre_shift(self):
         fp = PRESETS["l-default"]
-        wd = _weight_data(fp, IndexSet.parse("I1,I2"))
+        wd = Weight(build(fp, IndexSet.parse("I1,I2"), n_max=0))
         assert wd.scale == 2.0 ** 4
         assert wd.phi0_sq(0.7) == _phi0_sq(FamilyParams("L", (fp.g + 2,)))(0.7)
 
     def test_difference_family_has_no_cF(self):
-        wd = _weight_data(PRESETS["w-default"], IndexSet.parse("I1"))
+        wd = Weight(build(PRESETS["w-default"], IndexSet.parse("I1"), n_max=0))
         assert wd.scale == 1.0 and not wd.squared_den
 
 

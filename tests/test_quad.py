@@ -1,11 +1,13 @@
 """Tests for the float backend: weights, quadrature, norms, orthogonality."""
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
+from miop import quad
 from miop.errors import ConfigurationError, NonConvergent, PoleEncountered
 from miop.exact import Poly
 from miop.families import PRESETS, FamilyParams, energy, virtual_energy
@@ -14,6 +16,7 @@ from miop.quad import (
     DIFFERENCE_ORTHO_PRESETS,
     FloatPoly,
     QuadratureSpec,
+    Weight,
     classical_norm,
     expected_norm,
     integrate_gl,
@@ -21,7 +24,6 @@ from miop.quad import (
     ortho_grid,
     orthogonality_check,
     pairwise_sum,
-    weight,
 )
 
 EMPTY = IndexSet.parse("")
@@ -62,57 +64,50 @@ class TestPairwiseSum:
 
 
 class TestQuadratureSpec:
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ConfigurationError):
-            QuadratureSpec(scheme="simpson")
-
     @pytest.mark.parametrize("bad", [{"nodes": 0}, {"nodes": -3}, {"rtol": 0.0},
-                                     {"rtol": -1e-9}, {"max_levels": 0}])
+                                     {"rtol": -1e-9}, {"max_levels": 0}, {"rtol": math.inf}])
     def test_nonpositive_contract_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             QuadratureSpec(**bad)
 
     def test_doubling_contract_reported(self):
-        spec = QuadratureSpec(scheme="gauss-legendre", nodes=8, rtol=1e-12)
+        spec = QuadratureSpec(nodes=8, rtol=1e-12)
         res = integrate_gl(math.cos, 0.0, 1.0, spec)
         assert res.value == pytest.approx(math.sin(1.0), rel=1e-14)
         assert res.err_estimate <= spec.rtol * abs(res.value)
 
     def test_nonconvergent_when_levels_exhausted(self):
-        spec = QuadratureSpec(scheme="gauss-legendre", nodes=2, rtol=1e-15, max_levels=1)
+        spec = QuadratureSpec(nodes=2, rtol=1e-15, max_levels=1)
         with pytest.raises(NonConvergent):
             integrate_gl(lambda x: math.exp(-x) * math.sin(40 * x), 0.0, 6.0, spec)
 
     def test_tanh_sinh_gaussian(self):
-        spec = QuadratureSpec(scheme="tanh-sinh", rtol=1e-12)
+        spec = QuadratureSpec(rtol=1e-12)
         res = integrate_ts(lambda x: math.exp(-x * x), 0.0, 12.0, spec)
         assert res.value == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-13)
+
+
+def weight_of(fp, D, n_max=0):
+    return Weight(build(fp, D, n_max=n_max))
 
 
 class TestWeight:
     def test_laguerre_frozen_point(self):
         fp = FamilyParams("L", (F(3, 2),))
-        assert weight(fp, EMPTY, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-
-    def test_domain_rejected(self):
-        fp = PRESETS["l-default"]
-        with pytest.raises(ValueError):
-            weight(fp, EMPTY, -1.0)
-        with pytest.raises(ValueError):
-            weight(PRESETS["j-default"], EMPTY, 2.0)
+        assert weight_of(fp, EMPTY)(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_deformed_laguerre_positive_on_interval(self):
         fp = PRESETS["l-default"]
-        D = IndexSet.parse("I1")
+        w = weight_of(fp, IndexSet.parse("I1"))
         for k in range(1, 60):
-            assert weight(fp, D, 0.2 * k) > 0.0
+            assert w(0.2 * k) > 0.0
 
     def test_pole_refused(self):
         # Mixed-type Wilson deformation at these parameters has a denominator
         # zero inside (0, inf); the scan must refuse rather than integrate.
         fp = FamilyParams("W", (F(2), F(7, 4), F(8, 5), F(17, 10)))
         with pytest.raises(PoleEncountered):
-            orthogonality_check(fp, IndexSet.parse("I1,II1"), 0, 0)
+            weight_of(fp, IndexSet.parse("I1,II1"))
 
 
 class TestClassicalNorms:
@@ -131,21 +126,21 @@ class TestClassicalNorms:
 
     @pytest.mark.parametrize("key", ["l-default", "j-default"])
     def test_classical_quadrature_norms(self, key):
-        fp = PRESETS[key]
+        w = weight_of(PRESETS[key], EMPTY, n_max=8)
         for n in range(9):
-            integral, expected, rel = orthogonality_check(fp, EMPTY, n, n)
+            integral, expected, rel = orthogonality_check(w, n, n)
             assert rel < 1e-9, (key, n, integral, expected)
 
     @pytest.mark.parametrize("key", ["w-default", "aw-default"])
     def test_difference_quadrature_norms(self, key):
-        fp = PRESETS[key]
+        w = weight_of(PRESETS[key], EMPTY, n_max=3)
         for n in range(4):
-            integral, expected, rel = orthogonality_check(fp, EMPTY, n, n)
+            integral, expected, rel = orthogonality_check(w, n, n)
             assert rel < 1e-10, (key, n, integral, expected)
 
     def test_classical_offdiagonal(self):
         for key in ("l-default", "j-default"):
-            _, _, rel = orthogonality_check(PRESETS[key], EMPTY, 1, 4)
+            _, _, rel = orthogonality_check(weight_of(PRESETS[key], EMPTY, n_max=4), 1, 4)
             assert rel < 1e-10
 
 
@@ -183,28 +178,25 @@ class TestDeformedOrthogonality:
         ],
     )
     def test_lj_product_formula(self, fp, label):
-        D = IndexSet.parse(label)
-        pair = build(fp, D, n_max=4)
+        w = weight_of(fp, IndexSet.parse(label), n_max=4)
         diag = {}
         for n in range(3):
-            integral, expected, rel = orthogonality_check(fp, D, n, n, pair=pair)
+            integral, expected, rel = orthogonality_check(w, n, n)
             assert rel < 1e-7, (fp.family, label, n, integral, expected)
             diag[n] = integral
         for n, m in [(0, 1), (0, 2), (1, 2)]:
-            integral, _, rel = orthogonality_check(fp, D, n, m, pair=pair)
+            integral, _, rel = orthogonality_check(w, n, m)
             assert rel < 1e-8, (fp.family, label, n, m, integral)
 
     def test_difference_presets(self):
         # Shipped parameter points where the deformed W/AW weight carries no
         # discrete mass, so the continuous integral equals the full norm.
         for fam, lam, q, label in DIFFERENCE_ORTHO_PRESETS:
-            fp = FamilyParams(fam, lam, q=q)
-            D = IndexSet.parse(label)
-            pair = build(fp, D, n_max=2)
+            w = weight_of(FamilyParams(fam, lam, q=q), IndexSet.parse(label), n_max=2)
             for n in range(2):
-                integral, expected, rel = orthogonality_check(fp, D, n, n, pair=pair)
+                integral, expected, rel = orthogonality_check(w, n, n)
                 assert rel < 1e-10, (fam, label, n, integral, expected)
-            _, _, rel = orthogonality_check(fp, D, 0, 2, pair=pair)
+            _, _, rel = orthogonality_check(w, 0, 2)
             assert rel < 1e-10, (fam, label, "offdiag")
 
     def test_missing_bound_state_is_detected_as_deficit(self):
@@ -212,7 +204,7 @@ class TestDeformedOrthogonality:
         # outside the continuous band; the continuous integral must fall
         # short of the product formula by a visible margin (not fail noisily).
         fp = FamilyParams("AW", (F(1, 4), F(1, 5), F(1, 3), F(1, 2)), q=F(1, 4))
-        integral, expected, rel = orthogonality_check(fp, IndexSet.parse("I1"), 0, 0)
+        integral, expected, rel = orthogonality_check(weight_of(fp, IndexSet.parse("I1")), 0, 0)
         assert rel > 1e-3
         assert integral < expected
 
@@ -223,3 +215,18 @@ class TestOrthoGrid:
         assert len(rows) == 6
         for n, m, integral, expected, rel in rows:
             assert rel < (1e-7 if n == m else 1e-8)
+
+    def test_builds_pair_weight_and_scan_once(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("build", "Weight", "_check_no_pole"):
+            monkeypatch.setattr(quad, name, counting(name, getattr(quad, name)))
+        rows = quad.ortho_grid(PRESETS["l-default"], IndexSet.parse("I1,II1"), 2)
+        assert len(rows) == 6
+        assert counts == {"build": 1, "Weight": 1, "_check_no_pole": 1}

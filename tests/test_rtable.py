@@ -241,6 +241,8 @@ class TestExport:
         t = build_rtable(l32(), 1, (0, 2))
         rows = t.to_rows()
         assert rows == t.to_rows()
-        assert len(rows) == 3 * 5
+        # every level: s = 0 has k in -1..1, s = 1 has k in -2..2
+        assert len(rows) == 3 * 3 + 3 * 5
+        assert [r["s"] for r in rows] == [0] * 9 + [1] * 15
         top = [r for r in rows if r["n"] == 0 and r["k"] == 2]
         assert top == [{"s": 1, "n": 0, "k": 2, "coeffs": ["2"]}]
