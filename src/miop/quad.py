@@ -26,7 +26,12 @@ less than the target tolerance, and NonConvergent is raised otherwise.
 
 A grid builds one pair and one Weight: Psi_D^2 is derived and its
 denominator scanned for poles once, over the interval of the widest
-entry, and every (n, m) entry integrates against that weight.
+entry, and every (n, m) entry integrates against that weight.  The
+Weight evaluates Psi_D^2 once per distinct node and each P_n once per
+(n, node), so entries sharing an interval, tanh-sinh levels (each
+contains the nodes of the one before) and repeated checks on one Weight
+reuse the values; the integrand's operation order, and so every output
+bit, is what a fresh evaluation gives.
 """
 
 from __future__ import annotations
@@ -282,10 +287,15 @@ def _phi0_sq(fp: FamilyParams) -> Callable[[float], float]:
 
 
 def _qpoch_inf(u, q):
-    """(u; q)_infinity, truncated once the factors are 1 to working precision."""
+    """(u; q)_infinity, truncated at the first factor with |u q^k| <= 10^-30.
+
+    The cut is fixed at any working precision.  It is computed once per
+    call, at the caller's precision (classical_norm runs under workprec(120)).
+    """
+    tol = mpmath.mpf(10) ** (-_MP_PREC // 4)
     out = mpmath.mpf(1)
     t = u
-    while abs(t) > mpmath.mpf(10) ** (-_MP_PREC // 4):
+    while abs(t) > tol:
         out *= 1 - t
         t *= q
     return out
@@ -323,7 +333,9 @@ class Weight:
     denominator (Xi_D for L/J, squared at use; the shift product
     Xi(x - i gamma/2) Xi(x + i gamma/2) for W/AW) and the scale.  The pole
     scan covers the interval of the widest entry (n_max, n_max), which
-    contains the interval of every entry the pair can serve.
+    contains the interval of every entry the pair can serve.  `node_weight`
+    and `p` keep each value they compute, keyed by the abscissa, for the
+    life of the Weight.
     """
 
     def __init__(self, pair: MultiIndexedPair):
@@ -344,6 +356,10 @@ class Weight:
             self.xi_den = FloatPoly.from_exact(prod)
             self.scale = _difference_prefactor_sq(fp, D) / float(pair.xi_radicand)
         _check_no_pole(self, *_interval(fp, D, pair.n_max, pair.n_max))
+        # stored polynomials differ from verbatim ones by sqrt(p_radicand)
+        self._integrand_scale = self.scale * float(pair.p_radicand)
+        self._nodes = {}  # x -> integrand_scale * phi_0^2(x) / den(eta(x))
+        self._p = {}  # n -> x -> P_{D,n}(eta(x))
 
     def den(self, e: float) -> float:
         """The denominator of Psi_D^2 at eta = e."""
@@ -353,6 +369,27 @@ class Weight:
     def __call__(self, x: float) -> float:
         """Psi_D(x)^2."""
         return self.scale * self.phi0_sq(x) / self.den(self.eta(x))
+
+    def node_weight(self, x: float) -> float:
+        """p_radicand Psi_D(x)^2, the integrand's weight factor; evaluated once per abscissa x."""
+        w = self._nodes.get(x)
+        if w is None:
+            w = self._nodes[x] = self._integrand_scale * self.phi0_sq(x) / self.den(self.eta(x))
+        return w
+
+    def p(self, n: int) -> Callable[[float], float]:
+        """x -> P_{D,n}(eta(x)): one FloatPoly per n, evaluated once per abscissa x."""
+        if n not in self._p:
+            poly, values = FloatPoly.from_exact(self.pair.P_of(n)), {}
+
+            def p_n(x: float) -> float:
+                v = values.get(x)
+                if v is None:
+                    v = values[x] = poly(self.eta(x))
+                return v
+
+            self._p[n] = p_n
+        return self._p[n]
 
 
 def _check_no_pole(weight: Weight, a: float, b: float, samples: int = 2048):
@@ -432,15 +469,10 @@ def orthogonality_check(weight: Weight, n: int, m: int, spec: QuadratureSpec = Q
     pair = weight.pair
     fp, D = pair.fp, pair.D
     a, b = _interval(fp, D, n, m)
-    pn = FloatPoly.from_exact(pair.P_of(n))
-    pm = FloatPoly.from_exact(pair.P_of(m))
-    # stored polynomials differ from verbatim ones by sqrt(p_radicand)
-    scale = weight.scale * float(pair.p_radicand)
-    eta, phi0_sq, den = weight.eta, weight.phi0_sq, weight.den
+    w, pn, pm = weight.node_weight, weight.p(n), weight.p(m)
 
     def f(x: float) -> float:
-        e = eta(x)
-        return scale * phi0_sq(x) / den(e) * pn(e) * pm(e)
+        return w(x) * pn(x) * pm(x)
 
     norm_n = expected_norm(fp, D, n)
     norm_m = norm_n if m == n else expected_norm(fp, D, m)

@@ -14,6 +14,36 @@ from miop.rtable import build_rtable
 
 _DIFFERENCE = "--enable-difference-weights"
 
+# `ortho` CSV text recorded before the per-node weight and P_n caches went in
+_GOLDEN_L = """\
+n,m,integral,expected,rel_err
+0,0,44.07146891462283,44.07146891462282,1.612251085019641e-16
+0,1,4.754878540090965e-14,0.0,3.848457057631719e-16
+0,2,4.208442605055991e-14,0.0,1.8014913847537497e-16
+1,1,346.3761969913037,346.3761969913037,0.0
+1,2,-7.847880667101701e-14,0.0,1.1983064990179692e-16
+2,2,1238.2858557539166,1238.2858557539164,1.8361969846195017e-16
+"""
+_GOLDEN_J = """\
+n,m,integral,expected,rel_err
+0,0,0.26623185829265866,0.2662318582926585,6.255203819773876e-16
+0,1,-1.9619260301298554e-16,0.0,3.9491794856581403e-16
+0,2,1.9619260301298554e-16,0.0,2.885940964102151e-16
+1,1,0.9270250938036706,0.9270250938036698,8.38333419917325e-16
+1,2,-1.0463605494025895e-15,0.0,8.248413745763977e-16
+2,2,1.7359225689918103,1.735922568991808,1.279115836681533e-15
+"""
+_GOLDEN_W = """\
+n,m,integral,expected,rel_err
+0,0,3.1822584451277645,3.182258445127765,1.3955158498518268e-16
+0,1,-5.674109558836816e-15,0.0,1.3670142059650814e-16
+1,1,541.3946141502701,541.39461415027,2.0998885978954534e-16
+"""
+_GOLDEN_AW = """\
+n,m,integral,expected,rel_err
+0,0,11.391908639356295,11.391908639356368,6.393189475185708e-15
+"""
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -282,6 +312,21 @@ class TestOrtho:
                                "--n", "0..1", flag)
         assert code == 2
         assert flag[2:flag.index("=")] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,csv", [
+        (("--preset", "l-default", "--D", "I1,II1", "--n", "0..2"), _GOLDEN_L),
+        (("--preset", "j-default", "--D", "I1", "--n", "0..2"), _GOLDEN_J),
+        (("--family", "W", "--a", "5/4,13/10,6/5,7/5", "--D", "I1", "--n", "0..1",
+          _DIFFERENCE), _GOLDEN_W),
+        # the expected column runs the real-argument _qpoch_inf under workprec(120)
+        (("--family", "AW", "--a", "1/3,2/5,1/20,1/12", "--q", "1/4", "--D", "II1",
+          "--n", "0..0", _DIFFERENCE), _GOLDEN_AW),
+    ], ids=["L", "J", "W", "AW"])
+    def test_golden_csv(self, capsys, argv, csv):
+        # every float bit of the grid is fixed: a faster evaluation order must not move one
+        code, out, _ = run_cli(capsys, "ortho", *argv)
+        assert code == 0
+        assert out == csv
 
     def test_twisted_sqrt_q_parameters(self, capsys):
         # q = 1/3 is not a square, so the twisted AW parameters carry sqrt(q)

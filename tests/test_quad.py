@@ -230,3 +230,45 @@ class TestOrthoGrid:
         rows = quad.ortho_grid(PRESETS["l-default"], IndexSet.parse("I1,II1"), 2)
         assert len(rows) == 6
         assert counts == {"build": 1, "Weight": 1, "_check_no_pole": 1}
+
+    @pytest.mark.parametrize("fp,label,n_max", [
+        (PRESETS["l-default"], "I1,II1", 2),
+        (FamilyParams("W", DIFFERENCE_ORTHO_PRESETS[0][1]), "I1", 1),
+    ], ids=["L", "W"])
+    def test_each_node_evaluated_once(self, monkeypatch, fp, label, n_max):
+        # phi_0^2 runs once per distinct abscissa the integrands receive, across
+        # entries and node-doubling levels; each P_n is mirrored to float once
+        weight_calls, abscissas, mirrored = Counter(), set(), []
+
+        def counting_phi0_sq(fp):
+            phi0_sq = phi0_sq_of(fp)
+
+            def wrapper(x):
+                weight_calls[x] += 1
+                return phi0_sq(x)
+            return wrapper
+
+        def recording(integrate):
+            def wrapper(f, *args, **kwargs):
+                def g(x):
+                    abscissas.add(x)
+                    return f(x)
+                return integrate(g, *args, **kwargs)
+            return wrapper
+
+        def counting_from_exact(p):
+            mirrored.append(p)
+            return from_exact(p)
+
+        phi0_sq_of, from_exact = quad._phi0_sq, FloatPoly.from_exact
+        monkeypatch.setattr(quad, "_phi0_sq", counting_phi0_sq)
+        for name in ("integrate_ts", "integrate_gl"):
+            monkeypatch.setattr(quad, name, recording(getattr(quad, name)))
+        monkeypatch.setattr(FloatPoly, "from_exact", counting_from_exact)
+        rows = quad.ortho_grid(fp, IndexSet.parse(label), n_max)
+        assert len(rows) == (n_max + 1) * (n_max + 2) // 2
+        assert set(weight_calls) == abscissas
+        assert set(weight_calls.values()) == {1}
+        # the Xi denominator, then P_0 .. P_{n_max} once each
+        pair = build(fp, IndexSet.parse(label), n_max=n_max)
+        assert mirrored[1:] == [pair.P_of(n) for n in range(n_max + 1)]
