@@ -260,7 +260,11 @@ def cmd_verify(config: RunConfig) -> int:
             stream.extend(item["rows"])
             if not item["passed"] and first_witness is None:
                 s = item["summary"]
-                first_witness = f"{s['identity']} {s['family']} D={s['D']}: {s['witness']}"
+                # the point as its flags spell it: "g=7/3 h=9/4", "a=... q=1/4"
+                point = " ".join(f"{k}={','.join(v) if isinstance(v, list) else v}"
+                                 for k, v in s["lambda"].items() if k != "family")
+                label = IndexSet.from_pairs(s["D"]).label()
+                first_witness = f"{s['identity']} {s['family']} D={{{label}}} {point}: {s['witness']}"
             all_pass &= item["passed"]
 
     if config.fmt == "json":

@@ -1,5 +1,6 @@
 """Exact arithmetic core: scalar tower, polynomials, determinants."""
-from .matrix import PolyMatrix, det, det_cofactor, det_fraction_free
+from .matrix import (PolyMatrix, det, det_cofactor, det_fraction_free,
+                     last_column_cofactors)
 from .poly import (NEG_INF, LaurentPoly, Poly, even_poly_to_eta, laurent_shift,
                    laurent_to_eta)
 from .scalars import (GaussianRational, I, Rational, Scalar, SqrtQRational,
@@ -10,6 +11,6 @@ __all__ = [
     "NEG_INF", "GaussianRational", "I", "LaurentPoly", "Poly", "PolyMatrix",
     "Rational", "Scalar", "SqrtQRational", "conj", "det", "det_cofactor",
     "det_fraction_free", "downcast", "even_poly_to_eta", "format_scalar",
-    "laurent_shift", "laurent_to_eta", "make_sqrtq", "parse_scalar", "q_pow",
+    "last_column_cofactors", "laurent_shift", "laurent_to_eta", "make_sqrtq", "parse_scalar", "q_pow",
     "rational_sqrt", "scalar_sign", "sqrt_q",
 ]

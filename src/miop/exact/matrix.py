@@ -1,8 +1,11 @@
-"""Square matrices over Poly/LaurentPoly with exact determinants.
+"""Matrices over Poly/LaurentPoly with exact determinants.
 
 det_fraction_free is Bareiss elimination (every division exact in the
 polynomial ring); det_cofactor is the independent expansion used both as
-the small-size fast path and as the oracle in tests.
+the small-size fast path of det and as the oracle in tests.
+last_column_cofactors serves a family of determinants that differ only in
+their last column: one det per cofactor, then det([block | c]) is
+sum_i c[i] * cof[i] for every column c.
 """
 from __future__ import annotations
 
@@ -92,3 +95,13 @@ def det_fraction_free(m: PolyMatrix):
 def det(m: PolyMatrix):
     """Determinant: cofactor expansion below 4x4, fraction-free above."""
     return det_cofactor(m) if m.rows < 4 else det_fraction_free(m)
+
+
+def last_column_cofactors(block: PolyMatrix) -> list:
+    """Signed cofactors of the last column of [block | c], block R x (R-1):
+    entry i is (-1)^(i+R-1) times the det of block without row i."""
+    if block.rows != block.cols + 1:
+        raise ConfigurationError("last-column cofactors need an R x (R-1) block")
+    rows = block.entries
+    minors = [det(PolyMatrix(rows[:i] + rows[i + 1:])) for i in range(block.rows)]
+    return [-m if (block.cols - i) % 2 else m for i, m in enumerate(minors)]

@@ -18,12 +18,16 @@ NonPolynomialResult.
 
 For W and AW the construction is a Casoratian-style determinant over the
 x-picture.  Entries combine r-factors (Pochhammer or q-Pochhammer chains
-with kappa powers), virtual polynomials evaluated on the symmetric point
-ladder x + i((R+1)/2 - j) gamma, and for the P determinant one extra
-column carrying the classical polynomial.  The determinant is multiplied
-by its i-phase, divided exactly by the printed normalization and by
-phi_M, and reduced to a polynomial in eta.  InexactDivision or
-ReductionFailure signal implementation errors, never expected states.
+with kappa powers) and virtual polynomials evaluated on the symmetric
+point ladder x + i((R+1)/2 - j) gamma.  The determinant is multiplied by
+its i-phase, divided exactly by the printed normalization and by phi_M,
+and reduced to a polynomial in eta.  InexactDivision or ReductionFailure
+signal implementation errors, never expected states.
+
+The P determinant is the M virtual columns on M+1 rows plus a last
+column, the only part that depends on n.  A build computes that block, its
+M+1 last-column cofactors and the divisor once; each P_{D,n} is the sum of
+its last-column entries times the cofactors, divided and reduced as above.
 
 For AW the alpha prefactors contribute (a1 a2 q^-R)^e (a3 a4 q^-R)^e'
 with half-integer exponents.  The part representable in the scalar tower
@@ -51,6 +55,7 @@ from .exact import (
     Scalar,
     det,
     format_scalar,
+    last_column_cofactors,
     q_pow,
     rational_sqrt,
     sqrt_q,
@@ -59,6 +64,7 @@ from .families import (
     FamilyParams,
     VirtualStateData,
     carrier_one,
+    carrier_zero,
     classical_poly,
     classical_poly_x,
     phi_x,
@@ -232,33 +238,26 @@ def _ladder(col: _GaugeColumn, depth: int) -> list:
     return rows
 
 
-def _wronskian(columns: list, depth: int, printed: dict, printed_eps: int) -> Poly:
-    """Gauge-cancelled Wronskian times the printed prefactor, as a Poly.
+def _wronskian_block(columns: list, depth: int, printed: dict, printed_eps: int):
+    """The gauge-stripped Wronskian matrix and the map det -> polynomial.
 
     printed maps base ids to the exponents of the printed prefactor;
     printed_eps is the printed exponent of exp(eta).  The per-column gauge
     exponents are accumulated against these and must cancel to nonpositive
-    integers, which are divided out exactly.
+    integers, which the returned map divides out exactly.
     """
     if sum(c.eps for c in columns) + printed_eps != 0:
         raise NonPolynomialResult("exponential gauge factors do not cancel")
     exps = dict(printed)
     bases = {}
-    mat = []
-    ladders = [_ladder(c, depth) for c in columns]
-    for r in range(depth):
-        row = []
-        for c, rows in zip(columns, ladders):
-            entry = rows[r]
-            if c.base is not None:
-                entry = entry * c.base ** (depth - 1 - r)
-            row.append(entry)
-        mat.append(row)
+    entries = []  # column by column
     for c in columns:
+        ladder = _ladder(c, depth)
         if c.base is not None:
+            ladder = [e * c.base ** (depth - 1 - r) for r, e in enumerate(ladder)]
             bases[c.base_id] = c.base
             exps[c.base_id] = exps.get(c.base_id, Fraction(0)) + c.c0 - (depth - 1)
-    d = det(PolyMatrix(mat))
+        entries.append(ladder)
     divisor = Poly.one()
     for base_id, e in sorted(exps.items()):
         if e == 0:
@@ -268,10 +267,14 @@ def _wronskian(columns: list, depth: int, printed: dict, printed_eps: int) -> Po
                 f"gauge base {base_id!r} leaves exponent {e} after cancellation"
             )
         divisor = divisor * bases[base_id] ** (-int(e))
-    try:
-        return d.exact_div(divisor)
-    except InexactDivision as exc:
-        raise NonPolynomialResult(f"gauge division failed: {exc}") from exc
+
+    def finish(d: Poly) -> Poly:
+        try:
+            return d.exact_div(divisor)
+        except InexactDivision as exc:
+            raise NonPolynomialResult(f"gauge division failed: {exc}") from exc
+
+    return PolyMatrix(list(zip(*entries))), finish
 
 
 def _lj_columns(fp: FamilyParams, D: IndexSet) -> list:
@@ -327,19 +330,28 @@ def _lj_printed(fp: FamilyParams, D: IndexSet, for_P: bool):
 
 
 def build_LJ(fp: FamilyParams, D: IndexSet, n_max: int = 8) -> MultiIndexedPair:
-    """Wronskian construction of (Xi_D, P_{D,0..n_max}) for L and J."""
+    """Wronskian construction of (Xi_D, P_{D,0..n_max}) for L and J.
+
+    Row r of the P Wronskian's last column is the r-th derivative of P_n.
+    """
     if fp.family not in ("L", "J"):
         raise ConfigurationError("build_LJ requires family L or J")
     if D.M == 0:
         return MultiIndexedPair(fp, D, Poly.one(), {n: classical_poly(fp, n) for n in range(n_max + 1)})
     cols = _lj_columns(fp, D)
-    printed, printed_eps = _lj_printed(fp, D, for_P=False)
-    Xi = _wronskian(cols, D.M, printed, printed_eps)
-    printed_P, printed_eps_P = _lj_printed(fp, D, for_P=True)
+    mat, finish = _wronskian_block(cols, D.M, *_lj_printed(fp, D, for_P=False))
+    Xi = finish(det(mat))
+    block, finish = _wronskian_block(cols, D.M + 1, *_lj_printed(fp, D, for_P=True))
+    cofs = last_column_cofactors(block)
     P = {}
     for n in range(n_max + 1):
-        cols_n = cols + [_GaugeColumn(p=classical_poly(fp, n))]
-        P[n] = _wronskian(cols_n, D.M + 1, printed_P, printed_eps_P)
+        p = classical_poly(fp, n)
+        d = Poly.zero()
+        for w in cofs:
+            if w:
+                d = d + p * w
+            p = p.derivative()
+        P[n] = finish(d)
     return MultiIndexedPair(fp, D, Xi, P)
 
 
@@ -446,68 +458,65 @@ def phi_M(fp: FamilyParams, M: int) -> Carrier:
     return out
 
 
-def _phase(R: int) -> GaussianRational:
-    return I ** ((R * (R - 1) // 2) % 4)
-
-
-def _casoratian_matrix(fp: FamilyParams, D: IndexSet, R: int, last: Optional[Carrier]):
-    """Rows j=1..R over the point ladder; columns X (type I), Y (type II),
-    and when `last` is given the extra column r^II r^I last(x_j)."""
-    r1 = {j: _r_poly(fp, (1, 2), j, R) for j in range(1, R + 1)}
-    r2 = {j: _r_poly(fp, (3, 4), j, R) for j in range(1, R + 1)}
-    xi1 = {v: poly_to_x(fp, virtual_poly(fp, VirtualStateData("I", v))) for v in D.d1}
-    xi2 = {v: poly_to_x(fp, virtual_poly(fp, VirtualStateData("II", v))) for v in D.d2}
-    mat = []
+def _casoratian_block(fp: FamilyParams, D: IndexSet, R: int, xi: dict):
+    """Rows j=1..R over the point ladder, columns X (type I) then Y (type
+    II) from xi[(type, v)] in the carrier, and each row's r^II r^I, the
+    factor of an extra column in that row."""
+    mat, r21 = [], []
     for j in range(1, R + 1):
+        r1 = _r_poly(fp, (1, 2), j, R)
+        r2 = _r_poly(fp, (3, 4), j, R)
         c = Fraction(R + 1, 2) - j
-        row = [r2[j] * x_shift(fp, xi1[v], c) for v in D.d1]
-        row += [r1[j] * x_shift(fp, xi2[v], c) for v in D.d2]
-        if last is not None:
-            row.append(r2[j] * r1[j] * x_shift(fp, last, c))
+        row = [r2 * x_shift(fp, xi["I", v], c) for v in D.d1]
+        row += [r1 * x_shift(fp, xi["II", v], c) for v in D.d2]
         mat.append(row)
-    return mat
+        r21.append(r2 * r1)
+    return PolyMatrix(mat), r21
 
 
-def _assemble(fp: FamilyParams, mat, R: int, lim34: int, lim12: int, e1, e2):
+def _normalizer(fp: FamilyParams, R: int, m1: int, m2: int):
+    """Map det -> polynomial in eta, and the radicand, for a size-R
+    determinant with m1 type-I and m2 type-II columns (the P column,
+    carrying r^II r^I, counts as both)."""
     from .families import reduce_to_eta
 
-    d = det(PolyMatrix(mat)) * _phase(R)
-    norm_poly, norm_scalar = _norm_divisor(fp, R, lim34, lim12)
-    scale, rad = _alpha_scale(fp, R, e1, e2)
-    d = d.exact_div(norm_poly * phi_M(fp, R))
-    d = d * (scale / norm_scalar)
-    return reduce_to_eta(fp, d), rad
+    half = Fraction(1, 2)
+    norm_poly, norm_scalar = _norm_divisor(fp, R, max(m1 - 1, 0), max(m2 - 1, 0))
+    scale, rad = _alpha_scale(fp, R, -(R - 1) * m2 * half, -(R - 1) * m1 * half)
+    phase = I ** ((R * (R - 1) // 2) % 4)
+    divisor, factor = norm_poly * phi_M(fp, R), scale / norm_scalar
+
+    def finish(d: Carrier) -> Poly:
+        return reduce_to_eta(fp, (d * phase).exact_div(divisor) * factor)
+
+    return finish, rad
 
 
 def build_WAW(fp: FamilyParams, D: IndexSet, n_max: int = 8) -> MultiIndexedPair:
-    """Determinant construction of (Xi_D, P_{D,0..n_max}) for W and AW."""
+    """Determinant construction of (Xi_D, P_{D,0..n_max}) for W and AW.
+
+    Row j of the P determinant's last column is r^II r^I P_n(x_j).
+    """
     if not fp.is_difference:
         raise ConfigurationError("build_WAW requires family W or AW")
     if D.M == 0:
         return MultiIndexedPair(fp, D, Poly.one(), {n: classical_poly(fp, n) for n in range(n_max + 1)})
     M, M1, M2 = D.M, D.M1, D.M2
-    half = Fraction(1, 2)
-    Xi, xi_rad = _assemble(
-        fp,
-        _casoratian_matrix(fp, D, M, None),
-        M,
-        max(M1 - 1, 0),
-        max(M2 - 1, 0),
-        -(M - 1) * M2 * half,
-        -(M - 1) * M1 * half,
-    )
+    xi = {(e.type, e.v): poly_to_x(fp, virtual_poly(fp, e)) for e in D.entries}
+    mat, _ = _casoratian_block(fp, D, M, xi)
+    finish, xi_rad = _normalizer(fp, M, M1, M2)
+    Xi = finish(det(mat))
+    block, r21 = _casoratian_block(fp, D, M + 1, xi)
+    weights = [r * w for r, w in zip(r21, last_column_cofactors(block))]
+    finish, p_rad = _normalizer(fp, M + 1, M1 + 1, M2 + 1)
     P = {}
-    p_rad = Fraction(1)
     for n in range(n_max + 1):
-        P[n], p_rad = _assemble(
-            fp,
-            _casoratian_matrix(fp, D, M + 1, classical_poly_x(fp, n)),
-            M + 1,
-            M1,
-            M2,
-            -M * (M2 + 1) * half,
-            -M * (M1 + 1) * half,
-        )
+        last = classical_poly_x(fp, n)
+        d = carrier_zero(fp)
+        for j, w in enumerate(weights, 1):
+            if w:
+                d = d + x_shift(fp, last, Fraction(M + 2, 2) - j) * w
+        P[n] = finish(d)
     return MultiIndexedPair(fp, D, Xi, P, xi_rad, p_rad)
 
 

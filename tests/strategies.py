@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from miop.exact import GaussianRational, LaurentPoly, Poly
+from miop.families import FamilyParams
 
 
 def rationals(max_num=9, max_den=9):
@@ -35,3 +36,21 @@ def laurents(max_span=4, coeffs=None):
     return st.builds(lambda lo, cs: LaurentPoly(lo, cs),
                      st.integers(-3, 3),
                      st.lists(coeffs, min_size=0, max_size=max_span + 1))
+
+
+def _above(bound, max_num=12, max_den=6):
+    """Rationals bound + k/d with 1 <= k <= max_num, 1 <= d <= max_den."""
+    return st.builds(lambda k, d: bound + Fraction(k, d),
+                     st.integers(1, max_num), st.integers(1, max_den))
+
+
+def family_params(families=("L", "J", "W")):
+    """Rational in-range parameter points: g > 1/2 (L), g, h > 1/2 (J),
+    a_i > 0 (W)."""
+    half = Fraction(1, 2)
+    draws = {
+        "L": st.tuples(_above(half)),
+        "J": st.tuples(_above(half), _above(half)),
+        "W": st.tuples(*[_above(0)] * 4),
+    }
+    return st.one_of([st.builds(FamilyParams, st.just(f), draws[f]) for f in families])

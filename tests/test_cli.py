@@ -206,6 +206,10 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "eta^" in out or "level" in out
+        verdict = out.splitlines()[-1]
+        # the witness names the index set and the parameter point
+        assert verdict.startswith("FAIL  ")
+        assert " L D={I1} g=7/3: n=" in verdict
 
     def test_seed_changes_probe_not_verdict(self, capsys):
         outs = []

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError
 from miop.exact import (GaussianRational, LaurentPoly, Poly, PolyMatrix, conj,
-                        det, det_cofactor, det_fraction_free)
+                        det, det_cofactor, det_fraction_free,
+                        last_column_cofactors)
 
-from .strategies import polys
+from .strategies import laurents, polys
 
 
 def random_poly(rng, max_deg=2, var="eta"):
@@ -98,3 +100,50 @@ class TestConjugation:
             lhs = det_fraction_free(PolyMatrix(conj_entries))
             rhs = det_fraction_free(PolyMatrix(entries)).map_coeffs(conj)
             assert lhs == rhs
+
+
+@st.composite
+def blocks_with_column(draw):
+    """An R x (R-1) block (R = 2..5) of Poly or LaurentPoly entries and a
+    last column; with some probability one block column is zeroed, so every
+    cofactor vanishes."""
+    size = draw(st.integers(1, 4))
+    entries = draw(st.sampled_from([polys(max_deg=2), laurents(max_span=2)]))
+    block = [[draw(entries) for _ in range(size)] for _ in range(size + 1)]
+    column = [draw(entries) for _ in range(size + 1)]
+    zero = block[0][0] * 0
+    if draw(st.booleans()):
+        k = draw(st.integers(0, size - 1))
+        for row in block:
+            row[k] = zero
+    return block, column, zero
+
+
+class TestLastColumnCofactors:
+    @given(blocks_with_column())
+    @settings(max_examples=60, deadline=None)
+    def test_expansion_matches_cofactor_oracle(self, case):
+        block, column, zero = case
+        cofs = last_column_cofactors(PolyMatrix(block))
+        assert len(cofs) == len(block)
+        full = PolyMatrix([row + [c] for row, c in zip(block, column)])
+        expansion = zero
+        for c, w in zip(column, cofs):
+            expansion = expansion + c * w
+        assert det_cofactor(full) == expansion
+
+    def test_zero_column_gives_zero_cofactors(self):
+        z = Poly.zero("eta")
+        eta = Poly.variable("eta")
+        cofs = last_column_cofactors(PolyMatrix([[z, eta], [z, eta + 1], [z, 2 * eta]]))
+        assert all(w.is_zero for w in cofs)
+
+    def test_signs(self):
+        # block (a, b)^T: det([[a, x], [b, y]]) = a y - b x, cofactors (-b, a)
+        a, b = Poly([1, 2], "eta"), Poly([3], "eta")
+        assert last_column_cofactors(PolyMatrix([[a], [b]])) == [-b, a]
+
+    def test_shape_rejected(self):
+        one = Poly.one("eta")
+        with pytest.raises(ConfigurationError):
+            last_column_cofactors(PolyMatrix([[one, one], [one, one]]))

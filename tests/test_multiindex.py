@@ -213,6 +213,57 @@ class TestPermutation:
         assert cycled.P_of(0) == base.P_of(0)
 
 
+class TestSharedBlock:
+    """Every P_{D,n} comes from one n-independent block and its cofactors."""
+
+    @pytest.mark.parametrize("name", ALL_PRESETS)
+    @pytest.mark.parametrize("lbl", ["I1", "I1,II1", "I1,I2,II1"])
+    @pytest.mark.parametrize("n_max", [1, 4])
+    def test_det_calls_independent_of_n_max(self, monkeypatch, name, lbl, n_max):
+        from miop import multiindex
+        from miop.exact import matrix
+
+        calls = []
+        real_det = matrix.det
+
+        def counting(m):
+            calls.append(m.rows)
+            return real_det(m)
+
+        monkeypatch.setattr(matrix, "det", counting)
+        monkeypatch.setattr(multiindex, "det", counting)
+        M = IndexSet.parse(lbl).M
+        build(PRESETS[name], IndexSet.parse(lbl), n_max=n_max)
+        # M+1 last-column cofactors of the P block plus the Xi determinant
+        assert sorted(calls) == [M] * (M + 2)
+
+    @pytest.mark.parametrize("name", ALL_PRESETS)
+    @pytest.mark.parametrize("lbl", ["I1", "I1,II1"])
+    def test_matches_full_determinant_oracle(self, name, lbl):
+        """P_{D,n} equals the full (M+1)x(M+1) determinant by det_cofactor."""
+        from miop import multiindex as mi
+        from miop.exact import PolyMatrix, det_cofactor
+        from miop.families import classical_poly_x, poly_to_x, virtual_poly
+
+        fp, D = PRESETS[name], IndexSet.parse(lbl)
+        M = D.M
+        pair = build(fp, D, n_max=2)
+        for n in range(3):
+            if fp.is_difference:
+                xi = {(e.type, e.v): poly_to_x(fp, virtual_poly(fp, e)) for e in D.entries}
+                block, r21 = mi._casoratian_block(fp, D, M + 1, xi)
+                last = classical_poly_x(fp, n)
+                rows = [row + (r * mi.x_shift(fp, last, F(M + 2, 2) - j),)
+                        for j, (row, r) in enumerate(zip(block.entries, r21), 1)]
+                finish, _ = mi._normalizer(fp, M + 1, D.M1 + 1, D.M2 + 1)
+            else:
+                cols = mi._lj_columns(fp, D) + [mi._GaugeColumn(p=classical_poly(fp, n))]
+                block, finish = mi._wronskian_block(cols, M + 1, *mi._lj_printed(fp, D, True))
+                rows = block.entries
+            want = finish(det_cofactor(PolyMatrix(rows)))
+            assert pair.P_of(n) == want
+
+
 class TestPhiM:
     def test_low_orders_are_one(self):
         for name in ("w-default", "aw-default"):

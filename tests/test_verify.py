@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import miop.verify as verify_mod
-from miop.errors import ConfigurationError, GenericityError, LeadingCoefficientZero
+from miop.errors import ConfigurationError, GenericityError, LeadingCoefficientZero, MiopError
 from miop.exact import Poly
 from miop.families import PRESETS, FamilyParams, three_term
 from miop.multiindex import IndexSet, build
@@ -27,6 +27,8 @@ from miop.verify import (
     run_all,
     shared_objects,
 )
+
+from .strategies import family_params
 
 ETA = Poly.variable()
 
@@ -169,6 +171,23 @@ class TestDegreesAndGenericity:
         fp = FamilyParams("L", (F(-1, 2),), check_range=False)
         with pytest.raises(GenericityError):
             genericity_probe(*shared_objects(fp, IndexSet.parse("II1"), (0, 4)), (0, 4))
+
+
+class TestRandomParameters:
+    """In-range points off the presets: the pair passes the recurrence and
+    the degree law, or the pipeline stops with a typed MiopError."""
+
+    @given(family_params(), st.sampled_from(["I1", "II1", "I1,I2", "I1,II1", "II1,II2"]))
+    @settings(max_examples=12, deadline=None)
+    def test_rrp_and_degrees_or_typed_error(self, fp, lbl):
+        n_range = (0, 2)
+        try:
+            pair, table = shared_objects(fp, IndexSet.parse(lbl), n_range)
+            genericity_probe(pair, table, n_range)
+        except MiopError:
+            return
+        assert check_rrp(pair, table, n_range).passed
+        assert check_degrees(pair, n_range).passed
 
 
 class TestPermutation:
