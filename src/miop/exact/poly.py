@@ -213,10 +213,6 @@ class Poly(_PolyBase):
     def variable(cls, var: str = "eta") -> "Poly":
         return cls((Fraction(0), Fraction(1)), var)
 
-    @classmethod
-    def constant(cls, c: Scalar, var: str = "eta") -> "Poly":
-        return cls((c,), var)
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF

@@ -16,8 +16,6 @@ from typing import Optional, Union
 
 from ..errors import ConfigurationError
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction, "GaussianRational", "SqrtQRational"]
 
 _RAT = (int, Fraction)

@@ -304,19 +304,22 @@ def three_term(fp: FamilyParams, n: int):
         B = (h - g) * (g + h - 1) / (dm * dp)
         C = (2 * (n + g - half)) * (n + h - half) / (dm * d0)
         return (A, B, C)
-    # W and AW: every term over dm2 carries a factor n (W) or 1 - q^n (AW),
-    # so at n = 0 it is exactly 0 even where dm2 vanishes (b1 = 2, b4 = q^2)
+    # W and AW: (n + b1 - 1)/(2n + b1 - 1) and (1 - b4 q^(n-1))/(1 - b4 q^(2n-1))
+    # are 1 at n = 0, and every term over dm2 carries a factor n (W) or
+    # 1 - q^n (AW), so n = 0 needs neither dm1 nor dm2; they vanish there
+    # for b1 = 1, 2 and b4 = q, q^2
     C = Fraction(0)
+    a = fp.lam
     if fp.family == "W":
-        a = fp.lam
         b1 = fp.b1
         d0 = _nonzero_den(fp, n, 2 * n + b1)
-        dm1 = _nonzero_den(fp, n, 2 * n + b1 - 1)
-        A = -(n + b1 - 1) / (dm1 * d0)
         prod_1k = (n + a[0] + a[1]) * (n + a[0] + a[2]) * (n + a[0] + a[3])
-        B = (n + b1 - 1) * prod_1k / (dm1 * d0)
+        A, B = -1 / d0, prod_1k / d0
         if n:
+            dm1 = _nonzero_den(fp, n, 2 * n + b1 - 1)
             dm2 = _nonzero_den(fp, n, 2 * n + b1 - 2)
+            ratio = (n + b1 - 1) / dm1
+            A, B = A * ratio, B * ratio
             prod_all = Fraction(1)
             for j in range(4):
                 for k in range(j + 1, 4):
@@ -325,21 +328,18 @@ def three_term(fp: FamilyParams, n: int):
             prod_jk = (n + a[1] + a[2] - 1) * (n + a[1] + a[3] - 1) * (n + a[2] + a[3] - 1)
             B = B + n * prod_jk / (dm2 * dm1)
         return (A, B - a[0] * a[0], C)
-    a = fp.lam
     b4 = fp.b4
     qn = fp.qpow(n)
     d0 = _nonzero_den(fp, n, 1 - b4 * fp.qpow(2 * n))
-    dm1 = _nonzero_den(fp, n, 1 - b4 * fp.qpow(2 * n - 1))
-    A = (1 - b4 * fp.qpow(n - 1)) / (2 * dm1 * d0)
     prod_1k = (
         (1 - a[0] * a[1] * qn) * (1 - a[0] * a[2] * qn) * (1 - a[0] * a[3] * qn)
     )
-    B = (
-        (a[0] + 1 / a[0]) / 2
-        - (1 - b4 * fp.qpow(n - 1)) * prod_1k / (2 * a[0] * dm1 * d0)
-    )
+    A, B = 1 / (2 * d0), prod_1k / (2 * a[0] * d0)
     if n:
+        dm1 = _nonzero_den(fp, n, 1 - b4 * fp.qpow(2 * n - 1))
         dm2 = _nonzero_den(fp, n, 1 - b4 * fp.qpow(2 * n - 2))
+        ratio = (1 - b4 * fp.qpow(n - 1)) / dm1
+        A, B = A * ratio, B * ratio
         prod_all = Fraction(1)
         for j in range(4):
             for k in range(j + 1, 4):
@@ -350,8 +350,8 @@ def three_term(fp: FamilyParams, n: int):
             * (1 - a[1] * a[3] * fp.qpow(n - 1))
             * (1 - a[2] * a[3] * fp.qpow(n - 1))
         )
-        B = B - a[0] * (1 - qn) * prod_jk / (2 * dm2 * dm1)
-    return (A, B, C)
+        B = B + a[0] * (1 - qn) * prod_jk / (2 * dm2 * dm1)
+    return (A, (a[0] + 1 / a[0]) / 2 - B, C)
 
 
 # -- classical polynomials ---------------------------------------------------
@@ -446,30 +446,6 @@ def energy(fp: FamilyParams, n: int) -> Scalar:
     if fp.family == "W":
         return n * (n + fp.b1 - 1)
     return (fp.qpow(-n) - 1) * (1 - fp.b4 * fp.qpow(n - 1))
-
-
-# -- eta shift identities (difference families) -------------------------------
-
-
-def eta_shift_identities(fp: FamilyParams, m: int):
-    """Closed forms of eta(x-im*gamma/2) + and * eta(x+im*gamma/2), in eta.
-
-    W:  sum = 2 eta - m^2/2,            product = (eta + m^2/4)^2
-    AW: sum = (q^(m/2)+q^(-m/2)) eta,   product = eta^2 + ((q^(m/2)-q^(-m/2))/2)^2
-    """
-    if not fp.is_difference:
-        raise ConfigurationError("eta shift identities apply to W and AW only")
-    eta = Poly.variable()
-    if fp.family == "W":
-        ss = eta * 2 - Fraction(m * m, 2)
-        pp = (eta + Fraction(m * m, 4)) ** 2
-        return (ss, pp)
-    qp = fp.qpow(m, 2)
-    qm = fp.qpow(-m, 2)
-    ss = eta * (qp + qm)
-    c = (qp - qm) / 2
-    pp = eta * eta + c * c
-    return (ss, pp)
 
 
 # -- x-picture carriers (difference families) ---------------------------------

@@ -8,26 +8,33 @@ From D and a parameter point the module builds the pair
 
 with ell = sum(d_j) - M(M-1)/2 + 2 M_I M_II.
 
-For L and J the construction is a Wronskian in eta whose columns carry
-non-polynomial gauge factors (exp(eta), powers of eta and (1 +- eta)/2).
-Each column is represented as gauge times polynomial and differentiated
-with the product rule, tracking the gauge exponent exactly; the printed
-prefactors then cancel all gauges up to a nonpositive integer power of
-the base, which is divided out exactly.  A failed cancellation raises
-NonPolynomialResult.
+Xi_D is the determinant of the M virtual-state columns on M rows; P_{D,n}
+adds one row and a last column built from the classical P_n, the only
+part that depends on n.  One `build` serves all four families.  A
+family's picture gives, for a size R, the R x M block, each row's factor
+of the last column, P_n's last-column ladder, the map det -> polynomial
+in eta and the radicand; build expands P_{D,n} along its last column,
+with the cofactors of the size-(M+1) block computed once per build.
 
-For W and AW the construction is a Casoratian-style determinant over the
-x-picture.  Entries combine r-factors (Pochhammer or q-Pochhammer chains
-with kappa powers) and virtual polynomials evaluated on the symmetric
-point ladder x + i((R+1)/2 - j) gamma.  The determinant is multiplied by
-its i-phase, divided exactly by the printed normalization and by phi_M,
-and reduced to a polynomial in eta.  InexactDivision or ReductionFailure
-signal implementation errors, never expected states.
+L and J use a Wronskian in eta (_wronskian): columns carry gauge factors
+(exp(eta), powers of eta and (1 +- eta)/2), represented as gauge times
+polynomial and differentiated with the product rule, tracking the gauge
+exponent exactly; the printed prefactors cancel all gauges up to a
+nonpositive integer power of the base, which is divided out exactly.  A
+failed cancellation raises NonPolynomialResult.  The ladder is P_n and
+its derivatives, with row factors 1.
 
-The P determinant is the M virtual columns on M+1 rows plus a last
-column, the only part that depends on n.  A build computes that block, its
-M+1 last-column cofactors and the divisor once; each P_{D,n} is the sum of
-its last-column entries times the cofactors, divided and reduced as above.
+W and AW use a Casoratian-style determinant over the x-picture
+(_casoratian).  Entries combine r-factors (Pochhammer or q-Pochhammer
+chains with kappa powers) and virtual polynomials evaluated on the
+symmetric point ladder x + i((R+1)/2 - j) gamma; the ladder is P_n on the
+same points, with row factors r^II r^I.  The determinant is multiplied
+by its i-phase, divided exactly by the printed normalization and by
+phi_R, and reduced to a polynomial in eta.  InexactDivision or
+ReductionFailure signal implementation errors, never expected states.
+
+A zero Xi_D or P_{D,n} marks a point that is not generic for D (a
+virtual state of zero energy, say) and raises GenericityError.
 
 For AW the alpha prefactors contribute (a1 a2 q^-R)^e (a3 a4 q^-R)^e'
 with half-integer exponents.  The part representable in the scalar tower
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ConfigurationError, InexactDivision, NonPolynomialResult
+from .errors import ConfigurationError, GenericityError, InexactDivision, NonPolynomialResult
 from .exact import (
     GaussianRational,
     I,
@@ -64,7 +71,6 @@ from .families import (
     FamilyParams,
     VirtualStateData,
     carrier_one,
-    carrier_zero,
     classical_poly,
     classical_poly_x,
     phi_x,
@@ -238,121 +244,73 @@ def _ladder(col: _GaugeColumn, depth: int) -> list:
     return rows
 
 
-def _wronskian_block(columns: list, depth: int, printed: dict, printed_eps: int):
-    """The gauge-stripped Wronskian matrix and the map det -> polynomial.
-
-    printed maps base ids to the exponents of the printed prefactor;
-    printed_eps is the printed exponent of exp(eta).  The per-column gauge
-    exponents are accumulated against these and must cancel to nonpositive
-    integers, which the returned map divides out exactly.
-    """
-    if sum(c.eps for c in columns) + printed_eps != 0:
-        raise NonPolynomialResult("exponential gauge factors do not cancel")
-    exps = dict(printed)
-    bases = {}
-    entries = []  # column by column
-    for c in columns:
-        ladder = _ladder(c, depth)
-        if c.base is not None:
-            ladder = [e * c.base ** (depth - 1 - r) for r, e in enumerate(ladder)]
-            bases[c.base_id] = c.base
-            exps[c.base_id] = exps.get(c.base_id, Fraction(0)) + c.c0 - (depth - 1)
-        entries.append(ladder)
-    divisor = Poly.one()
-    for base_id, e in sorted(exps.items()):
-        if e == 0:
-            continue
-        if e.denominator != 1 or e > 0:
-            raise NonPolynomialResult(
-                f"gauge base {base_id!r} leaves exponent {e} after cancellation"
-            )
-        divisor = divisor * bases[base_id] ** (-int(e))
-
-    def finish(d: Poly) -> Poly:
-        try:
-            return d.exact_div(divisor)
-        except InexactDivision as exc:
-            raise NonPolynomialResult(f"gauge division failed: {exc}") from exc
-
-    return PolyMatrix(list(zip(*entries))), finish
-
-
 def _lj_columns(fp: FamilyParams, D: IndexSet) -> list:
-    half = Fraction(1, 2)
-    eta = Poly.variable()
-    cols = []
+    """The M virtual-state columns, type I then type II, with their gauges."""
+    half, eta = Fraction(1, 2), Poly.variable()
     if fp.family == "L":
-        for v in D.d1:
-            cols.append(_GaugeColumn(p=virtual_poly(fp, VirtualStateData("I", v)), eps=1))
-        for v in D.d2:
-            cols.append(
-                _GaugeColumn(
-                    p=virtual_poly(fp, VirtualStateData("II", v)),
-                    base=eta,
-                    base_id="eta",
-                    b=Fraction(1),
-                    c0=half - fp.g,
-                )
-            )
+        gauge = {
+            "I": dict(eps=1),
+            "II": dict(base=eta, base_id="eta", b=Fraction(1), c0=half - fp.g),
+        }
     else:
-        jp = (eta + 1) * half
-        jm = (1 - eta) * half
-        for v in D.d1:
-            cols.append(
-                _GaugeColumn(
-                    p=virtual_poly(fp, VirtualStateData("I", v)),
-                    base=jp,
-                    base_id="jp",
-                    b=half,
-                    c0=half - fp.h,
-                )
-            )
-        for v in D.d2:
-            cols.append(
-                _GaugeColumn(
-                    p=virtual_poly(fp, VirtualStateData("II", v)),
-                    base=jm,
-                    base_id="jm",
-                    b=-half,
-                    c0=half - fp.g,
-                )
-            )
-    return cols
+        gauge = {
+            "I": dict(base=(eta + 1) * half, base_id="jp", b=half, c0=half - fp.h),
+            "II": dict(base=(1 - eta) * half, base_id="jm", b=-half, c0=half - fp.g),
+        }
+    return [_GaugeColumn(virtual_poly(fp, e), **gauge[t])
+            for t in ("I", "II") for e in D.entries if e.type == t]
 
 
-def _lj_printed(fp: FamilyParams, D: IndexSet, for_P: bool):
-    half = Fraction(1, 2)
-    s = half if for_P else -half
-    M1, M2 = D.M1, D.M2
-    if fp.family == "L":
-        return {"eta": (M1 + fp.g + s) * M2}, -M1
-    return {"jm": (M1 + fp.g + s) * M2, "jp": (M2 + fp.h + s) * M1}, 0
+def _wronskian(fp: FamilyParams, D: IndexSet):
+    """The L/J picture: R -> (block, row factors, ladder, finish, radicand)
+    of the size-R Wronskian in eta.
 
-
-def build_LJ(fp: FamilyParams, D: IndexSet, n_max: int = 8) -> MultiIndexedPair:
-    """Wronskian construction of (Xi_D, P_{D,0..n_max}) for L and J.
-
-    Row r of the P Wronskian's last column is the r-th derivative of P_n.
+    The printed prefactor's base exponents carry -1/2 for Xi (R = M) and
+    +1/2 for P (R = M+1); the gauge exponents left over must be
+    nonpositive integers, which finish divides out.
     """
-    if fp.family not in ("L", "J"):
-        raise ConfigurationError("build_LJ requires family L or J")
-    if D.M == 0:
-        return MultiIndexedPair(fp, D, Poly.one(), {n: classical_poly(fp, n) for n in range(n_max + 1)})
     cols = _lj_columns(fp, D)
-    mat, finish = _wronskian_block(cols, D.M, *_lj_printed(fp, D, for_P=False))
-    Xi = finish(det(mat))
-    block, finish = _wronskian_block(cols, D.M + 1, *_lj_printed(fp, D, for_P=True))
-    cofs = last_column_cofactors(block)
-    P = {}
-    for n in range(n_max + 1):
-        p = classical_poly(fp, n)
-        d = Poly.zero()
-        for w in cofs:
-            if w:
-                d = d + p * w
-            p = p.derivative()
-        P[n] = finish(d)
-    return MultiIndexedPair(fp, D, Xi, P)
+    M1, M2 = D.M1, D.M2
+
+    def size(R: int):
+        s = R - D.M - Fraction(1, 2)
+        if fp.family == "L":
+            exps, printed_eps = {"eta": (M1 + fp.g + s) * M2}, -M1
+        else:
+            exps, printed_eps = {"jm": (M1 + fp.g + s) * M2, "jp": (M2 + fp.h + s) * M1}, 0
+        if sum(c.eps for c in cols) + printed_eps != 0:
+            raise NonPolynomialResult("exponential gauge factors do not cancel")
+        bases = {}
+        entries = []  # column by column
+        for c in cols:
+            ladder = _ladder(c, R)
+            if c.base is not None:
+                ladder = [e * c.base ** (R - 1 - r) for r, e in enumerate(ladder)]
+                bases[c.base_id] = c.base
+                exps[c.base_id] = exps.get(c.base_id, Fraction(0)) + c.c0 - (R - 1)
+            entries.append(ladder)
+        divisor = Poly.one()
+        for base_id, e in sorted(exps.items()):
+            if e == 0:
+                continue
+            if e.denominator != 1 or e > 0:
+                raise NonPolynomialResult(
+                    f"gauge base {base_id!r} leaves exponent {e} after cancellation"
+                )
+            divisor = divisor * bases[base_id] ** (-int(e))
+
+        def finish(d: Poly) -> Poly:
+            try:
+                return d.exact_div(divisor)
+            except InexactDivision as exc:
+                raise NonPolynomialResult(f"gauge division failed: {exc}") from exc
+
+        def ladder(n: int) -> list:
+            return _ladder(_GaugeColumn(classical_poly(fp, n)), R)
+
+        return PolyMatrix(list(zip(*entries))), [1] * R, ladder, finish, Fraction(1)
+
+    return size
 
 
 # -- W/AW: Casoratian-style determinants ----------------------------------------
@@ -458,70 +416,78 @@ def phi_M(fp: FamilyParams, M: int) -> Carrier:
     return out
 
 
-def _casoratian_block(fp: FamilyParams, D: IndexSet, R: int, xi: dict):
-    """Rows j=1..R over the point ladder, columns X (type I) then Y (type
-    II) from xi[(type, v)] in the carrier, and each row's r^II r^I, the
-    factor of an extra column in that row."""
-    mat, r21 = [], []
-    for j in range(1, R + 1):
-        r1 = _r_poly(fp, (1, 2), j, R)
-        r2 = _r_poly(fp, (3, 4), j, R)
-        c = Fraction(R + 1, 2) - j
-        row = [r2 * x_shift(fp, xi["I", v], c) for v in D.d1]
-        row += [r1 * x_shift(fp, xi["II", v], c) for v in D.d2]
-        mat.append(row)
-        r21.append(r2 * r1)
-    return PolyMatrix(mat), r21
+def _casoratian(fp: FamilyParams, D: IndexSet):
+    """The W/AW picture: R -> the size-R Casoratian over the point ladder
+    x_j = x + i((R+1)/2 - j) gamma, as (block, row factors, ladder,
+    finish, radicand).
 
-
-def _normalizer(fp: FamilyParams, R: int, m1: int, m2: int):
-    """Map det -> polynomial in eta, and the radicand, for a size-R
-    determinant with m1 type-I and m2 type-II columns (the P column,
-    carrying r^II r^I, counts as both)."""
+    Row j holds the type-I columns times r^II and the type-II columns
+    times r^I, all at x_j; the last column, P_n(x_j), carries r^II r^I,
+    so it counts as one column of each type in the normalization.  finish
+    applies the i-phase, divides by the printed normalization and phi_R
+    and reduces to eta; the radicand is what the alpha scale leaves.
+    """
     from .families import reduce_to_eta
 
-    half = Fraction(1, 2)
-    norm_poly, norm_scalar = _norm_divisor(fp, R, max(m1 - 1, 0), max(m2 - 1, 0))
-    scale, rad = _alpha_scale(fp, R, -(R - 1) * m2 * half, -(R - 1) * m1 * half)
-    phase = I ** ((R * (R - 1) // 2) % 4)
-    divisor, factor = norm_poly * phi_M(fp, R), scale / norm_scalar
+    x1 = [poly_to_x(fp, virtual_poly(fp, VirtualStateData("I", v))) for v in D.d1]
+    x2 = [poly_to_x(fp, virtual_poly(fp, VirtualStateData("II", v))) for v in D.d2]
 
-    def finish(d: Carrier) -> Poly:
-        return reduce_to_eta(fp, (d * phase).exact_div(divisor) * factor)
+    def size(R: int):
+        shifts = [Fraction(R + 1, 2) - j for j in range(1, R + 1)]
+        rows, r21 = [], []
+        for j, c in enumerate(shifts, 1):
+            r1 = _r_poly(fp, (1, 2), j, R)
+            r2 = _r_poly(fp, (3, 4), j, R)
+            rows.append([r2 * x_shift(fp, p, c) for p in x1] + [r1 * x_shift(fp, p, c) for p in x2])
+            r21.append(r2 * r1)
+        m1, m2 = D.M1 + R - D.M, D.M2 + R - D.M
+        norm_poly, norm_scalar = _norm_divisor(fp, R, max(m1 - 1, 0), max(m2 - 1, 0))
+        half = Fraction(1, 2)
+        scale, rad = _alpha_scale(fp, R, -(R - 1) * m2 * half, -(R - 1) * m1 * half)
+        phase = I ** ((R * (R - 1) // 2) % 4)
+        divisor, factor = norm_poly * phi_M(fp, R), scale / norm_scalar
 
-    return finish, rad
+        def finish(d: Carrier) -> Poly:
+            return reduce_to_eta(fp, (d * phase).exact_div(divisor) * factor)
+
+        def ladder(n: int) -> list:
+            last = classical_poly_x(fp, n)
+            return [x_shift(fp, last, c) for c in shifts]
+
+        return PolyMatrix(rows), r21, ladder, finish, rad
+
+    return size
 
 
-def build_WAW(fp: FamilyParams, D: IndexSet, n_max: int = 8) -> MultiIndexedPair:
-    """Determinant construction of (Xi_D, P_{D,0..n_max}) for W and AW.
+# -- the construction -------------------------------------------------------------
 
-    Row j of the P determinant's last column is r^II r^I P_n(x_j).
-    """
-    if not fp.is_difference:
-        raise ConfigurationError("build_WAW requires family W or AW")
-    if D.M == 0:
-        return MultiIndexedPair(fp, D, Poly.one(), {n: classical_poly(fp, n) for n in range(n_max + 1)})
-    M, M1, M2 = D.M, D.M1, D.M2
-    xi = {(e.type, e.v): poly_to_x(fp, virtual_poly(fp, e)) for e in D.entries}
-    mat, _ = _casoratian_block(fp, D, M, xi)
-    finish, xi_rad = _normalizer(fp, M, M1, M2)
-    Xi = finish(det(mat))
-    block, r21 = _casoratian_block(fp, D, M + 1, xi)
-    weights = [r * w for r, w in zip(r21, last_column_cofactors(block))]
-    finish, p_rad = _normalizer(fp, M + 1, M1 + 1, M2 + 1)
-    P = {}
-    for n in range(n_max + 1):
-        last = classical_poly_x(fp, n)
-        d = carrier_zero(fp)
-        for j, w in enumerate(weights, 1):
-            if w:
-                d = d + x_shift(fp, last, Fraction(M + 2, 2) - j) * w
-        P[n] = finish(d)
-    return MultiIndexedPair(fp, D, Xi, P, xi_rad, p_rad)
+
+def _nonzero(d: Carrier, fp: FamilyParams, D: IndexSet, name: str) -> Carrier:
+    """d, unless it is zero: then the point is non-generic for D."""
+    if not d:
+        point = ",".join(format_scalar(c) for c in fp.lam)
+        raise GenericityError(
+            f"{name} is the zero polynomial at {fp.family} lambda=({point}) D={{{D.label()}}}"
+        )
+    return d
 
 
 def build(fp: FamilyParams, D: IndexSet, n_max: int = 8) -> MultiIndexedPair:
-    """Family-dispatching front door."""
-    if fp.is_difference:
-        return build_WAW(fp, D, n_max)
-    return build_LJ(fp, D, n_max)
+    """(Xi_D, P_{D,0..n_max}) for any family, by one last-column expansion.
+
+    Xi_D is finish(det) of the size-M block.  The size-(M+1) block's
+    cofactors times the row factors give weights w_j once per build, and
+    P_{D,n} = finish(sum_j ladder_j(n) w_j).
+    """
+    if D.M == 0:
+        return MultiIndexedPair(fp, D, Poly.one(), {n: classical_poly(fp, n) for n in range(n_max + 1)})
+    picture = (_casoratian if fp.is_difference else _wronskian)(fp, D)
+    block, _, _, finish, xi_rad = picture(D.M)
+    Xi = finish(_nonzero(det(block), fp, D, "Xi_D"))
+    block, row_factors, ladder, finish, p_rad = picture(D.M + 1)
+    weights = [r * w for r, w in zip(row_factors, last_column_cofactors(block))]
+    P = {}
+    for n in range(n_max + 1):
+        d = sum(e * w for e, w in zip(ladder(n), weights) if w)
+        P[n] = finish(_nonzero(d, fp, D, f"P_{{D,{n}}}"))
+    return MultiIndexedPair(fp, D, Xi, P, xi_rad, p_rad)

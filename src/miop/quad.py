@@ -366,10 +366,6 @@ class Weight:
         d = self.xi_den(e)
         return d * d if self.squared_den else d
 
-    def __call__(self, x: float) -> float:
-        """Psi_D(x)^2."""
-        return self.scale * self.phi0_sq(x) / self.den(self.eta(x))
-
     def node_weight(self, x: float) -> float:
         """p_radicand Psi_D(x)^2, the integrand's weight factor; evaluated once per abscissa x."""
         w = self._nodes.get(x)

@@ -125,10 +125,11 @@ def _first_bad_coeff(p: Poly) -> str:
     return "zero"
 
 
-def _rrp_residual(table: RTable, pair: MultiIndexedPair, M: int, n: int) -> Poly:
+def _rrp_residual(table: RTable, P_of, M: int, n: int) -> Poly:
+    """sum_k R^[M]_{n,k} P_{n+k}, reading each P_m through P_of(m)."""
     acc = Poly.zero()
     for k in range(-M - 1, M + 2):
-        acc = acc + table.entry(M, n, k) * pair.P_of(n + k)
+        acc = acc + table.entry(M, n, k) * P_of(n + k)
     return acc
 
 
@@ -161,7 +162,7 @@ def check_rrp(
     M = pair.D.M
     report = VerificationReport(identity, pair.fp, pair.D, n_range)
     for n in range(n_range[0], n_range[1] + 1):
-        res = _rrp_residual(table, pair, M, n)
+        res = _rrp_residual(table, pair.P_of, M, n)
         if res.is_zero:
             report.add("structural" if n < 0 else "pass", n=n)
         else:
@@ -206,11 +207,8 @@ def regenerate_from_initial(pair: MultiIndexedPair, table: RTable, N: int) -> Ve
             raise LeadingCoefficientZero(
                 f"R^[{M}]_{{{n},{M + 1}}} = 0 at this parameter point"
             )
-        acc = Poly.zero()
-        for k in range(-M - 1, M + 1):
-            m = n + k
-            p = regenerated.get(m, Poly.zero()) if m >= 0 else Poly.zero()
-            acc = acc + table.entry(M, n, k) * p
+        # P_{n+M+1} is not regenerated yet, so the residual omits its term
+        acc = _rrp_residual(table, lambda m: regenerated.get(m, Poly.zero()), M, n)
         cand = acc * (Fraction(-1) / c)
         regenerated[n + M + 1] = cand
         if cand == pair.P_of(n + M + 1):

@@ -6,7 +6,9 @@ consistency check and not a tautology.  All arithmetic is exact.
 
 Normalizations match the library: Laguerre L_n^(g-1/2), Jacobi
 P_n^(g-1/2,h-1/2), Wilson W_n and Askey-Wilson p_n in their standard
-hypergeometric normalizations.
+hypergeometric normalizations.  eta_shift_identities gives the closed
+forms of the sum and product of eta at two opposite shifted points, which
+the R-table of the difference families reduces to.
 """
 
 from __future__ import annotations
@@ -115,3 +117,17 @@ def askey_wilson_poly(a, q, n: int) -> Poly:
         total = total + pair * (num / den)
         pair = pair * (eta * (-2 * a1 * q**m) + (1 + a1**2 * q ** (2 * m)))
     return total * front
+
+
+def eta_shift_identities(fp, m: int):
+    """Closed forms of eta(x-im*gamma/2) + and * eta(x+im*gamma/2), in eta.
+
+    W:  sum = 2 eta - m^2/2,            product = (eta + m^2/4)^2
+    AW: sum = (q^(m/2)+q^(-m/2)) eta,   product = eta^2 + ((q^(m/2)-q^(-m/2))/2)^2
+    """
+    eta = Poly.variable()
+    if fp.family == "W":
+        return (eta * 2 - Fraction(m * m, 2), (eta + Fraction(m * m, 4)) ** 2)
+    qp, qm = fp.qpow(m, 2), fp.qpow(-m, 2)
+    c = (qp - qm) / 2
+    return (eta * (qp + qm), eta * eta + c * c)

@@ -44,13 +44,20 @@ def _above(bound, max_num=12, max_den=6):
                      st.integers(1, max_num), st.integers(1, max_den))
 
 
-def family_params(families=("L", "J", "W")):
+def _unit(max_num=6, max_den=6):
+    """Rationals k/(k+d) in (0, 1) with 1 <= k <= max_num, 1 <= d <= max_den."""
+    return st.builds(lambda k, d: Fraction(k, k + d),
+                     st.integers(1, max_num), st.integers(1, max_den))
+
+
+def family_params(families=("L", "J", "W", "AW")):
     """Rational in-range parameter points: g > 1/2 (L), g, h > 1/2 (J),
-    a_i > 0 (W)."""
+    a_i > 0 (W), 0 < a_i < 1 and 0 < q < 1 (AW)."""
     half = Fraction(1, 2)
     draws = {
-        "L": st.tuples(_above(half)),
-        "J": st.tuples(_above(half), _above(half)),
-        "W": st.tuples(*[_above(0)] * 4),
+        "L": st.builds(FamilyParams, st.just("L"), st.tuples(_above(half))),
+        "J": st.builds(FamilyParams, st.just("J"), st.tuples(_above(half), _above(half))),
+        "W": st.builds(FamilyParams, st.just("W"), st.tuples(*[_above(0)] * 4)),
+        "AW": st.builds(FamilyParams, st.just("AW"), st.tuples(*[_unit()] * 4), q=_unit()),
     }
-    return st.one_of([st.builds(FamilyParams, st.just(f), draws[f]) for f in families])
+    return st.one_of([draws[f] for f in families])

@@ -104,6 +104,21 @@ class TestGen:
         assert code == 2 and out == ""
         assert "--out" in err and "Traceback" not in err
 
+    def test_zero_energy_virtual_state_rejected(self, capsys):
+        # E^II_1 = -4(g - 3/2) = 0 at g = 3/2: P_{D,0} is the zero polynomial
+        code, out, err = run_cli(capsys, "gen", "--family", "L", "--g", "3/2", "--D", "II1",
+                                 "--N", "2")
+        assert code == 1 and out == ""
+        assert "GenericityError" in err and "P_{D,0}" in err and "D={II1}" in err
+        assert "Traceback" not in err
+
+    def test_removable_zero_in_virtual_twist_accepted(self, capsys):
+        # the type-I twist of this W point has b1 = 1, a removable 0/0 at n = 0
+        code, out, err = run_cli(capsys, "gen", "--family", "W", "--a", "5/3,2/3,2/3,2/3",
+                                 "--D", "I1,II1", "--N", "2")
+        assert code == 0, err
+        assert json.loads(out)["ell"] == 3
+
 
 class TestRtable:
     def test_csv_to_missing_directory_rejected(self, capsys, tmp_path):
@@ -146,7 +161,9 @@ class TestRtable:
     @pytest.mark.parametrize("argv", [
         ("--family", "W", "--a", "1/2,1/2,1/2,1/2"),  # b1 = 2
         ("--family", "AW", "--a", "1/2,1/2,1/2,1/2", "--q", "1/4"),  # b4 = q^2
-    ], ids=["W", "AW"])
+        ("--family", "W", "--a", "1/4,1/4,1/4,1/4"),  # b1 = 1
+        ("--family", "AW", "--a", "1/2,1/2,1/2,1/2", "--q", "1/16"),  # b4 = q
+    ], ids=["W", "AW", "W-b1-1", "AW-b4-q"])
     def test_removable_zero_at_n0_accepted(self, capsys, argv):
         code, out, err = run_cli(capsys, "rtable", *argv, "--M", "1")
         assert code == 0, err
@@ -168,6 +185,13 @@ class TestVerify:
         assert code == 0
         assert out.strip().endswith("PASS")
         assert out.count("PASS") >= 9
+
+    def test_removable_zero_at_n0_accepted(self, capsys):
+        # b4 = q: 1 - b4 q^(2n-1) vanishes at n = 0
+        code, out, err = run_cli(capsys, "verify", "--family", "AW", "--a", "1/2,1/2,1/2,1/2",
+                                 "--q", "1/16", "--D", "I1", "--n-range", "0..2")
+        assert code == 0, err
+        assert out.strip().endswith("PASS")
 
     def test_inline_family(self, capsys):
         code, out, _ = run_cli(

@@ -16,7 +16,6 @@ from miop.families import (
     classical_poly_x,
     energy,
     eta_at,
-    eta_shift_identities,
     eta_x,
     phi_x,
     poly_to_x,
@@ -30,7 +29,13 @@ from miop.families import (
     x_shift,
 )
 
-from .oracles import askey_wilson_poly, jacobi_poly, laguerre_poly, wilson_poly
+from .oracles import (
+    askey_wilson_poly,
+    eta_shift_identities,
+    jacobi_poly,
+    laguerre_poly,
+    wilson_poly,
+)
 
 ALL_PRESETS = list(PRESETS.values())
 DIFF_PRESETS = [PRESETS[k] for k in ("w-default", "aw-default", "aw-q13")]
@@ -121,18 +126,22 @@ class TestThreeTerm:
         assert three_term(PRESETS["w-default"], 0)[2] == 0
 
     def test_wilson_removable_zero_at_n0(self):
-        # b1 = 2 zeroes the n = 0 value of 2n + b1 - 2, but C_0 carries n
-        fp = FamilyParams("W", (F(1, 2),) * 4)
-        assert three_term(fp, 0)[2] == 0
-        for n in range(6):
-            assert classical_poly(fp, n) == wilson_poly(fp.lam, n)
+        # b1 = 2 zeroes the n = 0 value of 2n + b1 - 2, but C_0 carries n;
+        # b1 = 1 zeroes 2n + b1 - 1, but (n + b1 - 1)/(2n + b1 - 1) is 1 at n = 0
+        for a in (F(1, 2), F(1, 4)):
+            fp = FamilyParams("W", (a,) * 4)
+            assert three_term(fp, 0)[2] == 0
+            for n in range(6):
+                assert classical_poly(fp, n) == wilson_poly(fp.lam, n)
 
     def test_askey_wilson_removable_zero_at_n0(self):
-        # b4 = q^2 zeroes 1 - b4 q^(2n-2) at n = 0, but C_0 carries 1 - q^n
-        fp = FamilyParams("AW", (F(1, 2),) * 4, q=F(1, 4))
-        assert three_term(fp, 0)[2] == 0
-        for n in range(6):
-            assert classical_poly(fp, n) == askey_wilson_poly(fp.lam, fp.q, n)
+        # b4 = q^2 zeroes 1 - b4 q^(2n-2) at n = 0, but C_0 carries 1 - q^n;
+        # b4 = q zeroes 1 - b4 q^(2n-1), but its ratio to 1 - b4 q^(n-1) is 1 at n = 0
+        for q in (F(1, 4), F(1, 16)):
+            fp = FamilyParams("AW", (F(1, 2),) * 4, q=q)
+            assert three_term(fp, 0)[2] == 0
+            for n in range(6):
+                assert classical_poly(fp, n) == askey_wilson_poly(fp.lam, fp.q, n)
 
     def test_negative_n_zero(self):
         for fp in ALL_PRESETS:
@@ -351,10 +360,6 @@ class TestEtaShiftIdentities:
             hi = eta_at(fp, F(m, 2))
             assert reduce_to_eta(fp, lo + hi) == s_id
             assert reduce_to_eta(fp, lo * hi) == p_id
-
-    def test_continuous_rejected(self):
-        with pytest.raises(ConfigurationError):
-            eta_shift_identities(PRESETS["l-default"], 1)
 
 
 class TestCarriers:

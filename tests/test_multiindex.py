@@ -3,19 +3,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from miop.errors import ConfigurationError
+from miop.errors import ConfigurationError, GenericityError, SingularCoefficient
 from miop.exact import Poly
 from miop.families import PRESETS, FamilyParams, classical_poly, shifted
-from miop.multiindex import (
-    IndexSet,
-    build,
-    build_LJ,
-    build_WAW,
-    phi_M,
-)
+from miop.multiindex import IndexSet, build, phi_M
 from miop.quad import Weight, _phi0_sq
 from miop.rtable import build_rtable
+
+from .strategies import family_params
 
 ETA = Poly.variable()
 
@@ -126,19 +124,6 @@ class TestDegreeLaws:
             assert pair.P_of(n).degree == D.ell + n
 
 
-class TestDispatch:
-    def test_family_guards(self):
-        with pytest.raises(ConfigurationError):
-            build_LJ(PRESETS["w-default"], IndexSet.parse("I1"))
-        with pytest.raises(ConfigurationError):
-            build_WAW(PRESETS["l-default"], IndexSet.parse("I1"))
-
-    def test_build_dispatches(self):
-        a = build(PRESETS["j-default"], IndexSet.parse("I1"), n_max=0)
-        b = build_LJ(PRESETS["j-default"], IndexSet.parse("I1"), n_max=0)
-        assert a.Xi == b.Xi
-
-
 class TestRecurrence:
     """Xi/P pairs satisfy the order-(3+2M) recurrence with the level-M table."""
 
@@ -240,28 +225,35 @@ class TestSharedBlock:
     @pytest.mark.parametrize("name", ALL_PRESETS)
     @pytest.mark.parametrize("lbl", ["I1", "I1,II1"])
     def test_matches_full_determinant_oracle(self, name, lbl):
-        """P_{D,n} equals the full (M+1)x(M+1) determinant by det_cofactor."""
-        from miop import multiindex as mi
-        from miop.exact import PolyMatrix, det_cofactor
-        from miop.families import classical_poly_x, poly_to_x, virtual_poly
+        """Xi_D and P_{D,n} equal the full determinants by det_cofactor."""
+        assert_matches_full_determinants(build(PRESETS[name], IndexSet.parse(lbl), n_max=2))
 
-        fp, D = PRESETS[name], IndexSet.parse(lbl)
-        M = D.M
-        pair = build(fp, D, n_max=2)
-        for n in range(3):
-            if fp.is_difference:
-                xi = {(e.type, e.v): poly_to_x(fp, virtual_poly(fp, e)) for e in D.entries}
-                block, r21 = mi._casoratian_block(fp, D, M + 1, xi)
-                last = classical_poly_x(fp, n)
-                rows = [row + (r * mi.x_shift(fp, last, F(M + 2, 2) - j),)
-                        for j, (row, r) in enumerate(zip(block.entries, r21), 1)]
-                finish, _ = mi._normalizer(fp, M + 1, D.M1 + 1, D.M2 + 1)
-            else:
-                cols = mi._lj_columns(fp, D) + [mi._GaugeColumn(p=classical_poly(fp, n))]
-                block, finish = mi._wronskian_block(cols, M + 1, *mi._lj_printed(fp, D, True))
-                rows = block.entries
-            want = finish(det_cofactor(PolyMatrix(rows)))
-            assert pair.P_of(n) == want
+    @given(family_params(), st.sampled_from(["I1", "II1", "I1,I2", "I1,II1", "II1,II2"]))
+    @settings(max_examples=16, deadline=None)
+    def test_random_points_match_full_determinants(self, fp, lbl):
+        """The same oracle at random in-range points of all four families;
+        a point may be non-generic for D, never inexact."""
+        try:
+            pair = build(fp, IndexSet.parse(lbl), n_max=2)
+        except (GenericityError, SingularCoefficient):
+            return
+        assert_matches_full_determinants(pair)
+
+
+def assert_matches_full_determinants(pair):
+    """Xi_D and every P_{D,n} of a pair against det_cofactor of the full
+    M x M and (M+1) x (M+1) matrices read from the family's picture."""
+    from miop import multiindex as mi
+    from miop.exact import PolyMatrix, det_cofactor
+
+    fp, D = pair.fp, pair.D
+    picture = (mi._casoratian if fp.is_difference else mi._wronskian)(fp, D)
+    block, _, _, finish, _ = picture(D.M)
+    assert pair.Xi == finish(det_cofactor(block))
+    block, row_factors, ladder, finish, _ = picture(D.M + 1)
+    for n in range(pair.n_max + 1):
+        rows = [row + (r * e,) for row, r, e in zip(block.entries, row_factors, ladder(n))]
+        assert pair.P_of(n) == finish(det_cofactor(PolyMatrix(rows)))
 
 
 class TestPhiM:

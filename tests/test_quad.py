@@ -94,13 +94,13 @@ def weight_of(fp, D, n_max=0):
 class TestWeight:
     def test_laguerre_frozen_point(self):
         fp = FamilyParams("L", (F(3, 2),))
-        assert weight_of(fp, EMPTY)(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert weight_of(fp, EMPTY).node_weight(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_deformed_laguerre_positive_on_interval(self):
         fp = PRESETS["l-default"]
         w = weight_of(fp, IndexSet.parse("I1"))
         for k in range(1, 60):
-            assert w(0.2 * k) > 0.0
+            assert w.node_weight(0.2 * k) > 0.0
 
     def test_pole_refused(self):
         # Mixed-type Wilson deformation at these parameters has a denominator
