@@ -4,7 +4,11 @@ Everything upstream is exact; this module is the one place binary64
 enters.  Exact polynomials are mirrored into FloatPoly (compensated
 Horner evaluation), integrands are summed pairwise in a deterministic
 order, and expected norms are computed with mpmath at high working
-precision before the final rounding to float.
+precision before the final rounding to float.  The weights phi_0^2 are
+binary64 kernels for every family: W sums log |Gamma(a_j + ix)|^2 (a
+Stirling ratio to Gamma(a_j)) and the closed form of 1/|Gamma(2ix)|^2, AW
+sums the logs of the real q-product factors, and each exponentiates once.
+mpmath serves only the norms.
 
 The deformed weight is
 
@@ -251,8 +255,79 @@ def _interval(fp: FamilyParams, D: IndexSet, n: int, m: int) -> tuple:
     return (0.0, x)
 
 
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma (DLMF 5.11.1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+# the series runs at Re z >= 16, where its ninth term is below 1e-21
+_STIRLING_SHIFT = 16.0
+
+
+def _stirling_tail(z):
+    """sum_k c_k z^(1-2k): log Gamma(z) less (z - 1/2) log z - z + log(2 pi)/2."""
+    inv = 1 / z
+    inv2 = inv * inv
+    s = _STIRLING[-1]
+    for c in reversed(_STIRLING[:-1]):
+        s = c + inv2 * s
+    return inv * s
+
+
+def _log_gamma_sq(a: float) -> Callable[[float], float]:
+    """x -> log |Gamma(a + ix)|^2 for x > 0, in binary64.
+
+    log Gamma(a)^2 plus the log of the ratio |Gamma(a + ix)|^2 / Gamma(a)^2:
+    shift to u = a + N >= 16 and divide by prod_{k<N} (1 + (x / (a + k))^2);
+    for the shifted ratio the large Stirling terms cancel inside log1p and
+    atan2, never after an exp.  At a = -m (m = 0, 1, ...) Gamma(a) has a pole
+    but |Gamma(a + ix)|^2 does not: the factor k = m is x^2 and the others
+    leave 1/m!^2 in place of Gamma(a)^2.
+    """
+    n = max(0, math.ceil(_STIRLING_SHIFT - a))
+    u = a + n
+    shifts = [(a + k) ** 2 for k in range(n) if a + k != 0]
+    pole = len(shifts) < n
+    log_gamma_a_sq = -2.0 * math.lgamma(1.0 - a) if pole else 2.0 * math.lgamma(a)
+    tail_u = _stirling_tail(u)
+
+    def log_gamma_sq(x: float) -> float:
+        x2 = x * x
+        out = (log_gamma_a_sq + (u - 0.5) * math.log1p(x2 / (u * u)) - 2.0 * x * math.atan2(x, u)
+               + 2.0 * (_stirling_tail(complex(u, x)).real - tail_u)
+               - math.log(math.prod(1.0 + x2 / s for s in shifts)))
+        return out - 2.0 * math.log(x) if pole else out
+
+    return log_gamma_sq
+
+
+def _log_qpoch_abs_sq(t: float, q: float) -> Callable[[float], float]:
+    """theta -> log |(t e^(i theta); q)_inf|^2 for real t, in binary64.
+
+    Factor k is |1 - r e^(i theta)|^2 with r = t q^k, and the product stops
+    at the first |r| <= 10^-30, the cut of _qpoch_inf.  A factor with
+    |r| < 1/2 is 1 + r (r - 2 cos theta) >= 1/4, and log1p keeps the bits
+    that rounding it near 1 would lose; one with |r| >= 1/2 is
+    (1 - |r|)^2 + 4 |r| s^2, with s = sin(theta/2) for r > 0 and cos(theta/2)
+    for r < 0, so no term cancels.
+    """
+    small, large = [], []
+    r = t
+    while abs(r) > 1e-30:
+        (small if abs(r) < 0.5 else large).append(r)
+        r *= q
+
+    def log_abs_sq(theta: float) -> float:
+        c = math.cos(theta)
+        out = sum(math.log1p(r * (r - 2.0 * c)) for r in small)
+        for r in large:
+            s = math.sin(0.5 * theta) if r > 0 else math.cos(0.5 * theta)
+            out += math.log((1.0 - abs(r)) ** 2 + 4.0 * abs(r) * s * s)
+        return out
+
+    return log_abs_sq
+
+
 def _phi0_sq(fp: FamilyParams) -> Callable[[float], float]:
-    """phi_0(x; lambda)^2 as a float function; mpmath for Gamma/q-products."""
+    """phi_0(x; lambda)^2 as a float function, in binary64 for every family."""
     if fp.family == "L":
         g2 = 2.0 * float(fp.g)
         return lambda x: math.exp(-x * x) * x ** g2
@@ -260,28 +335,30 @@ def _phi0_sq(fp: FamilyParams) -> Callable[[float], float]:
         g2, h2 = 2.0 * float(fp.g), 2.0 * float(fp.h)
         return lambda x: math.sin(x) ** g2 * math.cos(x) ** h2
     if fp.family == "W":
-        avals = [complex(float(a)) for a in fp.lam]
+        log_gammas = [_log_gamma_sq(float(a)) for a in fp.lam]
 
         def w_weight(x: float) -> float:
-            ix = 1j * x
-            num = mpmath.mpf(1)
-            for a in avals:
-                num *= abs(mpmath.gamma(a + ix)) ** 2
-            den = abs(mpmath.gamma(2 * ix)) ** 2 if x != 0 else mpmath.inf
-            return float(num / den)
+            if x == 0.0:
+                # the closed end of (0, cutoff): 1/|Gamma(2ix)|^2 vanishes like 4x^2
+                return 0.0
+            # prod_j |Gamma(a_j + ix)|^2 times 1/|Gamma(2ix)|^2 = 2x sinh(2 pi x)/pi,
+            # summed as logs and exponentiated once
+            log_w = (math.log(x / math.pi) + 2.0 * math.pi * x + math.log(-math.expm1(-4.0 * math.pi * x))
+                     + sum(f(x) for f in log_gammas))
+            try:
+                return math.exp(log_w)
+            except OverflowError:
+                return math.inf
 
         return w_weight
-    # float() also reads the SqrtQRational parameters a twist by sqrt(q) leaves
-    q = mpmath.mpf(float(fp.q))
-    avals = [mpmath.mpf(float(a)) for a in fp.lam]
+    # |(e^{2ix}; q)_inf|^2 / prod_j |(a_j e^{ix}; q)_inf|^2; float() also reads
+    # the SqrtQRational parameters a twist by sqrt(q) leaves
+    q = float(fp.q)
+    num = _log_qpoch_abs_sq(1.0, q)
+    dens = [_log_qpoch_abs_sq(float(a), q) for a in fp.lam]
 
     def aw_weight(x: float) -> float:
-        z = mpmath.exp(1j * x)
-        num = abs(_qpoch_inf(z * z, q)) ** 2
-        den = mpmath.mpf(1)
-        for a in avals:
-            den *= abs(_qpoch_inf(a * z, q)) ** 2
-        return float(num / den)
+        return math.exp(num(2.0 * x) - sum(f(x) for f in dens))
 
     return aw_weight
 
@@ -494,10 +571,12 @@ def ortho_grid(fp: FamilyParams, D: IndexSet, n_max: int, spec: QuadratureSpec =
 
 # Deformed W/AW quadrature is meaningful only where the deformation adds no
 # discrete state: the continuous integral then accounts for the full norm.
-# Each tuple below was checked against the product-formula norm to better
-# than 1e-14 relative on the diagonal.  Outside such parameter ranges the
-# check either trips PoleEncountered (denominator zero on the interval) or
-# reports a genuine deficit equal to the missing bound-state mass.
+# Each tuple below was checked by ortho_grid at n <= 2, with the binary64
+# weight kernels, against the product-formula norm to better than 1e-14
+# relative: on the diagonal at most 1.2e-15 (W) and 6.3e-15 (AW), off it at
+# most 6.6e-16.  Outside such parameter ranges the check either trips
+# PoleEncountered (denominator zero on the interval) or reports a genuine
+# deficit equal to the missing bound-state mass.
 DIFFERENCE_ORTHO_PRESETS = (
     ("W", (Fraction(5, 4), Fraction(13, 10), Fraction(6, 5), Fraction(7, 5)), None, "I1"),
     ("W", (Fraction(3, 4), Fraction(4, 5), Fraction(3, 2), Fraction(8, 5)), None, "II1"),

@@ -9,6 +9,10 @@ P_n^(g-1/2,h-1/2), Wilson W_n and Askey-Wilson p_n in their standard
 hypergeometric normalizations.  eta_shift_identities gives the closed
 forms of the sum and product of eta at two opposite shifted points, which
 the R-table of the difference families reduces to.
+
+phi0_sq_mpmath is the one float oracle: the W and AW weights phi_0^2
+evaluated through mpmath's complex Gamma function and q-products, the
+reference for the binary64 kernels of miop.quad.
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+import mpmath
+
 from miop.exact import Poly
+from miop.quad import _qpoch_inf
 
 
 def rising(x, m: int):
@@ -131,3 +138,32 @@ def eta_shift_identities(fp, m: int):
     qp, qm = fp.qpow(m, 2), fp.qpow(-m, 2)
     c = (qp - qm) / 2
     return (eta * (qp + qm), eta * eta + c * c)
+
+
+def phi0_sq_mpmath(fp):
+    """phi_0(x; lambda)^2 of a W or AW point through mpmath Gamma/q-products."""
+    if fp.family == "W":
+        avals = [complex(float(a)) for a in fp.lam]
+
+        def w_weight(x: float) -> float:
+            ix = 1j * x
+            num = mpmath.mpf(1)
+            for a in avals:
+                num *= abs(mpmath.gamma(a + ix)) ** 2
+            den = abs(mpmath.gamma(2 * ix)) ** 2 if x != 0 else mpmath.inf
+            return float(num / den)
+
+        return w_weight
+    # float() also reads the SqrtQRational parameters a twist by sqrt(q) leaves
+    q = mpmath.mpf(float(fp.q))
+    avals = [mpmath.mpf(float(a)) for a in fp.lam]
+
+    def aw_weight(x: float) -> float:
+        z = mpmath.exp(1j * x)
+        num = abs(_qpoch_inf(z * z, q)) ** 2
+        den = mpmath.mpf(1)
+        for a in avals:
+            den *= abs(_qpoch_inf(a * z, q)) ** 2
+        return float(num / den)
+
+    return aw_weight

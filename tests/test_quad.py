@@ -6,11 +6,13 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miop import quad
 from miop.errors import ConfigurationError, NonConvergent, PoleEncountered
 from miop.exact import Poly
-from miop.families import PRESETS, FamilyParams, energy, virtual_energy
+from miop.families import PRESETS, FamilyParams, energy, twisted, virtual_energy
 from miop.multiindex import IndexSet, build
 from miop.quad import (
     DIFFERENCE_ORTHO_PRESETS,
@@ -25,6 +27,9 @@ from miop.quad import (
     orthogonality_check,
     pairwise_sum,
 )
+
+from .oracles import phi0_sq_mpmath
+from .strategies import family_params
 
 EMPTY = IndexSet.parse("")
 
@@ -108,6 +113,83 @@ class TestWeight:
         fp = FamilyParams("W", (F(2), F(7, 4), F(8, 5), F(17, 10)))
         with pytest.raises(PoleEncountered):
             weight_of(fp, IndexSet.parse("I1,II1"))
+
+
+def abscissas(fp, D, n):
+    """The abscissas of entry (n, n)'s first two node-doubling levels."""
+    xs = []
+
+    def record(x):
+        xs.append(x)
+        return 0.0
+
+    # a zero integrand settles at the second level
+    integrate = quad.integrate_ts if fp.family == "W" else quad.integrate_gl
+    integrate(record, *quad._interval(fp, D, n, n), QuadratureSpec())
+    return xs
+
+
+def kernel_and_oracle(fp, D):
+    """phi_0^2 at the twisted point of (fp, D): the binary64 kernel and the mpmath oracle."""
+    twist = twisted(fp, D.M1, D.M2)
+    return quad._phi0_sq(twist), phi0_sq_mpmath(twist)
+
+
+KERNEL_POINTS = [(FamilyParams(fam, lam, q=q), label) for fam, lam, q, label in DIFFERENCE_ORTHO_PRESETS]
+KERNEL_POINTS.append((PRESETS["aw-q13"], "II1"))
+# negative a_j, one of them above 1/2 in size, outside the AW range
+KERNEL_POINTS.append((FamilyParams("AW", (F(-1, 2), F(1, 3), F(-3, 4), F(1, 5)), q=F(1, 3),
+                                   check_range=False), "II1"))
+KERNEL_IDS = [f"{fam}-{label}" for fam, _, _, label in DIFFERENCE_ORTHO_PRESETS]
+KERNEL_IDS += ["aw-q13-II1", "AW-negative-II1"]
+
+
+class TestDifferenceKernels:
+    @pytest.mark.parametrize("fp,label", KERNEL_POINTS, ids=KERNEL_IDS)
+    def test_matches_mpmath_at_nodes(self, fp, label):
+        D = IndexSet.parse(label)
+        kernel, oracle = kernel_and_oracle(fp, D)
+        for x in abscissas(fp, D, 2):
+            assert kernel(x) == pytest.approx(oracle(x), rel=1e-12, abs=0), x
+
+    @pytest.mark.parametrize("fp,label", KERNEL_POINTS, ids=KERNEL_IDS)
+    def test_finite_on_widest_interval(self, fp, label):
+        D = IndexSet.parse(label)
+        kernel = quad._phi0_sq(twisted(fp, D.M1, D.M2))
+        for x in abscissas(fp, D, 12):
+            assert 0.0 <= kernel(x) < math.inf, x
+
+    @given(family_params(("W", "AW")), st.sampled_from(["I1", "II1", "I1,II1"]))
+    @settings(max_examples=16, deadline=None)
+    def test_matches_mpmath_at_random_points(self, fp, label):
+        # twisted a_j may be negative, a nonpositive integer (W) or carry sqrt(q) (AW)
+        D = IndexSet.parse(label)
+        kernel, oracle = kernel_and_oracle(fp, D)
+        for x in abscissas(fp, D, 12):
+            assert 0.0 <= kernel(x) < math.inf, x
+        # the oracle meets the pole of Gamma(a_j) at x = 0 when a_j is 0, -1, ...
+        for x in [x for x in abscissas(fp, D, 2) if x > 0.0][::12]:
+            assert kernel(x) == pytest.approx(oracle(x), rel=1e-12, abs=0), x
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_gamma_pole_matches_closed_form(self, m):
+        # Gamma(-m) is a pole, |Gamma(-m + ix)|^2 = pi / (x sinh(pi x) prod_{k<=m} (k^2 + x^2)) is not
+        log_gamma_sq = quad._log_gamma_sq(float(-m))
+        for x in (0.05 * k for k in range(1, 200)):
+            ref = math.pi / (x * math.sinh(math.pi * x) * math.prod(k * k + x * x for k in range(1, m + 1)))
+            assert math.exp(log_gamma_sq(x)) == pytest.approx(ref, rel=1e-14, abs=0), x
+
+    def test_node_weight_makes_no_mpmath_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath Gamma or q-product on the weight path")
+
+        monkeypatch.setattr(mpmath, "gamma", refuse)
+        monkeypatch.setattr(quad, "_qpoch_inf", refuse)
+        for fp, label in (KERNEL_POINTS[0], KERNEL_POINTS[3]):
+            D = IndexSet.parse(label)
+            weight = weight_of(fp, D, n_max=1)
+            for x in abscissas(fp, D, 1):
+                assert weight.node_weight(x) >= 0.0
 
 
 class TestClassicalNorms:
