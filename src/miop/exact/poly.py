@@ -10,15 +10,24 @@ once for the run and read lo for the exponent offset.  Coefficients live
 anywhere in the scalar tower.  Values are immutable; the zero polynomial
 has an empty run (degree NEG_INF for Poly, lo = 0 for LaurentPoly).
 Mixing the two carriers, or two variables, raises ConfigurationError.
+
+Multiplication of two polynomials, exact division and composition run on
+one integer kernel, whatever the tower level.  Each run becomes integer
+coordinates over one common denominator (one lcm pass) in the basis
+1, i, r, i*r of Z[i][r], r = sqrt(qn*qd) for q = qn/qd, so r*r is an
+integer; the work is integer convolution and pseudo-division, and the
+result goes back to canonical tower scalars with one Fraction, so one gcd,
+per coordinate.  Runs with two different q raise ConfigurationError.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from ..errors import ConfigurationError, InexactDivision, ReductionFailure
 from .scalars import (GaussianRational, Scalar, SqrtQRational, conj, downcast,
-                      format_scalar, power, q_pow)
+                      format_scalar, make_sqrtq, power, q_pow)
 
 NEG_INF = float("-inf")
 
@@ -30,6 +39,107 @@ def _trim(coeffs: Sequence[Scalar]) -> tuple:
     while n > 0 and not coeffs[n - 1]:
         n -= 1
     return tuple(coeffs[:n])
+
+
+# -- the integer kernel ----------------------------------------------------------
+#
+# A run is held as `width` integer lists over one positive denominator, its
+# coordinates in the basis e = (1, i, r, i*r), sqrt(q) = r/qd: width 1 over
+# Q, 2 over Q(i) and 4 over Q(i)(sqrt q).
+
+# e[k] * e[l] = sign * (r*r if s else 1) * e[dst], as _TIMES[k][l] = (dst, sign, s)
+_TIMES = (((0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)),
+          ((1, 1, 0), (0, -1, 0), (3, 1, 0), (2, -1, 0)),
+          ((2, 1, 0), (3, 1, 0), (0, 1, 1), (1, 1, 1)),
+          ((3, 1, 0), (2, -1, 0), (1, 1, 1), (0, -1, 1)))
+
+_F0 = Fraction(0)
+
+
+def _columns(run, width: int) -> list:
+    """run's coordinates along e[:width] (sqrt(q) in place of r), one list
+    of ints and Fractions per basis element."""
+    if width == 1:
+        return [run]
+    if width == 2:
+        return [[c.re if type(c) is GaussianRational else c for c in run],
+                [c.im if type(c) is GaussianRational else 0 for c in run]]
+    return (_columns([c.a if type(c) is SqrtQRational else c for c in run], 2)
+            + _columns([c.b if type(c) is SqrtQRational else 0 for c in run], 2))
+
+
+def _split(runs) -> tuple:
+    """(q, [(parts, den) per run]): nonempty runs at one common width.
+
+    parts[k][j] / den is the coordinate of run[j] along e[k]; q is the
+    adjoined sqrt's radicand, or None below the top of the tower.
+    """
+    types = {type(c) for run in runs for c in run}
+    q = None
+    width = 2 if GaussianRational in types else 1
+    if SqrtQRational in types:
+        qs = {c.q for run in runs for c in run if type(c) is SqrtQRational}
+        if len(qs) > 1:
+            raise ConfigurationError(
+                f"mixing {' and '.join(f'sqrt({q})' for q in qs)} in one expression")
+        q, width = qs.pop(), 4
+    out = []
+    for run in runs:
+        n = len(run)
+        flat = [x for col in _columns(run, width) for x in col]
+        nums = [x._numerator if type(x) is Fraction else x for x in flat]
+        dens = [x._denominator if type(x) is Fraction else 1 for x in flat]
+        if q is not None:  # b*sqrt(q) = (b/qd)*r
+            dens[2 * n:] = [d * q.denominator for d in dens[2 * n:]]
+        den = lcm(*dens)
+        scaled = [x * (den // d) for x, d in zip(nums, dens)]
+        out.append(([scaled[k:k + n] for k in range(0, width * n, n)], den))
+    return q, out
+
+
+def _r2(q) -> int:
+    return q.numerator * q.denominator if q is not None else 0
+
+
+def _from_ints(parts, den: int, q) -> list:
+    """The coefficient run whose coordinates are parts / den (den > 0)."""
+    if len(parts) == 4:  # r = qd*sqrt(q)
+        parts = parts[:2] + [[x * q.denominator for x in part] for part in parts[2:]]
+    rats = [[Fraction(x, den) if x else _F0 for x in part] for part in parts]
+    if len(rats) == 1:
+        return rats[0]
+    gauss = [GaussianRational(x, y) for x, y in zip(rats[0], rats[1])]
+    if len(rats) == 2:
+        return gauss
+    return [make_sqrtq(a, GaussianRational(x, y), q)
+            for a, x, y in zip(gauss, rats[2], rats[3])]
+
+
+def _conv(a: list, b: list) -> list:
+    """Coefficients of the product of two integer runs."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _mul_ints(a: list, b: list, r2: int) -> list:
+    """Product of two runs of one width, in coordinates; r2 = r*r."""
+    out = [[0] * (len(a[0]) + len(b[0]) - 1) for _ in a]
+    for k, ak in enumerate(a):
+        if not any(ak):
+            continue
+        for j, bj in enumerate(b):
+            if not any(bj):
+                continue
+            dst, sign, s = _TIMES[k][j]
+            f = sign * r2 if s else sign
+            acc = out[dst]
+            for e, v in enumerate(_conv(ak, bj)):
+                acc[e] += f * v
+    return out
 
 
 class _PolyBase:
@@ -119,16 +229,11 @@ class _PolyBase:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return self._new(0, ())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return self._new(self.lo + other.lo, out)
+        q, ((a, da), (b, db)) = _split((self.coeffs, other.coeffs))
+        return self._new(self.lo + other.lo,
+                         _from_ints(_mul_ints(a, b, _r2(q)), da * db, q))
 
     __rmul__ = __mul__
 
@@ -154,29 +259,62 @@ class _PolyBase:
 
     # -- division ------------------------------------------------------------------
     def exact_div(self, den):
-        """self / den by long division; InexactDivision if den does not divide."""
+        """self / den; InexactDivision if den does not divide self.
+
+        Both runs are multiplied by the sqrt(q)- and then the i-conjugate of
+        den's leading coefficient until that coefficient is an integer L;
+        integer pseudo-division then gives S*A = Q*B + R with S a product of
+        divisors of L, and the quotient is Q * d_B / (S * d_A).
+        """
         den = self._operand(den)
         if den.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dc = den.coeffs
-        dd = len(dc) - 1
-        dlc = dc[-1]
-        quot = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if not c:
+        if not self.coeffs:
+            return self._new(0, ())
+        q, ((rem, da), (b, db)) = _split((self.coeffs, den.coeffs))
+        r2 = _r2(q)
+        for k in (2, 1):  # clear the sqrt(q) parts of lc(den), then the i part
+            lead = [part[-1] for part in b]
+            if any(lead[k:]):
+                conj = [[x if j < k else -x] for j, x in enumerate(lead)]
+                rem, b = _mul_ints(rem, conj, r2), _mul_ints(b, conj, r2)
+        L = b[0][-1]
+        dd = len(b[0]) - 1
+        quot = [[0] * max(len(rem[0]) - dd, 0) for _ in rem]
+        scale = 1
+        for i in range(len(rem[0]) - 1, dd - 1, -1):
+            c = [part[i] for part in rem]
+            if not any(c):
                 continue
-            f = c / dlc
-            quot[i - dd] = f
-            for j, d in enumerate(dc):
-                rem[i - dd + j] = rem[i - dd + j] - f * d
-        if any(rem):
-            rdeg = max(i for i, c in enumerate(rem) if c)
+            g = gcd(L, *c)
+            m = L // g
+            if m != 1:  # scale so that L divides c
+                scale *= m
+                for part in rem:
+                    part[:i + 1] = [x * m for x in part[:i + 1]]
+                for part in quot:
+                    part[i - dd + 1:] = [x * m for x in part[i - dd + 1:]]
+            off = i - dd
+            for k, t in enumerate(c):
+                if not t:
+                    continue
+                t //= g
+                quot[k][off] = t
+                for j, bj in enumerate(b):
+                    dst, sign, s = _TIMES[k][j]
+                    f = sign * t * r2 if s else sign * t
+                    part = rem[dst]
+                    for e, y in enumerate(bj, off):
+                        part[e] -= f * y
+        if any(map(any, rem)):
+            rdeg = max(i for part in rem for i, x in enumerate(part) if x)
             raise InexactDivision(
                 f"nonzero remainder of degree {rdeg} dividing "
                 f"deg {len(self.coeffs) - 1} by deg {dd}")
-        return self._new(self.lo - den.lo, quot)
+        if scale < 0:
+            scale, db = -scale, -db
+        quot = [[x * db for x in part] for part in quot]
+        return self._new(self.lo - den.lo, _from_ints(quot, scale * da, q))
 
     def __repr__(self):
         name = type(self).__name__
@@ -227,11 +365,27 @@ class Poly(_PolyBase):
                     self.var)
 
     def compose(self, inner):
-        """self(inner), a value in inner's ring (a Poly or a LaurentPoly)."""
-        acc = inner._new(0, ())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+        """self(inner), a value in inner's ring (a Poly or a LaurentPoly).
+
+        Horner's rule in integer coordinates: with self = C/dc and
+        inner = I/di, T_n = C_n and T_k = T_(k+1)*I + C_k*di^(n-k) give
+        self(inner) = T_0 / (dc * di^n).
+        """
+        if not self.coeffs or not inner.coeffs:
+            return inner._new(0, (self.coeff(0),))
+        q, ((c, dc), (b, di)) = _split((self.coeffs, inner.coeffs))
+        r2 = _r2(q)
+        n = len(self.coeffs) - 1
+        acc, lo, scale = [[x[n]] for x in c], 0, 1
+        for k in range(n - 1, -1, -1):
+            acc, lo, scale = _mul_ints(acc, b, r2), lo + inner.lo, scale * di
+            if lo > 0:  # room for the constant term at exponent 0
+                acc, lo = [[0] * lo + part for part in acc], 0
+            if -lo >= len(acc[0]):
+                acc = [part + [0] * (1 - lo - len(part)) for part in acc]
+            for part, x in zip(acc, c):
+                part[-lo] += x[k] * scale
+        return inner._new(lo, _from_ints(acc, dc * scale, q))
 
     def conj_coeffs(self) -> "Poly":
         return self.map_coeffs(conj)
@@ -276,11 +430,15 @@ def laurent_shift(p: LaurentPoly, c, q) -> LaurentPoly:
     c = Fraction(c)
     if c.denominator not in (1, 2):
         raise ConfigurationError("shift step must be integer or half-integer")
+    if not p.coeffs:
+        return p
+    step = q_pow(q, c.numerator, c.denominator)
+    e = c * p.lo
+    factor = q_pow(q, e.numerator, e.denominator)  # q**(c*k) at k = lo, lo+1, ...
     out = []
-    for i, coeff in enumerate(p.coeffs):
-        k = p.lo + i
-        e = c * k
-        out.append(coeff * q_pow(q, e.numerator, e.denominator))
+    for coeff in p.coeffs:
+        out.append(coeff * factor)
+        factor = factor * step
     return LaurentPoly(p.lo, out)
 
 
@@ -304,19 +462,19 @@ def laurent_to_eta(p: LaurentPoly) -> Poly:
         raise ReductionFailure("x-picture value is not self-conjugate")
     if p.z_inverse() != p:
         raise ReductionFailure("x-picture value is not symmetric under z -> 1/z")
-    zpzi = LaurentPoly(-1, (Fraction(1), Fraction(0), Fraction(1)))  # z + 1/z
-    out_hi = max(p.hi, 0)
-    out = [Fraction(0)] * (out_hi + 1)
-    rem = p
-    while not rem.is_zero and rem.hi > 0:
-        n = rem.hi
-        a = rem.coeff(n)
-        out[n] = downcast(a * Fraction(2) ** n)  # a*(z+1/z)^n = a*2^n*eta^n
-        rem = rem - zpzi ** n * a
-        if rem.hi >= n and not rem.is_zero:
+    hi = max(p.hi, 0)
+    rem = [p.coeff(k) for k in range(-hi, hi + 1)]  # rem[hi + k] multiplies z**k
+    out = [Fraction(0)] * (hi + 1)
+    for n in range(hi, 0, -1):
+        a = rem[hi + n]
+        if not a:
+            continue
+        out[n] = downcast(a * 2 ** n)  # a*(z+1/z)^n = a*2^n*eta^n
+        for j in range(n + 1):  # (z + 1/z)^n = sum_j C(n, j) z^(n-2j)
+            rem[hi + n - 2 * j] -= a * comb(n, j)
+        if rem[hi + n]:
             raise ReductionFailure("Chebyshev peel failed to lower degree")
-    if not rem.is_zero:
-        if rem.lo != 0 or rem.hi != 0:
-            raise ReductionFailure("asymmetric residue after Chebyshev peel")
-        out[0] = downcast(rem.coeff(0))
+    if any(c for k, c in enumerate(rem) if k != hi):
+        raise ReductionFailure("asymmetric residue after Chebyshev peel")
+    out[0] = downcast(rem[hi])
     return Poly(out, "eta")

@@ -297,9 +297,17 @@ def three_term(fp: FamilyParams, n: int):
     if fp.family == "J":
         g, h = fp.lam
         s = 2 * n + g + h
+        dp = _nonzero_den(fp, n, s + 1)
+        if n == 0:
+            # A_0 and B_0 at their removable limits (g+h and g+h-1 cancel);
+            # C_0 multiplies P_{-1} = 0, so where its denominator
+            # (g+h)(g+h-1) vanishes (twisted points only) it takes the free
+            # value 0, as W/AW do at n = 0
+            den = s * (s - 1)
+            C = (2 * (g - half)) * (h - half) / den if den else Fraction(0)
+            return (2 / dp, (h - g) / dp, C)
         d0 = _nonzero_den(fp, n, s)
         dm = _nonzero_den(fp, n, s - 1)
-        dp = _nonzero_den(fp, n, s + 1)
         A = (2 * (n + 1)) * (n + g + h) / (d0 * dp)
         B = (h - g) * (g + h - 1) / (dm * dp)
         C = (2 * (n + g - half)) * (n + h - half) / (dm * d0)

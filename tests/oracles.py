@@ -10,6 +10,10 @@ hypergeometric normalizations.  eta_shift_identities gives the closed
 forms of the sum and product of eta at two opposite shifted points, which
 the R-table of the difference families reduces to.
 
+schoolbook_mul and long_division are the per-coefficient scalar loops of
+polynomial multiplication and division, on bare coefficient runs: the
+reference for the integer kernel of miop.exact.poly.
+
 phi0_sq_mpmath is the one float oracle: the W and AW weights phi_0^2
 evaluated through mpmath's complex Gamma function and q-products, the
 reference for the binary64 kernels of miop.quad.
@@ -138,6 +142,37 @@ def eta_shift_identities(fp, m: int):
     qp, qm = fp.qpow(m, 2), fp.qpow(-m, 2)
     c = (qp - qm) / 2
     return (eta * (qp + qm), eta * eta + c * c)
+
+
+def schoolbook_mul(a, b) -> tuple:
+    """Coefficient run of the product of the runs a and b (lowest first)."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return tuple(out)
+
+
+def long_division(num, den) -> tuple:
+    """(quotient, remainder) runs of num by den; den's last entry nonzero."""
+    rem = list(num)
+    dc = den
+    dd = len(dc) - 1
+    dlc = dc[-1]
+    quot = [Fraction(0)] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        f = c / dlc
+        quot[i - dd] = f
+        for j, d in enumerate(dc):
+            rem[i - dd + j] = rem[i - dd + j] - f * d
+    return tuple(quot), tuple(rem)
 
 
 def phi0_sq_mpmath(fp):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from miop.exact import GaussianRational, LaurentPoly, Poly
+from miop.exact import GaussianRational, LaurentPoly, Poly, make_sqrtq
 from miop.families import FamilyParams
 
 
@@ -19,6 +19,22 @@ def gaussians():
 
 def scalars():
     return st.one_of(rationals(), gaussians())
+
+
+# radicands of the sqrt layer; 1/4 and 9/4 are squares, so make_sqrtq
+# collapses their values to Q(i)
+RADICANDS = (Fraction(1, 3), Fraction(2), Fraction(5, 7), Fraction(1, 4), Fraction(9, 4))
+
+
+def tower_scalars(level, q):
+    """Entries up to tower level 0 (Q), 1 (Q(i)) or 2 (Q(i)(sqrt q)): ints,
+    Fractions, GaussianRationals and sqrt-layer values, zeros included."""
+    draws = [st.just(0), st.integers(-5, 5), rationals()]
+    if level >= 1:
+        draws.append(gaussians())
+    if level >= 2:
+        draws.append(st.builds(lambda a, b: make_sqrtq(a, b, q), gaussians(), gaussians()))
+    return st.one_of(draws)
 
 
 def polys(var="eta", max_deg=4, coeffs=None):

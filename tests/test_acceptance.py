@@ -14,6 +14,7 @@ import pytest
 from miop.errors import InexactDivision, ReductionFailure
 from miop.exact import GaussianRational, LaurentPoly, Poly
 from miop.exact.matrix import PolyMatrix, det_cofactor, det_fraction_free
+from miop.exact import poly as poly_module
 from miop.exact.poly import even_poly_to_eta, laurent_to_eta
 from miop.families import PRESETS, FamilyParams, classical_poly, three_term
 from miop.multiindex import IndexSet, build
@@ -204,27 +205,22 @@ def test_criterion_9_exactness_oracles(monkeypatch):
         laurent_to_eta(LaurentPoly(-1, (-i, F(0), i)))
 
     # the two peel guards are unreachable through the symmetry checks, so
-    # corrupt the Chebyshev term (z + 1/z)^n itself: once with a wrong top
-    # power (degree fails to drop), once with a wrong tail (residue skewed)
-    real_pow = LaurentPoly.__pow__
+    # corrupt the Chebyshev term (z + 1/z)^n itself, through the binomial
+    # coefficients it is peeled with: once with a wrong top power (degree
+    # fails to drop), once with a wrong tail (residue skewed)
+    real_comb = poly_module.comb
 
-    def top_corrupt(self, n):
-        out = real_pow(self, n)
-        if self.lo == -1 and self.hi == 1 and n >= 1:
-            out = out + LaurentPoly(n, (F(1),)) * F(1, 2)
-        return out
+    def top_corrupt(n, j):
+        return real_comb(n, j) + (j == 0)
 
-    def tail_corrupt(self, n):
-        out = real_pow(self, n)
-        if self.lo == -1 and self.hi == 1 and n >= 1:
-            out = out + LaurentPoly(-n, (F(1),))
-        return out
+    def tail_corrupt(n, j):
+        return real_comb(n, j) + (j == n)
 
     symmetric = LaurentPoly(-2, (F(1), F(0), F(3), F(0), F(1)))
-    monkeypatch.setattr(LaurentPoly, "__pow__", top_corrupt)
+    monkeypatch.setattr(poly_module, "comb", top_corrupt)
     with pytest.raises(ReductionFailure, match="failed to lower"):
         laurent_to_eta(symmetric)
-    monkeypatch.setattr(LaurentPoly, "__pow__", tail_corrupt)
+    monkeypatch.setattr(poly_module, "comb", tail_corrupt)
     with pytest.raises(ReductionFailure, match="asymmetric residue"):
         laurent_to_eta(symmetric)
     monkeypatch.undo()

@@ -121,6 +121,14 @@ class TestGen:
         assert code == 0, err
         assert json.loads(out)["ell"] == 3
 
+    def test_jacobi_twist_with_zero_sum_accepted(self, capsys):
+        # the type-I twist (5/6, -5/6) has g + h = 0: A_0 and B_0 are
+        # removable 0/0 and C_0 multiplies P_{-1} = 0
+        code, out, err = run_cli(capsys, "gen", "--family", "J", "--g", "5/6", "--h", "11/6",
+                                 "--D", "I1", "--N", "2")
+        assert code == 0, err
+        assert sorted(json.loads(out)["P"]) == ["0", "1", "2"]
+
 
 class TestRtable:
     def test_csv_to_missing_directory_rejected(self, capsys, tmp_path):
@@ -194,6 +202,13 @@ class TestVerify:
                                  "--q", "1/16", "--D", "I1", "--n-range", "0..2")
         assert code == 0, err
         assert out.strip().endswith("PASS")
+
+    def test_jacobi_twist_with_unit_sum_verifies(self, capsys):
+        # the type-I twist (3/4, 1/4) has g + h = 1, a removable 0/0 at n = 0
+        code, out, err = run_cli(capsys, "verify", "--family", "J", "--g", "3/4", "--h", "3/4",
+                                 "--D", "I1")
+        assert code == 0, err
+        assert out.strip().endswith("PASS") and "FAIL" not in out
 
     def test_inline_family(self, capsys):
         code, out, _ = run_cli(

@@ -36,6 +36,7 @@ from .oracles import (
     laguerre_poly,
     wilson_poly,
 )
+from .strategies import family_params
 
 ALL_PRESETS = list(PRESETS.values())
 DIFF_PRESETS = [PRESETS[k] for k in ("w-default", "aw-default", "aw-q13")]
@@ -142,6 +143,32 @@ class TestThreeTerm:
             assert three_term(fp, 0)[2] == 0
             for n in range(6):
                 assert classical_poly(fp, n) == askey_wilson_poly(fp.lam, fp.q, n)
+
+    @pytest.mark.parametrize("g, h", [(F(3, 4), F(1, 4)), (F(7, 5), F(-2, 5)),
+                                      (F(5, 6), F(-5, 6)), (F(1, 3), F(-1, 3))])
+    def test_jacobi_removable_zero_at_n0(self, g, h):
+        # twisted g + h = 1 or 0: A_0 = 2(g+h)/((g+h)(g+h+1)) and
+        # B_0 = (h-g)(g+h-1)/((g+h-1)(g+h+1)) are removable 0/0, and C_0
+        # multiplies P_{-1} = 0
+        fp = FamilyParams("J", (g, h), check_range=False)
+        assert three_term(fp, 0) == (2 / (g + h + 1), (h - g) / (g + h + 1), 0)
+        for n in range(6):
+            assert classical_poly(fp, n) == jacobi_poly(g, h, n)
+
+    def test_jacobi_pole_at_n0_still_rejected(self):
+        # twisted g + h = -1 is a real pole of A_0: P_1 would lose its degree
+        fp = FamilyParams("J", (F(3, 4), F(-7, 4)), check_range=False)
+        with pytest.raises(SingularCoefficient):
+            three_term(fp, 0)
+
+    @given(family_params(("J",)))
+    @settings(max_examples=40, deadline=None)
+    def test_jacobi_n0_in_range_is_the_general_formula(self, fp):
+        g, h = fp.lam
+        s = g + h
+        assert three_term(fp, 0) == (2 * s / (s * (s + 1)),
+                                     (h - g) * (s - 1) / ((s - 1) * (s + 1)),
+                                     2 * (g - F(1, 2)) * (h - F(1, 2)) / ((s - 1) * s))
 
     def test_negative_n_zero(self):
         for fp in ALL_PRESETS:

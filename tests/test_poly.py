@@ -2,16 +2,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError, InexactDivision, ReductionFailure
 from miop.exact import (NEG_INF, GaussianRational, LaurentPoly, Poly,
-                        even_poly_to_eta, laurent_shift, laurent_to_eta,
-                        sqrt_q)
+                        SqrtQRational, even_poly_to_eta, format_scalar,
+                        laurent_shift, laurent_to_eta, make_sqrtq, sqrt_q)
 from miop.families import PRESETS, poly_to_x
 
-from .strategies import laurents, nonzero_polys, polys, rationals
+from .oracles import long_division, schoolbook_mul
+from .strategies import (RADICANDS, laurents, nonzero_polys, polys, rationals,
+                         tower_scalars)
 
 ETA = Poly.variable("eta")
 
@@ -204,3 +206,136 @@ class TestSharedCore:
     def test_mixing_carriers_rejected(self, op):
         with pytest.raises(ConfigurationError):
             op(Poly([1, 2], "z"), LaurentPoly(0, [1, 2]))
+
+
+@st.composite
+def tower_runs(draw, count=2, max_len=7):
+    """count coefficient runs drawn at one tower level over one radicand."""
+    level = draw(st.integers(0, 2))
+    q = draw(st.sampled_from(RADICANDS))
+    entries = st.lists(tower_scalars(level, q), max_size=max_len)
+    return [draw(entries) for _ in range(count)]
+
+
+def _strs(p):
+    return [format_scalar(c) for c in p.coeffs]
+
+
+def _rational_ints(run):
+    """run with int entries as Fractions, so that the scalar long division
+    divides exactly (int / int would give a float)."""
+    return [Fraction(c) if type(c) is int else c for c in run]
+
+
+class TestIntegerKernel:
+    """Multiply and exact_div run on integer coordinates over one
+    denominator; they must agree with the scalar loops of tests/oracles.py
+    value for value and string for string, at every tower level."""
+
+    @given(tower_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_mul_matches_schoolbook(self, runs):
+        a, b = Poly(runs[0]), Poly(runs[1])
+        want = Poly(schoolbook_mul(a.coeffs, b.coeffs))
+        got = a * b
+        assert got == want and hash(got) == hash(want)
+        assert _strs(got) == _strs(want)
+
+    @given(tower_runs(), st.integers(-4, 2), st.integers(-4, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_laurent_mul_matches_schoolbook(self, runs, lo_a, lo_b):
+        a, b = LaurentPoly(lo_a, runs[0]), LaurentPoly(lo_b, runs[1])
+        want = LaurentPoly(a.lo + b.lo, schoolbook_mul(a.coeffs, b.coeffs))
+        got = a * b
+        assert got == want and got.lo == want.lo
+        assert _strs(got) == _strs(want)
+
+    @given(tower_runs(), st.integers(-4, 2), st.integers(-4, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_div_inverts_mul(self, runs, lo_a, lo_b):
+        a, b = LaurentPoly(lo_a, runs[0]), LaurentPoly(lo_b, runs[1])
+        assume(not b.is_zero)
+        prod = a * b
+        quot = prod.exact_div(b)
+        assert quot == a and quot.lo == a.lo
+        want, rem = long_division(prod.coeffs, b.coeffs)
+        assert not any(rem)
+        assert _strs(quot) == _strs(LaurentPoly(prod.lo - b.lo, want))
+
+    @given(tower_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_div_matches_long_division(self, runs):
+        a, b = Poly(runs[0]), Poly(runs[1])
+        assume(not b.is_zero)
+        want, rem = long_division(_rational_ints(a.coeffs), b.coeffs)
+        if any(rem):
+            with pytest.raises(InexactDivision):
+                a.exact_div(b)
+        else:
+            got = a.exact_div(b)
+            assert got == Poly(want) and _strs(got) == _strs(Poly(want))
+
+    @given(tower_runs(count=3))
+    @settings(max_examples=100, deadline=None)
+    def test_non_divisor_raises(self, runs):
+        a, b, r = (Poly(run) for run in runs)
+        assume(b.degree >= 1)
+        r = Poly(r.coeffs[:b.degree])  # deg r < deg b
+        assume(not r.is_zero)
+        with pytest.raises(InexactDivision):
+            (a * b + r).exact_div(b)
+
+    @given(tower_runs(), st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_compose_matches_horner(self, runs, lo):
+        p = Poly(runs[0])
+        for inner in (Poly(runs[1], "x"), LaurentPoly(lo, runs[1])):
+            want = inner._new(0, ())
+            for c in reversed(p.coeffs):
+                want = want * inner + c
+            got = p.compose(inner)
+            assert got == want and got.lo == want.lo and got.var == want.var
+            assert _strs(got) == _strs(want)
+
+    @pytest.mark.parametrize("q1, q2", [(Fraction(1, 3), Fraction(2)),
+                                        (Fraction(2), Fraction(5, 7))])
+    def test_two_radicands_rejected(self, q1, q2):
+        a = Poly([1, sqrt_q(q1)])
+        b = Poly([sqrt_q(q2), Fraction(1, 2), 3])
+        la, lb = LaurentPoly(-2, a.coeffs), LaurentPoly(-1, b.coeffs)
+        for op in (lambda x, y: x * y, lambda x, y: y * x,
+                   lambda x, y: x.exact_div(y), lambda x, y: y.exact_div(x)):
+            with pytest.raises(ConfigurationError):
+                op(a, b)
+            with pytest.raises(ConfigurationError):
+                op(la, lb)
+
+    def test_no_scalar_arithmetic_in_ring_core(self, monkeypatch):
+        """Degree-12 products and quotients over Q, Q(i) and Q(i)(sqrt q)
+        with every scalar sum and product made to raise: the ring core works
+        on integers only."""
+        q = Fraction(1, 3)
+        runs = (
+            [Fraction(k * k - 7, k + 2) for k in range(13)],
+            [GaussianRational(Fraction(k, 3), Fraction(5 - k, k + 1)) for k in range(13)],
+            [make_sqrtq(GaussianRational(k, 1), GaussianRational(Fraction(1, k + 2), -k), q)
+             for k in range(13)],
+        )
+        cases = [(carrier(ra), carrier(rb)) for ra in runs for rb in runs
+                 for carrier in (Poly, lambda run: LaurentPoly(-5, run))]
+        want = [a._new(a.lo + b.lo, schoolbook_mul(a.coeffs, b.coeffs)) for a, b in cases]
+
+        def forbidden(*args):
+            raise AssertionError("scalar arithmetic in the ring core")
+
+        for cls in (Fraction, GaussianRational, SqrtQRational):
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                         "__rmul__", "__truediv__", "__rtruediv__"):
+                monkeypatch.setattr(cls, name, forbidden)
+        got = []
+        for a, b in cases:
+            prod = a * b
+            got.append((prod, prod.exact_div(b), prod.exact_div(a)))
+        monkeypatch.undo()
+        for (a, b), w, (prod, qb, qa) in zip(cases, want, got):
+            assert prod == w and qb == a and qa == b
