@@ -1,51 +1,45 @@
 """Dense exact polynomials in one variable, plus Laurent polynomials in z.
 
-Both carriers of the recurrence share one ring core, _PolyBase: a
-coefficient run `coeffs` (lowest exponent first, no zero end coefficients)
-under a variable tag, starting at the exponent `lo`.  Poly fixes lo = 0 as
-a class constant and is used in "eta" and "x"; LaurentPoly stores its own
-lo, normalised so that coeffs[0] is nonzero, for z = e^{ix} expressions.
-Addition, multiplication, powers, evaluation and exact division are written
-once for the run and read lo for the exponent offset.  Coefficients live
-anywhere in the scalar tower.  Values are immutable; the zero polynomial
-has an empty run (degree NEG_INF for Poly, lo = 0 for LaurentPoly).
-Mixing the two carriers, or two variables, raises ConfigurationError.
+Both carriers share one ring core, _PolyBase, and one stored form: integer
+coordinates over one positive denominator.  With r = sqrt(qn*qd) for
+q = qn/qd, so that r*r is an integer and sqrt(q) = r/qd, `_parts[k][j] /
+_den` is the coordinate along e[k] of the basis e = (1, i, r, i*r) of the
+coefficient of var**(lo+j).  The form is canonical:
 
-Multiplication of two polynomials, exact division and composition run on
-one integer kernel, whatever the tower level.  Each run becomes integer
-coordinates over one common denominator (one lcm pass) in the basis
-1, i, r, i*r of Z[i][r], r = sqrt(qn*qd) for q = qn/qd, so r*r is an
-integer; the work is integer convolution and pseudo-division, and the
-result goes back to canonical tower scalars with one Fraction, so one gcd,
-per coordinate.  Runs with two different q raise ConfigurationError.
+  * no zero end columns (LaurentPoly strips both ends and moves lo);
+  * the least width: 1 over Q, 2 over Q(i), 4 over Q(i)(sqrt q), with the
+    radicand `_q` set only at width 4;
+  * gcd(_den, every coordinate) = 1;
+
+so equality and hashing compare coordinates.  Poly fixes lo = 0 as a class
+constant and is used in "eta" and "x"; LaurentPoly stores its own lo, for
+z = e^{ix} expressions.  The zero polynomial is one empty column (degree
+NEG_INF for Poly, lo = 0 for LaurentPoly).  Values are immutable.
+
+Every ring operation works on these integers and builds no scalar: sums,
+products by a polynomial (integer convolution) or by a scalar (whose
+coordinates are read directly), powers, exact division (pseudo-division
+after clearing the conjugates of the divisor's leading coefficient),
+composition (Horner's rule), the derivative, conjugation, z -> 1/z, the
+x-picture shift z -> z*q**c and the reductions to eta.  Tower scalars
+appear only at the boundary: constructors take a coefficient run, and
+`coeffs` derives the canonical scalars (Fraction over Q, GaussianRational
+across a run with any i part) on first use and caches them.  Mixing the
+two carriers, two variables or two radicands raises ConfigurationError.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
-from typing import Iterable, Sequence
+from math import comb, gcd, isqrt, lcm
+from typing import Iterable
 
 from ..errors import ConfigurationError, InexactDivision, ReductionFailure
-from .scalars import (GaussianRational, Scalar, SqrtQRational, conj, downcast,
-                      format_scalar, make_sqrtq, power, q_pow)
+from .scalars import (GaussianRational, Scalar, SqrtQRational, format_scalar,
+                      make_sqrtq, power)
 
 NEG_INF = float("-inf")
 
 _SCALARS = (int, Fraction, GaussianRational, SqrtQRational)
-
-
-def _trim(coeffs: Sequence[Scalar]) -> tuple:
-    n = len(coeffs)
-    while n > 0 and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
-# -- the integer kernel ----------------------------------------------------------
-#
-# A run is held as `width` integer lists over one positive denominator, its
-# coordinates in the basis e = (1, i, r, i*r), sqrt(q) = r/qd: width 1 over
-# Q, 2 over Q(i) and 4 over Q(i)(sqrt q).
 
 # e[k] * e[l] = sign * (r*r if s else 1) * e[dst], as _TIMES[k][l] = (dst, sign, s)
 _TIMES = (((0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)),
@@ -56,49 +50,43 @@ _TIMES = (((0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)),
 _F0 = Fraction(0)
 
 
-def _columns(run, width: int) -> list:
-    """run's coordinates along e[:width] (sqrt(q) in place of r), one list
-    of ints and Fractions per basis element."""
-    if width == 1:
-        return [run]
-    if width == 2:
-        return [[c.re if type(c) is GaussianRational else c for c in run],
-                [c.im if type(c) is GaussianRational else 0 for c in run]]
-    return (_columns([c.a if type(c) is SqrtQRational else c for c in run], 2)
-            + _columns([c.b if type(c) is SqrtQRational else 0 for c in run], 2))
+# -- scalars in and out ------------------------------------------------------------
+
+def _scalar_coords(c) -> tuple:
+    """(coords, den, q): c = sum coords[k] * e[k] / den at c's least width."""
+    if type(c) is Fraction:
+        return (c._numerator,), c._denominator, None
+    if isinstance(c, int):
+        return (c,), 1, None
+    if type(c) is GaussianRational:
+        xs = (c.re, c.im) if c.im else (c.re,)
+        nds = [(x._numerator, x._denominator) for x in xs]
+        q = None
+    elif type(c) is SqrtQRational:  # b*sqrt(q) = (b/qd)*r
+        q = c.q
+        nds = [(x._numerator, x._denominator) for x in (c.a.re, c.a.im)]
+        nds += [(x._numerator, x._denominator * q._denominator) for x in (c.b.re, c.b.im)]
+    else:
+        raise ConfigurationError(f"cannot hold {type(c).__name__} in a polynomial")
+    den = lcm(*(d for _, d in nds))
+    return tuple(x * (den // d) for x, d in nds), den, q
 
 
-def _split(runs) -> tuple:
-    """(q, [(parts, den) per run]): nonempty runs at one common width.
-
-    parts[k][j] / den is the coordinate of run[j] along e[k]; q is the
-    adjoined sqrt's radicand, or None below the top of the tower.
-    """
-    types = {type(c) for run in runs for c in run}
-    q = None
-    width = 2 if GaussianRational in types else 1
-    if SqrtQRational in types:
-        qs = {c.q for run in runs for c in run if type(c) is SqrtQRational}
-        if len(qs) > 1:
-            raise ConfigurationError(
-                f"mixing {' and '.join(f'sqrt({q})' for q in qs)} in one expression")
-        q, width = qs.pop(), 4
-    out = []
-    for run in runs:
-        n = len(run)
-        flat = [x for col in _columns(run, width) for x in col]
-        nums = [x._numerator if type(x) is Fraction else x for x in flat]
-        dens = [x._denominator if type(x) is Fraction else 1 for x in flat]
-        if q is not None:  # b*sqrt(q) = (b/qd)*r
-            dens[2 * n:] = [d * q.denominator for d in dens[2 * n:]]
-        den = lcm(*dens)
-        scaled = [x * (den // d) for x, d in zip(nums, dens)]
-        out.append(([scaled[k:k + n] for k in range(0, width * n, n)], den))
-    return q, out
-
-
-def _r2(q) -> int:
-    return q.numerator * q.denominator if q is not None else 0
+def _coords(run: Iterable[Scalar]) -> tuple:
+    """(parts, den, q) of a coefficient run, not yet in canonical form."""
+    cs = [_scalar_coords(c) for c in run]
+    qs = {q for _, _, q in cs if q is not None}
+    if len(qs) > 1:
+        raise ConfigurationError(
+            f"mixing {' and '.join(f'sqrt({q})' for q in qs)} in one expression")
+    width = max((len(x) for x, _, _ in cs), default=1)
+    den = lcm(*(d for _, d, _ in cs))
+    parts = [[0] * len(cs) for _ in range(width)]
+    for j, (x, d, _) in enumerate(cs):
+        m = den // d
+        for k, v in enumerate(x):
+            parts[k][j] = v * m
+    return parts, den, (qs.pop() if qs else None)
 
 
 def _from_ints(parts, den: int, q) -> list:
@@ -115,8 +103,65 @@ def _from_ints(parts, den: int, q) -> list:
             for a, x, y in zip(gauss, rats[2], rats[3])]
 
 
+# -- the integer kernel ----------------------------------------------------------
+
+def _normal(parts: list, den: int, q, both_ends: bool) -> tuple:
+    """(lead, parts, den, q) in canonical form; lead counts the zero
+    columns dropped at the low end (only when both_ends)."""
+    n = hi = len(parts[0])
+    nonzero = parts[0] if len(parts) == 1 else [any(col) for col in zip(*parts)]
+    while hi and not nonzero[hi - 1]:
+        hi -= 1
+    lead = 0
+    if both_ends:
+        while lead < hi and not nonzero[lead]:
+            lead += 1
+    if not hi:
+        return 0, [[]], 1, None
+    if lead or hi < n:
+        parts = [part[lead:hi] for part in parts]
+    if len(parts) == 4 and not (any(parts[2]) or any(parts[3])):
+        parts = parts[:2]
+    if len(parts) == 2 and not any(parts[1]):
+        parts = parts[:1]
+    if len(parts) < 4:
+        q = None
+    if den < 0:
+        den = -den
+        parts = [[-x for x in part] for part in parts]
+    g = den
+    for part in parts:
+        g = gcd(g, *part)
+        if g == 1:
+            break
+    if g != 1:
+        den //= g
+        parts = [[x // g for x in part] for part in parts]
+    return lead, parts, den, q
+
+
+def _radicand(p, q):
+    """The one radicand of two operands (None below width 4)."""
+    if p is None:
+        return q
+    if q is not None and q != p:
+        raise ConfigurationError(f"mixing sqrt({p}) and sqrt({q}) in one expression")
+    return p
+
+
+def _r2(q) -> int:
+    return q.numerator * q.denominator if q is not None else 0
+
+
+def _widen(parts: list, width: int) -> list:
+    return parts + [[0] * len(parts[0]) for _ in range(width - len(parts))]
+
+
 def _conv(a: list, b: list) -> list:
     """Coefficients of the product of two integer runs."""
+    if len(b) == 1:
+        c = b[0]
+        return [x * c for x in a]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -126,8 +171,8 @@ def _conv(a: list, b: list) -> list:
 
 
 def _mul_ints(a: list, b: list, r2: int) -> list:
-    """Product of two runs of one width, in coordinates; r2 = r*r."""
-    out = [[0] * (len(a[0]) + len(b[0]) - 1) for _ in a]
+    """Product of two runs in coordinates, at the larger width; r2 = r*r."""
+    out = [None] * max(len(a), len(b))
     for k, ak in enumerate(a):
         if not any(ak):
             continue
@@ -136,25 +181,45 @@ def _mul_ints(a: list, b: list, r2: int) -> list:
                 continue
             dst, sign, s = _TIMES[k][j]
             f = sign * r2 if s else sign
+            v = _conv(ak, bj)
             acc = out[dst]
-            for e, v in enumerate(_conv(ak, bj)):
-                acc[e] += f * v
+            if acc is not None:
+                out[dst] = [x + f * y for x, y in zip(acc, v)]
+            else:
+                out[dst] = v if f == 1 else [f * y for y in v]
+    n = len(a[0]) + len(b[0]) - 1
+    return [acc if acc is not None else [0] * n for acc in out]
+
+
+def _make(cls, var: str, lo: int, parts: list, den: int, q):
+    """A cls value in var from coordinates parts/den starting at exponent lo."""
+    out = object.__new__(cls)
+    out.var = var
+    out._set(lo, parts, den, q)
     return out
 
 
 class _PolyBase:
-    """sum coeffs[i] * var**(lo+i); the ring operations of both carriers."""
+    """sum coeffs[j] * var**(lo+j); the ring operations of both carriers."""
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("_parts", "_den", "_q", "_coeffs", "var")
 
-    def _new(self, lo: int, coeffs: Iterable[Scalar]):
-        """A value of self's type and variable from a run starting at lo."""
+    def _set(self, lo: int, parts: list, den: int, q):
+        """Store parts/den, starting at exponent lo, in canonical form."""
         raise NotImplementedError
+
+    def _new(self, lo: int, parts: list, den: int, q):
+        """A value of self's type and variable from coordinates at lo."""
+        return _make(type(self), self.var, lo, parts, den, q)
+
+    def _zero(self):
+        return self._new(0, [[]], 1, None)
 
     def _operand(self, other):
         """other as an element of self's ring, or None if it is not one."""
         if isinstance(other, _SCALARS):
-            return self._new(0, (other,))
+            x, d, q = _scalar_coords(other)
+            return self._new(0, [[v] for v in x], d, q)
         if not isinstance(other, _PolyBase):
             return None
         if type(other) is not type(self) or other.var != self.var:
@@ -163,54 +228,68 @@ class _PolyBase:
                 f"{type(other).__name__} in {other.var!r}")
         return other
 
+    # -- the scalar boundary ----------------------------------------------------
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficient run as canonical tower scalars, lowest first."""
+        out = self._coeffs
+        if out is None:
+            out = self._coeffs = tuple(_from_ints(self._parts, self._den, self._q))
+        return out
+
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._parts[0]
 
     def coeff(self, k: int) -> Scalar:
         """Coefficient of var**k."""
         i = k - self.lo
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[i] if 0 <= i < len(self._parts[0]) else Fraction(0)
 
     def __eq__(self, other):
         if isinstance(other, _SCALARS):
-            other = self._new(0, (other,))
+            other = self._operand(other)
         elif type(other) is not type(self):
             return NotImplemented
-        return (self.lo == other.lo and self.var == other.var
-                and self.coeffs == other.coeffs)
+        return (self.lo == other.lo and self.var == other.var and self._den == other._den
+                and self._q == other._q and self._parts == other._parts)
 
     def __hash__(self):
-        return hash((self.var, self.lo, self.coeffs))
+        return hash((self.var, self.lo, self._den, self._q, tuple(map(tuple, self._parts))))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._parts[0])
 
     # -- ring ops --------------------------------------------------------------
     def __add__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        if not other.coeffs:
+        if not other._parts[0]:
             return self
-        if not self.coeffs:
+        if not self._parts[0]:
             return other
+        q = _radicand(self._q, other._q)
         a, b = (self, other) if self.lo <= other.lo else (other, self)
-        out = list(a.coeffs)
-        n = len(out)
+        den = lcm(a._den, b._den)
+        ma, mb = den // a._den, den // b._den
         off = b.lo - a.lo
-        out.extend([Fraction(0)] * (off - n))
-        for i, c in enumerate(b.coeffs, off):
-            if i < n:
-                out[i] = out[i] + c
-            else:
-                out.append(c)
-        return self._new(a.lo, out)
+        na, nb = len(a._parts[0]), len(b._parts[0])
+        n = max(na, off + nb)
+        out = []
+        for k in range(max(len(a._parts), len(b._parts))):
+            col = [x * ma for x in a._parts[k]] if k < len(a._parts) else [0] * na
+            col.extend([0] * (n - na))
+            if k < len(b._parts):
+                col[off:off + nb] = [x + y * mb for x, y in zip(col[off:off + nb], b._parts[k])]
+            out.append(col)
+        return self._new(a.lo, out, den, q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new(self.lo, tuple(-c for c in self.coeffs))
+        return self._new(self.lo, [[-x for x in part] for part in self._parts],
+                         self._den, self._q)
 
     def __sub__(self, other):
         other = self._operand(other)
@@ -222,25 +301,33 @@ class _PolyBase:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            if not other:
-                return self._new(0, ())
-            return self._new(self.lo, tuple(c * other for c in self.coeffs))
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return self._new(0, ())
-        q, ((a, da), (b, db)) = _split((self.coeffs, other.coeffs))
-        return self._new(self.lo + other.lo,
-                         _from_ints(_mul_ints(a, b, _r2(q)), da * db, q))
+        if isinstance(other, _SCALARS):  # a constant multiplies every column
+            x, d, q = _scalar_coords(other)
+            if len(x) == 1:
+                c = x[0]
+                if not c:
+                    return self._zero()
+                return self._new(self.lo, [[v * c for v in part] for part in self._parts],
+                                 self._den * d, self._q)
+            b, lo = [[v] for v in x], self.lo
+        else:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+            b, d, q, lo = other._parts, other._den, other._q, self.lo + other.lo
+            if not b[0]:
+                return other
+        if not self._parts[0]:
+            return self
+        q = _radicand(self._q, q)
+        return self._new(lo, _mul_ints(self._parts, b, _r2(q)), self._den * d, q)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        return power(self, n, self._new(0, (Fraction(1),)))
+        return power(self, n, self._new(0, [[1]], 1, None))
 
     # -- evaluation ---------------------------------------------------------------
     def __call__(self, x: Scalar) -> Scalar:
@@ -255,7 +342,13 @@ class _PolyBase:
         return acc * x ** lo if lo > 0 else acc / x ** (-lo)
 
     def map_coeffs(self, f):
-        return self._new(self.lo, tuple(f(c) for c in self.coeffs))
+        return self._new(self.lo, *_coords([f(c) for c in self.coeffs]))
+
+    def conj_coeffs(self):
+        """Complex conjugate of every coefficient: the i and i*r parts flip."""
+        return self._new(self.lo, [[-x for x in part] if k & 1 else part
+                                   for k, part in enumerate(self._parts)],
+                         self._den, self._q)
 
     # -- division ------------------------------------------------------------------
     def exact_div(self, den):
@@ -269,10 +362,13 @@ class _PolyBase:
         den = self._operand(den)
         if den.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if not self.coeffs:
-            return self._new(0, ())
-        q, ((rem, da), (b, db)) = _split((self.coeffs, den.coeffs))
+        if not self._parts[0]:
+            return self
+        q = _radicand(self._q, den._q)
         r2 = _r2(q)
+        width = max(len(self._parts), len(den._parts))
+        rem = _widen([list(part) for part in self._parts], width)
+        b = _widen(den._parts, width)
         for k in (2, 1):  # clear the sqrt(q) parts of lc(den), then the i part
             lead = [part[-1] for part in b]
             if any(lead[k:]):
@@ -310,15 +406,14 @@ class _PolyBase:
             rdeg = max(i for part in rem for i, x in enumerate(part) if x)
             raise InexactDivision(
                 f"nonzero remainder of degree {rdeg} dividing "
-                f"deg {len(self.coeffs) - 1} by deg {dd}")
-        if scale < 0:
-            scale, db = -scale, -db
+                f"deg {len(self._parts[0]) - 1} by deg {dd}")
+        db = den._den
         quot = [[x * db for x in part] for part in quot]
-        return self._new(self.lo - den.lo, _from_ints(quot, scale * da, q))
+        return self._new(self.lo - den.lo, quot, scale * self._den, q)
 
     def __repr__(self):
         name = type(self).__name__
-        if not self.coeffs:
+        if self.is_zero:
             return f"{name}(0, {self.var!r})"
         terms = " + ".join(f"({format_scalar(c)})*{self.var}^{self.lo + i}"
                            if self.lo + i else f"({format_scalar(c)})"
@@ -333,36 +428,37 @@ class Poly(_PolyBase):
     lo = 0
 
     def __init__(self, coeffs: Iterable[Scalar] = (), var: str = "eta"):
-        self.coeffs = _trim(tuple(coeffs))
         self.var = var
+        self._set(0, *_coords(coeffs))
 
-    def _new(self, lo: int, coeffs: Iterable[Scalar]) -> "Poly":
-        return Poly(coeffs, self.var)
+    def _set(self, lo, parts, den, q):
+        _, self._parts, self._den, self._q = _normal(parts, den, q, False)
+        self._coeffs = None
 
     @classmethod
     def zero(cls, var: str = "eta") -> "Poly":
-        return cls((), var)
+        return _make(cls, var, 0, [[]], 1, None)
 
     @classmethod
     def one(cls, var: str = "eta") -> "Poly":
-        return cls((Fraction(1),), var)
+        return _make(cls, var, 0, [[1]], 1, None)
 
     @classmethod
     def variable(cls, var: str = "eta") -> "Poly":
-        return cls((Fraction(0), Fraction(1)), var)
+        return _make(cls, var, 0, [[0, 1]], 1, None)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._parts[0]) - 1 if self._parts[0] else NEG_INF
 
     @property
     def lc(self) -> Scalar:
         """Leading coefficient; zero polynomial has lc 0."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeffs[-1] if self._parts[0] else Fraction(0)
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0),
-                    self.var)
+        return self._new(0, [[j * x for j, x in enumerate(part)][1:] for part in self._parts],
+                         self._den, self._q)
 
     def compose(self, inner):
         """self(inner), a value in inner's ring (a Poly or a LaurentPoly).
@@ -371,11 +467,15 @@ class Poly(_PolyBase):
         inner = I/di, T_n = C_n and T_k = T_(k+1)*I + C_k*di^(n-k) give
         self(inner) = T_0 / (dc * di^n).
         """
-        if not self.coeffs or not inner.coeffs:
-            return inner._new(0, (self.coeff(0),))
-        q, ((c, dc), (b, di)) = _split((self.coeffs, inner.coeffs))
+        c, dc = self._parts, self._den
+        if not c[0]:
+            return inner._zero()
+        if not inner._parts[0]:
+            return inner._new(0, [[x[0]] for x in c], dc, self._q)
+        q = _radicand(self._q, inner._q)
         r2 = _r2(q)
-        n = len(self.coeffs) - 1
+        b, di = inner._parts, inner._den
+        n = len(c[0]) - 1
         acc, lo, scale = [[x[n]] for x in c], 0, 1
         for k in range(n - 1, -1, -1):
             acc, lo, scale = _mul_ints(acc, b, r2), lo + inner.lo, scale * di
@@ -385,10 +485,7 @@ class Poly(_PolyBase):
                 acc = [part + [0] * (1 - lo - len(part)) for part in acc]
             for part, x in zip(acc, c):
                 part[-lo] += x[k] * scale
-        return inner._new(lo, _from_ints(acc, dc * scale, q))
-
-    def conj_coeffs(self) -> "Poly":
-        return self.map_coeffs(conj)
+        return inner._new(lo, acc, dc * scale, q)
 
 
 class LaurentPoly(_PolyBase):
@@ -397,16 +494,13 @@ class LaurentPoly(_PolyBase):
     __slots__ = ("lo",)
 
     def __init__(self, lo: int = 0, coeffs: Iterable[Scalar] = (), var: str = "z"):
-        coeffs = list(coeffs)
-        lead = 0
-        while lead < len(coeffs) and not coeffs[lead]:
-            lead += 1
-        self.coeffs = _trim(coeffs[lead:])
-        self.lo = lo + lead if self.coeffs else 0
         self.var = var
+        self._set(lo, *_coords(coeffs))
 
-    def _new(self, lo: int, coeffs: Iterable[Scalar]) -> "LaurentPoly":
-        return LaurentPoly(lo, coeffs, self.var)
+    def _set(self, lo, parts, den, q):
+        lead, self._parts, self._den, self._q = _normal(parts, den, q, True)
+        self.lo = lo + lead if self._parts[0] else 0
+        self._coeffs = None
 
     @classmethod
     def monomial(cls, k: int, c: Scalar = Fraction(1)) -> "LaurentPoly":
@@ -414,32 +508,52 @@ class LaurentPoly(_PolyBase):
 
     @property
     def hi(self) -> int:
-        return self.lo + len(self.coeffs) - 1
+        return self.lo + len(self._parts[0]) - 1
 
     def z_inverse(self) -> "LaurentPoly":
         """Substitute z -> 1/z (exact involution)."""
-        return LaurentPoly(-self.hi, tuple(reversed(self.coeffs)), self.var)
+        return self._new(-self.hi, [part[::-1] for part in self._parts], self._den, self._q)
 
     def star(self) -> "LaurentPoly":
         """Complex conjugate for real x when z = e^{ix}: conj coeffs, z -> 1/z."""
-        return self.z_inverse().map_coeffs(conj)
+        return self.z_inverse().conj_coeffs()
 
 
 def laurent_shift(p: LaurentPoly, c, q) -> LaurentPoly:
-    """Substitute z -> z*q**c exactly; c may be a half-integer."""
-    c = Fraction(c)
+    """Substitute z -> z*q**c exactly; c may be a half-integer.
+
+    The column of z**e gains q**(c*e) = qn**t * qd**(-t-h) * r**h, where
+    2*c*e = 2*t + h with h in {0, 1}: an integer once the least powers of
+    qn and qd move to one new numerator and denominator, times r where h is
+    1 (an integer too when q is a square).
+    """
+    c, q = Fraction(c), Fraction(q)
     if c.denominator not in (1, 2):
         raise ConfigurationError("shift step must be integer or half-integer")
-    if not p.coeffs:
+    if not p or not c:
         return p
-    step = q_pow(q, c.numerator, c.denominator)
-    e = c * p.lo
-    factor = q_pow(q, e.numerator, e.denominator)  # q**(c*k) at k = lo, lo+1, ...
-    out = []
-    for coeff in p.coeffs:
-        out.append(coeff * factor)
-        factor = factor * step
-    return LaurentPoly(p.lo, out)
+    m = 2 * c.numerator // c.denominator
+    qn, qd = q.numerator, q.denominator
+    halves = [divmod(m * e, 2) for e in range(p.lo, p.hi + 1)]
+    hs = [h for _, h in halves]
+    tn = min(t for t, _ in halves)
+    td = min(-t - h for t, h in halves)
+    num = qn ** max(tn, 0) * qd ** max(td, 0)
+    fs = [num * qn ** (t - tn) * qd ** (-t - h - td) for t, h in halves]
+    den = p._den * qn ** max(-tn, 0) * qd ** max(-td, 0)
+    parts, rq = p._parts, p._q
+    r2 = qn * qd
+    r = isqrt(r2)
+    if r * r == r2:
+        fs = [f * r if h else f for f, h in zip(fs, hs)]
+    elif any(hs):
+        rq = _radicand(rq, q)
+        x0, x1, x2, x3 = _widen(parts, 4)  # r*(x0 + x1 i + x2 r + x3 ir)
+        parts = [[b * r2 if h else a for a, b, h in zip(x0, x2, hs)],
+                 [b * r2 if h else a for a, b, h in zip(x1, x3, hs)],
+                 [a if h else b for a, b, h in zip(x0, x2, hs)],
+                 [a if h else b for a, b, h in zip(x1, x3, hs)]]
+    return p._new(p.lo, [[x * f for x, f in zip(part, fs)] for part in parts], den, rq)
 
 
 # -- eta reductions ---------------------------------------------------------------
@@ -448,11 +562,11 @@ def even_poly_to_eta(p: Poly) -> Poly:
     """Map an even, real-coefficient Poly in x to a Poly in eta = x**2."""
     if p.var != "x":
         raise ConfigurationError("even reduction expects a Poly in x")
-    if p.conj_coeffs() != p:
+    if any(map(any, p._parts[1::2])):
         raise ReductionFailure("x-picture value is not self-conjugate")
-    if any(c for i, c in enumerate(p.coeffs) if i % 2 == 1):
+    if any(any(part[1::2]) for part in p._parts):
         raise ReductionFailure("x-picture value has odd powers of x")
-    return Poly(tuple(downcast(c) for c in p.coeffs[::2]), "eta")
+    return _make(Poly, "eta", 0, [part[::2] for part in p._parts], p._den, p._q)
 
 
 def laurent_to_eta(p: LaurentPoly) -> Poly:
@@ -463,18 +577,23 @@ def laurent_to_eta(p: LaurentPoly) -> Poly:
     if p.z_inverse() != p:
         raise ReductionFailure("x-picture value is not symmetric under z -> 1/z")
     hi = max(p.hi, 0)
-    rem = [p.coeff(k) for k in range(-hi, hi + 1)]  # rem[hi + k] multiplies z**k
-    out = [Fraction(0)] * (hi + 1)
+    # rem[k][hi + e]: coordinate k of the coefficient of z**e
+    rem = [[0] * (p.lo + hi) + list(part) + [0] * (hi - p.hi) for part in p._parts]
+    out = [[0] * (hi + 1) for _ in rem]
     for n in range(hi, 0, -1):
-        a = rem[hi + n]
-        if not a:
+        a = [part[hi + n] for part in rem]
+        if not any(a):
             continue
-        out[n] = downcast(a * 2 ** n)  # a*(z+1/z)^n = a*2^n*eta^n
+        for part, x in zip(out, a):  # a*(z+1/z)^n = a*2^n*eta^n
+            part[n] = x << n
         for j in range(n + 1):  # (z + 1/z)^n = sum_j C(n, j) z^(n-2j)
-            rem[hi + n - 2 * j] -= a * comb(n, j)
-        if rem[hi + n]:
+            b = comb(n, j)
+            for part, x in zip(rem, a):
+                part[hi + n - 2 * j] -= x * b
+        if any(part[hi + n] for part in rem):
             raise ReductionFailure("Chebyshev peel failed to lower degree")
-    if any(c for k, c in enumerate(rem) if k != hi):
+    if any(x for part in rem for k, x in enumerate(part) if k != hi):
         raise ReductionFailure("asymmetric residue after Chebyshev peel")
-    out[0] = downcast(rem[hi])
-    return Poly(out, "eta")
+    for part, res in zip(out, rem):
+        part[0] = res[hi]
+    return _make(Poly, "eta", 0, out, p._den, p._q)

@@ -350,8 +350,8 @@ def q_pow(q, num: int, den: int = 1) -> Scalar:
     if den == 2:
         if num % 2 == 0:
             num, den = num // 2, 1
-        else:
-            return sqrt_q(q) ** num
+        else:  # q**((num-1)/2) * sqrt(q)
+            return make_sqrtq(0, q ** ((num - 1) // 2), q)
     if den != 1:
         raise ConfigurationError("only integer and half-integer q powers are exact")
     return q ** num

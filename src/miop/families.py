@@ -383,7 +383,7 @@ def classical_poly(fp: FamilyParams, n: int) -> Poly:
         )
     eta = Poly.variable()
     num = (eta - B) * classical_poly(fp, n - 1) - classical_poly(fp, n - 2) * C
-    return num.map_coeffs(lambda c: c / A)
+    return num * (1 / A)
 
 
 def classical_poly_x(fp: FamilyParams, n: int) -> Carrier:
@@ -510,7 +510,7 @@ def x_shift(fp: FamilyParams, p: Carrier, c) -> Carrier:
     if c == 0:
         return p
     if fp.family == "W":
-        shift = Poly([I * c, Fraction(1)], var="x")
+        shift = Poly([GaussianRational(0, c), Fraction(1)], var="x")
         return p.compose(shift)
     return laurent_shift(p, -c, fp.q)
 

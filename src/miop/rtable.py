@@ -131,6 +131,8 @@ def build_rtable(
         shift = reduce = lambda p: p
         eta_arg = lambda s: Poly.variable()
     lo, hi = window
+    # level 0 reads every row; in ascending n the first singular n is the one raised
+    abc = {n: coeffs(n) for n in range(lo - M, hi + M + 1)}
     xentries: dict = {}
     entries: dict = {}
     for n in range(lo - M - 1, hi + M + 2):
@@ -151,11 +153,12 @@ def build_rtable(
             return got
 
         for n in range(lo - pad, hi + pad + 1):
-            A, B, C = coeffs(n)
+            A, B, C = abc[n]
+            diag = B - eta_s
             for k in range(-s - 1, s + 2):
                 val = (
                     up(s - 1, n + 1, k - 1) * A
-                    + (B - eta_s) * up(s - 1, n, k)
+                    + diag * up(s - 1, n, k)
                     + up(s - 1, n - 1, k + 1) * C
                 )
                 xentries[(s, n, k)] = val
@@ -195,36 +198,46 @@ def check_rprop2_rprop3(table: RTable) -> list:
         raise ConfigurationError("check_rprop2_rprop3 requires family W or AW")
     M = table.M
     lo, hi = table.window
+    abc = {n: three_term(fp, n) for n in range(lo - M, hi + M + 1)}
+    halves: dict = {}  # (s, n, k) -> the entry shifted by -1/2 and by +1/2
+    pluses: dict = {}  # (s, n, k) -> the even half of the entry
+
+    def halves_of(key):
+        got = halves.get(key)
+        if got is None:
+            p = table.xentry(*key)
+            got = halves[key] = (x_shift(fp, p, -_HALF), x_shift(fp, p, _HALF))
+        return got
+
+    def plus(key):
+        got = pluses.get(key)
+        if got is None:
+            a, b = halves_of(key)
+            got = pluses[key] = (a + b) * _HALF
+        return got
+
     bad = []
-
-    def halves(p):
-        return x_shift(fp, p, -_HALF), x_shift(fp, p, _HALF)
-
     for s in range(M + 1):
         pad = M - s
         d_up = eta_at(fp, Fraction(s + 1, 2))
         d_dn = eta_at(fp, Fraction(-(s + 1), 2))
         e_up = eta_at(fp, Fraction(s, 2))
         e_dn = eta_at(fp, Fraction(-s, 2))
+        odd = (d_dn - d_up) * (-_HALF_I)
+        mid = (e_dn + e_up) * _HALF
         corr = (e_dn - e_up) ** 2 * Fraction(1, 4)
         for n in range(lo - pad, hi + pad + 1):
-            A, B, C = three_term(fp, n)
+            A, B, C = abc[n]
+            diag = B - mid
             for k in range(-s - 1, s + 2):
                 cur = table.xentry(s, n, k)
-                c_dn, c_up = halves(cur)
-                minus = (c_dn - c_up) * _HALF_I
-                rhs2 = (d_dn - d_up) * (-_HALF_I) * table.xentry(s - 1, n, k)
-                if minus != rhs2:
+                c_dn, c_up = halves_of((s, n, k))
+                if (c_dn - c_up) * _HALF_I != odd * table.xentry(s - 1, n, k):
                     bad.append({"id": "half-difference", "s": s, "n": n, "k": k})
-
-                def plus(s1, n1, k1):
-                    a, b = halves(table.xentry(s1, n1, k1))
-                    return (a + b) * _HALF
-
                 rhs3 = (
-                    plus(s - 1, n + 1, k - 1) * A
-                    + (B - (e_dn + e_up) * _HALF) * plus(s - 1, n, k)
-                    + plus(s - 1, n - 1, k + 1) * C
+                    plus((s - 1, n + 1, k - 1)) * A
+                    + diag * plus((s - 1, n, k))
+                    + plus((s - 1, n - 1, k + 1)) * C
                 )
                 if s >= 1:
                     rhs3 = rhs3 - corr * table.xentry(s - 2, n, k)

@@ -11,8 +11,10 @@ forms of the sum and product of eta at two opposite shifted points, which
 the R-table of the difference families reduces to.
 
 schoolbook_mul and long_division are the per-coefficient scalar loops of
-polynomial multiplication and division, on bare coefficient runs: the
-reference for the integer kernel of miop.exact.poly.
+polynomial multiplication and division, on bare coefficient runs, and
+laurent_shift_scalar and laurent_to_eta_scalar those of the x-picture shift
+z -> z*q**c and the Chebyshev peel: the references for the integer
+coordinates of miop.exact.poly.
 
 phi0_sq_mpmath is the one float oracle: the W and AW weights phi_0^2
 evaluated through mpmath's complex Gamma function and q-products, the
@@ -22,11 +24,12 @@ reference for the binary64 kernels of miop.quad.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import mpmath
 
-from miop.exact import Poly
+from miop.errors import ConfigurationError, ReductionFailure
+from miop.exact import LaurentPoly, Poly, downcast, q_pow
 from miop.quad import _qpoch_inf
 
 
@@ -173,6 +176,48 @@ def long_division(num, den) -> tuple:
         for j, d in enumerate(dc):
             rem[i - dd + j] = rem[i - dd + j] - f * d
     return tuple(quot), tuple(rem)
+
+
+def laurent_shift_scalar(p, c, q):
+    """Substitute z -> z*q**c exactly; c may be a half-integer."""
+    c = Fraction(c)
+    if c.denominator not in (1, 2):
+        raise ConfigurationError("shift step must be integer or half-integer")
+    if not p.coeffs:
+        return p
+    step = q_pow(q, c.numerator, c.denominator)
+    e = c * p.lo
+    factor = q_pow(q, e.numerator, e.denominator)  # q**(c*k) at k = lo, lo+1, ...
+    out = []
+    for coeff in p.coeffs:
+        out.append(coeff * factor)
+        factor = factor * step
+    return LaurentPoly(p.lo, out)
+
+
+def laurent_to_eta_scalar(p):
+    """Express a symmetric self-conjugate Laurent value as a Poly in
+    eta = (z + 1/z)/2, by peeling leading Chebyshev terms."""
+    if p.star() != p:
+        raise ReductionFailure("x-picture value is not self-conjugate")
+    if p.z_inverse() != p:
+        raise ReductionFailure("x-picture value is not symmetric under z -> 1/z")
+    hi = max(p.hi, 0)
+    rem = [p.coeff(k) for k in range(-hi, hi + 1)]  # rem[hi + k] multiplies z**k
+    out = [Fraction(0)] * (hi + 1)
+    for n in range(hi, 0, -1):
+        a = rem[hi + n]
+        if not a:
+            continue
+        out[n] = downcast(a * 2 ** n)  # a*(z+1/z)^n = a*2^n*eta^n
+        for j in range(n + 1):  # (z + 1/z)^n = sum_j C(n, j) z^(n-2j)
+            rem[hi + n - 2 * j] -= a * comb(n, j)
+        if rem[hi + n]:
+            raise ReductionFailure("Chebyshev peel failed to lower degree")
+    if any(c for k, c in enumerate(rem) if k != hi):
+        raise ReductionFailure("asymmetric residue after Chebyshev peel")
+    out[0] = downcast(rem[hi])
+    return Poly(out, "eta")
 
 
 def phi0_sq_mpmath(fp):

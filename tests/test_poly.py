@@ -1,5 +1,6 @@
 """Polynomial and Laurent arithmetic: ring laws, exact division, reductions."""
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError, InexactDivision, ReductionFailure
 from miop.exact import (NEG_INF, GaussianRational, LaurentPoly, Poly,
-                        SqrtQRational, even_poly_to_eta, format_scalar,
+                        SqrtQRational, conj, even_poly_to_eta, format_scalar,
                         laurent_shift, laurent_to_eta, make_sqrtq, sqrt_q)
 from miop.families import PRESETS, poly_to_x
 
-from .oracles import long_division, schoolbook_mul
+from .oracles import (laurent_shift_scalar, laurent_to_eta_scalar, long_division,
+                      schoolbook_mul)
 from .strategies import (RADICANDS, laurents, nonzero_polys, polys, rationals,
                          tower_scalars)
 
@@ -209,12 +211,22 @@ class TestSharedCore:
 
 
 @st.composite
-def tower_runs(draw, count=2, max_len=7):
-    """count coefficient runs drawn at one tower level over one radicand."""
+def radicand_runs(draw, count=2, max_len=7):
+    """(q, runs): count coefficient runs drawn at one tower level over q."""
     level = draw(st.integers(0, 2))
     q = draw(st.sampled_from(RADICANDS))
     entries = st.lists(tower_scalars(level, q), max_size=max_len)
-    return [draw(entries) for _ in range(count)]
+    return q, [draw(entries) for _ in range(count)]
+
+
+def tower_runs(count=2, max_len=7):
+    """count coefficient runs drawn at one tower level over one radicand."""
+    return radicand_runs(count, max_len).map(lambda qr: qr[1])
+
+
+def _like(p, lo, run):
+    """A value of p's carrier and variable from a scalar run starting at lo."""
+    return Poly(run, p.var) if type(p) is Poly else LaurentPoly(lo, run, p.var)
 
 
 def _strs(p):
@@ -290,7 +302,7 @@ class TestIntegerKernel:
     def test_compose_matches_horner(self, runs, lo):
         p = Poly(runs[0])
         for inner in (Poly(runs[1], "x"), LaurentPoly(lo, runs[1])):
-            want = inner._new(0, ())
+            want = inner * 0
             for c in reversed(p.coeffs):
                 want = want * inner + c
             got = p.compose(inner)
@@ -311,9 +323,9 @@ class TestIntegerKernel:
                 op(la, lb)
 
     def test_no_scalar_arithmetic_in_ring_core(self, monkeypatch):
-        """Degree-12 products and quotients over Q, Q(i) and Q(i)(sqrt q)
-        with every scalar sum and product made to raise: the ring core works
-        on integers only."""
+        """Degree-12 values over Q, Q(i) and Q(i)(sqrt q) with every scalar
+        sum, product and quotient made to raise: the ring operations, the
+        comparisons, the shift and the eta reductions work on integers only."""
         q = Fraction(1, 3)
         runs = (
             [Fraction(k * k - 7, k + 2) for k in range(13)],
@@ -321,9 +333,50 @@ class TestIntegerKernel:
             [make_sqrtq(GaussianRational(k, 1), GaussianRational(Fraction(1, k + 2), -k), q)
              for k in range(13)],
         )
+        real_runs = (runs[0], [make_sqrtq(k - 3, Fraction(1, k + 2), q) for k in range(13)])
+        scalars = (3, Fraction(-5, 7), GaussianRational(Fraction(1, 2), -2),
+                   make_sqrtq(GaussianRational(1), GaussianRational(0, Fraction(1, 3)), q))
+        shifts = [(c, base) for c in (Fraction(1, 2), Fraction(-1, 2), 1, -1,
+                                      Fraction(3, 2), Fraction(-3, 2))
+                  for base in (Fraction(1, 4), q)]
         cases = [(carrier(ra), carrier(rb)) for ra in runs for rb in runs
                  for carrier in (Poly, lambda run: LaurentPoly(-5, run))]
-        want = [a._new(a.lo + b.lo, schoolbook_mul(a.coeffs, b.coeffs)) for a, b in cases]
+
+        # (operation, expected value) pairs, the expected ones from scalar loops
+        todo = []
+        for a, b in cases:
+            lo = min(a.lo, b.lo)
+            ks = range(lo, max(a.lo + len(a.coeffs), b.lo + len(b.coeffs)))
+            todo += [
+                (lambda a=a, b=b: a * b, _like(a, a.lo + b.lo, schoolbook_mul(a.coeffs, b.coeffs))),
+                (lambda a=a, b=b: (a * b).exact_div(b), a),
+                (lambda a=a, b=b: (a * b).exact_div(a), b),
+                (lambda a=a, b=b: a + b, _like(a, lo, [a.coeff(k) + b.coeff(k) for k in ks])),
+                (lambda a=a, b=b: a - b, _like(a, lo, [a.coeff(k) - b.coeff(k) for k in ks])),
+                (lambda a=a: -a, _like(a, a.lo, [-c for c in a.coeffs])),
+                (lambda a=a: a.conj_coeffs(), _like(a, a.lo, [conj(c) for c in a.coeffs])),
+            ]
+            todo += [(lambda a=a, c=c: a * c, _like(a, a.lo, [x * c for x in a.coeffs]))
+                     for c in scalars]
+        for run in runs:
+            p, lp = Poly(run), LaurentPoly(-5, run)
+            todo.append((lambda p=p: p.derivative(),
+                         Poly([k * c for k, c in enumerate(p.coeffs)][1:])))
+            for inner in (Poly(runs[1], "x"), LaurentPoly(-2, runs[0])):
+                want = inner * 0
+                for c in reversed(p.coeffs):
+                    want = want * inner + c
+                todo.append((lambda p=p, inner=inner: p.compose(inner), want))
+            todo.append((lambda lp=lp: lp.star(),
+                          LaurentPoly(-lp.hi, [conj(c) for c in reversed(lp.coeffs)])))
+            todo += [(lambda lp=lp, c=c, base=base: laurent_shift(lp, c, base),
+                      laurent_shift_scalar(lp, c, base)) for c, base in shifts]
+        for run in real_runs:
+            p = Poly(run)
+            x_sq = p.compose(Poly([0, 0, 1], "x"))
+            z_sum = poly_to_x(PRESETS["aw-default"], p)
+            todo += [(lambda x_sq=x_sq: even_poly_to_eta(x_sq), p),
+                     (lambda z_sum=z_sum: laurent_to_eta(z_sum), p)]
 
         def forbidden(*args):
             raise AssertionError("scalar arithmetic in the ring core")
@@ -332,10 +385,93 @@ class TestIntegerKernel:
             for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                          "__rmul__", "__truediv__", "__rtruediv__"):
                 monkeypatch.setattr(cls, name, forbidden)
-        got = []
-        for a, b in cases:
-            prod = a * b
-            got.append((prod, prod.exact_div(b), prod.exact_div(a)))
+        verdicts = []
+        for i, (op, want) in enumerate(todo):
+            got = op()
+            verdicts.append((i, got == want, hash(got) == hash(want)))
         monkeypatch.undo()
-        for (a, b), w, (prod, qb, qa) in zip(cases, want, got):
-            assert prod == w and qb == a and qa == b
+        assert [v for v in verdicts if not (v[1] and v[2])] == []
+
+
+def _assert_canonical(p):
+    """The stored form: least width, radicand only at width 4, no zero end
+    columns, a positive denominator prime to every coordinate."""
+    parts, den, q = p._parts, p._den, p._q
+    assert len(parts) in (1, 2, 4) and len({len(part) for part in parts}) == 1
+    assert (q is not None) == (len(parts) == 4)
+    if p.is_zero:
+        assert (parts, den, q, p.lo) == ([[]], 1, None, 0)
+        return
+    assert den > 0 and gcd(den, *(x for part in parts for x in part)) == 1
+    assert any(part[-1] for part in parts)
+    if type(p) is LaurentPoly:
+        assert any(part[0] for part in parts)
+    if len(parts) == 2:
+        assert any(parts[1])
+    if len(parts) == 4:
+        assert any(parts[2]) or any(parts[3])
+
+
+class TestCanonicalForm:
+    """A value has one stored form, however it was reached."""
+
+    @given(radicand_runs(), st.integers(-4, 2), st.integers(-4, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_built_and_computed_values_share_coordinates(self, q_runs, lo_a, lo_b):
+        q, (ra, rb) = q_runs
+        root = sqrt_q(q)
+        for carrier in (lambda lo, run: Poly(run), LaurentPoly):
+            a, b = carrier(lo_a, ra), carrier(lo_b, rb)
+            pairs = [
+                (a * b, carrier(a.lo + b.lo, schoolbook_mul(a.coeffs, b.coeffs))),
+                ((a + b) - b, a),
+                ((a * 3) * Fraction(1, 3), a),
+                ((a * GaussianRational(0, 1)) * GaussianRational(0, -1), a),
+                ((a * root) * root, carrier(a.lo, [c * q for c in a.coeffs])),
+                (a + (-a), a * 0),
+            ]
+            if not b.is_zero:
+                pairs.append(((a * b).exact_div(b), a))
+            for got, built in pairs:
+                _assert_canonical(got)
+                _assert_canonical(built)
+                assert (got._parts, got._den, got._q, got.lo) == \
+                    (built._parts, built._den, built._q, built.lo)
+                assert hash(got) == hash(built)
+
+
+@st.composite
+def shifted_laurents(draw):
+    """(p, q): a Laurent value at a tower level over q, starting below z**0."""
+    q, (run,) = draw(radicand_runs(count=1))
+    return LaurentPoly(draw(st.integers(-6, -1)), run), q
+
+
+def _peel(reduce, p):
+    """Coefficient strings of reduce(p), or the ReductionFailure it raises."""
+    try:
+        return _strs(reduce(p))
+    except ReductionFailure as exc:
+        return str(exc)
+
+
+class TestShiftAndPeel:
+    """laurent_shift and laurent_to_eta in coordinates against the scalar
+    loops of tests/oracles.py."""
+
+    @given(shifted_laurents(), st.sampled_from([Fraction(k, 2) for k in range(-5, 6)]))
+    @settings(max_examples=150, deadline=None)
+    def test_shift_matches_scalar_loop(self, p_q, c):
+        p, q = p_q
+        got, want = laurent_shift(p, c, q), laurent_shift_scalar(p, c, q)
+        assert got == want and got.lo == want.lo and hash(got) == hash(want)
+        assert _strs(got) == _strs(want)
+
+    @given(shifted_laurents())
+    @settings(max_examples=150, deadline=None)
+    def test_peel_matches_scalar_loop(self, p_q):
+        p, _ = p_q
+        real = [c + conj(c) for c in p.coeffs]  # conj-invariant entries
+        sym = LaurentPoly(1 - len(real), real[::-1] + real[1:])
+        for value in (p, sym):
+            assert _peel(laurent_to_eta, value) == _peel(laurent_to_eta_scalar, value)

@@ -80,6 +80,13 @@ class TestSqrtQ:
         assert r * r == Fraction(1, 3)
         assert q_pow(Fraction(1, 3), -1, 2) * r == 1
 
+    @pytest.mark.parametrize("q", [Fraction(1, 4), Fraction(1, 3)])
+    def test_odd_half_powers_match_repeated_sqrt(self, q):
+        for num in range(-9, 10):
+            got, want = q_pow(q, num, 2), sqrt_q(q) ** num
+            assert got == want and type(got) is type(want)
+            assert format_scalar(got) == format_scalar(want)
+
     def test_exact_sign(self):
         # 1 - 2*sqrt(1/3) < 0 since 1 < 4/3
         x = make_sqrtq(1, -2, Fraction(1, 3))
