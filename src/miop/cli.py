@@ -13,20 +13,20 @@ configuration and a digest of the content, so results are traceable to
 (family, lambda, D, N) alone.
 
 The worker count for the verification sweep comes from MIOP_WORKERS
-(default 1).  --seed feeds only the randomized permutation probe; no
-mathematical output depends on it.
+(default 1); only a count above 1 imports the process pool.  --seed feeds
+only the randomized permutation probe; no mathematical output depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -245,6 +245,8 @@ def cmd_verify(config: RunConfig) -> int:
     if workers < 1:
         raise ConfigurationError(f"MIOP_WORKERS must be an integer >= 1, got {text!r}")
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:
@@ -312,7 +314,9 @@ def _add_family_flags(sub) -> None:
     sub.add_argument("--out", help="output path (default stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="miop",
         description="multi-indexed orthogonal polynomials: exact construction and checks",
@@ -416,8 +420,7 @@ def _join_range_flags(argv: list) -> list:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_range_flags(sys.argv[1:] if argv is None else list(argv)))
+    args = _parser().parse_args(_join_range_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
         config = _config_from_args(args)
         return _COMMANDS[args.command](config)

@@ -241,11 +241,6 @@ class _PolyBase:
     def is_zero(self) -> bool:
         return not self._parts[0]
 
-    def coeff(self, k: int) -> Scalar:
-        """Coefficient of var**k."""
-        i = k - self.lo
-        return self.coeffs[i] if 0 <= i < len(self._parts[0]) else Fraction(0)
-
     def __eq__(self, other):
         if isinstance(other, _SCALARS):
             other = self._operand(other)
@@ -340,9 +335,6 @@ class _PolyBase:
         if not lo:
             return acc
         return acc * x ** lo if lo > 0 else acc / x ** (-lo)
-
-    def map_coeffs(self, f):
-        return self._new(self.lo, *_coords([f(c) for c in self.coeffs]))
 
     def conj_coeffs(self):
         """Complex conjugate of every coefficient: the i and i*r parts flip."""

@@ -44,7 +44,6 @@ from .exact import (
     format_scalar,
     laurent_shift,
     laurent_to_eta,
-    parse_scalar,
     q_pow,
     scalar_sign,
 )
@@ -165,20 +164,6 @@ class FamilyParams:
             if self.family == "AW":
                 obj["q"] = format_scalar(self.q)
         return obj
-
-    @classmethod
-    def from_json(cls, obj: dict, check_range: bool = True) -> "FamilyParams":
-        family = obj["family"]
-        if family == "L":
-            lam: tuple = (parse_scalar(obj["g"]),)
-        elif family == "J":
-            lam = (parse_scalar(obj["g"]), parse_scalar(obj["h"]))
-        elif family in ("W", "AW"):
-            lam = tuple(parse_scalar(s) for s in obj["a"])
-        else:
-            raise ConfigurationError(f"unknown family {family!r}")
-        q = Fraction(obj["q"]) if family == "AW" else None
-        return cls(family, lam, q, check_range)
 
 
 PRESETS = {

@@ -8,7 +8,10 @@ precision before the final rounding to float.  The weights phi_0^2 are
 binary64 kernels for every family: W sums log |Gamma(a_j + ix)|^2 (a
 Stirling ratio to Gamma(a_j)) and the closed form of 1/|Gamma(2ix)|^2, AW
 sums the logs of the real q-product factors, and each exponentiates once.
-mpmath serves only the norms.
+mpmath serves only the norms, and numpy only the Gauss-Legendre nodes.
+Both are imported inside the functions that use them, so importing this
+module (and with it miop.cli) loads neither: the first `ortho` use pays
+for them, and `gen`, `rtable` and `verify` never do.
 
 The deformed weight is
 
@@ -45,9 +48,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
-
-import mpmath
-import numpy as np
 
 from .errors import ConfigurationError, NonConvergent, PoleEncountered
 from .exact import Poly
@@ -159,6 +159,8 @@ class QuadResult:
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
+    import numpy as np
+
     return np.polynomial.legendre.leggauss(n)
 
 
@@ -369,6 +371,8 @@ def _qpoch_inf(u, q):
     The cut is fixed at any working precision.  It is computed once per
     call, at the caller's precision (classical_norm runs under workprec(120)).
     """
+    import mpmath
+
     tol = mpmath.mpf(10) ** (-_MP_PREC // 4)
     out = mpmath.mpf(1)
     t = u
@@ -379,6 +383,8 @@ def _qpoch_inf(u, q):
 
 
 def _qpoch_fin(u, q, k: int):
+    import mpmath
+
     out = mpmath.mpf(1)
     for t in range(k):
         out *= 1 - u * q**t
@@ -389,6 +395,8 @@ def _difference_prefactor_sq(fp: FamilyParams, D: IndexSet) -> float:
     """Square of the alpha/kappa prefactor of Psi_D (1 for W)."""
     if fp.family == "W":
         return 1.0
+    import mpmath
+
     M1, M2 = D.M1, D.M2
     lam2 = twisted(fp, M1, M2).lam
     q = mpmath.mpf(fp.q.numerator) / fp.q.denominator
@@ -483,13 +491,17 @@ def _check_no_pole(weight: Weight, a: float, b: float, samples: int = 2048):
 # -- expected norms ---------------------------------------------------------------
 
 
-def _mpf(x) -> mpmath.mpf:
+def _mpf(x):
+    import mpmath
+
     f = Fraction(x)
     return mpmath.mpf(f.numerator) / f.denominator
 
 
 def classical_norm(fp: FamilyParams, n: int) -> float:
     """h_n: the classical normalization constant, via mpmath."""
+    import mpmath
+
     with mpmath.workprec(_MP_PREC):
         if fp.family == "L":
             g = _mpf(fp.g)

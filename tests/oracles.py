@@ -16,6 +16,10 @@ laurent_shift_scalar and laurent_to_eta_scalar those of the x-picture shift
 z -> z*q**c and the Chebyshev peel: the references for the integer
 coordinates of miop.exact.poly.
 
+coeff, map_coeffs and family_params_from_json read a value back in the
+tests' terms: one coefficient, a coefficient-wise image, and a parameter
+point from its JSON form.
+
 phi0_sq_mpmath is the one float oracle: the W and AW weights phi_0^2
 evaluated through mpmath's complex Gamma function and q-products, the
 reference for the binary64 kernels of miop.quad.
@@ -29,8 +33,36 @@ from math import comb, factorial
 import mpmath
 
 from miop.errors import ConfigurationError, ReductionFailure
-from miop.exact import LaurentPoly, Poly, downcast, q_pow
+from miop.exact import LaurentPoly, Poly, downcast, parse_scalar, q_pow
+from miop.families import FamilyParams
 from miop.quad import _qpoch_inf
+
+
+def coeff(p, k: int):
+    """The coefficient of var**k in a Poly or LaurentPoly; 0 outside its run."""
+    i = k - p.lo
+    return p.coeffs[i] if 0 <= i < len(p.coeffs) else Fraction(0)
+
+
+def map_coeffs(p, f):
+    """p with f applied to every coefficient, on p's carrier and variable."""
+    run = [f(c) for c in p.coeffs]
+    return Poly(run, p.var) if type(p) is Poly else LaurentPoly(p.lo, run, p.var)
+
+
+def family_params_from_json(obj: dict) -> FamilyParams:
+    """The inverse of FamilyParams.to_json."""
+    family = obj["family"]
+    if family == "L":
+        lam: tuple = (parse_scalar(obj["g"]),)
+    elif family == "J":
+        lam = (parse_scalar(obj["g"]), parse_scalar(obj["h"]))
+    elif family in ("W", "AW"):
+        lam = tuple(parse_scalar(s) for s in obj["a"])
+    else:
+        raise ConfigurationError(f"unknown family {family!r}")
+    q = Fraction(obj["q"]) if family == "AW" else None
+    return FamilyParams(family, lam, q)
 
 
 def rising(x, m: int):
@@ -203,7 +235,7 @@ def laurent_to_eta_scalar(p):
     if p.z_inverse() != p:
         raise ReductionFailure("x-picture value is not symmetric under z -> 1/z")
     hi = max(p.hi, 0)
-    rem = [p.coeff(k) for k in range(-hi, hi + 1)]  # rem[hi + k] multiplies z**k
+    rem = [coeff(p, k) for k in range(-hi, hi + 1)]  # rem[hi + k] multiplies z**k
     out = [Fraction(0)] * (hi + 1)
     for n in range(hi, 0, -1):
         a = rem[hi + n]
