@@ -295,8 +295,7 @@ def cmd_ortho(config: RunConfig) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "m", "integral", "expected", "rel_err"])
     for n, m, integral, expected, rel in rows:
-        # float() strips numpy scalar types so the CSV carries plain reprs
-        writer.writerow([n, m, repr(float(integral)), repr(float(expected)), repr(float(rel))])
+        writer.writerow([n, m, repr(integral), repr(expected), repr(rel)])
     _emit(buf.getvalue(), config.out)
     return 0
 

@@ -34,7 +34,7 @@ class LeadingCoefficientZero(MiopError):
 
 
 class PoleEncountered(MiopError):
-    """The denominator polynomial has a zero inside the quadrature interval."""
+    """The weight's denominator polynomial has a zero on the family's eta-domain."""
 
 
 class NonConvergent(MiopError):

@@ -31,14 +31,19 @@ node-doubling acceptance contract (QuadratureSpec: rtol and the starting
 Gauss-Legendre order): the result is accepted once doubling moves it by
 less than the target tolerance, and NonConvergent is raised otherwise.
 
-A grid builds one pair and one Weight: Psi_D^2 is derived and its
-denominator scanned for poles once, over the interval of the widest
-entry, and every (n, m) entry integrates against that weight.  The
-Weight evaluates Psi_D^2 once per distinct node and each P_n once per
-(n, node), so entries sharing an interval, tanh-sinh levels (each
-contains the nodes of the one before) and repeated checks on one Weight
-reuse the values; the integrand's operation order, and so every output
-bit, is what a fresh evaluation gives.
+A grid builds one pair, checks exactly that the energy factor
+prod_j (E_n - Etilde_{d_j}) is positive for every n it covers (else
+ConfigurationError: the norm formula has no positive norm to check), and
+builds one Weight: Psi_D^2 is derived once, and a Sturm count on the
+exact denominator refuses (PoleEncountered) any zero on the family's
+closed eta-domain, [0, inf) for L/W and [-1, 1] for J/AW, so no entry
+meets a pole whatever its interval.  Every (n, m) entry integrates
+against that weight.  The Weight evaluates Psi_D^2 once per distinct
+node, each P_n once per (n, node) and each expected norm once per n, so
+entries sharing an interval, tanh-sinh levels (each contains the nodes
+of the one before) and repeated checks on one Weight reuse the values;
+the node tables are built once per process.  The integrand's operation
+order, and so every output bit, is what a fresh evaluation gives.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .errors import ConfigurationError, NonConvergent, PoleEncountered
-from .exact import Poly
+from .exact import Poly, Scalar, format_scalar, scalar_sign
 from .families import (
     FamilyParams,
     energy,
@@ -70,26 +75,6 @@ _MP_PREC = 120
 _SPLITTER = 134217729.0  # 2^27 + 1
 
 
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _split(a: float):
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
 class FloatPoly:
     """binary64 mirror of an exact Poly with compensated Horner evaluation."""
 
@@ -103,13 +88,24 @@ class FloatPoly:
         return cls(p.coeffs if p.coeffs else [0.0])
 
     def __call__(self, x: float) -> float:
+        # Horner's rule that carries each step's rounding errors in e: the
+        # product's by Dekker's split of s and x into 26-bit halves, the sum's
+        # by Knuth's two-sum
         cs = self.coeffs
         s = cs[-1]
         e = 0.0
+        t = _SPLITTER * x
+        xh = t - (t - x)
+        xl = x - xh
         for c in reversed(cs[:-1]):
-            p, pe = _two_prod(s, x)
-            s, se = _two_sum(p, c)
-            e = e * x + (pe + se)
+            p = s * x
+            t = _SPLITTER * s
+            sh = t - (t - s)
+            sl = s - sh
+            pe = ((sh * xh - p) + sh * xl + sl * xh) + sl * xl
+            s = p + c
+            bb = s - p
+            e = e * x + (pe + ((p - (s - bb)) + (c - bb)))
         return s + e
 
 
@@ -158,10 +154,12 @@ class QuadResult:
 
 
 @lru_cache(maxsize=32)
-def _leggauss(n: int):
+def _leggauss(n: int) -> tuple:
+    """Gauss-Legendre (x, w) pairs on (-1, 1) of order n, as Python floats."""
     import numpy as np
 
-    return np.polynomial.legendre.leggauss(n)
+    x, w = np.polynomial.legendre.leggauss(n)
+    return tuple(zip(x.tolist(), w.tolist()))
 
 
 def _accept(cur: float, prev: Optional[float], rtol: float, floor: float) -> bool:
@@ -170,9 +168,9 @@ def _accept(cur: float, prev: Optional[float], rtol: float, floor: float) -> boo
     return abs(cur - prev) <= rtol * max(abs(cur), floor)
 
 
-def _integrate(nodes_at: Callable[[int], list], f, a: float, b: float, spec: QuadratureSpec,
+def _integrate(nodes_at: Callable[[int], tuple], f, a: float, b: float, spec: QuadratureSpec,
                floor: float, rule: str) -> QuadResult:
-    """Node-doubling loop shared by both rules; nodes_at(level) lists (x, w) on (-1, 1)."""
+    """Node-doubling loop shared by both rules; nodes_at(level) gives the (x, w) pairs on (-1, 1)."""
     half = (b - a) / 2.0
     mid = (a + b) / 2.0
     prev = None
@@ -187,12 +185,13 @@ def _integrate(nodes_at: Callable[[int], list], f, a: float, b: float, spec: Qua
 
 def integrate_gl(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec, floor: float = 0.0) -> QuadResult:
     """Gauss-Legendre from spec.nodes nodes, doubling the order at each level."""
-    return _integrate(lambda level: list(zip(*_leggauss(spec.nodes << level))),
+    return _integrate(lambda level: _leggauss(spec.nodes << level),
                       f, a, b, spec, floor, "Gauss-Legendre")
 
 
-def _ts_nodes(h: float, t_max: float):
-    """tanh-sinh abscissas/weights on (-1, 1) at step h."""
+@lru_cache(maxsize=32)
+def _ts_nodes(h: float, t_max: float) -> tuple:
+    """tanh-sinh (x, w) pairs on (-1, 1) at step h."""
     k = 0
     out = []
     while True:
@@ -210,7 +209,7 @@ def _ts_nodes(h: float, t_max: float):
         if k > 0:
             out.append((-x, w))
         k += 1
-    return out
+    return tuple(out)
 
 
 def integrate_ts(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec, floor: float = 0.0) -> QuadResult:
@@ -412,14 +411,15 @@ def _difference_prefactor_sq(fp: FamilyParams, D: IndexSet) -> float:
 
 
 class Weight:
-    """Psi_D(x)^2 of one pair: derived and scanned for poles once.
+    """Psi_D(x)^2 of one pair: derived and cleared of poles once.
 
     Holds the pair, eta(x), phi_0^2 at the twisted point, the float
     denominator (Xi_D for L/J, squared at use; the shift product
-    Xi(x - i gamma/2) Xi(x + i gamma/2) for W/AW) and the scale.  The pole
-    scan covers the interval of the widest entry (n_max, n_max), which
-    contains the interval of every entry the pair can serve.  `node_weight`
-    and `p` keep each value they compute, keyed by the abscissa, for the
+    Xi(x - i gamma/2) Xi(x + i gamma/2) for W/AW) and the scale.  Before
+    any node is evaluated, a Sturm count on the exact denominator refuses
+    a zero anywhere on the closed eta-domain of the family, so no entry of
+    any width meets a pole.  `node_weight` and `p` keep each value they
+    compute, keyed by the abscissa, and `norm` each expected norm, for the
     life of the Weight.
     """
 
@@ -429,22 +429,19 @@ class Weight:
         self.eta = _eta_of_x(fp)
         self.phi0_sq = _phi0_sq(twisted(fp, D.M1, D.M2))
         self.squared_den = fp.family in ("L", "J")
+        den = _denominator(pair)
+        self.xi_den = FloatPoly.from_exact(den)
         if self.squared_den:
             c_F = 2.0 if fp.family == "L" else -4.0
-            self.xi_den = FloatPoly.from_exact(pair.Xi)
             self.scale = c_F ** (2 * D.M)
         else:
-            # W/AW: denominator Xi(x - i gamma/2) Xi(x + i gamma/2) as an exact eta-poly
-            xi_x = poly_to_x(fp, pair.Xi)
-            half = Fraction(1, 2)
-            prod = reduce_to_eta(fp, x_shift(fp, xi_x, -half) * x_shift(fp, xi_x, half))
-            self.xi_den = FloatPoly.from_exact(prod)
             self.scale = _difference_prefactor_sq(fp, D) / float(pair.xi_radicand)
-        _check_no_pole(self, *_interval(fp, D, pair.n_max, pair.n_max))
+        _check_no_pole(self, den)
         # stored polynomials differ from verbatim ones by sqrt(p_radicand)
         self._integrand_scale = self.scale * float(pair.p_radicand)
         self._nodes = {}  # x -> integrand_scale * phi_0^2(x) / den(eta(x))
         self._p = {}  # n -> x -> P_{D,n}(eta(x))
+        self._norms = {}  # n -> expected_norm(fp, D, n)
 
     def den(self, e: float) -> float:
         """The denominator of Psi_D^2 at eta = e."""
@@ -472,20 +469,94 @@ class Weight:
             self._p[n] = p_n
         return self._p[n]
 
+    def norm(self, n: int) -> float:
+        """The expected norm of entry (n, n), computed once per n."""
+        h = self._norms.get(n)
+        if h is None:
+            h = self._norms[n] = expected_norm(self.pair.fp, self.pair.D, n)
+        return h
 
-def _check_no_pole(weight: Weight, a: float, b: float, samples: int = 2048):
-    lo, hi = sorted((weight.eta(a + 1e-9), weight.eta(b - 1e-9)))
-    vals = [weight.xi_den(lo + (hi - lo) * i / (samples - 1)) for i in range(samples)]
-    top = max(abs(v) for v in vals)
-    if top == 0.0:
-        raise PoleEncountered("denominator is identically zero on the interval")
-    prev = vals[0]
-    for v in vals[1:]:
-        if v == 0.0 or (v < 0) != (prev < 0):
-            raise PoleEncountered("denominator changes sign on the integration interval")
-        prev = v
-    if min(abs(v) for v in vals) < 1e-12 * top:
-        raise PoleEncountered("denominator nearly vanishes on the integration interval")
+
+def _denominator(pair: MultiIndexedPair) -> Poly:
+    """The exact eta-polynomial whose zeros are the poles of Psi_D^2.
+
+    Xi_D for L/J; for W/AW the shift product Xi(x - i gamma/2) Xi(x + i gamma/2),
+    reduced exactly to eta.
+    """
+    fp = pair.fp
+    if fp.family in ("L", "J"):
+        return pair.Xi
+    xi_x = poly_to_x(fp, pair.Xi)
+    half = Fraction(1, 2)
+    return reduce_to_eta(fp, x_shift(fp, xi_x, -half) * x_shift(fp, xi_x, half))
+
+
+# -- pole exclusion ---------------------------------------------------------------
+
+# the open eta-domain of each family, (lo, hi) with hi = None for +infinity:
+# eta = x^2 on x > 0 (L, W), cos 2x on (0, pi/2) (J), cos x on (0, pi) (AW)
+_ETA_DOMAIN = {"L": (0, None), "W": (0, None), "J": (-1, 1), "AW": (-1, 1)}
+
+
+def _value(p: list, x) -> Scalar:
+    """p(x) for a coefficient run p, low degree first."""
+    out = 0
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
+def _rem(num: list, den: list) -> list:
+    """The remainder of num by den over their coefficient field (den[-1] != 0)."""
+    num = list(num)
+    d = len(den) - 1
+    for k in range(len(num) - 1, d - 1, -1):
+        c = num[k] / den[-1]
+        if c:
+            for j in range(d):
+                num[k - d + j] = num[k - d + j] - c * den[j]
+    rem = num[:d]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def _sturm_count(p: list, lo, hi) -> int:
+    """Distinct real roots of p on (lo, hi), hi = None for +infinity.
+
+    p is a nonzero real coefficient run, low degree first, over Q or Q(sqrt q),
+    with p(lo) and p(hi) nonzero.  The Sturm chain p, p', -rem(p, p'), ...
+    is built by exact field division, and the count is the drop in sign
+    variations from lo to hi (Sturm's theorem; Basu, Pollack & Roy,
+    Algorithms in Real Algebraic Geometry, ch. 2).
+    """
+    chain = [p]
+    nxt = [k * c for k, c in enumerate(p)][1:]
+    while nxt:
+        chain.append(nxt)
+        nxt = [-c for c in _rem(chain[-2], nxt)]
+
+    def variations(values) -> int:
+        signs = [s for s in map(scalar_sign, values) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_hi = [q[-1] for q in chain] if hi is None else [_value(q, hi) for q in chain]
+    return variations(_value(q, lo) for q in chain) - variations(at_hi)
+
+
+def _check_no_pole(weight: Weight, den: Poly):
+    """Refuse a weight whose exact denominator den vanishes on the family's closed eta-domain."""
+    if den.is_zero:
+        raise PoleEncountered("denominator is identically zero")
+    lo, hi = _ETA_DOMAIN[weight.pair.fp.family]
+    p = list(den.coeffs)
+    for end in (lo, hi):
+        if end is not None and not _value(p, end):
+            raise PoleEncountered(f"denominator vanishes at the end eta = {end} of its domain")
+    roots = _sturm_count(p, lo, hi)
+    if roots:
+        domain = f"({lo}, {'inf' if hi is None else hi})"
+        raise PoleEncountered(f"denominator has {roots} real zero(s) on eta in {domain}")
 
 
 # -- expected norms ---------------------------------------------------------------
@@ -533,12 +604,17 @@ def classical_norm(fp: FamilyParams, n: int) -> float:
         return float(val)
 
 
-def expected_norm(fp: FamilyParams, D: IndexSet, n: int) -> float:
-    """prod_j (E_n - Etilde_{d_j}) * h_n for the diagonal entry."""
+def _energy_factor(fp: FamilyParams, D: IndexSet, n: int) -> Scalar:
+    """prod_j (E_n - Etilde_{d_j}), exactly."""
     factor = Fraction(1)
     for e in D.entries:
         factor = factor * (energy(fp, n) - virtual_energy(fp, e))
-    return float(factor) * classical_norm(fp, n)
+    return factor
+
+
+def expected_norm(fp: FamilyParams, D: IndexSet, n: int) -> float:
+    """prod_j (E_n - Etilde_{d_j}) * h_n for the diagonal entry."""
+    return float(_energy_factor(fp, D, n)) * classical_norm(fp, n)
 
 
 # -- orthogonality ----------------------------------------------------------------
@@ -559,8 +635,7 @@ def orthogonality_check(weight: Weight, n: int, m: int, spec: QuadratureSpec = Q
     def f(x: float) -> float:
         return w(x) * pn(x) * pm(x)
 
-    norm_n = expected_norm(fp, D, n)
-    norm_m = norm_n if m == n else expected_norm(fp, D, m)
+    norm_n, norm_m = weight.norm(n), weight.norm(m)
     integrate = integrate_ts if fp.family in ("L", "W") else integrate_gl
     result = integrate(f, a, b, spec, floor=abs(norm_m if m > n else norm_n))
     if n == m:
@@ -571,9 +646,19 @@ def orthogonality_check(weight: Weight, n: int, m: int, spec: QuadratureSpec = Q
 def ortho_grid(fp: FamilyParams, D: IndexSet, n_max: int, spec: QuadratureSpec = QuadratureSpec()):
     """All (n, m) with n <= m <= n_max over one pair and one weight.
 
-    Returns rows (n, m, integral, expected, rel_err).
+    Returns rows (n, m, integral, expected, rel_err).  A deformation whose
+    energy factor prod_j (E_n - Etilde_{d_j}) is not positive at some
+    n <= n_max raises ConfigurationError before the weight is built.
     """
-    weight = Weight(build(fp, D, n_max=n_max))
+    pair = build(fp, D, n_max=n_max)
+    for n in range(n_max + 1):
+        factor = _energy_factor(fp, D, n)
+        if scalar_sign(factor) <= 0:
+            raise ConfigurationError(
+                f"D={{{D.label()}}} is not admissible at n = {n}: the energy factor "
+                f"prod_j (E_n - Etilde_d_j) = {format_scalar(factor)} is not positive, "
+                f"so the norm formula has no positive norm to check")
+    weight = Weight(pair)
     return [
         (n, m, *orthogonality_check(weight, n, m, spec))
         for n in range(n_max + 1)
@@ -586,9 +671,10 @@ def ortho_grid(fp: FamilyParams, D: IndexSet, n_max: int, spec: QuadratureSpec =
 # Each tuple below was checked by ortho_grid at n <= 2, with the binary64
 # weight kernels, against the product-formula norm to better than 1e-14
 # relative: on the diagonal at most 1.2e-15 (W) and 6.3e-15 (AW), off it at
-# most 6.6e-16.  Outside such parameter ranges the check either trips
-# PoleEncountered (denominator zero on the interval) or reports a genuine
-# deficit equal to the missing bound-state mass.
+# most 6.6e-16.  Elsewhere ortho_grid refuses a deformation that is not
+# admissible (ConfigurationError) or whose denominator vanishes on the
+# eta-domain (PoleEncountered); an admissible, pole-free point can still
+# fall short of the norm by the mass of a discrete state.
 DIFFERENCE_ORTHO_PRESETS = (
     ("W", (Fraction(5, 4), Fraction(13, 10), Fraction(6, 5), Fraction(7, 5)), None, "I1"),
     ("W", (Fraction(3, 4), Fraction(4, 5), Fraction(3, 2), Fraction(8, 5)), None, "II1"),

@@ -20,9 +20,13 @@ coeff, map_coeffs and family_params_from_json read a value back in the
 tests' terms: one coefficient, a coefficient-wise image, and a parameter
 point from its JSON form.
 
-phi0_sq_mpmath is the one float oracle: the W and AW weights phi_0^2
-evaluated through mpmath's complex Gamma function and q-products, the
-reference for the binary64 kernels of miop.quad.
+phi0_sq_mpmath is a float oracle: the W and AW weights phi_0^2 evaluated
+through mpmath's complex Gamma function and q-products, the reference for
+the binary64 kernels of miop.quad.  The pole exclusion of miop.quad, an
+exact Sturm count, has two references: pole_scan, the float scan it
+replaced (2048 compensated-Horner samples over one integration interval
+with a 1e-12 floor), and real_root_count, the distinct real roots that
+mpmath's polyroots finds on an open interval.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ from math import comb, factorial
 
 import mpmath
 
-from miop.errors import ConfigurationError, ReductionFailure
-from miop.exact import LaurentPoly, Poly, downcast, parse_scalar, q_pow
+from miop.errors import ConfigurationError, PoleEncountered, ReductionFailure
+from miop.exact import (LaurentPoly, Poly, SqrtQRational, downcast, parse_scalar,
+                        q_pow)
 from miop.families import FamilyParams
-from miop.quad import _qpoch_inf
+from miop.quad import FloatPoly, _qpoch_inf
 
 
 def coeff(p, k: int):
@@ -279,3 +284,65 @@ def phi0_sq_mpmath(fp):
         return float(num / den)
 
     return aw_weight
+
+
+def pole_scan(den: Poly, eta, a: float, b: float, samples: int = 2048):
+    """Raise PoleEncountered where 2048 float samples of den over eta((a, b)) look like a pole.
+
+    den is the exact eta-denominator, eta the map x -> eta; the scan refuses
+    a sign change, a zero sample, an identically zero den and a sample below
+    1e-12 of the largest one.
+    """
+    xi_den = FloatPoly.from_exact(den)
+    lo, hi = sorted((eta(a + 1e-9), eta(b - 1e-9)))
+    vals = [xi_den(lo + (hi - lo) * i / (samples - 1)) for i in range(samples)]
+    top = max(abs(v) for v in vals)
+    if top == 0.0:
+        raise PoleEncountered("denominator is identically zero on the interval")
+    prev = vals[0]
+    for v in vals[1:]:
+        if v == 0.0 or (v < 0) != (prev < 0):
+            raise PoleEncountered("denominator changes sign on the integration interval")
+        prev = v
+    if min(abs(v) for v in vals) < 1e-12 * top:
+        raise PoleEncountered("denominator nearly vanishes on the integration interval")
+
+
+def _mp_real(c):
+    """A real scalar of Q or Q(sqrt q) as an mpf at the working precision."""
+    if type(c) is SqrtQRational:
+        q = c.q
+        return _mp_real(c.a.re) + _mp_real(c.b.re) * mpmath.sqrt(mpmath.mpf(q.numerator) / q.denominator)
+    c = Fraction(c)
+    return mpmath.mpf(c.numerator) / c.denominator
+
+
+def _trimmed(run) -> list:
+    run = list(run)
+    while run and not run[-1]:
+        run.pop()
+    return run
+
+
+def squarefree_part(run) -> list:
+    """run / gcd(run, run'), by Euclid's algorithm on long_division."""
+    a, b = _trimmed(run), _trimmed(k * c for k, c in enumerate(run))[1:]
+    while b:
+        a, b = b, _trimmed(long_division(a, b)[1])
+    return list(long_division(run, a)[0])
+
+
+def real_root_count(den: Poly, lo, hi) -> int:
+    """Distinct real roots of den on (lo, hi), hi = None for +inf, by mpmath polyroots.
+
+    polyroots runs at 60 digits on the square-free part of den, so every root
+    it seeks is simple; a root whose imaginary part is below 1e-30 of its size
+    counts as real.
+    """
+    run = squarefree_part(den.coeffs)
+    if len(run) < 2:
+        return 0
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots([_mp_real(c) for c in reversed(run)], maxsteps=200, extraprec=100)
+        real = [mpmath.re(r) for r in roots if abs(mpmath.im(r)) <= 1e-30 * max(1, abs(r))]
+        return sum(1 for r in real if r > lo and (hi is None or r < hi))

@@ -1,15 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miop import verify as verify_mod
 from miop.cli import main
 from miop.exact import Poly
 from miop.rtable import build_rtable
+
+from .strategies import family_params
 
 
 _DIFFERENCE = "--enable-difference-weights"
@@ -382,19 +388,37 @@ class TestOrtho:
         assert len(rel) == 3 and max(rel) < 1e-10
 
     def test_wilson_twist_at_gamma_pole(self, capsys):
-        # the twisted a1 - 1/2 is 0, a pole of Gamma(a1) but not of |Gamma(a1 + ix)|^2;
-        # the point lies outside DIFFERENCE_ORTHO_PRESETS, so a deficit row is a valid answer
+        # the twisted a1 - 1/2 is 0, a pole of Gamma(a1) but not of |Gamma(a1 + ix)|^2
+        # (test_quad covers that kernel); here Etilde_I1 = 18/25 lies above E_0 = 0, so
+        # the expected norm is negative and the grid is refused as a configuration error
         code, out, err = run_cli(capsys, "ortho", "--family", "W", "--a", "1/2,13/10,6/5,7/5",
                                  "--D", "I1", "--n", "0..1", _DIFFERENCE)
-        assert code == 0 and "Traceback" not in err
-        assert len(out.splitlines()[1:]) == 3
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "D={I1}" in err and "n = 0" in err and "-18/25" in err
 
     def test_twisted_sqrt_q_bound_state_deficit(self, capsys):
-        # type I at aw-q13 owns a bound state: a visible deficit, not a crash
+        # type I at aw-q13 has Etilde = 59/120 above E_0 = 0: refused, not a meaningless row
         code, out, err = run_cli(capsys, "ortho", "--preset", "aw-q13", "--D", "I1",
                                  "--n", "0..0", _DIFFERENCE)
-        assert code == 0 and "Traceback" not in err
-        assert float(out.splitlines()[1].split(",")[4]) > 1e-3
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "D={I1}" in err and "n = 0" in err and "-59/120" in err
+
+    @given(family_params(), st.sampled_from(["I1", "II1", "I1,II1"]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_points_exit_typed(self, fp, label):
+        # every in-range point gives rows (0), a failed check (1) or a configuration error (2)
+        argv = ["ortho", "--family", fp.family, "--D", label, "--n", "0..0"]
+        if fp.family in ("L", "J"):
+            argv += [f"--{name}={v}" for name, v in zip(("g", "h"), fp.lam)]
+        else:
+            argv += ["--a", ",".join(map(str, fp.lam)), _DIFFERENCE]
+            if fp.q is not None:
+                argv += ["--q", str(fp.q)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestFlagValidation:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miop import quad
-from miop.errors import ConfigurationError, NonConvergent, PoleEncountered
+from miop.errors import ConfigurationError, MiopError, NonConvergent, PoleEncountered
 from miop.exact import Poly
 from miop.families import PRESETS, FamilyParams, energy, twisted, virtual_energy
 from miop.multiindex import IndexSet, build
@@ -28,7 +28,7 @@ from miop.quad import (
     pairwise_sum,
 )
 
-from .oracles import phi0_sq_mpmath
+from .oracles import phi0_sq_mpmath, pole_scan, real_root_count
 from .strategies import family_params
 
 EMPTY = IndexSet.parse("")
@@ -108,11 +108,49 @@ class TestWeight:
             assert w.node_weight(0.2 * k) > 0.0
 
     def test_pole_refused(self):
-        # Mixed-type Wilson deformation at these parameters has a denominator
-        # zero inside (0, inf); the scan must refuse rather than integrate.
-        fp = FamilyParams("W", (F(2), F(7, 4), F(8, 5), F(17, 10)))
-        with pytest.raises(PoleEncountered):
-            weight_of(fp, IndexSet.parse("I1,II1"))
+        # Xi_D has a root inside the eta-domain: the weight must refuse rather than integrate
+        for fp, root in ((FamilyParams("L", (F(7, 6),)), F(1, 3)),
+                         (FamilyParams("J", (F(11, 10), F(3))), F(31, 39))):
+            pair = build(fp, IndexSet.parse("II1"), n_max=0)
+            assert pair.Xi(root) == 0
+            with pytest.raises(PoleEncountered):
+                Weight(pair)
+
+    @pytest.mark.parametrize("a", [
+        (F(2), F(7, 4), F(8, 5), F(17, 10)),
+        (F(1), F(7, 3), F(7), F(7, 3)),
+    ], ids=["2,7/4,8/5,17/10", "1,7/3,7,7/3"])
+    def test_pole_free_wilson_accepted(self, a):
+        # the shift-product denominator spans more than 12 decades over the
+        # integration interval but has no root on eta > 0
+        for n, m, integral, expected, rel in ortho_grid(FamilyParams("W", a), IndexSet.parse("I1,II1"), 2):
+            assert rel < (1e-7 if n == m else 1e-8), (n, m, integral, expected)
+
+    @given(family_params(), st.sampled_from(["I1", "II1", "I1,II1", "I1,I2"]))
+    @settings(max_examples=40, deadline=None)
+    def test_sturm_count_against_scan_and_polyroots(self, fp, label):
+        try:
+            pair = build(fp, IndexSet.parse(label), n_max=1)
+        except MiopError:
+            return
+        den = quad._denominator(pair)
+        try:
+            Weight(pair)
+            refused = False
+        except PoleEncountered:
+            refused = True
+        if refused:
+            # the float scan over the widest interval refuses every point the count refuses
+            with pytest.raises(PoleEncountered):
+                pole_scan(den, quad._eta_of_x(fp), *quad._interval(fp, pair.D, 1, 1))
+        lo, hi = quad._ETA_DOMAIN[fp.family]
+        p = list(den.coeffs)
+        if den.is_zero or quad._value(p, lo) == 0 or (hi is not None and quad._value(p, hi) == 0):
+            assert refused
+            return
+        count = quad._sturm_count(p, lo, hi)
+        assert count == real_root_count(den, lo, hi)
+        assert refused == (count > 0)
 
 
 def abscissas(fp, D, n):
@@ -307,11 +345,17 @@ class TestOrthoGrid:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("build", "Weight", "_check_no_pole"):
+        for name in ("build", "Weight", "_check_no_pole", "expected_norm"):
             monkeypatch.setattr(quad, name, counting(name, getattr(quad, name)))
-        rows = quad.ortho_grid(PRESETS["l-default"], IndexSet.parse("I1,II1"), 2)
+        fp, D = PRESETS["l-default"], IndexSet.parse("I1,II1")
+        rows = quad.ortho_grid(fp, D, 2)
         assert len(rows) == 6
-        assert counts == {"build": 1, "Weight": 1, "_check_no_pole": 1}
+        # one norm per n, shared by the diagonal entry and every off-diagonal one
+        assert counts == {"build": 1, "Weight": 1, "_check_no_pole": 1, "expected_norm": 3}
+        # the tanh-sinh node tables are built once per process
+        misses = quad._ts_nodes.cache_info().misses
+        assert quad.ortho_grid(fp, D, 2) == rows
+        assert quad._ts_nodes.cache_info().misses == misses
 
     @pytest.mark.parametrize("fp,label,n_max", [
         (PRESETS["l-default"], "I1,II1", 2),
