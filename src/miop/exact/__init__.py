@@ -1,8 +1,8 @@
 """Exact arithmetic core: scalar tower, polynomials, determinants."""
 from .matrix import (PolyMatrix, det, det_cofactor, det_fraction_free,
                      last_column_cofactors)
-from .poly import (NEG_INF, LaurentPoly, Poly, even_poly_to_eta, laurent_shift,
-                   laurent_to_eta)
+from .poly import (NEG_INF, LaurentPoly, Poly, even_poly_to_eta, imag_shift,
+                   laurent_shift, laurent_to_eta)
 from .scalars import (GaussianRational, I, Scalar, SqrtQRational, conj,
                       downcast, format_scalar, make_sqrtq, parse_scalar, q_pow,
                       rational_sqrt, scalar_sign, sqrt_q)
@@ -11,6 +11,7 @@ __all__ = [
     "NEG_INF", "GaussianRational", "I", "LaurentPoly", "Poly", "PolyMatrix",
     "Scalar", "SqrtQRational", "conj", "det", "det_cofactor",
     "det_fraction_free", "downcast", "even_poly_to_eta", "format_scalar",
+    "imag_shift",
     "last_column_cofactors", "laurent_shift", "laurent_to_eta", "make_sqrtq",
     "parse_scalar", "q_pow", "rational_sqrt", "scalar_sign", "sqrt_q",
 ]

@@ -16,12 +16,14 @@ constant and is used in "eta" and "x"; LaurentPoly stores its own lo, for
 z = e^{ix} expressions.  The zero polynomial is one empty column (degree
 NEG_INF for Poly, lo = 0 for LaurentPoly).  Values are immutable.
 
-Every ring operation works on these integers and builds no scalar: sums,
-products by a polynomial (integer convolution) or by a scalar (whose
-coordinates are read directly), powers, exact division (pseudo-division
-after clearing the conjugates of the divisor's leading coefficient),
-composition (Horner's rule), the derivative, conjugation, z -> 1/z, the
-x-picture shift z -> z*q**c and the reductions to eta.  Tower scalars
+Every ring operation works on these integers and builds no scalar: sums
+of products by a polynomial (integer convolution) or by a scalar (whose
+coordinates are read directly), aligned on one common denominator and
+made canonical once (_dot; a sum or a product is the one-term case),
+powers, exact division (pseudo-division after clearing the conjugates of
+the divisor's leading coefficient), composition (Horner's rule), the
+derivative, conjugation, z -> 1/z, the x-picture shifts x -> x + i*c (an
+integer Taylor shift) and z -> z*q**c and the reductions to eta.  Tower scalars
 appear only at the boundary: constructors take a coefficient run, and
 `coeffs` derives the canonical scalars (Fraction over Q, GaussianRational
 across a run with any i part) on first use and caches them.  Mixing the
@@ -172,6 +174,9 @@ def _conv(a: list, b: list) -> list:
 
 def _mul_ints(a: list, b: list, r2: int) -> list:
     """Product of two runs in coordinates, at the larger width; r2 = r*r."""
+    if len(b) == 1 and len(b[0]) == 1:  # a rational constant
+        c = b[0][0]
+        return [[x * c for x in part] for part in a]
     out = [None] * max(len(a), len(b))
     for k, ak in enumerate(a):
         if not any(ak):
@@ -199,6 +204,50 @@ def _make(cls, var: str, lo: int, parts: list, den: int, q):
     return out
 
 
+def _align(terms: list) -> tuple:
+    """(lo, parts, den, q), not yet canonical: the sum of one or more nonzero
+    terms (lo, parts, den, q) over their least common denominator."""
+    lo = min(t[0] for t in terms)
+    n = max(t[0] + len(t[1][0]) for t in terms) - lo
+    den = lcm(*(t[2] for t in terms))
+    q = None
+    out = [[0] * n for _ in range(max(len(t[1]) for t in terms))]
+    for tlo, parts, d, tq in terms:
+        if tq is not None:
+            q = _radicand(q, tq)
+        m, a = den // d, tlo - lo
+        for part, col in zip(parts, out):
+            b = a + len(part)
+            col[a:b] = [x + y * m for x, y in zip(col[a:b], part)]
+    return lo, out, den, q
+
+
+def _dot(terms) -> "_PolyBase":
+    """sum a*b over the pairs (a, b) of terms, a nonempty iterable.
+
+    Every a is a value of one carrier ring and every b a value of that ring
+    or a scalar; the products are summed over one common denominator and
+    the result is put in canonical form once.
+    """
+    ring, prods = None, []
+    for a, b in terms:
+        if ring is None:
+            ring = a
+        a = ring._operand(a)
+        if isinstance(b, _PolyBase):
+            b = ring._operand(b)
+            blo, bparts, bden, bq = b.lo, b._parts, b._den, b._q
+        else:
+            x, bden, bq = _scalar_coords(b)
+            blo, bparts = 0, [[v] for v in x]
+        if a._parts[0] and any(map(any, bparts)):
+            q = _radicand(a._q, bq)
+            prods.append((a.lo + blo, _mul_ints(a._parts, bparts, _r2(q)), a._den * bden, q))
+    if not prods:
+        return ring._zero()
+    return ring._new(*(prods[0] if len(prods) == 1 else _align(prods)))
+
+
 class _PolyBase:
     """sum coeffs[j] * var**(lo+j); the ring operations of both carriers."""
 
@@ -217,16 +266,16 @@ class _PolyBase:
 
     def _operand(self, other):
         """other as an element of self's ring, or None if it is not one."""
+        if type(other) is type(self) and other.var == self.var:
+            return other
         if isinstance(other, _SCALARS):
             x, d, q = _scalar_coords(other)
             return self._new(0, [[v] for v in x], d, q)
         if not isinstance(other, _PolyBase):
             return None
-        if type(other) is not type(self) or other.var != self.var:
-            raise ConfigurationError(
-                f"mixing {type(self).__name__} in {self.var!r} and "
-                f"{type(other).__name__} in {other.var!r}")
-        return other
+        raise ConfigurationError(
+            f"mixing {type(self).__name__} in {self.var!r} and "
+            f"{type(other).__name__} in {other.var!r}")
 
     # -- the scalar boundary ----------------------------------------------------
     @property
@@ -242,10 +291,10 @@ class _PolyBase:
         return not self._parts[0]
 
     def __eq__(self, other):
-        if isinstance(other, _SCALARS):
+        if type(other) is not type(self):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             other = self._operand(other)
-        elif type(other) is not type(self):
-            return NotImplemented
         return (self.lo == other.lo and self.var == other.var and self._den == other._den
                 and self._q == other._q and self._parts == other._parts)
 
@@ -264,21 +313,8 @@ class _PolyBase:
             return self
         if not self._parts[0]:
             return other
-        q = _radicand(self._q, other._q)
-        a, b = (self, other) if self.lo <= other.lo else (other, self)
-        den = lcm(a._den, b._den)
-        ma, mb = den // a._den, den // b._den
-        off = b.lo - a.lo
-        na, nb = len(a._parts[0]), len(b._parts[0])
-        n = max(na, off + nb)
-        out = []
-        for k in range(max(len(a._parts), len(b._parts))):
-            col = [x * ma for x in a._parts[k]] if k < len(a._parts) else [0] * na
-            col.extend([0] * (n - na))
-            if k < len(b._parts):
-                col[off:off + nb] = [x + y * mb for x, y in zip(col[off:off + nb], b._parts[k])]
-            out.append(col)
-        return self._new(a.lo, out, den, q)
+        return self._new(*_align([(self.lo, self._parts, self._den, self._q),
+                                  (other.lo, other._parts, other._den, other._q)]))
 
     __radd__ = __add__
 
@@ -296,26 +332,9 @@ class _PolyBase:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):  # a constant multiplies every column
-            x, d, q = _scalar_coords(other)
-            if len(x) == 1:
-                c = x[0]
-                if not c:
-                    return self._zero()
-                return self._new(self.lo, [[v * c for v in part] for part in self._parts],
-                                 self._den * d, self._q)
-            b, lo = [[v] for v in x], self.lo
-        else:
-            other = self._operand(other)
-            if other is None:
-                return NotImplemented
-            b, d, q, lo = other._parts, other._den, other._q, self.lo + other.lo
-            if not b[0]:
-                return other
-        if not self._parts[0]:
-            return self
-        q = _radicand(self._q, q)
-        return self._new(lo, _mul_ints(self._parts, b, _r2(q)), self._den * d, q)
+        if isinstance(other, _PolyBase) or isinstance(other, _SCALARS):
+            return _dot([(self, other)])
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -511,6 +530,32 @@ class LaurentPoly(_PolyBase):
         return self.z_inverse().conj_coeffs()
 
 
+def imag_shift(p: Poly, c) -> Poly:
+    """Substitute x -> x + i*c exactly, for a rational c = u/v.
+
+    With d = deg p, v**d * p(x + i*c) = sum_j p_j v**(d-j) (v*x + i*u)**j:
+    coefficient j is scaled by v**(d-j), the run is Taylor-shifted by i*u
+    (synthetic division, where a product by i maps the coordinate pairs
+    (a, b) of a + b*i and of (a + b*i)*r to (-b, a)), coefficient k is
+    scaled by v**k and the denominator by v**d.
+    """
+    c = Fraction(c)
+    if not c or not p._parts[0]:
+        return p
+    u, v = c._numerator, c._denominator
+    d = len(p._parts[0]) - 1
+    vs = [v ** k for k in range(d + 1)]
+    parts = [[x * f for x, f in zip(part, vs[::-1])]
+             for part in _widen(p._parts, max(len(p._parts), 2))]
+    for re, im in zip(parts[0::2], parts[1::2]):
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                re[j] -= u * im[j + 1]
+                im[j] += u * re[j + 1]
+    return p._new(0, [[x * f for x, f in zip(part, vs)] for part in parts],
+                  p._den * vs[d], p._q)
+
+
 def laurent_shift(p: LaurentPoly, c, q) -> LaurentPoly:
     """Substitute z -> z*q**c exactly; c may be a half-integer.
 
@@ -563,14 +608,19 @@ def even_poly_to_eta(p: Poly) -> Poly:
 
 def laurent_to_eta(p: LaurentPoly) -> Poly:
     """Express a symmetric self-conjugate Laurent value as a Poly in
-    eta = (z + 1/z)/2, by peeling leading Chebyshev terms."""
-    if p.star() != p:
+    eta = (z + 1/z)/2, by peeling leading Chebyshev terms.
+
+    p.star() == p when the run mirrors onto itself with its i and i*r parts
+    negated; then p.z_inverse() == p when those parts are zero."""
+    if not p:
+        return Poly.zero()
+    if p.lo != -p.hi or any(part[::-1] != ([-x for x in part] if k & 1 else part)
+                            for k, part in enumerate(p._parts)):
         raise ReductionFailure("x-picture value is not self-conjugate")
-    if p.z_inverse() != p:
+    if any(map(any, p._parts[1::2])):
         raise ReductionFailure("x-picture value is not symmetric under z -> 1/z")
-    hi = max(p.hi, 0)
-    # rem[k][hi + e]: coordinate k of the coefficient of z**e
-    rem = [[0] * (p.lo + hi) + list(part) + [0] * (hi - p.hi) for part in p._parts]
+    hi = p.hi
+    rem = [list(part) for part in p._parts]  # rem[k][hi + e]: coordinate k of z**e
     out = [[0] * (hi + 1) for _ in rem]
     for n in range(hi, 0, -1):
         a = [part[hi + n] for part in rem]

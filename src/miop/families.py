@@ -42,6 +42,7 @@ from .exact import (
     downcast,
     even_poly_to_eta,
     format_scalar,
+    imag_shift,
     laurent_shift,
     laurent_to_eta,
     q_pow,
@@ -444,8 +445,9 @@ def energy(fp: FamilyParams, n: int) -> Scalar:
 # -- x-picture carriers (difference families) ---------------------------------
 #
 # W works with Poly in x over Gaussian rationals; AW with LaurentPoly in
-# z = e^{ix}.  A shift x -> x + i c gamma acts on W by composing with x + ic
-# and on AW by z -> z q^{-c} (gamma = log q), which is laurent_shift(p, -c).
+# z = e^{ix}.  A shift x -> x + i c gamma acts on W by the Taylor shift
+# x -> x + ic (imag_shift, gamma = 1) and on AW by z -> z q^{-c}
+# (gamma = log q), which is laurent_shift(p, -c).
 
 
 def _require_difference(fp: FamilyParams):
@@ -491,12 +493,10 @@ def poly_to_x(fp: FamilyParams, p: Poly) -> Carrier:
 def x_shift(fp: FamilyParams, p: Carrier, c) -> Carrier:
     """Evaluate the carrier at x + i c gamma; c may be a half-integer."""
     _require_difference(fp)
-    c = Fraction(c)
-    if c == 0:
+    if not c:
         return p
     if fp.family == "W":
-        shift = Poly([GaussianRational(0, c), Fraction(1)], var="x")
-        return p.compose(shift)
+        return imag_shift(p, c)
     return laurent_shift(p, -c, fp.q)
 
 

@@ -67,6 +67,7 @@ from .exact import (
     rational_sqrt,
     sqrt_q,
 )
+from .exact.poly import _dot
 from .families import (
     FamilyParams,
     VirtualStateData,
@@ -472,22 +473,33 @@ def _nonzero(d: Carrier, fp: FamilyParams, D: IndexSet, name: str) -> Carrier:
     return d
 
 
+def build_xi(fp: FamilyParams, D: IndexSet) -> tuple:
+    """(Xi_D, its radicand, the family's picture of D), the Xi half of build.
+
+    Xi_D is finish(det) of the size-M block; for M = 0 it is 1 and there
+    is no picture (None).
+    """
+    if D.M == 0:
+        return Poly.one(), Fraction(1), None
+    picture = (_casoratian if fp.is_difference else _wronskian)(fp, D)
+    block, _, _, finish, xi_rad = picture(D.M)
+    return finish(_nonzero(det(block), fp, D, "Xi_D")), xi_rad, picture
+
+
 def build(fp: FamilyParams, D: IndexSet, n_max: int = 8) -> MultiIndexedPair:
     """(Xi_D, P_{D,0..n_max}) for any family, by one last-column expansion.
 
-    Xi_D is finish(det) of the size-M block.  The size-(M+1) block's
-    cofactors times the row factors give weights w_j once per build, and
+    Xi_D comes from build_xi.  The size-(M+1) block's cofactors times the
+    row factors give weights w_j once per build, and
     P_{D,n} = finish(sum_j ladder_j(n) w_j).
     """
-    if D.M == 0:
-        return MultiIndexedPair(fp, D, Poly.one(), {n: classical_poly(fp, n) for n in range(n_max + 1)})
-    picture = (_casoratian if fp.is_difference else _wronskian)(fp, D)
-    block, _, _, finish, xi_rad = picture(D.M)
-    Xi = finish(_nonzero(det(block), fp, D, "Xi_D"))
+    Xi, xi_rad, picture = build_xi(fp, D)
+    if picture is None:
+        return MultiIndexedPair(fp, D, Xi, {n: classical_poly(fp, n) for n in range(n_max + 1)})
     block, row_factors, ladder, finish, p_rad = picture(D.M + 1)
     weights = [r * w for r, w in zip(row_factors, last_column_cofactors(block))]
     P = {}
     for n in range(n_max + 1):
-        d = sum(e * w for e, w in zip(ladder(n), weights) if w)
+        d = _dot(zip(ladder(n), weights))
         P[n] = finish(_nonzero(d, fp, D, f"P_{{D,{n}}}"))
     return MultiIndexedPair(fp, D, Xi, P, xi_rad, p_rad)

@@ -15,7 +15,8 @@ For W and AW the recursion lives in the x-picture,
                       + C_n Rx^[s-1]_{n-1,k+1}(x + i gamma/2),
 
 and every level is self-conjugate and symmetric, hence exactly reducible
-to a polynomial in eta; the reduced and x-picture forms are both stored.
+to a polynomial in eta; both forms are stored, with the coefficients and
+the shifted level s-1 entries, which the half-shift checks read again.
 
 Because the recursion at level s reads neighbours n-1 and n+1 of level
 s-1, each level is stored on the requested window widened by (M - s) on
@@ -39,7 +40,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import ConfigurationError
-from .exact import GaussianRational, LaurentPoly, Poly, format_scalar
+from .exact import LaurentPoly, Poly, format_scalar
+from .exact.poly import _dot
 from .families import (
     FamilyParams,
     carrier_one,
@@ -54,7 +56,6 @@ Carrier = Union[Poly, LaurentPoly]
 CoeffFn = Callable[[int], tuple]
 
 _HALF = Fraction(1, 2)
-_HALF_I = GaussianRational(0, Fraction(1, 2))
 
 
 def _check_window(window) -> tuple:
@@ -66,13 +67,19 @@ def _check_window(window) -> tuple:
 
 @dataclass
 class RTable:
-    """Frozen band of recurrence polynomials; read-only after construction."""
+    """Frozen band of recurrence polynomials; read-only after construction.
+
+    abc holds the (A_n, B_n, C_n) the recursion used and, for W and AW, ups
+    the x-picture entries of levels s < M at x + i gamma/2 it computed.
+    """
 
     fp: FamilyParams
     M: int
     window: tuple
     entries: dict = field(repr=False)
     xentries: Optional[dict] = field(default=None, repr=False)
+    abc: dict = field(default_factory=dict, repr=False)
+    ups: Optional[dict] = field(default=None, repr=False)
 
     def entry(self, s: int, n: int, k: int) -> Poly:
         """R^[s]_{n,k} in eta; zero outside the band |k| <= s+1."""
@@ -135,35 +142,32 @@ def build_rtable(
     abc = {n: coeffs(n) for n in range(lo - M, hi + M + 1)}
     xentries: dict = {}
     entries: dict = {}
+    ups: dict = {}  # level s-1 entries evaluated at x + i gamma/2
     for n in range(lo - M - 1, hi + M + 2):
         xentries[(-1, n, 0)] = one
         entries[(-1, n, 0)] = Poly.one()
 
+    def up(key):
+        got = ups.get(key)
+        if got is None:
+            got = ups[key] = shift(xentries.get(key, zero))
+        return got
+
     for s in range(M + 1):
         pad = M - s
         eta_s = eta_arg(s)
-        shifted_cache: dict = {}
-
-        def up(s1, n, k):
-            # level s-1 entry evaluated at x + i gamma/2
-            key = (s1, n, k)
-            got = shifted_cache.get(key)
-            if got is None:
-                got = shifted_cache[key] = shift(xentries.get(key, zero))
-            return got
-
         for n in range(lo - pad, hi + pad + 1):
             A, B, C = abc[n]
             diag = B - eta_s
             for k in range(-s - 1, s + 2):
-                val = (
-                    up(s - 1, n + 1, k - 1) * A
-                    + diag * up(s - 1, n, k)
-                    + up(s - 1, n - 1, k + 1) * C
-                )
+                val = _dot([(up((s - 1, n + 1, k - 1)), A),
+                            (diag, up((s - 1, n, k))),
+                            (up((s - 1, n - 1, k + 1)), C)])
                 xentries[(s, n, k)] = val
                 entries[(s, n, k)] = reduce(val)
-    return RTable(fp, M, window, entries, xentries if fp.is_difference else None)
+    if not fp.is_difference:
+        xentries = ups = None
+    return RTable(fp, M, window, entries, xentries, abc, ups)
 
 
 # -- structural identity checks ------------------------------------------------
@@ -198,7 +202,6 @@ def check_rprop2_rprop3(table: RTable) -> list:
         raise ConfigurationError("check_rprop2_rprop3 requires family W or AW")
     M = table.M
     lo, hi = table.window
-    abc = {n: three_term(fp, n) for n in range(lo - M, hi + M + 1)}
     halves: dict = {}  # (s, n, k) -> the entry shifted by -1/2 and by +1/2
     pluses: dict = {}  # (s, n, k) -> the even half of the entry
 
@@ -206,42 +209,38 @@ def check_rprop2_rprop3(table: RTable) -> list:
         got = halves.get(key)
         if got is None:
             p = table.xentry(*key)
-            got = halves[key] = (x_shift(fp, p, -_HALF), x_shift(fp, p, _HALF))
+            up = table.ups[key] if key in table.ups else x_shift(fp, p, _HALF)  # level M
+            got = halves[key] = (x_shift(fp, p, -_HALF), up)
         return got
 
     def plus(key):
         got = pluses.get(key)
         if got is None:
-            a, b = halves_of(key)
-            got = pluses[key] = (a + b) * _HALF
+            got = pluses[key] = _dot([(h, _HALF) for h in halves_of(key)])
         return got
 
     bad = []
     for s in range(M + 1):
         pad = M - s
-        d_up = eta_at(fp, Fraction(s + 1, 2))
-        d_dn = eta_at(fp, Fraction(-(s + 1), 2))
         e_up = eta_at(fp, Fraction(s, 2))
         e_dn = eta_at(fp, Fraction(-s, 2))
-        odd = (d_dn - d_up) * (-_HALF_I)
+        # both identities as residuals that must vanish; the first without
+        # the common factor i/2 of its two sides
+        odd = eta_at(fp, Fraction(-(s + 1), 2)) - eta_at(fp, Fraction(s + 1, 2))
         mid = (e_dn + e_up) * _HALF
-        corr = (e_dn - e_up) ** 2 * Fraction(1, 4)
+        corr = (e_dn - e_up) ** 2 * Fraction(-1, 4)  # zero at s = 0
         for n in range(lo - pad, hi + pad + 1):
-            A, B, C = abc[n]
+            A, B, C = table.abc[n]
             diag = B - mid
             for k in range(-s - 1, s + 2):
-                cur = table.xentry(s, n, k)
                 c_dn, c_up = halves_of((s, n, k))
-                if (c_dn - c_up) * _HALF_I != odd * table.xentry(s - 1, n, k):
+                if _dot([(c_dn, 1), (c_up, -1), (odd, table.xentry(s - 1, n, k))]):
                     bad.append({"id": "half-difference", "s": s, "n": n, "k": k})
-                rhs3 = (
-                    plus((s - 1, n + 1, k - 1)) * A
-                    + diag * plus((s - 1, n, k))
-                    + plus((s - 1, n - 1, k + 1)) * C
-                )
-                if s >= 1:
-                    rhs3 = rhs3 - corr * table.xentry(s - 2, n, k)
-                if cur != rhs3:
+                if _dot([(plus((s - 1, n + 1, k - 1)), A),
+                         (diag, plus((s - 1, n, k))),
+                         (plus((s - 1, n - 1, k + 1)), C),
+                         (corr, table.xentry(s - 2, n, k)),
+                         (table.xentry(s, n, k), -1)]):
                     bad.append({"id": "even-half-rebuild", "s": s, "n": n, "k": k})
     return bad
 

@@ -22,7 +22,7 @@ downstream check fail obscurely.
 run_all builds the pair (Xi_D, P_{D,n}) and the depth-M table R^[s]_{n,k}
 once per (family, D) and hands them to every check.  Level s of that table
 is the depth-s table, so the prefix chain reads it too.  Only four objects
-are built apart: the override table, the pair at shifted parameters for
+are built apart: the override table, Xi_D alone at shifted parameters for
 the seed, the prefix pairs of depth s < M and the permuted pair.
 """
 
@@ -35,8 +35,9 @@ from typing import Optional
 
 from .errors import ConfigurationError, GenericityError, LeadingCoefficientZero
 from .exact import Poly, format_scalar
+from .exact.poly import _dot
 from .families import FamilyParams, shifted, three_term
-from .multiindex import IndexSet, MultiIndexedPair, build
+from .multiindex import IndexSet, MultiIndexedPair, build, build_xi
 from .rtable import (
     RTable,
     build_rtable,
@@ -127,10 +128,7 @@ def _first_bad_coeff(p: Poly) -> str:
 
 def _rrp_residual(table: RTable, P_of, M: int, n: int) -> Poly:
     """sum_k R^[M]_{n,k} P_{n+k}, reading each P_m through P_of(m)."""
-    acc = Poly.zero()
-    for k in range(-M - 1, M + 2):
-        acc = acc + table.entry(M, n, k) * P_of(n + k)
-    return acc
+    return _dot([(table.entry(M, n, k), P_of(n + k)) for k in range(-M - 1, M + 2)])
 
 
 def shared_objects(fp: FamilyParams, D: IndexSet, n_range: tuple) -> tuple:
@@ -222,8 +220,8 @@ def regenerate_from_initial(pair: MultiIndexedPair, table: RTable, N: int) -> Ve
 def check_seed_proportionality(pair: MultiIndexedPair) -> VerificationReport:
     """P_{D,0}(eta; lambda) = c * Xi_D(eta; lambda + delta), c recorded."""
     report = VerificationReport("seed-proportionality", pair.fp, pair.D, None)
-    pair_s = build(shifted(pair.fp), pair.D, n_max=0)
-    p0, xi_s = pair.P_of(0), pair_s.Xi
+    xi_s, xi_rad, _ = build_xi(shifted(pair.fp), pair.D)
+    p0 = pair.P_of(0)
     if p0.degree != xi_s.degree:
         report.add("fail", witness=f"deg P_0 = {p0.degree} vs deg Xi(shifted) = {xi_s.degree}")
         return report
@@ -232,10 +230,10 @@ def check_seed_proportionality(pair: MultiIndexedPair) -> VerificationReport:
         report.add("fail", witness="proportionality constant is zero")
     elif p0 == xi_s * c:
         note = f"c = {format_scalar(c)}"
-        if pair.p_radicand != 1 or pair_s.xi_radicand != 1:
+        if pair.p_radicand != 1 or xi_rad != 1:
             note += (
                 f" (stored-scale; radicands {format_scalar(pair.p_radicand)}"
-                f" / {format_scalar(pair_s.xi_radicand)})"
+                f" / {format_scalar(xi_rad)})"
             )
         report.add("pass", witness=note)
     else:

@@ -13,7 +13,9 @@ the R-table of the difference families reduces to.
 schoolbook_mul and long_division are the per-coefficient scalar loops of
 polynomial multiplication and division, on bare coefficient runs, and
 laurent_shift_scalar and laurent_to_eta_scalar those of the x-picture shift
-z -> z*q**c and the Chebyshev peel: the references for the integer
+z -> z*q**c and the Chebyshev peel, and x_shift_compose the Wilson shift
+x -> x + i*c as a composition with x + i*c (Horner's rule), which the
+integer Taylor shift imag_shift replaced: the references for the integer
 coordinates of miop.exact.poly.
 
 coeff, map_coeffs and family_params_from_json read a value back in the
@@ -37,8 +39,8 @@ from math import comb, factorial
 import mpmath
 
 from miop.errors import ConfigurationError, PoleEncountered, ReductionFailure
-from miop.exact import (LaurentPoly, Poly, SqrtQRational, downcast, parse_scalar,
-                        q_pow)
+from miop.exact import (GaussianRational, LaurentPoly, Poly, SqrtQRational, downcast,
+                        parse_scalar, q_pow)
 from miop.families import FamilyParams
 from miop.quad import FloatPoly, _qpoch_inf
 
@@ -230,6 +232,11 @@ def laurent_shift_scalar(p, c, q):
         out.append(coeff * factor)
         factor = factor * step
     return LaurentPoly(p.lo, out)
+
+
+def x_shift_compose(p: Poly, c) -> Poly:
+    """p(x + i*c) for a Poly p in x, by composing with the polynomial x + i*c."""
+    return p.compose(Poly([GaussianRational(0, Fraction(c)), Fraction(1)], var=p.var))
 
 
 def laurent_to_eta_scalar(p):

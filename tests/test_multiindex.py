@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from miop.errors import ConfigurationError, GenericityError, SingularCoefficient
 from miop.exact import Poly
 from miop.families import PRESETS, FamilyParams, classical_poly, shifted
-from miop.multiindex import IndexSet, build, phi_M
+from miop.multiindex import IndexSet, build, build_xi, phi_M
 from miop.quad import Weight, _phi0_sq
 from miop.rtable import build_rtable
 
@@ -161,6 +161,15 @@ class TestSeedProportionality:
         p0, xi_s = pair.P_of(0), pair_s.Xi
         assert p0.degree == xi_s.degree
         assert p0 * xi_s.lc == xi_s * p0.lc
+
+    @pytest.mark.parametrize("name", ALL_PRESETS)
+    @pytest.mark.parametrize("lbl", ["", "I1", "I1,II1"])
+    def test_build_xi_is_the_xi_half_of_build(self, name, lbl):
+        fp, D = PRESETS[name], IndexSet.parse(lbl)
+        pair = build(fp, D, n_max=0)
+        xi, rad, picture = build_xi(fp, D)
+        assert (xi, rad) == (pair.Xi, pair.xi_radicand)
+        assert (picture is None) == (D.M == 0)
 
     def test_constant_minus_one_for_laguerre_type1(self):
         fp = PRESETS["l-default"]

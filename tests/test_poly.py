@@ -1,4 +1,5 @@
 """Polynomial and Laurent arithmetic: ring laws, exact division, reductions."""
+import abc
 from fractions import Fraction
 from math import gcd
 
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from miop.errors import ConfigurationError, InexactDivision, ReductionFailure
 from miop.exact import (NEG_INF, GaussianRational, LaurentPoly, Poly,
                         SqrtQRational, conj, even_poly_to_eta, format_scalar,
-                        laurent_shift, laurent_to_eta, make_sqrtq, sqrt_q)
+                        imag_shift, laurent_shift, laurent_to_eta, make_sqrtq, sqrt_q)
+from miop.exact.poly import _dot
 from miop.families import PRESETS, poly_to_x
 
 from .oracles import (coeff, laurent_shift_scalar, laurent_to_eta_scalar, long_division,
-                      schoolbook_mul)
+                      schoolbook_mul, x_shift_compose)
 from .strategies import (RADICANDS, laurents, nonzero_polys, polys, rationals,
                          tower_scalars)
 
@@ -309,6 +311,25 @@ class TestIntegerKernel:
             assert got == want and got.lo == want.lo and got.var == want.var
             assert _strs(got) == _strs(want)
 
+    def test_carrier_operands_skip_the_abc_check(self, monkeypatch):
+        """Sums, products and comparisons of two carrier values dispatch on
+        the exact carrier type and never ask the numbers ABCs (Fraction is
+        one) whether an operand is a scalar."""
+        calls = []
+        real = abc.ABCMeta.__instancecheck__
+
+        def counting(cls, inst):
+            calls.append((cls, type(inst)))
+            return real(cls, inst)
+
+        pairs = [(Poly([1, GaussianRational(0, 1)], "x"), Poly([Fraction(1, 2), 3], "x")),
+                 (LaurentPoly(-1, [1, 2]), LaurentPoly(2, [Fraction(3, 4)]))]
+        monkeypatch.setattr(abc.ABCMeta, "__instancecheck__", counting)
+        for x, y in pairs:
+            _ = (x * y, x + y, x - y, x == y, x != y, _dot([(x, y), (y, x)]))
+        monkeypatch.undo()
+        assert calls == []
+
     @pytest.mark.parametrize("q1, q2", [(Fraction(1, 3), Fraction(2)),
                                         (Fraction(2), Fraction(5, 7))])
     def test_two_radicands_rejected(self, q1, q2):
@@ -325,7 +346,7 @@ class TestIntegerKernel:
     def test_no_scalar_arithmetic_in_ring_core(self, monkeypatch):
         """Degree-12 values over Q, Q(i) and Q(i)(sqrt q) with every scalar
         sum, product and quotient made to raise: the ring operations, the
-        comparisons, the shift and the eta reductions work on integers only."""
+        comparisons, the shifts and the eta reductions work on integers only."""
         q = Fraction(1, 3)
         runs = (
             [Fraction(k * k - 7, k + 2) for k in range(13)],
@@ -358,6 +379,8 @@ class TestIntegerKernel:
             ]
             todo += [(lambda a=a, c=c: a * c, _like(a, a.lo, [x * c for x in a.coeffs]))
                      for c in scalars]
+            todo.append((lambda a=a, b=b: _dot([(a, b), (b, scalars[1]), (a, scalars[3])]),
+                         a * b + b * scalars[1] + a * scalars[3]))
         for run in runs:
             p, lp = Poly(run), LaurentPoly(-5, run)
             todo.append((lambda p=p: p.derivative(),
@@ -371,6 +394,9 @@ class TestIntegerKernel:
                           LaurentPoly(-lp.hi, [conj(c) for c in reversed(lp.coeffs)])))
             todo += [(lambda lp=lp, c=c, base=base: laurent_shift(lp, c, base),
                       laurent_shift_scalar(lp, c, base)) for c, base in shifts]
+            px = Poly(run, "x")
+            todo += [(lambda px=px, c=c: imag_shift(px, c), x_shift_compose(px, c))
+                     for c in (Fraction(1, 2), Fraction(-3, 2), 2, Fraction(5, 3))]
         for run in real_runs:
             p = Poly(run)
             x_sq = p.compose(Poly([0, 0, 1], "x"))
@@ -475,3 +501,77 @@ class TestShiftAndPeel:
         sym = LaurentPoly(1 - len(real), real[::-1] + real[1:])
         for value in (p, sym):
             assert _peel(laurent_to_eta, value) == _peel(laurent_to_eta_scalar, value)
+
+    def test_peel_of_zero(self):
+        zero = LaurentPoly()
+        assert (zero.lo, zero.hi) == (0, -1)
+        assert laurent_to_eta(zero) == laurent_to_eta_scalar(zero) == Poly.zero("eta")
+
+
+def _coords_of(p):
+    return p._parts, p._den, p._q, p.lo
+
+
+SHIFT_STEPS = st.one_of(st.integers(-4, 4), st.sampled_from([Fraction(k, 2) for k in range(-7, 8)]),
+                        rationals())
+
+
+class TestImagShift:
+    """imag_shift, the integer Taylor shift x -> x + i*c, against the
+    composition with x + i*c in tests/oracles.py, coordinate for coordinate."""
+
+    @given(radicand_runs(count=1, max_len=13), SHIFT_STEPS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_compose(self, q_runs, c):
+        _, (run,) = q_runs
+        p = Poly(run, "x")
+        got, want = imag_shift(p, c), x_shift_compose(p, c)
+        assert _coords_of(got) == _coords_of(want)
+        assert got.var == "x" and hash(got) == hash(want)
+
+
+@st.composite
+def level_runs(draw, level, count):
+    """(q, runs): count coefficient runs at tower level <= level over a
+    non-square radicand, so that level 2 reaches width 4."""
+    q = draw(st.sampled_from(RADICANDS[:3]))
+    entries = st.lists(tower_scalars(level, q), max_size=6)
+    return q, [draw(entries) for _ in range(count)]
+
+
+class TestDot:
+    """_dot, the fused sum of products, against the plain sum of products:
+    the same value in the same stored form."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sum_of_products(self, level, data):
+        q, runs = data.draw(level_runs(level, 6))
+        los = data.draw(st.lists(st.integers(-4, 3), min_size=6, max_size=6))
+        scalar = data.draw(tower_scalars(level, q))
+        # one term at the level's full width, so widths 1, 2 and 4 all occur
+        extra = (3, GaussianRational(0, 1), sqrt_q(q))[level]
+        for carrier in (lambda lo, run: Poly(run), LaurentPoly):
+            a1, b1, a2, b2, a3, b3 = (carrier(lo, run) for lo, run in zip(los, runs))
+            zero = a1 * 0
+            terms = [(a1, b1), (a2, b2), (a3, scalar), (b3, extra),
+                     (zero, b1), (a1, zero), (a2, 0)]
+            want = a1 * b1 + a2 * b2 + a3 * scalar + b3 * extra
+            got = _dot(terms)
+            assert type(got) is type(a1) and got.var == a1.var
+            assert _coords_of(got) == _coords_of(want) and hash(got) == hash(want)
+            assert _coords_of(_dot([(zero, b1), (a1, 0)])) == _coords_of(zero)
+
+    def test_mixed_radicand_raises(self):
+        a = Poly([1, sqrt_q(Fraction(1, 3))])
+        b = Poly([sqrt_q(Fraction(2)), Fraction(1, 2)])
+        for terms in ([(a, 1), (b, 1)], [(a, b)], [(Poly([1]), a), (Poly([2]), sqrt_q(Fraction(2)))]):
+            with pytest.raises(ConfigurationError):
+                _dot(terms)
+
+    def test_mixed_carriers_raise(self):
+        for terms in ([(Poly([1, 2], "z"), 1), (LaurentPoly(0, [1, 2]), 1)],
+                      [(Poly([1, 2], "x"), Poly([1], "eta"))]):
+            with pytest.raises(ConfigurationError):
+                _dot(terms)

@@ -12,6 +12,7 @@ from miop.families import (
     PRESETS,
     FamilyParams,
     three_term,
+    x_shift,
 )
 from miop.rtable import (
     RTable,
@@ -177,6 +178,19 @@ class TestXPicture:
         t = build_rtable(fp, 2, (-2, 3))
         for _, xp in t.xentries.items():
             assert (xp.conj_coeffs() if fp.family == "W" else xp.star()) == xp
+
+    @pytest.mark.parametrize("key", ["w-default", "aw-default", "aw-q13"])
+    def test_stored_shifts_and_coefficients(self, key):
+        """What the half-shift checks read back: the +1/2 shift of every
+        x-entry below level M, and the three-term coefficients."""
+        fp = PRESETS[key]
+        t = build_rtable(fp, 2, (-2, 3))
+        assert {s for s, _, _ in t.ups} == {-1, 0, 1}
+        for key3, xp in t.xentries.items():
+            if key3[0] < 2:
+                assert t.ups[key3] == x_shift(fp, xp, F(1, 2))
+        assert t.abc == {n: three_term(fp, n) for n in range(-4, 6)}
+        assert build_rtable(PRESETS["l-default"], 1, (0, 2)).ups is None
 
     def test_wilson_s1_matches_shift_identities(self):
         fp = PRESETS["w-default"]

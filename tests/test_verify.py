@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import miop.verify as verify_mod
 from miop.errors import ConfigurationError, GenericityError, LeadingCoefficientZero, MiopError
 from miop.exact import Poly
-from miop.families import PRESETS, FamilyParams, three_term
+from miop.families import PRESETS, FamilyParams, carrier_one, three_term
 from miop.multiindex import IndexSet, build
 from miop.rtable import build_rtable
 from miop.verify import (
@@ -141,6 +141,15 @@ class TestSeedProportionality:
         assert rep.passed
         assert rep.rows[0]["witness"].startswith("c = 1")
 
+    def test_builds_only_the_shifted_xi(self, monkeypatch):
+        pair = build(PRESETS["aw-default"], IndexSet.parse("I1,II1"), n_max=0)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the seed check built a whole pair")
+
+        monkeypatch.setattr(verify_mod, "build", no_build)
+        assert check_seed_proportionality(pair).passed
+
 
 class TestPrefixChain:
     def test_depths_present(self):
@@ -231,6 +240,21 @@ class TestTableLaws:
         rep = check_rtable_shift(table, D)
         assert not rep.passed
         assert "(n=2, k=0)" in rep.witness
+
+    @pytest.mark.parametrize("key", ["w-default", "aw-default"])
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_shift_laws_catch_xentry_corruption(self, key, s):
+        """The half-shift laws read the shifts build_rtable stored for the
+        levels below M; an x-entry changed after the build still fails them,
+        at its own level, whether or not its shift was stored."""
+        fp = PRESETS[key]
+        D = IndexSet.parse("I1,I2")
+        table = build_rtable(fp, D.M, (-3, 3))
+        entry = (s, 1, 0)
+        table.xentries[entry] = table.xentries[entry] + carrier_one(fp)
+        rep = check_rtable_shift(table, D)
+        assert not rep.passed
+        assert [r["s"] for r in rep.rows if r["status"] == "fail"][0] == s
 
 
 class TestRunAll:
