@@ -22,7 +22,7 @@ coordinates are read directly), aligned on one common denominator and
 made canonical once (_dot; a sum or a product is the one-term case),
 powers, exact division (pseudo-division after clearing the conjugates of
 the divisor's leading coefficient), composition (Horner's rule), the
-derivative, conjugation, z -> 1/z, the x-picture shifts x -> x + i*c (an
+derivative, x -> -x, z -> 1/z, the x-picture shifts x -> x + i*c (an
 integer Taylor shift) and z -> z*q**c and the reductions to eta.  Tower scalars
 appear only at the boundary: constructors take a coefficient run, and
 `coeffs` derives the canonical scalars (Fraction over Q, GaussianRational
@@ -355,12 +355,6 @@ class _PolyBase:
             return acc
         return acc * x ** lo if lo > 0 else acc / x ** (-lo)
 
-    def conj_coeffs(self):
-        """Complex conjugate of every coefficient: the i and i*r parts flip."""
-        return self._new(self.lo, [[-x for x in part] if k & 1 else part
-                                   for k, part in enumerate(self._parts)],
-                         self._den, self._q)
-
     # -- division ------------------------------------------------------------------
     def exact_div(self, den):
         """self / den; InexactDivision if den does not divide self.
@@ -471,6 +465,11 @@ class Poly(_PolyBase):
         return self._new(0, [[j * x for j, x in enumerate(part)][1:] for part in self._parts],
                          self._den, self._q)
 
+    def reflect(self) -> "Poly":
+        """Substitute var -> -var: every odd-degree coordinate changes sign."""
+        return self._new(0, [[-x if j & 1 else x for j, x in enumerate(part)]
+                             for part in self._parts], self._den, self._q)
+
     def compose(self, inner):
         """self(inner), a value in inner's ring (a Poly or a LaurentPoly).
 
@@ -524,10 +523,6 @@ class LaurentPoly(_PolyBase):
     def z_inverse(self) -> "LaurentPoly":
         """Substitute z -> 1/z (exact involution)."""
         return self._new(-self.hi, [part[::-1] for part in self._parts], self._den, self._q)
-
-    def star(self) -> "LaurentPoly":
-        """Complex conjugate for real x when z = e^{ix}: conj coeffs, z -> 1/z."""
-        return self.z_inverse().conj_coeffs()
 
 
 def imag_shift(p: Poly, c) -> Poly:
@@ -610,8 +605,9 @@ def laurent_to_eta(p: LaurentPoly) -> Poly:
     """Express a symmetric self-conjugate Laurent value as a Poly in
     eta = (z + 1/z)/2, by peeling leading Chebyshev terms.
 
-    p.star() == p when the run mirrors onto itself with its i and i*r parts
-    negated; then p.z_inverse() == p when those parts are zero."""
+    p is self-conjugate (its coefficients conjugated, z -> 1/z, give p back)
+    when the run mirrors onto itself with its i and i*r parts negated; then
+    p is symmetric under z -> 1/z when those parts are zero."""
     if not p:
         return Poly.zero()
     if p.lo != -p.hi or any(part[::-1] != ([-x for x in part] if k & 1 else part)

@@ -16,7 +16,10 @@ For W and AW the recursion lives in the x-picture,
 
 and every level is self-conjugate and symmetric, hence exactly reducible
 to a polynomial in eta; both forms are stored, with the coefficients and
-the shifted level s-1 entries, which the half-shift checks read again.
+the shifted level s-1 entries, which the half-shift checks read again
+(and mirror, x -> -x or z -> 1/z, for the shift to x - i gamma/2).  A table
+under another out-of-range convention computes only the entries whose
+recursion reaches a row n < 0 and takes the rest from a base table.
 
 Because the recursion at level s reads neighbours n-1 and n+1 of level
 s-1, each level is stored on the requested window widened by (M - s) on
@@ -114,7 +117,8 @@ class RTable:
 
 
 def build_rtable(
-    fp: FamilyParams, M: int, window, coeffs: Optional[CoeffFn] = None
+    fp: FamilyParams, M: int, window, coeffs: Optional[CoeffFn] = None,
+    base: Optional[RTable] = None,
 ) -> RTable:
     """Fill levels -1..M of the table; one recursion serves every family.
 
@@ -123,10 +127,20 @@ def build_rtable(
     identity.  W and AW recurse on x-picture carriers, shift each level
     s-1 entry to x + i gamma/2 and reduce every entry to eta; both forms
     are stored.
+
+    base, a table of fp at depth >= M over a window that covers this one,
+    whose coefficients equal coeffs at every n >= 0, lends what coeffs
+    cannot change: entry (s, n, k) reads rows n-s..n+s only, so each entry
+    with n >= s is base's, with its x-picture form and +i gamma/2 shift,
+    and so is every (A_n, B_n, C_n) at n >= 0.
     """
     window = _check_window(window)
     if M < 0:
         raise ConfigurationError("depth M must be >= 0")
+    lo, hi = window
+    lent = base is not None
+    if lent and (base.fp != fp or base.M < M or base.window[0] > lo or base.window[1] < hi):
+        raise ConfigurationError(f"base table does not cover depth {M} on {window}")
     coeffs = coeffs or (lambda n: three_term(fp, n))
     if fp.is_difference:
         one, zero = carrier_one(fp), carrier_zero(fp)
@@ -137,12 +151,14 @@ def build_rtable(
         one, zero = Poly.one(), Poly.zero()
         shift = reduce = lambda p: p
         eta_arg = lambda s: Poly.variable()
-    lo, hi = window
     # level 0 reads every row; in ascending n the first singular n is the one raised
-    abc = {n: coeffs(n) for n in range(lo - M, hi + M + 1)}
+    abc = {n: base.abc[n] if lent and n >= 0 else coeffs(n) for n in range(lo - M, hi + M + 1)}
     xentries: dict = {}
     entries: dict = {}
     ups: dict = {}  # level s-1 entries evaluated at x + i gamma/2
+    if lent:
+        base_x = base.entries if base.xentries is None else base.xentries
+        ups = {key: p for key, p in (base.ups or {}).items() if key[1] >= key[0]}
     for n in range(lo - M - 1, hi + M + 2):
         xentries[(-1, n, 0)] = one
         entries[(-1, n, 0)] = Poly.one()
@@ -157,6 +173,11 @@ def build_rtable(
         pad = M - s
         eta_s = eta_arg(s)
         for n in range(lo - pad, hi + pad + 1):
+            if lent and n >= s:
+                for k in range(-s - 1, s + 2):
+                    key = (s, n, k)
+                    xentries[key], entries[key] = base_x[key], base.entries[key]
+                continue
             A, B, C = abc[n]
             diag = B - eta_s
             for k in range(-s - 1, s + 2):
@@ -196,21 +217,27 @@ def check_rprop2_rprop3(table: RTable) -> list:
     a level-s entry rebuilds from even halves of level s-1 with the
     coefficient recursion, corrected by a level s-2 term; at s = 0 the
     correction factor is identically zero.
+
+    Every x-entry is even in x (W) or symmetric under z -> 1/z (AW), as
+    reduce_to_eta proved when build_rtable stored it, so its shift to
+    x - i gamma/2 is the mirror (x -> -x, z -> 1/z) of the one to x + i gamma/2.
     """
     fp = table.fp
     if not fp.is_difference:
         raise ConfigurationError("check_rprop2_rprop3 requires family W or AW")
     M = table.M
     lo, hi = table.window
+    mirror = Poly.reflect if fp.family == "W" else LaurentPoly.z_inverse
     halves: dict = {}  # (s, n, k) -> the entry shifted by -1/2 and by +1/2
     pluses: dict = {}  # (s, n, k) -> the even half of the entry
 
     def halves_of(key):
         got = halves.get(key)
         if got is None:
-            p = table.xentry(*key)
-            up = table.ups[key] if key in table.ups else x_shift(fp, p, _HALF)  # level M
-            got = halves[key] = (x_shift(fp, p, -_HALF), up)
+            up = table.ups.get(key)
+            if up is None:  # level M
+                up = x_shift(fp, table.xentry(*key), _HALF)
+            got = halves[key] = (mirror(up), up)
         return got
 
     def plus(key):

@@ -22,8 +22,10 @@ downstream check fail obscurely.
 run_all builds the pair (Xi_D, P_{D,n}) and the depth-M table R^[s]_{n,k}
 once per (family, D) and hands them to every check.  Level s of that table
 is the depth-s table, so the prefix chain reads it too.  Only four objects
-are built apart: the override table, Xi_D alone at shifted parameters for
-the seed, the prefix pairs of depth s < M and the permuted pair.
+are built apart: the override table, which takes from that table every
+entry whose recursion misses row -1 and computes the rest, Xi_D alone at
+shifted parameters for the seed, the prefix pairs of depth s < M and the
+permuted pair, unless the drawn permutation is the identity.
 """
 
 from __future__ import annotations
@@ -168,11 +170,13 @@ def check_rrp(
     return report
 
 
-def check_rrp_override(pair: MultiIndexedPair, n_range: tuple) -> VerificationReport:
+def check_rrp_override(pair: MultiIndexedPair, table: RTable, n_range: tuple) -> VerificationReport:
     """RRP for n >= 0 with the out-of-range convention altered (B_-1 := 7).
 
     A_-1 = 0 is kept: it is what makes the table, and hence the identity,
-    insensitive to the rest of the convention for nonnegative n.
+    insensitive to the rest of the convention for nonnegative n.  table, the
+    depth-M table under the default convention over a window that covers
+    n >= 0 of n_range, lends every entry whose recursion misses row -1.
     """
     fp = pair.fp
     window = (max(0, n_range[0]), n_range[1])
@@ -183,8 +187,8 @@ def check_rrp_override(pair: MultiIndexedPair, n_range: tuple) -> VerificationRe
             return (zero, Fraction(7), zero)
         return three_term(fp, n)
 
-    table = build_rtable(fp, pair.D.M, window, coeffs=coeffs)
-    return check_rrp(pair, table, window, identity="rrp-override")
+    override = build_rtable(fp, pair.D.M, window, coeffs=coeffs, base=table)
+    return check_rrp(pair, override, window, identity="rrp-override")
 
 
 def regenerate_from_initial(pair: MultiIndexedPair, table: RTable, N: int) -> VerificationReport:
@@ -299,13 +303,14 @@ def genericity_probe(pair: MultiIndexedPair, table: RTable, n_range: tuple) -> N
 
 
 def check_permutation(pair: MultiIndexedPair, n_max: int = 3, seed: int = 0) -> VerificationReport:
-    """A random column permutation changes the pair by a global sign only."""
+    """A random column permutation changes the pair by a global sign only;
+    the identity permutation (always so at M = 1) compares the pair with itself."""
     fp, D = pair.fp, pair.D
     report = VerificationReport("permutation", fp, D, (0, n_max))
     rng = random.Random(seed)
     perm = list(range(D.M))
     rng.shuffle(perm)
-    other = build(fp, D.permute(tuple(perm)), n_max=n_max)
+    other = pair if perm == sorted(perm) else build(fp, D.permute(tuple(perm)), n_max=n_max)
     if pair.Xi.lc == other.Xi.lc:
         sign = Fraction(1)
     elif pair.Xi.lc == -other.Xi.lc:
@@ -382,7 +387,7 @@ def run_all(
     if "rrp" in wanted:
         reports.append(check_rrp(pair, table, n_range))
     if "rrp-override" in wanted:
-        reports.append(check_rrp_override(pair, n_range))
+        reports.append(check_rrp_override(pair, table, n_range))
     if "rtable-shift" in wanted:
         reports.append(check_rtable_shift(table, D))
     if "vanishing" in wanted:

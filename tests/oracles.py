@@ -20,7 +20,9 @@ coordinates of miop.exact.poly.
 
 coeff, map_coeffs and family_params_from_json read a value back in the
 tests' terms: one coefficient, a coefficient-wise image, and a parameter
-point from its JSON form.
+point from its JSON form.  conj_coeffs and star are the two conjugations
+the x-picture values are tested against: every coefficient conjugated, and
+for a Laurent value in z = e^{ix} also z -> 1/z (its conjugate at real x).
 
 phi0_sq_mpmath is a float oracle: the W and AW weights phi_0^2 evaluated
 through mpmath's complex Gamma function and q-products, the reference for
@@ -55,6 +57,17 @@ def map_coeffs(p, f):
     """p with f applied to every coefficient, on p's carrier and variable."""
     run = [f(c) for c in p.coeffs]
     return Poly(run, p.var) if type(p) is Poly else LaurentPoly(p.lo, run, p.var)
+
+
+def conj_coeffs(p):
+    """p with every coefficient conjugated: its i and i*r coordinates negated."""
+    return p._new(p.lo, [[-x for x in part] if k & 1 else part
+                         for k, part in enumerate(p._parts)], p._den, p._q)
+
+
+def star(p: LaurentPoly) -> LaurentPoly:
+    """The complex conjugate of a Laurent value at real x, z = e^{ix}."""
+    return conj_coeffs(p.z_inverse())
 
 
 def family_params_from_json(obj: dict) -> FamilyParams:
@@ -242,7 +255,7 @@ def x_shift_compose(p: Poly, c) -> Poly:
 def laurent_to_eta_scalar(p):
     """Express a symmetric self-conjugate Laurent value as a Poly in
     eta = (z + 1/z)/2, by peeling leading Chebyshev terms."""
-    if p.star() != p:
+    if star(p) != p:
         raise ReductionFailure("x-picture value is not self-conjugate")
     if p.z_inverse() != p:
         raise ReductionFailure("x-picture value is not symmetric under z -> 1/z")

@@ -239,8 +239,8 @@ class TestVerify:
     def test_corrupted_coefficient_exits_one(self, capsys, monkeypatch):
         real_build = verify_mod.build_rtable
 
-        def corrupting(fp, M, window, coeffs=None):
-            table = real_build(fp, M, window, coeffs=coeffs)
+        def corrupting(fp, M, window, coeffs=None, base=None):
+            table = real_build(fp, M, window, coeffs=coeffs, base=base)
             key = (M, 1, 0)
             if coeffs is None and key in table.entries:
                 table.entries[key] = table.entries[key] + Poly([F(0), F(3)])

@@ -14,8 +14,8 @@ from miop.exact import (NEG_INF, GaussianRational, LaurentPoly, Poly,
 from miop.exact.poly import _dot
 from miop.families import PRESETS, poly_to_x
 
-from .oracles import (coeff, laurent_shift_scalar, laurent_to_eta_scalar, long_division,
-                      schoolbook_mul, x_shift_compose)
+from .oracles import (coeff, conj_coeffs, laurent_shift_scalar, laurent_to_eta_scalar,
+                      long_division, schoolbook_mul, star, x_shift_compose)
 from .strategies import (RADICANDS, laurents, nonzero_polys, polys, rationals,
                          tower_scalars)
 
@@ -375,7 +375,7 @@ class TestIntegerKernel:
                 (lambda a=a, b=b: a + b, _like(a, lo, [coeff(a, k) + coeff(b, k) for k in ks])),
                 (lambda a=a, b=b: a - b, _like(a, lo, [coeff(a, k) - coeff(b, k) for k in ks])),
                 (lambda a=a: -a, _like(a, a.lo, [-c for c in a.coeffs])),
-                (lambda a=a: a.conj_coeffs(), _like(a, a.lo, [conj(c) for c in a.coeffs])),
+                (lambda a=a: conj_coeffs(a), _like(a, a.lo, [conj(c) for c in a.coeffs])),
             ]
             todo += [(lambda a=a, c=c: a * c, _like(a, a.lo, [x * c for x in a.coeffs]))
                      for c in scalars]
@@ -390,11 +390,12 @@ class TestIntegerKernel:
                 for c in reversed(p.coeffs):
                     want = want * inner + c
                 todo.append((lambda p=p, inner=inner: p.compose(inner), want))
-            todo.append((lambda lp=lp: lp.star(),
+            todo.append((lambda lp=lp: star(lp),
                           LaurentPoly(-lp.hi, [conj(c) for c in reversed(lp.coeffs)])))
             todo += [(lambda lp=lp, c=c, base=base: laurent_shift(lp, c, base),
                       laurent_shift_scalar(lp, c, base)) for c, base in shifts]
             px = Poly(run, "x")
+            todo.append((lambda px=px: px.reflect(), px.compose(Poly([0, -1], "x"))))
             todo += [(lambda px=px, c=c: imag_shift(px, c), x_shift_compose(px, c))
                      for c in (Fraction(1, 2), Fraction(-3, 2), 2, Fraction(5, 3))]
         for run in real_runs:

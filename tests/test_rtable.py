@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miop.errors import ConfigurationError
-from miop.exact import Poly
+from miop.errors import ConfigurationError, MiopError
+from miop.exact import LaurentPoly, Poly
 from miop.families import (
     PRESETS,
     FamilyParams,
@@ -22,7 +22,8 @@ from miop.rtable import (
     check_vanishing_region,
 )
 
-from .oracles import eta_shift_identities
+from .oracles import conj_coeffs, eta_shift_identities, star
+from .strategies import family_params
 
 ETA = Poly.variable()
 
@@ -171,13 +172,56 @@ class TestRprop23:
             check_rprop2_rprop3(build_rtable(PRESETS["l-default"], 1, (0, 2)))
 
 
+def b_minus_one_7(fp):
+    """The coefficients of the override probe: B_-1 := 7, the rest as usual."""
+    return lambda n: (F(0), F(7), F(0)) if n == -1 else three_term(fp, n)
+
+
+def assert_shared_override_exact(fp, M, lo, hi):
+    """The B_-1 := 7 table built on the default table over rows lo..hi equals
+    the one built from scratch, on the window n >= 0 that verify uses."""
+    base = build_rtable(fp, M, (min(lo, -M - 1), hi))
+    window = (max(0, lo), hi)
+    shared = build_rtable(fp, M, window, coeffs=b_minus_one_7(fp), base=base)
+    fresh = build_rtable(fp, M, window, coeffs=b_minus_one_7(fp))
+    assert shared.entries == fresh.entries
+    assert shared.xentries == fresh.xentries
+    assert shared.abc == fresh.abc
+
+
+class TestSharedOverride:
+    @pytest.mark.parametrize(
+        "key,M",
+        [("l-default", 3), ("j-default", 3), ("w-default", 2), ("aw-default", 2)],
+    )
+    def test_presets(self, key, M):
+        for m in range(M + 1):
+            assert_shared_override_exact(PRESETS[key], m, -4, 6)
+
+    @given(fp=family_params(), M=st.integers(0, 2), lo=st.integers(-4, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_random_points(self, fp, M, lo):
+        try:
+            build_rtable(fp, M, (min(lo, -M - 1), 4))
+        except MiopError:
+            return  # a singular coefficient: neither table exists
+        assert_shared_override_exact(fp, M, lo, 4)
+
+    def test_base_must_cover(self):
+        fp = PRESETS["l-default"]
+        base = build_rtable(fp, 1, (0, 3))
+        for fp1, M, window in [(fp, 1, (0, 4)), (fp, 2, (0, 3)), (l32(), 1, (0, 3))]:
+            with pytest.raises(ConfigurationError):
+                build_rtable(fp1, M, window, coeffs=b_minus_one_7(fp1), base=base)
+
+
 class TestXPicture:
     @pytest.mark.parametrize("key", ["w-default", "aw-default", "aw-q13"])
     def test_self_conjugate(self, key):
         fp = PRESETS[key]
         t = build_rtable(fp, 2, (-2, 3))
         for _, xp in t.xentries.items():
-            assert (xp.conj_coeffs() if fp.family == "W" else xp.star()) == xp
+            assert (conj_coeffs(xp) if fp.family == "W" else star(xp)) == xp
 
     @pytest.mark.parametrize("key", ["w-default", "aw-default", "aw-q13"])
     def test_stored_shifts_and_coefficients(self, key):
@@ -191,6 +235,19 @@ class TestXPicture:
                 assert t.ups[key3] == x_shift(fp, xp, F(1, 2))
         assert t.abc == {n: three_term(fp, n) for n in range(-4, 6)}
         assert build_rtable(PRESETS["l-default"], 1, (0, 2)).ups is None
+
+    @given(fp=family_params(("W", "AW")))
+    @settings(max_examples=10, deadline=None)
+    def test_minus_half_shift_is_mirror(self, fp):
+        """The half-shift checks take p(x - i gamma/2) as the mirror x -> -x
+        (z -> 1/z) of p(x + i gamma/2), for every stored x-entry."""
+        try:
+            t = build_rtable(fp, 2, (-2, 2))
+        except MiopError:
+            return
+        mirror = Poly.reflect if fp.family == "W" else LaurentPoly.z_inverse
+        for xp in t.xentries.values():
+            assert mirror(x_shift(fp, xp, F(1, 2))) == x_shift(fp, xp, F(-1, 2))
 
     def test_wilson_s1_matches_shift_identities(self):
         fp = PRESETS["w-default"]

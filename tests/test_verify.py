@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import miop.verify as verify_mod
 from miop.errors import ConfigurationError, GenericityError, LeadingCoefficientZero, MiopError
-from miop.exact import Poly
+from miop.exact import LaurentPoly, Poly
 from miop.families import PRESETS, FamilyParams, carrier_one, three_term
 from miop.multiindex import IndexSet, build
 from miop.rtable import build_rtable
@@ -87,7 +87,8 @@ class TestOverrideProbe:
     def test_rrp_unchanged_for_nonnegative_n(self, name):
         fp = PRESETS[name]
         D = IndexSet.parse("I1,II1")
-        rep = check_rrp_override(build(fp, D, n_max=4 + D.M + 1), (-3, 4))
+        pair, table = shared_objects(fp, D, (-3, 4))
+        rep = check_rrp_override(pair, table, (-3, 4))
         assert rep.passed
         assert all(r["n"] >= 0 for r in rep.rows)
         assert rep.identity == "rrp-override"
@@ -245,16 +246,20 @@ class TestTableLaws:
     @pytest.mark.parametrize("s", [0, 1, 2])
     def test_shift_laws_catch_xentry_corruption(self, key, s):
         """The half-shift laws read the shifts build_rtable stored for the
-        levels below M; an x-entry changed after the build still fails them,
-        at its own level, whether or not its shift was stored."""
+        levels below M and mirror them for the shifts to x - i gamma/2; an
+        x-entry changed after the build, by an even constant or by a term
+        odd under the mirror (+x for W, +z for AW), still fails them at its
+        own level, whether or not its shift was stored."""
         fp = PRESETS[key]
         D = IndexSet.parse("I1,I2")
-        table = build_rtable(fp, D.M, (-3, 3))
-        entry = (s, 1, 0)
-        table.xentries[entry] = table.xentries[entry] + carrier_one(fp)
-        rep = check_rtable_shift(table, D)
-        assert not rep.passed
-        assert [r["s"] for r in rep.rows if r["status"] == "fail"][0] == s
+        odd = Poly([F(0), F(1)], var="x") if fp.family == "W" else LaurentPoly.monomial(1)
+        for bump in (carrier_one(fp), odd):
+            table = build_rtable(fp, D.M, (-3, 3))
+            entry = (s, 1, 0)
+            table.xentries[entry] = table.xentries[entry] + bump
+            rep = check_rtable_shift(table, D)
+            assert not rep.passed
+            assert [r["s"] for r in rep.rows if r["status"] == "fail"][0] == s
 
 
 class TestRunAll:
@@ -286,9 +291,9 @@ class TestRunAll:
             pairs.append((fp1, D1))
             return real_build(fp1, D1, n_max)
 
-        def counting_build_rtable(fp1, M, window, coeffs=None):
-            tables.append((M, coeffs is None))
-            return real_build_rtable(fp1, M, window, coeffs)
+        def counting_build_rtable(fp1, M, window, coeffs=None, base=None):
+            tables.append((M, coeffs is None, base is None))
+            return real_build_rtable(fp1, M, window, coeffs, base)
 
         monkeypatch.setattr(verify_mod, "build", counting_build)
         monkeypatch.setattr(verify_mod, "build_rtable", counting_build_rtable)
@@ -296,8 +301,26 @@ class TestRunAll:
         reports = run_all(fp, D, (-3, 1), seed=3)
         assert all(r.passed for r in reports)
         assert pairs.count((fp, D)) == 1
-        # the shared depth-M table plus the B_-1 := 7 override table
-        assert sorted(tables) == [(D.M, False), (D.M, True)]
+        # seed 3 swaps the two entries: the permuted pair is built
+        assert (fp, D.permute((1, 0))) in pairs
+        # the shared depth-M table, then the B_-1 := 7 override table on it
+        assert tables == [(D.M, True, True), (D.M, False, False)]
+
+    def test_identity_permutation_reuses_pair(self, monkeypatch):
+        fp = PRESETS["w-default"]
+        D = IndexSet.parse("I1")
+        pairs = []
+        real_build = verify_mod.build
+
+        def counting_build(fp1, D1, n_max=8):
+            pairs.append((fp1, D1))
+            return real_build(fp1, D1, n_max)
+
+        monkeypatch.setattr(verify_mod, "build", counting_build)
+        reports = run_all(fp, D, (-2, 3), seed=3)
+        assert all(r.passed for r in reports)
+        # at M = 1 the drawn permutation is the identity
+        assert pairs.count((fp, D)) == 1
 
 
 class TestReportShape:
