@@ -12,8 +12,11 @@ timestamps.  Every artifact embeds a provenance block with the resolved
 configuration and a digest of the content, so results are traceable to
 (family, lambda, D, N) alone.
 
-The worker count for the verification sweep comes from MIOP_WORKERS
-(default 1); only a count above 1 imports the process pool.  --seed feeds
+`ortho` is the only subcommand that loads numpy and mpmath: miop.quad
+imports them on first use and sums every grid's node sets as numpy arrays,
+while each value it returns for a CSV row is a Python float.  The worker
+count for the verification sweep comes from MIOP_WORKERS (default 1); only
+a count above 1 imports the process pool.  --seed feeds
 only the randomized permutation probe; no mathematical output depends on it.
 """
 

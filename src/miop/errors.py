@@ -41,5 +41,9 @@ class NonConvergent(MiopError):
     """Node doubling moved a quadrature result by more than the tolerance."""
 
 
+class FloatRangeError(MiopError):
+    """A binary64 weight or integrand value overflowed or is not finite."""
+
+
 class GenericityError(MiopError):
     """A preset failed the genericity probe (degenerate degree or zero leading term)."""

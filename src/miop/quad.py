@@ -8,10 +8,19 @@ precision before the final rounding to float.  The weights phi_0^2 are
 binary64 kernels for every family: W sums log |Gamma(a_j + ix)|^2 (a
 Stirling ratio to Gamma(a_j)) and the closed form of 1/|Gamma(2ix)|^2, AW
 sums the logs of the real q-product factors, and each exponentiates once.
-mpmath serves only the norms, and numpy only the Gauss-Legendre nodes.
-Both are imported inside the functions that use them, so importing this
-module (and with it miop.cli) loads neither: the first `ortho` use pays
-for them, and `gen`, `rtable` and `verify` never do.
+
+Each quadrature level is one numpy array expression over its node set:
+the weight array times the P_n and P_m arrays, summed by halving steps
+that add in the order of the scalar pairwise sum.  eta = x^2, FloatPoly
+and the sum use only +, - and *, which numpy rounds elementwise as
+Python does; phi_0^2 (lgamma, log1p, exp) and eta = cos (J, AW) stay
+scalar libm calls per abscissa, so every output bit is what the per-node
+scalar path gives.  A weight or integrand value that leaves binary64
+range raises FloatRangeError.  mpmath serves only the norms, numpy the
+node tables and the level sums of every grid.  Both are imported inside
+the functions that use them, so importing this module (and with it
+miop.cli) loads neither: the first `ortho` use pays for them, and `gen`,
+`rtable` and `verify` never do.
 
 The deformed weight is
 
@@ -38,12 +47,13 @@ builds one Weight: Psi_D^2 is derived once, and a Sturm count on the
 exact denominator refuses (PoleEncountered) any zero on the family's
 closed eta-domain, [0, inf) for L/W and [-1, 1] for J/AW, so no entry
 meets a pole whatever its interval.  Every (n, m) entry integrates
-against that weight.  The Weight evaluates Psi_D^2 once per distinct
-node, each P_n once per (n, node) and each expected norm once per n, so
-entries sharing an interval, tanh-sinh levels (each contains the nodes
-of the one before) and repeated checks on one Weight reuse the values;
-the node tables are built once per process.  The integrand's operation
-order, and so every output bit, is what a fresh evaluation gives.
+against that weight.  The Weight evaluates phi_0^2 once per distinct
+abscissa, the weight once per node set, each P_n once per (n, node set)
+and each expected norm once per n, so entries sharing an interval,
+tanh-sinh levels (each contains the nodes of the one before) and repeated
+checks on one Weight reuse the values; the node tables are built once per
+process.  The integrand's operation order, and so every output bit, is
+what a fresh evaluation gives.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .errors import ConfigurationError, NonConvergent, PoleEncountered
+from .errors import ConfigurationError, FloatRangeError, NonConvergent, PoleEncountered
 from .exact import Poly, Scalar, format_scalar, scalar_sign
 from .families import (
     FamilyParams,
@@ -110,16 +120,20 @@ class FloatPoly:
 
 
 def pairwise_sum(values) -> float:
-    """Deterministic pairwise summation (reproducible across runs)."""
-    vals = list(values)
-    if not vals:
+    """Deterministic pairwise summation (reproducible across runs).
+
+    Each halving step adds neighbours, v0 + v1, v2 + v3, ..., as one array
+    operation and carries an odd last element to the next step.
+    """
+    import numpy as np
+
+    vals = np.asarray(values, dtype=float)
+    if not vals.size:
         return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+    while vals.size > 1:
+        nxt = vals[:-1:2] + vals[1::2]
+        vals = np.append(nxt, vals[-1]) if vals.size % 2 else nxt
+    return float(vals[0])
 
 
 # -- quadrature engines -----------------------------------------------------------
@@ -155,11 +169,10 @@ class QuadResult:
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple:
-    """Gauss-Legendre (x, w) pairs on (-1, 1) of order n, as Python floats."""
+    """Gauss-Legendre nodes and weights (xs, ws) on (-1, 1) of order n, as arrays."""
     import numpy as np
 
-    x, w = np.polynomial.legendre.leggauss(n)
-    return tuple(zip(x.tolist(), w.tolist()))
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _accept(cur: float, prev: Optional[float], rtol: float, floor: float) -> bool:
@@ -170,20 +183,34 @@ def _accept(cur: float, prev: Optional[float], rtol: float, floor: float) -> boo
 
 def _integrate(nodes_at: Callable[[int], tuple], f, a: float, b: float, spec: QuadratureSpec,
                floor: float, rule: str) -> QuadResult:
-    """Node-doubling loop shared by both rules; nodes_at(level) gives the (x, w) pairs on (-1, 1)."""
+    """Node-doubling loop shared by both rules; nodes_at(level) gives the (xs, ws) arrays on (-1, 1).
+
+    f maps an array of abscissae to an array of values.  A level whose sum
+    is not finite raises FloatRangeError; numpy's floating-point warnings
+    are off, since that check reports every overflow.
+    """
+    import numpy as np
+
     half = (b - a) / 2.0
     mid = (a + b) / 2.0
     prev = None
-    for level in range(spec.max_levels):
-        nodes = nodes_at(level)
-        cur = half * pairwise_sum(w * f(mid + half * x) for x, w in nodes)
-        if _accept(cur, prev, spec.rtol, floor):
-            return QuadResult(cur, abs(cur - prev), len(nodes))
-        prev = cur
+    with np.errstate(all="ignore"):
+        for level in range(spec.max_levels):
+            xs, ws = nodes_at(level)
+            x = mid + half * xs
+            terms = ws * f(x)
+            cur = half * pairwise_sum(terms)
+            if not math.isfinite(cur):
+                bad = x[~np.isfinite(terms)].tolist()
+                where = f"at x = {bad[0]!r}" if bad else "in its sum"
+                raise FloatRangeError(f"{rule} integrand leaves binary64 range {where}")
+            if _accept(cur, prev, spec.rtol, floor):
+                return QuadResult(cur, abs(cur - prev), xs.size)
+            prev = cur
     raise NonConvergent(f"{rule} did not settle below rtol={spec.rtol} in {spec.max_levels} levels")
 
 
-def integrate_gl(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec, floor: float = 0.0) -> QuadResult:
+def integrate_gl(f: Callable, a: float, b: float, spec: QuadratureSpec, floor: float = 0.0) -> QuadResult:
     """Gauss-Legendre from spec.nodes nodes, doubling the order at each level."""
     return _integrate(lambda level: _leggauss(spec.nodes << level),
                       f, a, b, spec, floor, "Gauss-Legendre")
@@ -191,7 +218,9 @@ def integrate_gl(f: Callable[[float], float], a: float, b: float, spec: Quadratu
 
 @lru_cache(maxsize=32)
 def _ts_nodes(h: float, t_max: float) -> tuple:
-    """tanh-sinh (x, w) pairs on (-1, 1) at step h."""
+    """tanh-sinh nodes and weights (xs, ws) on (-1, 1) at step h, as arrays."""
+    import numpy as np
+
     k = 0
     out = []
     while True:
@@ -209,10 +238,10 @@ def _ts_nodes(h: float, t_max: float) -> tuple:
         if k > 0:
             out.append((-x, w))
         k += 1
-    return tuple(out)
+    return tuple(np.array(col) for col in zip(*out))
 
 
-def integrate_ts(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec, floor: float = 0.0) -> QuadResult:
+def integrate_ts(f: Callable, a: float, b: float, spec: QuadratureSpec, floor: float = 0.0) -> QuadResult:
     """tanh-sinh from step h = 1/2, halving h at each level."""
     return _integrate(lambda level: _ts_nodes(0.5 / 2**level, t_max=4.2),
                       f, a, b, spec, floor, "tanh-sinh")
@@ -328,7 +357,10 @@ def _log_qpoch_abs_sq(t: float, q: float) -> Callable[[float], float]:
 
 
 def _phi0_sq(fp: FamilyParams) -> Callable[[float], float]:
-    """phi_0(x; lambda)^2 as a float function, in binary64 for every family."""
+    """phi_0(x; lambda)^2 as a float function, in binary64 for every family.
+
+    Each kernel raises OverflowError where its value leaves binary64 range.
+    """
     if fp.family == "L":
         g2 = 2.0 * float(fp.g)
         return lambda x: math.exp(-x * x) * x ** g2
@@ -344,12 +376,8 @@ def _phi0_sq(fp: FamilyParams) -> Callable[[float], float]:
                 return 0.0
             # prod_j |Gamma(a_j + ix)|^2 times 1/|Gamma(2ix)|^2 = 2x sinh(2 pi x)/pi,
             # summed as logs and exponentiated once
-            log_w = (math.log(x / math.pi) + 2.0 * math.pi * x + math.log(-math.expm1(-4.0 * math.pi * x))
-                     + sum(f(x) for f in log_gammas))
-            try:
-                return math.exp(log_w)
-            except OverflowError:
-                return math.inf
+            return math.exp(math.log(x / math.pi) + 2.0 * math.pi * x
+                            + math.log(-math.expm1(-4.0 * math.pi * x)) + sum(f(x) for f in log_gammas))
 
         return w_weight
     # |(e^{2ix}; q)_inf|^2 / prod_j |(a_j e^{ix}; q)_inf|^2; float() also reads
@@ -417,10 +445,10 @@ class Weight:
     denominator (Xi_D for L/J, squared at use; the shift product
     Xi(x - i gamma/2) Xi(x + i gamma/2) for W/AW) and the scale.  Before
     any node is evaluated, a Sturm count on the exact denominator refuses
-    a zero anywhere on the closed eta-domain of the family, so no entry of
-    any width meets a pole.  `node_weight` and `p` keep each value they
-    compute, keyed by the abscissa, and `norm` each expected norm, for the
-    life of the Weight.
+    a zero anywhere on the family's closed eta-domain, so no entry of any
+    width meets a pole.  Values are kept for the life of the Weight: phi_0^2
+    per abscissa, eta and the weight per node set (an array of abscissae),
+    each P_n per (n, node set), and each expected norm.
     """
 
     def __init__(self, pair: MultiIndexedPair):
@@ -439,35 +467,68 @@ class Weight:
         _check_no_pole(self, den)
         # stored polynomials differ from verbatim ones by sqrt(p_radicand)
         self._integrand_scale = self.scale * float(pair.p_radicand)
-        self._nodes = {}  # x -> integrand_scale * phi_0^2(x) / den(eta(x))
-        self._p = {}  # n -> x -> P_{D,n}(eta(x))
+        # eta = x^2 rounds the same elementwise; numpy's cos may not round as
+        # libm's does, so J and AW take eta one node at a time
+        self._eta_is_square = fp.family in ("L", "W")
+        self._phi0 = {}  # x -> phi_0^2(x)
+        self._sets = {}  # node-set bytes -> (eta(xs), integrand_scale * phi_0^2(xs) / den(eta(xs)))
+        self._polys = {}  # n -> FloatPoly of P_{D,n}
+        self._p = {}  # (n, node-set bytes) -> P_{D,n}(eta(xs))
         self._norms = {}  # n -> expected_norm(fp, D, n)
 
-    def den(self, e: float) -> float:
-        """The denominator of Psi_D^2 at eta = e."""
+    def den(self, e):
+        """The denominator of Psi_D^2 at eta = e (a float or an array)."""
         d = self.xi_den(e)
         return d * d if self.squared_den else d
 
-    def node_weight(self, x: float) -> float:
-        """p_radicand Psi_D(x)^2, the integrand's weight factor; evaluated once per abscissa x."""
-        w = self._nodes.get(x)
-        if w is None:
-            w = self._nodes[x] = self._integrand_scale * self.phi0_sq(x) / self.den(self.eta(x))
-        return w
+    def _phi0_at(self, x: float) -> float:
+        v = self._phi0.get(x)
+        if v is None:
+            try:
+                v = self._phi0[x] = self.phi0_sq(x)
+            except OverflowError:
+                raise FloatRangeError(f"phi_0^2 of the {self.pair.fp.family} weight leaves "
+                                      f"binary64 range at x = {x!r}") from None
+        return v
 
-    def p(self, n: int) -> Callable[[float], float]:
-        """x -> P_{D,n}(eta(x)): one FloatPoly per n, evaluated once per abscissa x."""
-        if n not in self._p:
-            poly, values = FloatPoly.from_exact(self.pair.P_of(n)), {}
+    def _node_set(self, xs) -> tuple:
+        """(key, eta(xs), weight(xs)) of an array of abscissae, computed once per node set."""
+        key = xs.tobytes()
+        got = self._sets.get(key)
+        if got is None:
+            import numpy as np
 
-            def p_n(x: float) -> float:
-                v = values.get(x)
-                if v is None:
-                    v = values[x] = poly(self.eta(x))
-                return v
+            vals = xs.tolist()
+            eta = xs * xs if self._eta_is_square else np.array([self.eta(x) for x in vals])
+            phi0 = np.array([self._phi0_at(x) for x in vals])
+            w = self._integrand_scale * phi0 / self.den(eta)
+            bad = np.flatnonzero(~np.isfinite(w))
+            if bad.size:
+                raise FloatRangeError(f"the {self.pair.fp.family} weight is not finite "
+                                      f"at x = {vals[bad[0]]!r}")
+            got = self._sets[key] = (eta, w)
+        return key, *got
 
-            self._p[n] = p_n
-        return self._p[n]
+    def node_weight(self, xs):
+        """p_radicand Psi_D(xs)^2 on an array of abscissae, the integrand's weight factor."""
+        return self._node_set(xs)[2]
+
+    def _p_at(self, n: int, key: bytes, eta):
+        v = self._p.get((n, key))
+        if v is None:
+            poly = self._polys.get(n)
+            if poly is None:
+                poly = self._polys[n] = FloatPoly.from_exact(self.pair.P_of(n))
+            v = self._p[n, key] = poly(eta)
+        return v
+
+    def integrand(self, n: int, m: int) -> Callable:
+        """xs -> p_radicand Psi_D^2 P_{D,n} P_{D,m} on an array of abscissae."""
+        def f(xs):
+            key, eta, w = self._node_set(xs)
+            return (w * self._p_at(n, key, eta)) * self._p_at(m, key, eta)
+
+        return f
 
     def norm(self, n: int) -> float:
         """The expected norm of entry (n, n), computed once per n."""
@@ -630,14 +691,9 @@ def orthogonality_check(weight: Weight, n: int, m: int, spec: QuadratureSpec = Q
     pair = weight.pair
     fp, D = pair.fp, pair.D
     a, b = _interval(fp, D, n, m)
-    w, pn, pm = weight.node_weight, weight.p(n), weight.p(m)
-
-    def f(x: float) -> float:
-        return w(x) * pn(x) * pm(x)
-
     norm_n, norm_m = weight.norm(n), weight.norm(m)
     integrate = integrate_ts if fp.family in ("L", "W") else integrate_gl
-    result = integrate(f, a, b, spec, floor=abs(norm_m if m > n else norm_n))
+    result = integrate(weight.integrand(n, m), a, b, spec, floor=abs(norm_m if m > n else norm_n))
     if n == m:
         return result.value, norm_n, abs(result.value - norm_n) / abs(norm_n)
     return result.value, 0.0, abs(result.value) / math.sqrt(abs(norm_n) * abs(norm_m))

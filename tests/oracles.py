@@ -26,7 +26,10 @@ for a Laurent value in z = e^{ix} also z -> 1/z (its conjugate at real x).
 
 phi0_sq_mpmath is a float oracle: the W and AW weights phi_0^2 evaluated
 through mpmath's complex Gamma function and q-products, the reference for
-the binary64 kernels of miop.quad.  The pole exclusion of miop.quad, an
+the binary64 kernels of miop.quad.  ortho_grid_scalar is the per-node path
+that the array quadrature of miop.quad replaced: the integrand on one
+abscissa at a time, summed by the list pairwise_sum_list inside the same
+node-doubling loop; its rows are the bit-exact reference for ortho_grid.  The pole exclusion of miop.quad, an
 exact Sturm count, has two references: pole_scan, the float scan it
 replaced (2048 compensated-Horner samples over one integration interval
 with a 1e-12 floor), and real_root_count, the distinct real roots that
@@ -36,15 +39,17 @@ mpmath's polyroots finds on an open interval.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, sqrt
 
 import mpmath
 
-from miop.errors import ConfigurationError, PoleEncountered, ReductionFailure
+from miop import quad
+from miop.errors import ConfigurationError, NonConvergent, PoleEncountered, ReductionFailure
 from miop.exact import (GaussianRational, LaurentPoly, Poly, SqrtQRational, downcast,
-                        parse_scalar, q_pow)
+                        parse_scalar, q_pow, scalar_sign)
 from miop.families import FamilyParams
-from miop.quad import FloatPoly, _qpoch_inf
+from miop.multiindex import build
+from miop.quad import FloatPoly, QuadratureSpec, _qpoch_inf
 
 
 def coeff(p, k: int):
@@ -304,6 +309,75 @@ def phi0_sq_mpmath(fp):
         return float(num / den)
 
     return aw_weight
+
+
+def pairwise_sum_list(values) -> float:
+    """Pairwise summation over a Python list: v0 + v1, v2 + v3, ..., an odd last value carried."""
+    vals = list(values)
+    if not vals:
+        return 0.0
+    while len(vals) > 1:
+        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
+        if len(vals) % 2:
+            nxt.append(vals[-1])
+        vals = nxt
+    return vals[0]
+
+
+def integrate_scalar(pairs, f, a: float, b: float, spec: QuadratureSpec, floor: float) -> float:
+    """The node-doubling loop of miop.quad with f called on one abscissa at a time.
+
+    pairs(level) gives the (x, w) pairs on (-1, 1) of that level.
+    """
+    half = (b - a) / 2.0
+    mid = (a + b) / 2.0
+    prev = None
+    for level in range(spec.max_levels):
+        cur = half * pairwise_sum_list(w * f(mid + half * x) for x, w in pairs(level))
+        if prev is not None and abs(cur - prev) <= spec.rtol * max(abs(cur), floor):
+            return cur
+        prev = cur
+    raise NonConvergent(f"did not settle below rtol={spec.rtol} in {spec.max_levels} levels")
+
+
+def ortho_grid_scalar(fp, D, n_max: int, spec: QuadratureSpec = QuadratureSpec()) -> list:
+    """The rows of quad.ortho_grid, every weight and P_n evaluated per abscissa.
+
+    Shares the binary64 kernels, the node tables, the intervals and the
+    norms with miop.quad, so its rows are the bits an array evaluation of
+    the same integrands must reproduce.
+    """
+    pair = build(fp, D, n_max=n_max)
+    for n in range(n_max + 1):
+        if scalar_sign(quad._energy_factor(fp, D, n)) <= 0:
+            raise ConfigurationError(f"D={{{D.label()}}} is not admissible at n = {n}")
+    weight = quad.Weight(pair)
+    eta, polys = weight.eta, [FloatPoly.from_exact(pair.P_of(n)) for n in range(n_max + 1)]
+
+    def node_weight(x: float) -> float:
+        return weight._integrand_scale * weight.phi0_sq(x) / weight.den(eta(x))
+
+    def pairs(level):
+        if fp.family in ("L", "W"):
+            xs, ws = quad._ts_nodes(0.5 / 2**level, t_max=4.2)
+        else:
+            xs, ws = quad._leggauss(spec.nodes << level)
+        return zip(xs.tolist(), ws.tolist())
+
+    rows = []
+    for n in range(n_max + 1):
+        for m in range(n, n_max + 1):
+            def f(x: float) -> float:
+                return node_weight(x) * polys[n](eta(x)) * polys[m](eta(x))
+
+            norm_n, norm_m = quad.expected_norm(fp, D, n), quad.expected_norm(fp, D, m)
+            value = integrate_scalar(pairs, f, *quad._interval(fp, D, n, m), spec,
+                                     floor=abs(norm_m if m > n else norm_n))
+            if n == m:
+                rows.append((n, m, value, norm_n, abs(value - norm_n) / abs(norm_n)))
+            else:
+                rows.append((n, m, value, 0.0, abs(value) / sqrt(abs(norm_n) * abs(norm_m))))
+    return rows
 
 
 def pole_scan(den: Poly, eta, a: float, b: float, samples: int = 2048):

@@ -403,6 +403,19 @@ class TestOrtho:
         assert code == 2 and out == "" and "Traceback" not in err
         assert "D={I1}" in err and "n = 0" in err and "-59/120" in err
 
+    @pytest.mark.parametrize("argv,where", [
+        # x ** 2g overflows in the L weight
+        (("--family", "L", "--g", "150", "--D", "I1", "--n", "0..1"), "L weight"),
+        # exp of the summed q-product logs overflows in the AW weight near q = 1
+        (("--family", "AW", "--a", "1/3,2/5,1/20,1/12", "--q", "999/1000", "--D", "II1",
+          "--n", "0..0", _DIFFERENCE), "AW weight"),
+    ], ids=["L", "AW"])
+    def test_weight_overflow_exits_one(self, capsys, argv, where):
+        code, out, err = run_cli(capsys, "ortho", *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: FloatRangeError: ") and where in err and "at x = " in err
+
     @given(family_params(), st.sampled_from(["I1", "II1", "I1,II1"]))
     @settings(max_examples=60, deadline=None)
     def test_random_points_exit_typed(self, fp, label):

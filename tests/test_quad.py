@@ -5,12 +5,13 @@ from collections import Counter
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from miop import quad
-from miop.errors import ConfigurationError, MiopError, NonConvergent, PoleEncountered
+from miop.errors import ConfigurationError, FloatRangeError, MiopError, NonConvergent, PoleEncountered
 from miop.exact import Poly
 from miop.families import PRESETS, FamilyParams, energy, twisted, virtual_energy
 from miop.multiindex import IndexSet, build
@@ -28,8 +29,9 @@ from miop.quad import (
     pairwise_sum,
 )
 
-from .oracles import phi0_sq_mpmath, pole_scan, real_root_count
-from .strategies import family_params
+from .oracles import (ortho_grid_scalar, pairwise_sum_list, phi0_sq_mpmath, pole_scan,
+                      real_root_count)
+from .strategies import family_params, polys
 
 EMPTY = IndexSet.parse("")
 
@@ -54,6 +56,19 @@ class TestFloatPoly:
         assert abs(fpoly(x) - exact) <= 1e-12 * abs(exact)
         assert abs(naive - exact) > 1e-4 * abs(exact)
 
+    @given(polys(max_deg=6), st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=40))
+    @example(Poly([F(5, 2)]), [1.0, -3.0])
+    @settings(max_examples=60, deadline=None)
+    def test_array_matches_scalar_calls(self, p, xs):
+        # the compensated loop uses only +, - and *, which numpy rounds as Python does
+        fpoly = FloatPoly.from_exact(p)
+        got = fpoly(np.array(xs))
+        if len(fpoly.coeffs) == 1:
+            # a constant never meets x: the array call returns the scalar itself
+            assert type(got) is float and got.hex() == fpoly(xs[0]).hex()
+        else:
+            assert [v.hex() for v in got.tolist()] == [fpoly(x).hex() for x in xs]
+
 
 class TestPairwiseSum:
     def test_matches_fsum_and_is_deterministic(self):
@@ -67,6 +82,14 @@ class TestPairwiseSum:
         assert pairwise_sum([3.5]) == 3.5
         assert pairwise_sum([1.0, 2.0, 3.0, 4.0]) == 10.0
 
+    def test_array_halving_matches_list_pairing(self):
+        # every length up to 257 pairs and carries as the list version does, bit for bit
+        rng = np.random.default_rng(15)
+        for n in range(258):
+            vals = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).tolist()
+            got = pairwise_sum(np.array(vals))
+            assert type(got) is float and got.hex() == pairwise_sum_list(vals).hex(), n
+
 
 class TestQuadratureSpec:
     @pytest.mark.parametrize("bad", [{"nodes": 0}, {"nodes": -3}, {"rtol": 0.0},
@@ -77,19 +100,27 @@ class TestQuadratureSpec:
 
     def test_doubling_contract_reported(self):
         spec = QuadratureSpec(nodes=8, rtol=1e-12)
-        res = integrate_gl(math.cos, 0.0, 1.0, spec)
+        res = integrate_gl(np.cos, 0.0, 1.0, spec)
         assert res.value == pytest.approx(math.sin(1.0), rel=1e-14)
         assert res.err_estimate <= spec.rtol * abs(res.value)
 
     def test_nonconvergent_when_levels_exhausted(self):
         spec = QuadratureSpec(nodes=2, rtol=1e-15, max_levels=1)
         with pytest.raises(NonConvergent):
-            integrate_gl(lambda x: math.exp(-x) * math.sin(40 * x), 0.0, 6.0, spec)
+            integrate_gl(lambda x: np.exp(-x) * np.sin(40 * x), 0.0, 6.0, spec)
 
     def test_tanh_sinh_gaussian(self):
         spec = QuadratureSpec(rtol=1e-12)
-        res = integrate_ts(lambda x: math.exp(-x * x), 0.0, 12.0, spec)
+        res = integrate_ts(lambda x: np.exp(-x * x), 0.0, 12.0, spec)
         assert res.value == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-13)
+
+    @pytest.mark.parametrize("f", [lambda x: np.full_like(x, np.inf), lambda x: np.log(x - 0.5),
+                                   lambda x: 1e300 * np.exp(x) * 1e300])
+    def test_non_finite_integrand_raises(self, f, recwarn):
+        # an inf, a nan or an overflow is reported as such, with no numpy warning
+        with pytest.raises(FloatRangeError, match="binary64"):
+            integrate_gl(f, 0.0, 1.0, QuadratureSpec(nodes=8))
+        assert not recwarn.list
 
 
 def weight_of(fp, D, n_max=0):
@@ -99,13 +130,19 @@ def weight_of(fp, D, n_max=0):
 class TestWeight:
     def test_laguerre_frozen_point(self):
         fp = FamilyParams("L", (F(3, 2),))
-        assert weight_of(fp, EMPTY).node_weight(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert weight_of(fp, EMPTY).node_weight(np.array([1.0]))[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_deformed_laguerre_positive_on_interval(self):
         fp = PRESETS["l-default"]
         w = weight_of(fp, IndexSet.parse("I1"))
-        for k in range(1, 60):
-            assert w.node_weight(0.2 * k) > 0.0
+        assert (w.node_weight(0.2 * np.arange(1, 60)) > 0.0).all()
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_weight_names_family_and_abscissa(self, value):
+        weight = weight_of(PRESETS["w-default"], EMPTY)
+        weight.phi0_sq = lambda x: value if x > 2.0 else 1.0
+        with pytest.raises(FloatRangeError, match=r"W weight is not finite at x = 2\.5$"):
+            weight.node_weight(np.array([1.5, 2.5, 3.5]))
 
     def test_pole_refused(self):
         # Xi_D has a root inside the eta-domain: the weight must refuse rather than integrate
@@ -158,7 +195,7 @@ def abscissas(fp, D, n):
     xs = []
 
     def record(x):
-        xs.append(x)
+        xs.extend(x.tolist())
         return 0.0
 
     # a zero integrand settles at the second level
@@ -226,8 +263,7 @@ class TestDifferenceKernels:
         for fp, label in (KERNEL_POINTS[0], KERNEL_POINTS[3]):
             D = IndexSet.parse(label)
             weight = weight_of(fp, D, n_max=1)
-            for x in abscissas(fp, D, 1):
-                assert weight.node_weight(x) >= 0.0
+            assert (weight.node_weight(np.array(abscissas(fp, D, 1))) >= 0.0).all()
 
 
 class TestClassicalNorms:
@@ -377,7 +413,7 @@ class TestOrthoGrid:
         def recording(integrate):
             def wrapper(f, *args, **kwargs):
                 def g(x):
-                    abscissas.add(x)
+                    abscissas.update(x.tolist())
                     return f(x)
                 return integrate(g, *args, **kwargs)
             return wrapper
@@ -398,3 +434,31 @@ class TestOrthoGrid:
         # the Xi denominator, then P_0 .. P_{n_max} once each
         pair = build(fp, IndexSet.parse(label), n_max=n_max)
         assert mirrored[1:] == [pair.P_of(n) for n in range(n_max + 1)]
+
+
+class TestScalarOracle:
+    """ortho_grid sums each node set as one array; its rows keep every bit of the per-node path."""
+
+    @staticmethod
+    def assert_same_rows(fp, D, n_max):
+        try:
+            want = ortho_grid_scalar(fp, D, n_max)
+        except MiopError as exc:
+            with pytest.raises(type(exc)):
+                ortho_grid(fp, D, n_max)
+            return
+        got = ortho_grid(fp, D, n_max)
+        assert got == want
+        # repr also tells -0.0 from 0.0 and a numpy scalar from a Python float
+        assert [repr(row) for row in got] == [repr(row) for row in want]
+
+    @given(family_params(("L", "J")), st.sampled_from(["", "I1", "II1", "I1,II1", "I1,I2"]),
+           st.integers(0, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_random_lj_points(self, fp, label, n_max):
+        self.assert_same_rows(fp, IndexSet.parse(label), n_max)
+
+    @pytest.mark.parametrize("fam,lam,q,label", DIFFERENCE_ORTHO_PRESETS,
+                             ids=[f"{fam}-{label}" for fam, _, _, label in DIFFERENCE_ORTHO_PRESETS])
+    def test_difference_presets(self, fam, lam, q, label):
+        self.assert_same_rows(FamilyParams(fam, lam, q=q), IndexSet.parse(label), 2)

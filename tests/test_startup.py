@@ -1,9 +1,10 @@
 """Start-up cost of the command line: what a fresh process loads, and the parser.
 
 numpy and mpmath serve only `ortho`, and the process pool only
-MIOP_WORKERS > 1, so importing miop.cli and running `gen` must load none of
-them.  main builds its parser once per process; a sequence of calls in one
-process must behave as each call does alone in a fresh interpreter.
+MIOP_WORKERS > 1, so importing miop.cli and running `gen`, `rtable` or
+`verify` must load none of them; every `ortho` grid loads numpy and mpmath.
+main builds its parser once per process; a sequence of calls in one process
+must behave as each call does alone in a fresh interpreter.
 """
 import json
 import os
@@ -11,10 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import miop
 from miop.cli import main
 
-from .test_cli import _GOLDEN_J
+from .test_cli import _GOLDEN_J, _GOLDEN_L
 
 _SRC = str(Path(miop.__file__).resolve().parents[1])
 _HEAVY = ("numpy", "mpmath", "concurrent.futures")
@@ -52,6 +55,20 @@ class TestImportBoundary:
         code, heavy, out = _probe("gen", "--preset", "l-default", "--D", "I1", "--N", "2")
         assert code == 0 and heavy == []
         assert json.loads(out)["degree_Xi"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("rtable", "--preset", "l-default", "--M", "1", "--window=-2..3", "--format", "csv"),
+        ("verify", "--preset", "l-default", "--D", "I1", "--n-range=-2..2"),
+    ], ids=["rtable", "verify"])
+    def test_rtable_and_verify_load_no_float_or_pool_modules(self, argv):
+        code, heavy, out = _probe(*argv)
+        assert code == 0 and heavy == [] and out
+
+    def test_laguerre_ortho_loads_them_on_use_and_keeps_its_bits(self):
+        # tanh-sinh sums each node set as a numpy array too
+        code, heavy, out = _probe("ortho", "--preset", "l-default", "--D", "I1,II1", "--n", "0..2")
+        assert code == 0 and heavy == ["mpmath", "numpy"]
+        assert out == _GOLDEN_L
 
     def test_ortho_loads_them_on_use_and_keeps_its_bits(self):
         # J integrates by Gauss-Legendre, so it needs numpy as well as mpmath
