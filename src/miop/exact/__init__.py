@@ -3,13 +3,13 @@ from .matrix import (PolyMatrix, det, det_cofactor, det_fraction_free,
                      last_column_cofactors)
 from .poly import (NEG_INF, LaurentPoly, Poly, even_poly_to_eta, imag_shift,
                    laurent_shift, laurent_to_eta)
-from .scalars import (GaussianRational, I, Scalar, SqrtQRational, conj,
-                      downcast, format_scalar, make_sqrtq, parse_scalar, q_pow,
+from .scalars import (GaussianRational, I, Scalar, SqrtQRational, downcast,
+                      format_scalar, make_sqrtq, parse_scalar, q_pow,
                       rational_sqrt, scalar_sign, sqrt_q)
 
 __all__ = [
     "NEG_INF", "GaussianRational", "I", "LaurentPoly", "Poly", "PolyMatrix",
-    "Scalar", "SqrtQRational", "conj", "det", "det_cofactor",
+    "Scalar", "SqrtQRational", "det", "det_cofactor",
     "det_fraction_free", "downcast", "even_poly_to_eta", "format_scalar",
     "imag_shift",
     "last_column_cofactors", "laurent_shift", "laurent_to_eta", "make_sqrtq",

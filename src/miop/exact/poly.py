@@ -1,199 +1,63 @@
 """Dense exact polynomials in one variable, plus Laurent polynomials in z.
 
-Both carriers share one ring core, _PolyBase, and one stored form: integer
-coordinates over one positive denominator.  With r = sqrt(qn*qd) for
-q = qn/qd, so that r*r is an integer and sqrt(q) = r/qd, `_parts[k][j] /
-_den` is the coordinate along e[k] of the basis e = (1, i, r, i*r) of the
-coefficient of var**(lo+j).  The form is canonical:
+Both carriers share one ring core, _PolyBase, and store the coefficient
+run in the canonical integer form of exact.scalars, which owns the format
+and its kernel: `_parts[k][j] / _den` is coordinate k of the coefficient of
+var**(lo+j), so equality and hashing compare coordinates.  Poly fixes
+lo = 0 as a class constant and is used in "eta" and "x"; LaurentPoly
+stores its own lo, for z = e^{ix} expressions, and strips zero columns at
+both ends.  The zero polynomial is one empty column (degree NEG_INF for
+Poly, lo = 0 for LaurentPoly).  Values are immutable.
 
-  * no zero end columns (LaurentPoly strips both ends and moves lo);
-  * the least width: 1 over Q, 2 over Q(i), 4 over Q(i)(sqrt q), with the
-    radicand `_q` set only at width 4;
-  * gcd(_den, every coordinate) = 1;
-
-so equality and hashing compare coordinates.  Poly fixes lo = 0 as a class
-constant and is used in "eta" and "x"; LaurentPoly stores its own lo, for
-z = e^{ix} expressions.  The zero polynomial is one empty column (degree
-NEG_INF for Poly, lo = 0 for LaurentPoly).  Values are immutable.
-
-Every ring operation works on these integers and builds no scalar: sums
-of products by a polynomial (integer convolution) or by a scalar (whose
-coordinates are read directly), aligned on one common denominator and
-made canonical once (_dot; a sum or a product is the one-term case),
-powers, exact division (pseudo-division after clearing the conjugates of
-the divisor's leading coefficient), composition (Horner's rule), the
-derivative, x -> -x, z -> 1/z, the x-picture shifts x -> x + i*c (an
-integer Taylor shift) and z -> z*q**c and the reductions to eta.  Tower scalars
-appear only at the boundary: constructors take a coefficient run, and
-`coeffs` derives the canonical scalars (Fraction over Q, GaussianRational
-across a run with any i part) on first use and caches them.  Mixing the
-two carriers, two variables or two radicands raises ConfigurationError.
+A tower scalar is one column of the same form, read as a run of length
+one.  Every ring operation works on the integers: sums of products,
+aligned on one common denominator and made canonical once (_dot; a sum or
+a product is the one-term case), powers, exact division (pseudo-division
+after clearing the conjugates of the divisor's leading coefficient, as
+scalar division does), composition (Horner's rule), the derivative,
+x -> -x, z -> 1/z, the x-picture shifts x -> x + i*c (an integer Taylor
+shift) and z -> z*q**c and the reductions to eta.  `coeffs` views each
+column as its canonical scalar (Fraction over Q, GaussianRational across a
+run with any i part) on first use.  Mixing the two carriers, two
+variables or two radicands raises ConfigurationError.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 from typing import Iterable
 
 from ..errors import ConfigurationError, InexactDivision, ReductionFailure
-from .scalars import (GaussianRational, Scalar, SqrtQRational, format_scalar,
-                      make_sqrtq, power)
+from .scalars import (_F0, _TIMES, Scalar, _align, _clear_conjugates, _column, _mul_ints,
+                      _normal, _r2, _radicand, _view, format_scalar, power)
 
 NEG_INF = float("-inf")
-
-_SCALARS = (int, Fraction, GaussianRational, SqrtQRational)
-
-# e[k] * e[l] = sign * (r*r if s else 1) * e[dst], as _TIMES[k][l] = (dst, sign, s)
-_TIMES = (((0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)),
-          ((1, 1, 0), (0, -1, 0), (3, 1, 0), (2, -1, 0)),
-          ((2, 1, 0), (3, 1, 0), (0, 1, 1), (1, 1, 1)),
-          ((3, 1, 0), (2, -1, 0), (1, 1, 1), (0, -1, 1)))
-
-_F0 = Fraction(0)
 
 
 # -- scalars in and out ------------------------------------------------------------
 
-def _scalar_coords(c) -> tuple:
-    """(coords, den, q): c = sum coords[k] * e[k] / den at c's least width."""
-    if type(c) is Fraction:
-        return (c._numerator,), c._denominator, None
-    if isinstance(c, int):
-        return (c,), 1, None
-    if type(c) is GaussianRational:
-        xs = (c.re, c.im) if c.im else (c.re,)
-        nds = [(x._numerator, x._denominator) for x in xs]
-        q = None
-    elif type(c) is SqrtQRational:  # b*sqrt(q) = (b/qd)*r
-        q = c.q
-        nds = [(x._numerator, x._denominator) for x in (c.a.re, c.a.im)]
-        nds += [(x._numerator, x._denominator * q._denominator) for x in (c.b.re, c.b.im)]
-    else:
-        raise ConfigurationError(f"cannot hold {type(c).__name__} in a polynomial")
-    den = lcm(*(d for _, d in nds))
-    return tuple(x * (den // d) for x, d in nds), den, q
-
-
 def _coords(run: Iterable[Scalar]) -> tuple:
     """(parts, den, q) of a coefficient run, not yet in canonical form."""
-    cs = [_scalar_coords(c) for c in run]
-    qs = {q for _, _, q in cs if q is not None}
-    if len(qs) > 1:
-        raise ConfigurationError(
-            f"mixing {' and '.join(f'sqrt({q})' for q in qs)} in one expression")
-    width = max((len(x) for x, _, _ in cs), default=1)
-    den = lcm(*(d for _, d, _ in cs))
-    parts = [[0] * len(cs) for _ in range(width)]
-    for j, (x, d, _) in enumerate(cs):
-        m = den // d
-        for k, v in enumerate(x):
-            parts[k][j] = v * m
-    return parts, den, (qs.pop() if qs else None)
+    terms = []
+    for j, c in enumerate(run):
+        col = _column(c)
+        if col is None:
+            raise ConfigurationError(f"cannot hold {type(c).__name__} in a polynomial")
+        terms.append((j, *col))
+    return _align(terms)[1:] if terms else ([[]], 1, None)
 
 
 def _from_ints(parts, den: int, q) -> list:
-    """The coefficient run whose coordinates are parts / den (den > 0)."""
-    if len(parts) == 4:  # r = qd*sqrt(q)
-        parts = parts[:2] + [[x * q.denominator for x in part] for part in parts[2:]]
-    rats = [[Fraction(x, den) if x else _F0 for x in part] for part in parts]
-    if len(rats) == 1:
-        return rats[0]
-    gauss = [GaussianRational(x, y) for x, y in zip(rats[0], rats[1])]
-    if len(rats) == 2:
-        return gauss
-    return [make_sqrtq(a, GaussianRational(x, y), q)
-            for a, x, y in zip(gauss, rats[2], rats[3])]
-
-
-# -- the integer kernel ----------------------------------------------------------
-
-def _normal(parts: list, den: int, q, both_ends: bool) -> tuple:
-    """(lead, parts, den, q) in canonical form; lead counts the zero
-    columns dropped at the low end (only when both_ends)."""
-    n = hi = len(parts[0])
-    nonzero = parts[0] if len(parts) == 1 else [any(col) for col in zip(*parts)]
-    while hi and not nonzero[hi - 1]:
-        hi -= 1
-    lead = 0
-    if both_ends:
-        while lead < hi and not nonzero[lead]:
-            lead += 1
-    if not hi:
-        return 0, [[]], 1, None
-    if lead or hi < n:
-        parts = [part[lead:hi] for part in parts]
-    if len(parts) == 4 and not (any(parts[2]) or any(parts[3])):
-        parts = parts[:2]
-    if len(parts) == 2 and not any(parts[1]):
-        parts = parts[:1]
-    if len(parts) < 4:
-        q = None
-    if den < 0:
-        den = -den
-        parts = [[-x for x in part] for part in parts]
-    g = den
-    for part in parts:
-        g = gcd(g, *part)
-        if g == 1:
-            break
-    if g != 1:
-        den //= g
-        parts = [[x // g for x in part] for part in parts]
-    return lead, parts, den, q
-
-
-def _radicand(p, q):
-    """The one radicand of two operands (None below width 4)."""
-    if p is None:
-        return q
-    if q is not None and q != p:
-        raise ConfigurationError(f"mixing sqrt({p}) and sqrt({q}) in one expression")
-    return p
-
-
-def _r2(q) -> int:
-    return q.numerator * q.denominator if q is not None else 0
+    """The coefficient run whose coordinates are parts / den (den > 0): the
+    canonical scalar of each column, a GaussianRational across a width-2 run."""
+    if len(parts) == 1:  # the rational layer: one Fraction per coefficient
+        return [Fraction(x, den) if x else _F0 for x in parts[0]]
+    level = len(parts) == 2
+    return [_view([[x] for x in col], den, q, level) for col in zip(*parts)]
 
 
 def _widen(parts: list, width: int) -> list:
     return parts + [[0] * len(parts[0]) for _ in range(width - len(parts))]
-
-
-def _conv(a: list, b: list) -> list:
-    """Coefficients of the product of two integer runs."""
-    if len(b) == 1:
-        c = b[0]
-        return [x * c for x in a]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _mul_ints(a: list, b: list, r2: int) -> list:
-    """Product of two runs in coordinates, at the larger width; r2 = r*r."""
-    if len(b) == 1 and len(b[0]) == 1:  # a rational constant
-        c = b[0][0]
-        return [[x * c for x in part] for part in a]
-    out = [None] * max(len(a), len(b))
-    for k, ak in enumerate(a):
-        if not any(ak):
-            continue
-        for j, bj in enumerate(b):
-            if not any(bj):
-                continue
-            dst, sign, s = _TIMES[k][j]
-            f = sign * r2 if s else sign
-            v = _conv(ak, bj)
-            acc = out[dst]
-            if acc is not None:
-                out[dst] = [x + f * y for x, y in zip(acc, v)]
-            else:
-                out[dst] = v if f == 1 else [f * y for y in v]
-    n = len(a[0]) + len(b[0]) - 1
-    return [acc if acc is not None else [0] * n for acc in out]
 
 
 def _make(cls, var: str, lo: int, parts: list, den: int, q):
@@ -202,24 +66,6 @@ def _make(cls, var: str, lo: int, parts: list, den: int, q):
     out.var = var
     out._set(lo, parts, den, q)
     return out
-
-
-def _align(terms: list) -> tuple:
-    """(lo, parts, den, q), not yet canonical: the sum of one or more nonzero
-    terms (lo, parts, den, q) over their least common denominator."""
-    lo = min(t[0] for t in terms)
-    n = max(t[0] + len(t[1][0]) for t in terms) - lo
-    den = lcm(*(t[2] for t in terms))
-    q = None
-    out = [[0] * n for _ in range(max(len(t[1]) for t in terms))]
-    for tlo, parts, d, tq in terms:
-        if tq is not None:
-            q = _radicand(q, tq)
-        m, a = den // d, tlo - lo
-        for part, col in zip(parts, out):
-            b = a + len(part)
-            col[a:b] = [x + y * m for x, y in zip(col[a:b], part)]
-    return lo, out, den, q
 
 
 def _dot(terms) -> "_PolyBase":
@@ -238,13 +84,12 @@ def _dot(terms) -> "_PolyBase":
             b = ring._operand(b)
             blo, bparts, bden, bq = b.lo, b._parts, b._den, b._q
         else:
-            x, bden, bq = _scalar_coords(b)
-            blo, bparts = 0, [[v] for v in x]
+            blo, (bparts, bden, bq) = 0, _column(b)
         if a._parts[0] and any(map(any, bparts)):
             q = _radicand(a._q, bq)
             prods.append((a.lo + blo, _mul_ints(a._parts, bparts, _r2(q)), a._den * bden, q))
     if not prods:
-        return ring._zero()
+        return ring._new(0, [[]], 1, None)
     return ring._new(*(prods[0] if len(prods) == 1 else _align(prods)))
 
 
@@ -261,16 +106,13 @@ class _PolyBase:
         """A value of self's type and variable from coordinates at lo."""
         return _make(type(self), self.var, lo, parts, den, q)
 
-    def _zero(self):
-        return self._new(0, [[]], 1, None)
-
     def _operand(self, other):
         """other as an element of self's ring, or None if it is not one."""
         if type(other) is type(self) and other.var == self.var:
             return other
-        if isinstance(other, _SCALARS):
-            x, d, q = _scalar_coords(other)
-            return self._new(0, [[v] for v in x], d, q)
+        col = _column(other)
+        if col is not None:
+            return self._new(0, *col)
         if not isinstance(other, _PolyBase):
             return None
         raise ConfigurationError(
@@ -292,9 +134,10 @@ class _PolyBase:
 
     def __eq__(self, other):
         if type(other) is not type(self):
-            if not isinstance(other, _SCALARS):
+            col = _column(other)
+            if col is None:
                 return NotImplemented
-            other = self._operand(other)
+            other = self._new(0, *col)
         return (self.lo == other.lo and self.var == other.var and self._den == other._den
                 and self._q == other._q and self._parts == other._parts)
 
@@ -323,16 +166,13 @@ class _PolyBase:
                          self._den, self._q)
 
     def __sub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _PolyBase) or isinstance(other, _SCALARS):
+        if isinstance(other, _PolyBase) or _column(other) is not None:
             return _dot([(self, other)])
         return NotImplemented
 
@@ -374,11 +214,7 @@ class _PolyBase:
         width = max(len(self._parts), len(den._parts))
         rem = _widen([list(part) for part in self._parts], width)
         b = _widen(den._parts, width)
-        for k in (2, 1):  # clear the sqrt(q) parts of lc(den), then the i part
-            lead = [part[-1] for part in b]
-            if any(lead[k:]):
-                conj = [[x if j < k else -x] for j, x in enumerate(lead)]
-                rem, b = _mul_ints(rem, conj, r2), _mul_ints(b, conj, r2)
+        rem, b = _clear_conjugates(rem, b, r2)
         L = b[0][-1]
         dd = len(b[0]) - 1
         quot = [[0] * max(len(rem[0]) - dd, 0) for _ in rem]
@@ -479,7 +315,7 @@ class Poly(_PolyBase):
         """
         c, dc = self._parts, self._den
         if not c[0]:
-            return inner._zero()
+            return inner._new(0, [[]], 1, None)
         if not inner._parts[0]:
             return inner._new(0, [[x[0]] for x in c], dc, self._q)
         q = _radicand(self._q, inner._q)

@@ -509,10 +509,6 @@ class Weight:
             got = self._sets[key] = (eta, w)
         return key, *got
 
-    def node_weight(self, xs):
-        """p_radicand Psi_D(xs)^2 on an array of abscissae, the integrand's weight factor."""
-        return self._node_set(xs)[2]
-
     def _p_at(self, n: int, key: bytes, eta):
         v = self._p.get((n, key))
         if v is None:

@@ -33,7 +33,14 @@ node-doubling loop; its rows are the bit-exact reference for ortho_grid.  The po
 exact Sturm count, has two references: pole_scan, the float scan it
 replaced (2048 compensated-Horner samples over one integration interval
 with a 1e-12 floor), and real_root_count, the distinct real roots that
-mpmath's polyroots finds on an open interval.
+mpmath's polyroots finds on an open interval.  node_weight reads a Weight's
+weight factor on an array of abscissae.
+
+GaussianRational, SqrtQRational, make_sqrtq, downcast and format_scalar at
+the end of this module are the Fraction-pair scalar tower that the
+one-column views of miop.exact.scalars replaced, kept verbatim as their
+reference; miop's own classes are reached here as exact.GaussianRational
+and exact.SqrtQRational.  conj conjugates a scalar of either tower.
 """
 
 from __future__ import annotations
@@ -45,8 +52,9 @@ import mpmath
 
 from miop import quad
 from miop.errors import ConfigurationError, NonConvergent, PoleEncountered, ReductionFailure
-from miop.exact import (GaussianRational, LaurentPoly, Poly, SqrtQRational, downcast,
-                        parse_scalar, q_pow, scalar_sign)
+from miop import exact
+from miop.exact import LaurentPoly, Poly, parse_scalar, q_pow, rational_sqrt, scalar_sign
+from miop.exact.scalars import power
 from miop.families import FamilyParams
 from miop.multiindex import build
 from miop.quad import FloatPoly, QuadratureSpec, _qpoch_inf
@@ -254,7 +262,7 @@ def laurent_shift_scalar(p, c, q):
 
 def x_shift_compose(p: Poly, c) -> Poly:
     """p(x + i*c) for a Poly p in x, by composing with the polynomial x + i*c."""
-    return p.compose(Poly([GaussianRational(0, Fraction(c)), Fraction(1)], var=p.var))
+    return p.compose(Poly([exact.GaussianRational(0, Fraction(c)), Fraction(1)], var=p.var))
 
 
 def laurent_to_eta_scalar(p):
@@ -271,14 +279,14 @@ def laurent_to_eta_scalar(p):
         a = rem[hi + n]
         if not a:
             continue
-        out[n] = downcast(a * 2 ** n)  # a*(z+1/z)^n = a*2^n*eta^n
+        out[n] = exact.downcast(a * 2 ** n)  # a*(z+1/z)^n = a*2^n*eta^n
         for j in range(n + 1):  # (z + 1/z)^n = sum_j C(n, j) z^(n-2j)
             rem[hi + n - 2 * j] -= a * comb(n, j)
         if rem[hi + n]:
             raise ReductionFailure("Chebyshev peel failed to lower degree")
     if any(c for k, c in enumerate(rem) if k != hi):
         raise ReductionFailure("asymmetric residue after Chebyshev peel")
-    out[0] = downcast(rem[hi])
+    out[0] = exact.downcast(rem[hi])
     return Poly(out, "eta")
 
 
@@ -380,6 +388,12 @@ def ortho_grid_scalar(fp, D, n_max: int, spec: QuadratureSpec = QuadratureSpec()
     return rows
 
 
+def node_weight(weight: quad.Weight, xs):
+    """p_radicand Psi_D(xs)^2 of a Weight on an array of abscissae: the
+    weight factor of its integrand."""
+    return weight._node_set(xs)[2]
+
+
 def pole_scan(den: Poly, eta, a: float, b: float, samples: int = 2048):
     """Raise PoleEncountered where 2048 float samples of den over eta((a, b)) look like a pole.
 
@@ -404,7 +418,7 @@ def pole_scan(den: Poly, eta, a: float, b: float, samples: int = 2048):
 
 def _mp_real(c):
     """A real scalar of Q or Q(sqrt q) as an mpf at the working precision."""
-    if type(c) is SqrtQRational:
+    if type(c) is exact.SqrtQRational:
         q = c.q
         return _mp_real(c.a.re) + _mp_real(c.b.re) * mpmath.sqrt(mpmath.mpf(q.numerator) / q.denominator)
     c = Fraction(c)
@@ -440,3 +454,311 @@ def real_root_count(den: Poly, lo, hi) -> int:
         roots = mpmath.polyroots([_mp_real(c) for c in reversed(run)], maxsteps=200, extraprec=100)
         real = [mpmath.re(r) for r in roots if abs(mpmath.im(r)) <= 1e-30 * max(1, abs(r))]
         return sum(1 for r in real if r > lo and (hi is None or r < hi))
+
+
+# -- the Fraction-pair scalar tower --------------------------------------------
+
+# The tower classes as they stood before miop.exact.scalars made them views of
+# the integer form, kept verbatim as the reference for the new ones.  In this
+# module GaussianRational, SqrtQRational, make_sqrtq, downcast and
+# format_scalar name these references; miop's own are reached as exact.*.
+
+_RAT = (int, Fraction)
+
+
+class GaussianRational:
+    """re + im*i with exact Fraction parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
+
+    # -- structure ---------------------------------------------------------
+    @property
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational(self.re, -self.im)
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, _RAT):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    # -- ring ops ----------------------------------------------------------
+    def __add__(self, other):
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, _RAT):
+            return GaussianRational(self.re + other, self.im)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __sub__(self, other):
+        if isinstance(other, (GaussianRational, *_RAT)):
+            return self + (-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, _RAT):
+            return GaussianRational(other - self.re, -self.im)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re * other.re - self.im * other.im,
+                                    self.re * other.im + self.im * other.re)
+        if isinstance(other, _RAT):
+            return GaussianRational(self.re * other, self.im * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _RAT):
+            if other == 0:
+                raise ZeroDivisionError("division by zero scalar")
+            return GaussianRational(self.re / other, self.im / other)
+        if isinstance(other, GaussianRational):
+            n2 = other.re * other.re + other.im * other.im
+            if n2 == 0:
+                raise ZeroDivisionError("division by zero scalar")
+            return self * other.conjugate() / n2
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, _RAT):
+            return GaussianRational(other) / self
+        return NotImplemented
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return 1 / (self ** (-n))
+        return power(self, n, GaussianRational(1))
+
+    # -- real-value helpers --------------------------------------------------
+    def sign(self) -> int:
+        if self.im != 0:
+            raise ConfigurationError("sign of a non-real scalar")
+        return (self.re > 0) - (self.re < 0)
+
+    def __float__(self) -> float:
+        if self.im != 0:
+            raise ConfigurationError("float() of a non-real scalar")
+        return float(self.re)
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        return format_scalar(self)
+
+
+def _as_gaussian(x) -> GaussianRational:
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, _RAT):
+        return GaussianRational(x)
+    raise ConfigurationError(f"cannot lift {type(x).__name__} into the Gaussian layer")
+
+
+def make_sqrtq(a, b, q) -> Scalar:
+    """Canonical constructor for a + b*sqrt(q): collapses whenever it can."""
+    a, b = _as_gaussian(a), _as_gaussian(b)
+    q = Fraction(q)
+    if q <= 0:
+        raise ConfigurationError("sqrt adjunction needs q > 0")
+    r = rational_sqrt(q)
+    if r is not None:
+        return _downcast_gaussian(a + b * r)
+    if not b:
+        return _downcast_gaussian(a)
+    return SqrtQRational(a, b, q)
+
+
+def _downcast_gaussian(g: GaussianRational):
+    return g.re if g.im == 0 else g
+
+
+class SqrtQRational:
+    """a + b*sqrt(q), a and b Gaussian, q a fixed positive non-square rational.
+
+    Built through make_sqrtq (never directly) so that b == 0 and square q
+    always collapse to the Gaussian layer.
+    """
+
+    __slots__ = ("a", "b", "q")
+
+    def __init__(self, a: GaussianRational, b: GaussianRational, q: Fraction):
+        self.a = a
+        self.b = b
+        self.q = q
+
+    def _check_q(self, other: "SqrtQRational"):
+        if self.q != other.q:
+            raise ConfigurationError(
+                f"mixing sqrt({self.q}) and sqrt({other.q}) in one expression")
+
+    @property
+    def is_real(self) -> bool:
+        return self.a.is_real and self.b.is_real
+
+    def conjugate(self):
+        return make_sqrtq(self.a.conjugate(), self.b.conjugate(), self.q)
+
+    def __bool__(self):
+        return True  # b != 0 by construction, and sqrt(q) is irrational
+
+    def __eq__(self, other):
+        if isinstance(other, SqrtQRational):
+            return self.q == other.q and self.a == other.a and self.b == other.b
+        if isinstance(other, (GaussianRational, *_RAT)):
+            return False  # nonzero sqrt part is irrational
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.q))
+
+    def __add__(self, other):
+        if isinstance(other, SqrtQRational):
+            self._check_q(other)
+            return make_sqrtq(self.a + other.a, self.b + other.b, self.q)
+        if isinstance(other, (GaussianRational, *_RAT)):
+            return make_sqrtq(self.a + other, self.b, self.q)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return make_sqrtq(-self.a, -self.b, self.q)
+
+    def __sub__(self, other):
+        if isinstance(other, (SqrtQRational, GaussianRational, *_RAT)):
+            return self + (-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, (GaussianRational, *_RAT)):
+            return (-self) + other
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, SqrtQRational):
+            self._check_q(other)
+            return make_sqrtq(self.a * other.a + self.b * other.b * self.q,
+                              self.a * other.b + self.b * other.a, self.q)
+        if isinstance(other, (GaussianRational, *_RAT)):
+            return make_sqrtq(self.a * other, self.b * other, self.q)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _inverse(self):
+        # 1/(a+b sqrt q) = (a - b sqrt q)/(a^2 - b^2 q); denominator is a
+        # nonzero Gaussian (a^2 = b^2 q would make q a rational square).
+        den = self.a * self.a - self.b * self.b * self.q
+        if not den:
+            raise ZeroDivisionError("division by zero scalar")
+        return make_sqrtq(self.a / den, -self.b / den, self.q)
+
+    def __truediv__(self, other):
+        if isinstance(other, SqrtQRational):
+            self._check_q(other)
+            return self * other._inverse()
+        if isinstance(other, (GaussianRational, *_RAT)):
+            return make_sqrtq(self.a / other, self.b / other, self.q)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (GaussianRational, *_RAT)):
+            return self._inverse() * other
+        return NotImplemented
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self._inverse() ** (-n)
+        return power(self, n, Fraction(1))
+
+    def sign(self) -> int:
+        """Exact sign of a real value a + b*sqrt(q)."""
+        if not self.is_real:
+            raise ConfigurationError("sign of a non-real scalar")
+        a, b = self.a.re, self.b.re
+        sa = (a > 0) - (a < 0)
+        sb = (b > 0) - (b < 0)
+        if sa == 0:
+            return sb
+        if sb == 0 or sa == sb:
+            return sa
+        # opposite signs: compare a^2 against b^2 q
+        diff = a * a - b * b * self.q
+        if diff == 0:  # impossible for non-square q, kept as a guard
+            return 0
+        return sa if diff > 0 else sb
+
+    def __float__(self) -> float:
+        if not self.is_real:
+            raise ConfigurationError("float() of a non-real scalar")
+        return float(self.a.re) + float(self.b.re) * float(self.q) ** 0.5
+
+    def __repr__(self):
+        return f"SqrtQRational({self.a!r}, {self.b!r}, {self.q!r})"
+
+    def __str__(self):
+        return format_scalar(self)
+
+
+def downcast(x: Scalar) -> Scalar:
+    """Lowest tower member with the same value (SqrtQRational is already minimal)."""
+    if isinstance(x, GaussianRational):
+        return _downcast_gaussian(x)
+    if isinstance(x, int):
+        return Fraction(x)
+    return x
+
+
+def _format_gaussian(g: GaussianRational) -> str:
+    if g.im == 0:
+        return str(g.re)
+    im_part = f"{g.im}*i"
+    if g.re == 0:
+        return im_part
+    sign = "+" if g.im > 0 else "-"
+    return f"{g.re}{sign}{abs(g.im)}*i"
+
+
+def format_scalar(x: Scalar) -> str:
+    x = downcast(x)
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, GaussianRational):
+        return _format_gaussian(x)
+    if isinstance(x, SqrtQRational):
+        return f"{_format_gaussian(x.a)} + ({_format_gaussian(x.b)})*sqrt({x.q})"
+    raise ConfigurationError(f"cannot serialize {type(x).__name__}")
+
+
+def conj(x):
+    """The complex conjugate of a scalar of either tower (a rational is its own)."""
+    return x.conjugate()

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError
-from miop.exact import (GaussianRational, LaurentPoly, Poly, PolyMatrix, conj,
-                        det, det_cofactor, det_fraction_free,
-                        last_column_cofactors)
+from miop.exact import (GaussianRational, LaurentPoly, Poly, PolyMatrix, det,
+                        det_cofactor, det_fraction_free, last_column_cofactors)
 
-from .oracles import map_coeffs
+from .oracles import conj, map_coeffs
 from .strategies import laurents, polys
 
 

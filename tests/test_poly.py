@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError, InexactDivision, ReductionFailure
 from miop.exact import (NEG_INF, GaussianRational, LaurentPoly, Poly,
-                        SqrtQRational, conj, even_poly_to_eta, format_scalar,
+                        SqrtQRational, even_poly_to_eta, format_scalar,
                         imag_shift, laurent_shift, laurent_to_eta, make_sqrtq, sqrt_q)
 from miop.exact.poly import _dot
 from miop.families import PRESETS, poly_to_x
 
-from .oracles import (coeff, conj_coeffs, laurent_shift_scalar, laurent_to_eta_scalar,
+from .oracles import (coeff, conj, conj_coeffs, laurent_shift_scalar, laurent_to_eta_scalar,
                       long_division, schoolbook_mul, star, x_shift_compose)
 from .strategies import (RADICANDS, laurents, nonzero_polys, polys, rationals,
                          tower_scalars)

@@ -1,4 +1,5 @@
 """Scalar tower: Gaussian and sqrt(q) layers, collapse rules, serialization."""
+import operator
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError
-from miop.exact import (GaussianRational, I, SqrtQRational, conj, downcast,
+from miop.exact import (GaussianRational, I, SqrtQRational, downcast,
                         format_scalar, make_sqrtq, parse_scalar, q_pow,
                         rational_sqrt, scalar_sign, sqrt_q)
 
-from .strategies import gaussians, rationals
+from . import oracles
+from .oracles import conj
+from .strategies import RADICANDS, gaussians, rationals, tower_scalars
 
 
 class TestGaussian:
@@ -163,3 +166,101 @@ class TestSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             parse_scalar("3/2+*i")
+
+
+def _reference(x):
+    """x in the Fraction-pair tower of tests/oracles.py, at the same level."""
+    if isinstance(x, SqrtQRational):
+        return oracles.make_sqrtq(_reference(x.a), _reference(x.b), x.q)
+    if isinstance(x, GaussianRational):
+        return oracles.GaussianRational(x.re, x.im)
+    return x
+
+
+_REFERENCE_TYPES = {GaussianRational: oracles.GaussianRational,
+                    SqrtQRational: oracles.SqrtQRational}
+
+
+def _reference_sign(x) -> int:
+    if isinstance(x, (oracles.GaussianRational, oracles.SqrtQRational)):
+        return x.sign()
+    return (x > 0) - (x < 0)
+
+
+def _assert_same(got, want, conjugates=True):
+    """got, a value of miop's tower, is want of the reference tower: the
+    same type, serialization, hash, conjugate and, when real, float bits
+    and exact sign."""
+    assert _REFERENCE_TYPES.get(type(got), type(got)) is type(want)
+    if isinstance(want, bool):
+        assert got == want
+        return
+    assert format_scalar(got) == oracles.format_scalar(want)
+    assert hash(got) == hash(want)
+    if not isinstance(want, (oracles.GaussianRational, oracles.SqrtQRational)) or want.is_real:
+        assert float(got).hex() == float(want).hex()
+        assert scalar_sign(got) == _reference_sign(want)
+    if conjugates:
+        _assert_same(conj(got), conj(want), False)
+
+
+class TestAgainstFractionPairTower:
+    """The one-column views against the Fraction-pair classes they replaced."""
+
+    @pytest.mark.parametrize("q", RADICANDS, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_operations_match(self, q, data):
+        x, y = data.draw(tower_scalars(2, q)), data.draw(tower_scalars(2, q))
+        n = data.draw(st.integers(-4, 4))
+        rx, ry = _reference(x), _reference(y)
+        _assert_same(x, rx)
+        _assert_same(y, ry)
+        if not any(isinstance(v, (GaussianRational, SqrtQRational)) for v in (x, y)):
+            return  # stdlib arithmetic
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq):
+            try:
+                want = op(rx, ry)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            got = op(x, y)
+            _assert_same(got, want)
+            if rational_sqrt(q) is not None:  # a square radicand always collapses
+                assert not isinstance(got, SqrtQRational)
+        for base, rbase in ((x, rx), (y, ry)):
+            if isinstance(base, (GaussianRational, SqrtQRational)):
+                try:
+                    want = rbase ** n
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        base ** n
+                else:
+                    _assert_same(base ** n, want)
+
+    @given(rationals())
+    def test_real_gaussian_stays_gaussian(self, r):
+        g = GaussianRational(r, 0)
+        for got in (g, g * 1, g + 0, g - g, g / 1, g ** 2, g ** -1 if r else g, conj(g)):
+            assert type(got) is GaussianRational and got.is_real
+        assert hash(g) == hash(r) and g == r
+
+    @pytest.mark.parametrize("q", RADICANDS[:3], ids=str)
+    def test_mixed_levels_follow_the_sqrt_layer(self, q):
+        # a GaussianRational leaves an operation with a SqrtQRational to it,
+        # so a zero product or quotient collapses to Fraction
+        x, zero = sqrt_q(q), GaussianRational(0)
+        rx, rzero = _reference(x), _reference(zero)
+        for op in (operator.mul, operator.truediv, operator.add, operator.sub):
+            _assert_same(op(zero, x), op(rzero, rx))
+            if op is not operator.truediv:
+                _assert_same(op(x, zero), op(rx, rzero))
+
+    @pytest.mark.parametrize("q", RADICANDS[:3], ids=str)
+    @given(gaussians(), gaussians())
+    def test_sqrt_layer_never_equals_a_lower_level(self, q, a, b):
+        x = make_sqrtq(a, b, q)
+        if isinstance(x, SqrtQRational):
+            for lower in (a, b, downcast(a), x.a, x.b, 0, Fraction(1, 2)):
+                assert x != lower and lower != x
