@@ -6,6 +6,11 @@ Subcommands
     verify  run the identity checks; exit 0 iff everything passes
     ortho   numerical orthogonality grid as CSV rows
 
+Each subcommand takes the parsed argparse namespace, resolves its family
+point and validates its own flags.  Every flag default lives in the parser
+(the quadrature ones read from QuadratureSpec), except the rtable window,
+whose default -M-1..8 depends on --M.
+
 Outputs are deterministic: exact scalars serialize as strings, JSON keys
 are sorted, floats use shortest round-trip repr, and payloads carry no
 timestamps.  Every artifact embeds a provenance block with the resolved
@@ -30,7 +35,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -48,25 +52,6 @@ _DIFFERENCE_FLAG = "--enable-difference-weights"
 # index set per depth M = 1..3
 _SWEEP_SETS = ("I1", "II1", "I1,I2", "I1,II1", "I1,I2,I3", "I1,I2,II1")
 _SWEEP_PRESETS = ("l-default", "j-default", "w-default", "aw-default")
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: resolved family parameters plus subcommand flags."""
-
-    fp: Optional[FamilyParams]
-    D: Optional[IndexSet] = None
-    N: int = 8
-    M: Optional[int] = None
-    window: Optional[tuple] = None
-    n_range: Optional[tuple] = None
-    identities: Optional[list] = None
-    seed: int = 0
-    fmt: str = "json"
-    out: Optional[str] = None
-    difference_weights: bool = False
-    spec: QuadratureSpec = QuadratureSpec()
-    preset: Optional[str] = None
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -129,21 +114,18 @@ def _resolve_family(args) -> tuple:
     return FamilyParams(family, lam, q=q), None
 
 
-def _config_block(config: RunConfig) -> dict:
-    obj = config.fp.to_json()
-    if config.preset:
-        obj["preset"] = config.preset
-    if config.D is not None:
-        obj["D"] = config.D.to_json()
-    return obj
-
-
-def _provenance(config: RunConfig, payload: dict) -> dict:
+def _provenance(payload: dict, fp: FamilyParams, preset: Optional[str],
+                D: Optional[IndexSet]) -> dict:
+    config = fp.to_json()
+    if preset:
+        config["preset"] = preset
+    if D is not None:
+        config["D"] = D.to_json()
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return {
         "tool": "miop",
         "version": __version__,
-        "config": _config_block(config),
+        "config": config,
         "content_sha256": hashlib.sha256(body.encode()).hexdigest(),
     }
 
@@ -159,43 +141,52 @@ def _emit(text: str, out: Optional[str]) -> None:
             raise ConfigurationError(f"--out {out}: cannot write ({exc.strerror or exc})") from exc
 
 
-def _emit_json(config: RunConfig, payload: dict) -> None:
+def _emit_json(payload: dict, out: Optional[str], fp: FamilyParams, preset: Optional[str],
+               D: Optional[IndexSet] = None) -> None:
     payload = dict(payload)
-    payload["provenance"] = _provenance(config, payload)
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", config.out)
+    payload["provenance"] = _provenance(payload, fp, preset, D)
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
 # -- gen -------------------------------------------------------------------------
 
 
-def cmd_gen(config: RunConfig) -> int:
-    pair = build(config.fp, config.D, n_max=config.N)
+def cmd_gen(args) -> int:
+    fp, preset = _resolve_family(args)
+    D = IndexSet.parse(args.D)
+    if args.N < 0:
+        raise ConfigurationError("--N must be nonnegative")
+    pair = build(fp, D, n_max=args.N)
     payload = pair.to_json()
     payload["degree_Xi"] = pair.Xi.degree
-    _emit_json(config, payload)
+    _emit_json(payload, args.out, fp, preset, D)
     return 0
 
 
 # -- rtable ----------------------------------------------------------------------
 
 
-def cmd_rtable(config: RunConfig) -> int:
-    table = build_rtable(config.fp, config.M, config.window)
+def cmd_rtable(args) -> int:
+    fp, preset = _resolve_family(args)
+    if args.M < 0:
+        raise ConfigurationError("--M must be nonnegative")
+    window = _parse_range(args.window, "--window") if args.window else (-args.M - 1, 8)
+    table = build_rtable(fp, args.M, window)
     rows = table.to_rows()
-    if config.fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["s", "n", "k", "coeffs"])
         for row in rows:
             writer.writerow([row["s"], row["n"], row["k"], ";".join(row["coeffs"])])
-        _emit(buf.getvalue(), config.out)
+        _emit(buf.getvalue(), args.out)
     else:
         payload = {
             "M": table.M,
             "window": list(table.window),
             "rows": rows,
         }
-        _emit_json(config, payload)
+        _emit_json(payload, args.out, fp, preset)
     return 0
 
 
@@ -220,26 +211,17 @@ def _sweep_task(task: tuple) -> list:
     return out
 
 
-def _verify_tasks(config: RunConfig) -> list:
-    lo, hi = config.n_range or (-4, 8)
-    if config.fp is not None and config.D is not None:
-        labels = [config.D.label()]
-        fps = [config.fp]
-    elif config.fp is not None:
-        labels = list(_SWEEP_SETS)
-        fps = [config.fp]
-    else:
-        labels = list(_SWEEP_SETS)
+def cmd_verify(args) -> int:
+    if args.preset is None and args.family is None:
+        if args.D is not None:
+            raise ConfigurationError("--D needs --family or --preset")
         fps = [PRESETS[key] for key in _SWEEP_PRESETS]
-    return [
-        (fp, label, lo, hi, config.seed, config.identities)
-        for fp in fps
-        for label in labels
-    ]
-
-
-def cmd_verify(config: RunConfig) -> int:
-    tasks = _verify_tasks(config)
+    else:
+        fps = [_resolve_family(args)[0]]
+    labels = [IndexSet.parse(args.D).label()] if args.D is not None else list(_SWEEP_SETS)
+    lo, hi = _parse_range(args.n_range, "--n-range")
+    identities = None if args.identity == "all" else [args.identity]
+    tasks = [(fp, label, lo, hi, args.seed, identities) for fp in fps for label in labels]
     text = os.environ.get("MIOP_WORKERS", "1")
     try:
         workers = int(text)
@@ -272,34 +254,37 @@ def cmd_verify(config: RunConfig) -> int:
                 first_witness = f"{s['identity']} {s['family']} D={{{label}}} {point}: {s['witness']}"
             all_pass &= item["passed"]
 
-    if config.fmt == "json":
+    if args.format == "json":
         text = "".join(json.dumps(obj, sort_keys=True, default=str) + "\n" for obj in stream)
     else:
         text = "".join(line + "\n" for line in lines)
     verdict = "PASS" if all_pass else f"FAIL  {first_witness}"
-    _emit(text + verdict + "\n", config.out)
+    _emit(text + verdict + "\n", args.out)
     return 0 if all_pass else 1
 
 
 # -- ortho -----------------------------------------------------------------------
 
 
-def cmd_ortho(config: RunConfig) -> int:
-    if config.fp.is_difference and not config.difference_weights:
+def cmd_ortho(args) -> int:
+    fp, _ = _resolve_family(args)
+    D = IndexSet.parse(args.D)
+    lo, hi = _parse_range(args.n, "--n")
+    spec = QuadratureSpec(nodes=args.nodes, rtol=args.rtol)
+    if fp.is_difference and not args.difference_weights:
         raise ConfigurationError(
-            f"quadrature weights for family {config.fp.family} are optional; "
+            f"quadrature weights for family {fp.family} are optional; "
             f"pass {_DIFFERENCE_FLAG} to enable them"
         )
-    lo, hi = config.n_range or (0, 4)
     if lo != 0:
         raise ConfigurationError("--n grid must start at 0")
-    rows = ortho_grid(config.fp, config.D, hi, spec=config.spec)
+    rows = ortho_grid(fp, D, hi, spec=spec)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "m", "integral", "expected", "rel_err"])
     for n, m, integral, expected, rel in rows:
         writer.writerow([n, m, repr(integral), repr(expected), repr(rel)])
-    _emit(buf.getvalue(), config.out)
+    _emit(buf.getvalue(), args.out)
     return 0
 
 
@@ -341,7 +326,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_family_flags(ver)
     ver.add_argument("--D", default=None, help="index set; omit for the preset sweep")
     ver.add_argument("--identity", choices=list(IDENTITY_TAGS) + ["all"], default="all")
-    ver.add_argument("--n-range", default=None, help="row range LO..HI")
+    ver.add_argument("--n-range", default="-4..8", help="row range LO..HI")
     ver.add_argument("--seed", type=int, default=0, help="seed for the permutation probe")
     ver.add_argument("--format", choices=["json", "lines"], default="lines")
 
@@ -350,47 +335,12 @@ def _parser() -> argparse.ArgumentParser:
     orth.add_argument("--D", default="", help="index set")
     orth.add_argument("--n", default="0..4", help="grid range 0..N")
     orth.add_argument(_DIFFERENCE_FLAG, action="store_true", dest="difference_weights")
-    orth.add_argument("--rtol", type=float, default=None, help="acceptance tolerance (default 1e-12)")
-    orth.add_argument("--nodes", type=int, default=None,
-                      help="starting Gauss-Legendre order for J and AW (default 64)")
+    orth.add_argument("--rtol", type=float, default=QuadratureSpec.rtol,
+                      help="acceptance tolerance (default %(default)s)")
+    orth.add_argument("--nodes", type=int, default=QuadratureSpec.nodes,
+                      help="starting Gauss-Legendre order for J and AW (default %(default)s)")
 
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    if args.command == "verify" and args.preset is None and args.family is None:
-        if args.D is not None:
-            raise ConfigurationError("--D needs --family or --preset")
-        fp, preset = None, None
-    else:
-        fp, preset = _resolve_family(args)
-    config = RunConfig(fp=fp, preset=preset, out=args.out)
-    if args.command == "gen":
-        config.D = IndexSet.parse(args.D)
-        if args.N < 0:
-            raise ConfigurationError("--N must be nonnegative")
-        config.N = args.N
-    elif args.command == "rtable":
-        if args.M < 0:
-            raise ConfigurationError("--M must be nonnegative")
-        config.M = args.M
-        config.window = (
-            _parse_range(args.window, "--window") if args.window else (-args.M - 1, 8)
-        )
-        config.fmt = args.format
-    elif args.command == "verify":
-        config.D = IndexSet.parse(args.D) if args.D is not None else None
-        config.n_range = _parse_range(args.n_range, "--n-range") if args.n_range else None
-        config.identities = None if args.identity == "all" else [args.identity]
-        config.seed = args.seed
-        config.fmt = args.format
-    elif args.command == "ortho":
-        config.D = IndexSet.parse(args.D)
-        config.n_range = _parse_range(args.n, "--n")
-        config.difference_weights = args.difference_weights
-        given = {k: v for k, v in (("nodes", args.nodes), ("rtol", args.rtol)) if v is not None}
-        config.spec = QuadratureSpec(**given)
-    return config
 
 
 _COMMANDS = {
@@ -424,8 +374,7 @@ def _join_range_flags(argv: list) -> list:
 def main(argv: Optional[list] = None) -> int:
     args = _parser().parse_args(_join_range_flags(sys.argv[1:] if argv is None else list(argv)))
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,11 +12,12 @@ Poly, lo = 0 for LaurentPoly).  Values are immutable.
 A tower scalar is one column of the same form, read as a run of length
 one.  Every ring operation works on the integers: sums of products,
 aligned on one common denominator and made canonical once (_dot; a sum or
-a product is the one-term case), powers, exact division (pseudo-division
+a product is the one-term case), powers, division (one pseudo-division
 after clearing the conjugates of the divisor's leading coefficient, as
-scalar division does), composition (Horner's rule), the derivative,
-x -> -x, z -> 1/z, the x-picture shifts x -> x + i*c (an integer Taylor
-shift) and z -> z*q**c and the reductions to eta.  `coeffs` views each
+scalar division does, serves both exact_div and Poly's remainder %),
+composition (Horner's rule), the derivative, x -> -x, z -> 1/z, the
+x-picture shifts x -> x + i*c (an integer Taylor shift) and z -> z*q**c
+and the reductions to eta.  `coeffs` views each
 column as its canonical scalar (Fraction over Q, GaussianRational across a
 run with any i part) on first use.  Mixing the two carriers, two
 variables or two radicands raises ConfigurationError.
@@ -196,19 +197,20 @@ class _PolyBase:
         return acc * x ** lo if lo > 0 else acc / x ** (-lo)
 
     # -- division ------------------------------------------------------------------
-    def exact_div(self, den):
-        """self / den; InexactDivision if den does not divide self.
+    def _divide(self, den) -> tuple:
+        """(Q, R) for a nonzero den of self's ring: Q is the quotient of self
+        by den over the tower field, and R holds integer coordinates that
+        are zero exactly when den divides self.
 
         Both runs are multiplied by the sqrt(q)- and then the i-conjugate of
         den's leading coefficient until that coefficient is an integer L;
         integer pseudo-division then gives S*A = Q*B + R with S a product of
         divisors of L, and the quotient is Q * d_B / (S * d_A).
         """
-        den = self._operand(den)
         if den.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if not self._parts[0]:
-            return self
+            return self, self._parts
         q = _radicand(self._q, den._q)
         r2 = _r2(q)
         width = max(len(self._parts), len(den._parts))
@@ -243,14 +245,20 @@ class _PolyBase:
                     part = rem[dst]
                     for e, y in enumerate(bj, off):
                         part[e] -= f * y
+        db = den._den
+        quot = [[x * db for x in part] for part in quot]
+        return self._new(self.lo - den.lo, quot, scale * self._den, q), rem
+
+    def exact_div(self, den):
+        """self / den; InexactDivision if den does not divide self."""
+        den = self._operand(den)
+        quot, rem = self._divide(den)
         if any(map(any, rem)):
             rdeg = max(i for part in rem for i, x in enumerate(part) if x)
             raise InexactDivision(
                 f"nonzero remainder of degree {rdeg} dividing "
-                f"deg {len(self._parts[0]) - 1} by deg {dd}")
-        db = den._den
-        quot = [[x * db for x in part] for part in quot]
-        return self._new(self.lo - den.lo, quot, scale * self._den, q)
+                f"deg {len(self._parts[0]) - 1} by deg {len(den._parts[0]) - 1}")
+        return quot
 
     def __repr__(self):
         name = type(self).__name__
@@ -296,6 +304,11 @@ class Poly(_PolyBase):
     def lc(self) -> Scalar:
         """Leading coefficient; zero polynomial has lc 0."""
         return self.coeffs[-1] if self._parts[0] else Fraction(0)
+
+    def __mod__(self, den) -> "Poly":
+        """The remainder of self by den over the tower field, of degree below den's."""
+        den = self._operand(den)
+        return self - self._divide(den)[0] * den
 
     def derivative(self) -> "Poly":
         return self._new(0, [[j * x for j, x in enumerate(part)][1:] for part in self._parts],

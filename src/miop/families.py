@@ -55,16 +55,6 @@ _LAM_LEN = {"L": 1, "J": 2, "W": 4, "AW": 4}
 Carrier = Union[Poly, LaurentPoly]
 
 
-def _coerce(x) -> Scalar:
-    if isinstance(x, int):
-        return Fraction(x)
-    return downcast(x)
-
-
-def _is_zero(x: Scalar) -> bool:
-    return not x
-
-
 @dataclass(frozen=True)
 class FamilyParams:
     """Immutable parameter point of one family.
@@ -82,7 +72,7 @@ class FamilyParams:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}")
-        lam = tuple(_coerce(x) for x in self.lam)
+        lam = tuple(downcast(x) for x in self.lam)
         object.__setattr__(self, "lam", lam)
         if len(lam) != _LAM_LEN[self.family]:
             raise ConfigurationError(
@@ -260,7 +250,7 @@ def virtual_params(fp: FamilyParams, vtype: str) -> FamilyParams:
 
 
 def _nonzero_den(fp: FamilyParams, n: int, value: Scalar) -> Scalar:
-    if _is_zero(value):
+    if not value:
         raise SingularCoefficient(
             f"three-term denominator vanishes at {fp.family}, n={n}"
         )
@@ -363,7 +353,7 @@ def classical_poly(fp: FamilyParams, n: int) -> Poly:
     if n == 0:
         return Poly.one()
     A, B, C = three_term(fp, n - 1)
-    if _is_zero(A):
+    if not A:
         raise LeadingCoefficientZero(
             f"A_{n - 1} = 0 at {fp.family}; recurrence cannot advance"
         )

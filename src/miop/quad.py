@@ -44,16 +44,19 @@ A grid builds one pair, checks exactly that the energy factor
 prod_j (E_n - Etilde_{d_j}) is positive for every n it covers (else
 ConfigurationError: the norm formula has no positive norm to check), and
 builds one Weight: Psi_D^2 is derived once, and a Sturm count on the
-exact denominator refuses (PoleEncountered) any zero on the family's
-closed eta-domain, [0, inf) for L/W and [-1, 1] for J/AW, so no entry
-meets a pole whatever its interval.  Every (n, m) entry integrates
+exact denominator (a chain of Poly remainders, evaluated exactly)
+refuses (PoleEncountered) any zero on the family's closed eta-domain,
+[0, inf) for L/W and [-1, 1] for J/AW, so no entry meets a pole whatever
+its interval.  Every (n, m) entry integrates
 against that weight.  The Weight evaluates phi_0^2 once per distinct
 abscissa, the weight once per node set, each P_n once per (n, node set)
 and each expected norm once per n, so entries sharing an interval,
 tanh-sinh levels (each contains the nodes of the one before) and repeated
 checks on one Weight reuse the values; the node tables are built once per
-process.  The integrand's operation order, and so every output bit, is
-what a fresh evaluation gives.
+process.  An entry asks for an expected norm, the floor of its acceptance
+test, only when it first compares two levels, so a grid whose first node
+set leaves binary64 range computes none.  The integrand's operation order,
+and so every output bit, is what a fresh evaluation gives.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import ConfigurationError, FloatRangeError, NonConvergent, PoleEncountered
 from .exact import Poly, Scalar, format_scalar, scalar_sign
@@ -175,19 +178,16 @@ def _leggauss(n: int) -> tuple:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _accept(cur: float, prev: Optional[float], rtol: float, floor: float) -> bool:
-    if prev is None:
-        return False
-    return abs(cur - prev) <= rtol * max(abs(cur), floor)
-
-
 def _integrate(nodes_at: Callable[[int], tuple], f, a: float, b: float, spec: QuadratureSpec,
-               floor: float, rule: str) -> QuadResult:
+               floor: Callable[[], float], rule: str) -> QuadResult:
     """Node-doubling loop shared by both rules; nodes_at(level) gives the (xs, ws) arrays on (-1, 1).
 
     f maps an array of abscissae to an array of values.  A level whose sum
     is not finite raises FloatRangeError; numpy's floating-point warnings
-    are off, since that check reports every overflow.
+    are off, since that check reports every overflow.  Two levels agree
+    when they differ by at most rtol * max(|cur|, floor()); floor is first
+    called at the first comparison, so a first level that fails never
+    computes it.
     """
     import numpy as np
 
@@ -204,13 +204,14 @@ def _integrate(nodes_at: Callable[[int], tuple], f, a: float, b: float, spec: Qu
                 bad = x[~np.isfinite(terms)].tolist()
                 where = f"at x = {bad[0]!r}" if bad else "in its sum"
                 raise FloatRangeError(f"{rule} integrand leaves binary64 range {where}")
-            if _accept(cur, prev, spec.rtol, floor):
+            if prev is not None and abs(cur - prev) <= spec.rtol * max(abs(cur), floor()):
                 return QuadResult(cur, abs(cur - prev), xs.size)
             prev = cur
     raise NonConvergent(f"{rule} did not settle below rtol={spec.rtol} in {spec.max_levels} levels")
 
 
-def integrate_gl(f: Callable, a: float, b: float, spec: QuadratureSpec, floor: float = 0.0) -> QuadResult:
+def integrate_gl(f: Callable, a: float, b: float, spec: QuadratureSpec,
+                 floor: Callable[[], float] = lambda: 0.0) -> QuadResult:
     """Gauss-Legendre from spec.nodes nodes, doubling the order at each level."""
     return _integrate(lambda level: _leggauss(spec.nodes << level),
                       f, a, b, spec, floor, "Gauss-Legendre")
@@ -241,7 +242,8 @@ def _ts_nodes(h: float, t_max: float) -> tuple:
     return tuple(np.array(col) for col in zip(*out))
 
 
-def integrate_ts(f: Callable, a: float, b: float, spec: QuadratureSpec, floor: float = 0.0) -> QuadResult:
+def integrate_ts(f: Callable, a: float, b: float, spec: QuadratureSpec,
+                 floor: Callable[[], float] = lambda: 0.0) -> QuadResult:
     """tanh-sinh from step h = 1/2, halving h at each level."""
     return _integrate(lambda level: _ts_nodes(0.5 / 2**level, t_max=4.2),
                       f, a, b, spec, floor, "tanh-sinh")
@@ -555,50 +557,27 @@ def _denominator(pair: MultiIndexedPair) -> Poly:
 _ETA_DOMAIN = {"L": (0, None), "W": (0, None), "J": (-1, 1), "AW": (-1, 1)}
 
 
-def _value(p: list, x) -> Scalar:
-    """p(x) for a coefficient run p, low degree first."""
-    out = 0
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
-def _rem(num: list, den: list) -> list:
-    """The remainder of num by den over their coefficient field (den[-1] != 0)."""
-    num = list(num)
-    d = len(den) - 1
-    for k in range(len(num) - 1, d - 1, -1):
-        c = num[k] / den[-1]
-        if c:
-            for j in range(d):
-                num[k - d + j] = num[k - d + j] - c * den[j]
-    rem = num[:d]
-    while rem and not rem[-1]:
-        rem.pop()
-    return rem
-
-
-def _sturm_count(p: list, lo, hi) -> int:
+def _sturm_count(p: Poly, lo, hi) -> int:
     """Distinct real roots of p on (lo, hi), hi = None for +infinity.
 
-    p is a nonzero real coefficient run, low degree first, over Q or Q(sqrt q),
-    with p(lo) and p(hi) nonzero.  The Sturm chain p, p', -rem(p, p'), ...
-    is built by exact field division, and the count is the drop in sign
-    variations from lo to hi (Sturm's theorem; Basu, Pollack & Roy,
-    Algorithms in Real Algebraic Geometry, ch. 2).
+    p is a nonzero real Poly over Q or Q(sqrt q), with p(lo) and p(hi)
+    nonzero.  The Sturm chain p, p', -(p % p'), ... is built by the ring
+    core's exact division, and the count is the drop in sign variations
+    from lo to hi (Sturm's theorem; Basu, Pollack & Roy, Algorithms in Real
+    Algebraic Geometry, ch. 2).
     """
     chain = [p]
-    nxt = [k * c for k, c in enumerate(p)][1:]
+    nxt = p.derivative()
     while nxt:
         chain.append(nxt)
-        nxt = [-c for c in _rem(chain[-2], nxt)]
+        nxt = -(chain[-2] % nxt)
 
     def variations(values) -> int:
         signs = [s for s in map(scalar_sign, values) if s]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    at_hi = [q[-1] for q in chain] if hi is None else [_value(q, hi) for q in chain]
-    return variations(_value(q, lo) for q in chain) - variations(at_hi)
+    at_hi = [q.lc for q in chain] if hi is None else [q(hi) for q in chain]
+    return variations(q(lo) for q in chain) - variations(at_hi)
 
 
 def _check_no_pole(weight: Weight, den: Poly):
@@ -606,11 +585,10 @@ def _check_no_pole(weight: Weight, den: Poly):
     if den.is_zero:
         raise PoleEncountered("denominator is identically zero")
     lo, hi = _ETA_DOMAIN[weight.pair.fp.family]
-    p = list(den.coeffs)
     for end in (lo, hi):
-        if end is not None and not _value(p, end):
+        if end is not None and not den(end):
             raise PoleEncountered(f"denominator vanishes at the end eta = {end} of its domain")
-    roots = _sturm_count(p, lo, hi)
+    roots = _sturm_count(den, lo, hi)
     if roots:
         domain = f"({lo}, {'inf' if hi is None else hi})"
         raise PoleEncountered(f"denominator has {roots} real zero(s) on eta in {domain}")
@@ -687,9 +665,11 @@ def orthogonality_check(weight: Weight, n: int, m: int, spec: QuadratureSpec = Q
     pair = weight.pair
     fp, D = pair.fp, pair.D
     a, b = _interval(fp, D, n, m)
-    norm_n, norm_m = weight.norm(n), weight.norm(m)
     integrate = integrate_ts if fp.family in ("L", "W") else integrate_gl
-    result = integrate(weight.integrand(n, m), a, b, spec, floor=abs(norm_m if m > n else norm_n))
+    # the floor is the larger index's norm, asked for only once two levels compare
+    result = integrate(weight.integrand(n, m), a, b, spec,
+                       floor=lambda: abs(weight.norm(max(n, m))))
+    norm_n, norm_m = weight.norm(n), weight.norm(m)
     if n == m:
         return result.value, norm_n, abs(result.value - norm_n) / abs(norm_n)
     return result.value, 0.0, abs(result.value) / math.sqrt(abs(norm_n) * abs(norm_m))

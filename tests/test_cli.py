@@ -435,6 +435,18 @@ class TestOrtho:
 
 
 class TestFlagValidation:
+    @pytest.mark.parametrize("argv,spelled", [
+        (("gen", "--preset", "l-default", "--D", "I1"), ("--N", "8")),
+        (("rtable", "--preset", "l-default", "--M", "2"), ("--window", "-3..8")),
+        (("verify", "--preset", "l-default", "--D", "I1"), ("--n-range", "-4..8")),
+        (("ortho", "--preset", "l-default", "--D", "I1"), ("--n", "0..4")),
+    ], ids=["gen-N", "rtable-window", "verify-n-range", "ortho-n"])
+    def test_omitted_flag_equals_its_default(self, capsys, argv, spelled):
+        # each default lives in one place: omitting the flag and spelling it out agree byte for byte
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert run_cli(capsys, *argv, *spelled) == (0, out, "")
+
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--preset", "nope", "--D", "I1")
         assert code == 2 and "unknown preset" in err

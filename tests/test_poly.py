@@ -282,6 +282,10 @@ class TestIntegerKernel:
         a, b = Poly(runs[0]), Poly(runs[1])
         assume(not b.is_zero)
         want, rem = long_division(_rational_ints(a.coeffs), b.coeffs)
+        # the ring remainder comes from the same pseudo-division, divisor or not
+        got_rem = a % b
+        assert got_rem == Poly(rem) and _strs(got_rem) == _strs(Poly(rem))
+        assert got_rem.degree < b.degree
         if any(rem):
             with pytest.raises(InexactDivision):
                 a.exact_div(b)
