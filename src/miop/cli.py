@@ -21,8 +21,9 @@ configuration and a digest of the content, so results are traceable to
 imports them on first use and sums every grid's node sets as numpy arrays,
 while each value it returns for a CSV row is a Python float.  The worker
 count for the verification sweep comes from MIOP_WORKERS (default 1); only
-a count above 1 imports the process pool.  --seed feeds
-only the randomized permutation probe; no mathematical output depends on it.
+a count above 1 imports the process pool, which run_all's VerificationReport
+objects cross as they are.  --seed feeds only the randomized permutation
+probe; no mathematical output depends on it.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def cmd_rtable(args) -> int:
     fp, preset = _resolve_family(args)
     if args.M < 0:
         raise ConfigurationError("--M must be nonnegative")
-    window = _parse_range(args.window, "--window") if args.window else (-args.M - 1, 8)
+    window = (-args.M - 1, 8) if args.window is None else _parse_range(args.window, "--window")
     table = build_rtable(fp, args.M, window)
     rows = table.to_rows()
     if args.format == "csv":
@@ -194,21 +195,8 @@ def cmd_rtable(args) -> int:
 
 
 def _sweep_task(task: tuple) -> list:
-    fp, label, n_lo, n_hi, seed, identities = task
-    D = IndexSet.parse(label)
-    lo = min(n_lo, -D.M - 1)
-    reports = run_all(fp, D, (lo, n_hi), seed=seed, identities=identities)
-    out = []
-    for rep in reports:
-        out.append(
-            {
-                "summary": rep.summary(),
-                "rows": list(rep.stream()),
-                "line": rep.one_line(),
-                "passed": rep.passed,
-            }
-        )
-    return out
+    fp, D, n_lo, n_hi, seed, identities = task
+    return run_all(fp, D, (min(n_lo, -D.M - 1), n_hi), seed=seed, identities=identities)
 
 
 def cmd_verify(args) -> int:
@@ -218,10 +206,10 @@ def cmd_verify(args) -> int:
         fps = [PRESETS[key] for key in _SWEEP_PRESETS]
     else:
         fps = [_resolve_family(args)[0]]
-    labels = [IndexSet.parse(args.D).label()] if args.D is not None else list(_SWEEP_SETS)
+    sets = [IndexSet.parse(label) for label in ([args.D] if args.D is not None else _SWEEP_SETS)]
     lo, hi = _parse_range(args.n_range, "--n-range")
     identities = None if args.identity == "all" else [args.identity]
-    tasks = [(fp, label, lo, hi, args.seed, identities) for fp in fps for label in labels]
+    tasks = [(fp, D, lo, hi, args.seed, identities) for fp in fps for D in sets]
     text = os.environ.get("MIOP_WORKERS", "1")
     try:
         workers = int(text)
@@ -237,30 +225,21 @@ def cmd_verify(args) -> int:
     else:
         results = [_sweep_task(t) for t in tasks]
 
-    lines = []
-    stream = []
-    all_pass = True
-    first_witness = None
-    for group in results:
-        for item in group:
-            lines.append(item["line"])
-            stream.extend(item["rows"])
-            if not item["passed"] and first_witness is None:
-                s = item["summary"]
-                # the point as its flags spell it: "g=7/3 h=9/4", "a=... q=1/4"
-                point = " ".join(f"{k}={','.join(v) if isinstance(v, list) else v}"
-                                 for k, v in s["lambda"].items() if k != "family")
-                label = IndexSet.from_pairs(s["D"]).label()
-                first_witness = f"{s['identity']} {s['family']} D={{{label}}} {point}: {s['witness']}"
-            all_pass &= item["passed"]
-
+    reports = [rep for group in results for rep in group]
     if args.format == "json":
-        text = "".join(json.dumps(obj, sort_keys=True, default=str) + "\n" for obj in stream)
+        text = "".join(json.dumps(obj, sort_keys=True, default=str) + "\n"
+                       for rep in reports for obj in rep.stream())
     else:
-        text = "".join(line + "\n" for line in lines)
-    verdict = "PASS" if all_pass else f"FAIL  {first_witness}"
+        text = "".join(rep.one_line() + "\n" for rep in reports)
+    bad = next((rep for rep in reports if not rep.passed), None)
+    verdict = "PASS"
+    if bad is not None:
+        # the point as its flags spell it: "g=7/3 h=9/4", "a=... q=1/4"
+        point = " ".join(f"{k}={','.join(v) if isinstance(v, list) else v}"
+                         for k, v in bad.fp.to_json().items() if k != "family")
+        verdict = f"FAIL  {bad.identity} {bad.fp.family} D={{{bad.D.label()}}} {point}: {bad.witness}"
     _emit(text + verdict + "\n", args.out)
-    return 0 if all_pass else 1
+    return 0 if bad is None else 1
 
 
 # -- ortho -----------------------------------------------------------------------

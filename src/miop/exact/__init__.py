@@ -4,7 +4,7 @@ from .matrix import (PolyMatrix, det, det_cofactor, det_fraction_free,
 from .poly import (NEG_INF, LaurentPoly, Poly, even_poly_to_eta, imag_shift,
                    laurent_shift, laurent_to_eta)
 from .scalars import (GaussianRational, I, Scalar, SqrtQRational, downcast,
-                      format_scalar, make_sqrtq, parse_scalar, q_pow,
+                      format_scalar, make_sqrtq, q_pow,
                       rational_sqrt, scalar_sign, sqrt_q)
 
 __all__ = [
@@ -13,5 +13,5 @@ __all__ = [
     "det_fraction_free", "downcast", "even_poly_to_eta", "format_scalar",
     "imag_shift",
     "last_column_cofactors", "laurent_shift", "laurent_to_eta", "make_sqrtq",
-    "parse_scalar", "q_pow", "rational_sqrt", "scalar_sign", "sqrt_q",
+    "q_pow", "rational_sqrt", "scalar_sign", "sqrt_q",
 ]

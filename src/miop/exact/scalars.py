@@ -23,7 +23,6 @@ Serialization formats: "p/q", "p/q+r/s*i", "<gaussian> + (<gaussian>)*sqrt(q)".
 """
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Union
@@ -438,9 +437,6 @@ def q_pow(q, num: int, den: int = 1) -> Scalar:
 
 # -- serialization -------------------------------------------------------------
 
-_FRACTION_RE = r"[+-]?\d+(?:/\d+)?"
-
-
 def _format_gaussian(g: GaussianRational) -> str:
     re, im = g.re, g.im
     if im == 0:
@@ -461,30 +457,3 @@ def format_scalar(x: Scalar) -> str:
     if isinstance(x, SqrtQRational):
         return f"{_format_gaussian(x.a)} + ({_format_gaussian(x.b)})*sqrt({x.q})"
     raise ConfigurationError(f"cannot serialize {type(x).__name__}")
-
-
-def _parse_gaussian(s: str) -> GaussianRational:
-    s = s.replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar string")
-    if "i" not in s:
-        return GaussianRational(Fraction(s))
-    m = _re.fullmatch(rf"(?:(?P<re>{_FRACTION_RE})(?=[+-]))?(?P<im>{_FRACTION_RE})\*i", s)
-    if not m:
-        raise ValueError(f"malformed scalar string: {s!r}")
-    re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-    return GaussianRational(re_part, Fraction(m.group("im")))
-
-
-def parse_scalar(s: str) -> Scalar:
-    """Inverse of format_scalar; returns the lowest tower member."""
-    s = s.strip()
-    if "sqrt" in s:
-        m = _re.fullmatch(
-            r"(?P<a>.+?)\s*\+\s*\((?P<b>[^)]+)\)\*sqrt\((?P<q>[^)]+)\)", s)
-        if not m:
-            raise ValueError(f"malformed scalar string: {s!r}")
-        return make_sqrtq(_parse_gaussian(m.group("a")),
-                          _parse_gaussian(m.group("b")),
-                          Fraction(m.group("q")))
-    return downcast(_parse_gaussian(s))

@@ -110,10 +110,6 @@ class IndexSet:
             )
 
     @classmethod
-    def from_pairs(cls, pairs) -> "IndexSet":
-        return cls(tuple(VirtualStateData(t, int(v)) for t, v in pairs))
-
-    @classmethod
     def parse(cls, text: str) -> "IndexSet":
         """Parse a compact label such as "I1,II2" or "" for the empty set."""
         text = text.strip()

@@ -195,22 +195,20 @@ def build_rtable(
 
 
 def check_rprop(table: RTable) -> list:
-    """Violations of d/deta R^[s]_{n,k} = -(s+1) R^[s-1]_{n,k} (L/J)."""
+    """Violations (s, n, k) of d/deta R^[s]_{n,k} = -(s+1) R^[s-1]_{n,k} (L/J)."""
     if table.fp.is_difference:
         raise ConfigurationError("check_rprop applies to L and J tables")
     bad = []
     for (s, n, k), p in sorted(table.entries.items()):
         if s < 0:
             continue
-        lhs = p.derivative()
-        rhs = table.entry(s - 1, n, k) * Fraction(-(s + 1))
-        if lhs != rhs:
-            bad.append({"s": s, "n": n, "k": k, "lhs": lhs, "rhs": rhs})
+        if p.derivative() != table.entry(s - 1, n, k) * Fraction(-(s + 1)):
+            bad.append((s, n, k))
     return bad
 
 
 def check_rprop2_rprop3(table: RTable) -> list:
-    """Violations of the two half-shift identities for W/AW tables.
+    """Violations (s, n, k, law) of the two half-shift identities for W/AW tables.
 
     First identity: the odd half of a level-s entry equals the odd half of
     eta at displacement (s+1)/2 times the level s-1 entry at rest.  Second:
@@ -262,18 +260,18 @@ def check_rprop2_rprop3(table: RTable) -> list:
             for k in range(-s - 1, s + 2):
                 c_dn, c_up = halves_of((s, n, k))
                 if _dot([(c_dn, 1), (c_up, -1), (odd, table.xentry(s - 1, n, k))]):
-                    bad.append({"id": "half-difference", "s": s, "n": n, "k": k})
+                    bad.append((s, n, k, "half-difference"))
                 if _dot([(plus((s - 1, n + 1, k - 1)), A),
                          (diag, plus((s - 1, n, k))),
                          (plus((s - 1, n - 1, k + 1)), C),
                          (corr, table.xentry(s - 2, n, k)),
                          (table.xentry(s, n, k), -1)]):
-                    bad.append({"id": "even-half-rebuild", "s": s, "n": n, "k": k})
+                    bad.append((s, n, k, "even-half-rebuild"))
     return bad
 
 
 def check_vanishing_region(table: RTable) -> list:
-    """Violations of R^[s]_{n,k} = 0 on -s-1 <= n <= -1, -n <= k <= s+1.
+    """Violations (s, n, k) of R^[s]_{n,k} = 0 on -s-1 <= n <= -1, -n <= k <= s+1.
 
     Checked at every level s <= M, each of which is itself a depth-s table.
     """
@@ -288,5 +286,5 @@ def check_vanishing_region(table: RTable) -> list:
         for n in range(-s - 1, 0):
             for k in range(-n, s + 2):
                 if not table.entry(s, n, k).is_zero:
-                    bad.append({"s": s, "n": n, "k": k})
+                    bad.append((s, n, k))
     return bad

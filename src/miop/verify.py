@@ -26,6 +26,10 @@ are built apart: the override table, which takes from that table every
 entry whose recursion misses row -1 and computes the rest, Xi_D alone at
 shifted parameters for the seed, the prefix pairs of depth s < M and the
 permuted pair, unless the drawn permutation is the identity.
+
+Each check returns one VerificationReport, and the CLI prints it as it is:
+one_line() or the stream() rows, and a FAIL verdict from its fields.
+rtable-shift and vanishing report the first (s, n, k) violation at each level.
 """
 
 from __future__ import annotations
@@ -81,27 +85,11 @@ class VerificationReport:
         return all(r["status"] != "fail" for r in self.rows)
 
     @property
-    def status(self) -> str:
-        return "pass" if self.passed else "fail"
-
-    @property
     def witness(self) -> Optional[str]:
         for r in self.rows:
             if r["status"] == "fail":
                 return f"n={r['n']}: {r['witness']}"
         return None
-
-    def summary(self) -> dict:
-        obj = {
-            "identity": self.identity,
-            "family": self.fp.family,
-            "lambda": self.fp.to_json(),
-            "D": self.D.to_json(),
-            "n_range": list(self.n_range) if self.n_range else None,
-            "status": self.status,
-            "witness": self.witness,
-        }
-        return obj
 
     def stream(self):
         """One JSON-ready object per check row, deterministic order."""
@@ -118,7 +106,8 @@ class VerificationReport:
     def one_line(self) -> str:
         tail = "" if self.passed else f"  [{self.witness}]"
         rng = f" n={self.n_range[0]}..{self.n_range[1]}" if self.n_range else ""
-        return f"{self.status.upper():4s} {self.identity} {self.fp.family} D={{{self.D.label()}}}{rng}{tail}"
+        head = "PASS" if self.passed else "FAIL"
+        return f"{head} {self.identity} {self.fp.family} D={{{self.D.label()}}}{rng}{tail}"
 
 
 def _first_bad_coeff(p: Poly) -> str:
@@ -329,45 +318,41 @@ def check_permutation(pair: MultiIndexedPair, n_max: int = 3, seed: int = 0) -> 
     return report
 
 
+def _level_report(identity: str, table: RTable, D: IndexSet, bad: list,
+                  fail, ok) -> VerificationReport:
+    """One row per level s = 0..M: the first violation (s, n, k, ...) in bad
+    at level s, worded by fail, or a pass row worded by ok(s)."""
+    report = VerificationReport(identity, table.fp, D, table.window)
+    for s in range(table.M + 1):
+        first = next((v for v in bad if v[0] == s), None)
+        if first is None:
+            report.add("pass", s=s, witness=ok(s))
+        else:
+            report.add("fail", n=first[1], s=s, witness=fail(*first))
+    return report
+
+
 def check_rtable_shift(table: RTable, D: IndexSet) -> VerificationReport:
     """Derivative law of the R-table (L/J) or the two half-shift laws (W/AW).
 
     Both reduce level s to level s-1, so a single depth-M table exercises
     every level at once; one row per level is reported.
     """
-    report = VerificationReport("rtable-shift", table.fp, D, table.window)
     bad = check_rprop2_rprop3(table) if table.fp.is_difference else check_rprop(table)
-    bad_by_s = {}
-    for row in bad:
-        bad_by_s.setdefault(row["s"], row)
-    for s in range(table.M + 1):
-        if s in bad_by_s:
-            row = bad_by_s[s]
-            report.add(
-                "fail",
-                n=row["n"],
-                s=s,
-                witness=f"level {s} entry (n={row['n']}, k={row['k']})"
-                + (f" [{row['id']}]" if "id" in row else ""),
-            )
-        else:
-            report.add("pass", s=s, witness=f"level {s} reduces to level {s - 1}")
-    return report
+
+    def fail(s, n, k, *law):
+        return f"level {s} entry (n={n}, k={k})" + (f" [{law[0]}]" if law else "")
+
+    return _level_report("rtable-shift", table, D, bad, fail,
+                         lambda s: f"level {s} reduces to level {s - 1}")
 
 
 def check_vanishing(table: RTable, D: IndexSet) -> VerificationReport:
-    """R^[s]_{n,k} = 0 on the triangle -s-1 <= n <= -1, -n <= k <= s+1."""
-    report = VerificationReport("vanishing", table.fp, D, table.window)
-    bad = {(row["s"], row["n"], row["k"]) for row in check_vanishing_region(table)}
-    for s in range(table.M + 1):
-        mine = sorted(t for t in bad if t[0] == s)
-        if mine:
-            _, n, k = mine[0]
-            report.add("fail", n=n, s=s, witness=f"nonzero entry at level {s}, (n={n}, k={k})")
-        else:
-            count = sum(s + 2 + n for n in range(-s - 1, 0))
-            report.add("pass", s=s, witness=f"{count} entries vanish at level {s}")
-    return report
+    """R^[s]_{n,k} = 0 on the triangle -s-1 <= n <= -1, -n <= k <= s+1,
+    which holds 1 + 2 + ... + (s+1) entries at level s."""
+    return _level_report("vanishing", table, D, check_vanishing_region(table),
+                         lambda s, n, k: f"nonzero entry at level {s}, (n={n}, k={k})",
+                         lambda s: f"{(s + 1) * (s + 2) // 2} entries vanish at level {s}")
 
 
 def run_all(

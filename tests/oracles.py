@@ -18,9 +18,10 @@ x -> x + i*c as a composition with x + i*c (Horner's rule), which the
 integer Taylor shift imag_shift replaced: the references for the integer
 coordinates of miop.exact.poly.
 
-coeff, map_coeffs and family_params_from_json read a value back in the
-tests' terms: one coefficient, a coefficient-wise image, and a parameter
-point from its JSON form.  conj_coeffs and star are the two conjugations
+coeff, map_coeffs, parse_scalar and family_params_from_json read a value
+back in the tests' terms: one coefficient, a coefficient-wise image, a
+miop scalar from its format_scalar string, and a parameter point from its
+JSON form.  conj_coeffs and star are the two conjugations
 the x-picture values are tested against: every coefficient conjugated, and
 for a Laurent value in z = e^{ix} also z -> 1/z (its conjugate at real x).
 
@@ -45,6 +46,7 @@ and exact.SqrtQRational.  conj conjugates a scalar of either tower.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, factorial, sqrt
 
@@ -53,7 +55,7 @@ import mpmath
 from miop import quad
 from miop.errors import ConfigurationError, NonConvergent, PoleEncountered, ReductionFailure
 from miop import exact
-from miop.exact import LaurentPoly, Poly, parse_scalar, q_pow, rational_sqrt, scalar_sign
+from miop.exact import LaurentPoly, Poly, q_pow, rational_sqrt, scalar_sign
 from miop.exact.scalars import power
 from miop.families import FamilyParams
 from miop.multiindex import build
@@ -81,6 +83,36 @@ def conj_coeffs(p):
 def star(p: LaurentPoly) -> LaurentPoly:
     """The complex conjugate of a Laurent value at real x, z = e^{ix}."""
     return conj_coeffs(p.z_inverse())
+
+
+_FRACTION_RE = r"[+-]?\d+(?:/\d+)?"
+
+
+def _parse_gaussian(s: str) -> exact.GaussianRational:
+    s = s.replace(" ", "")
+    if not s:
+        raise ValueError("empty scalar string")
+    if "i" not in s:
+        return exact.GaussianRational(Fraction(s))
+    m = re.fullmatch(rf"(?:(?P<re>{_FRACTION_RE})(?=[+-]))?(?P<im>{_FRACTION_RE})\*i", s)
+    if not m:
+        raise ValueError(f"malformed scalar string: {s!r}")
+    re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
+    return exact.GaussianRational(re_part, Fraction(m.group("im")))
+
+
+def parse_scalar(s: str):
+    """Inverse of exact.format_scalar; returns the lowest member of miop's tower."""
+    s = s.strip()
+    if "sqrt" in s:
+        m = re.fullmatch(
+            r"(?P<a>.+?)\s*\+\s*\((?P<b>[^)]+)\)\*sqrt\((?P<q>[^)]+)\)", s)
+        if not m:
+            raise ValueError(f"malformed scalar string: {s!r}")
+        return exact.make_sqrtq(_parse_gaussian(m.group("a")),
+                                _parse_gaussian(m.group("b")),
+                                Fraction(m.group("q")))
+    return exact.downcast(_parse_gaussian(s))
 
 
 def family_params_from_json(obj: dict) -> FamilyParams:

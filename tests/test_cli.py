@@ -185,12 +185,16 @@ class TestRtable:
         assert code == 0, err
         assert json.loads(out)["rows"]
 
-    def test_bad_window_rejected(self, capsys):
+    @pytest.mark.parametrize("window,message", [
+        ("5..1", "empty range"),
+        ("", "--window expects LO..HI, got ''"),
+    ], ids=["reversed", "empty"])
+    def test_bad_window_rejected(self, capsys, window, message):
         code, _, err = run_cli(
-            capsys, "rtable", "--preset", "j-default", "--M", "1", "--window", "5..1"
+            capsys, "rtable", "--preset", "j-default", "--M", "1", "--window", window
         )
         assert code == 2
-        assert "empty range" in err
+        assert message in err
 
 
 class TestVerify:
@@ -236,7 +240,14 @@ class TestVerify:
         assert statuses[-3] == "structural"
         assert statuses[0] == "pass"
 
-    def test_corrupted_coefficient_exits_one(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv,verdict", [
+        (("--preset", "l-default", "--D", "I1"),
+         "FAIL  prefix-chain L D={I1} g=7/3: n=1: eta^1 coefficient -493/12"),
+        (("--family", "AW", "--a", "1/2,1/3,1/4,1/5", "--q", "1/4", "--D", "I1,II1"),
+         "FAIL  prefix-chain AW D={I1,II1} a=1/2,1/3,1/4,1/5 q=1/4:"
+         " n=1: eta^1 coefficient -54654355/2359296"),
+    ], ids=["L", "AW"])
+    def test_corrupted_coefficient_exits_one(self, capsys, monkeypatch, argv, verdict):
         real_build = verify_mod.build_rtable
 
         def corrupting(fp, M, window, coeffs=None, base=None):
@@ -247,16 +258,12 @@ class TestVerify:
             return table
 
         monkeypatch.setattr(verify_mod, "build_rtable", corrupting)
-        code, out, _ = run_cli(
-            capsys, "verify", "--preset", "l-default", "--D", "I1", "--n-range", "0..3"
-        )
+        code, out, _ = run_cli(capsys, "verify", *argv, "--n-range", "0..3")
         assert code == 1
         assert "FAIL" in out
         assert "eta^" in out or "level" in out
-        verdict = out.splitlines()[-1]
-        # the witness names the index set and the parameter point
-        assert verdict.startswith("FAIL  ")
-        assert " L D={I1} g=7/3: n=" in verdict
+        # the witness names the index set and the parameter point as its flags spell it
+        assert out.splitlines()[-1] == verdict
 
     def test_seed_changes_probe_not_verdict(self, capsys):
         outs = []
@@ -276,6 +283,15 @@ class TestVerify:
         assert code == 0
         # six index sets, nine identities each
         assert out.count("PASS") == 6 * 9 + 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "01f0b8616e6d3d25850fe2e058dba376e31d362dcfe84a37cad3955411a7552e")
+        code, out, _ = run_cli(
+            capsys, "verify", "--preset", "l-default", "--n-range", "-2..4", "--format", "json"
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 347
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8a4999579af04536ae023c1f6e3f6d2452f4609e71f516940d49c0b8988704c7")
 
     def test_workers_do_not_change_output(self, capsys, monkeypatch):
         args = ("verify", "--preset", "l-default", "--n-range", "-2..3")

@@ -3,13 +3,10 @@
 A helper that only tests call, or that nothing calls, is code the library
 carries for no caller.  The scan parses each module of src/miop with ast
 and looks for each defined name among the names and attributes that src
-references anywhere.  Dunder names (called by the language) and the
-public names of miop.exact (its documented API) are exempt.
+references anywhere.  Dunder names (called by the language) are exempt.
 """
 import ast
 from pathlib import Path
-
-from miop import exact
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "miop"
 
@@ -24,9 +21,8 @@ def unreferenced_definitions() -> list:
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    exempt = set(exact.__all__)
     return sorted(f"{where} {name}" for name, where in defined.items()
-                  if name not in referenced and name not in exempt
+                  if name not in referenced
                   and not (name.startswith("__") and name.endswith("__")))
 
 

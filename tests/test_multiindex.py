@@ -47,7 +47,7 @@ class TestIndexSet:
         assert IndexSet.parse("I1,I2").ell == 2
         assert IndexSet.parse("I1,II1").ell == 3
         assert IndexSet.parse("I1,I2,II1").ell == 5
-        assert IndexSet.from_pairs([("I", 1), ("II", 2)]).ell == 1 + 2 - 1 + 2
+        assert IndexSet.parse("I1,II2").ell == 1 + 2 - 1 + 2
         assert IndexSet.parse("").ell == 0
 
     def test_prefix_and_permute(self):

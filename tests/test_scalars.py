@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError
 from miop.exact import (GaussianRational, I, SqrtQRational, downcast,
-                        format_scalar, make_sqrtq, parse_scalar, q_pow,
+                        format_scalar, make_sqrtq, q_pow,
                         rational_sqrt, scalar_sign, sqrt_q)
 
 from . import oracles
-from .oracles import conj
+from .oracles import conj, parse_scalar
 from .strategies import RADICANDS, gaussians, rationals, tower_scalars
 
 

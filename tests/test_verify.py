@@ -327,9 +327,8 @@ class TestReportShape:
     def test_summary_and_stream(self):
         fp = PRESETS["l-default"]
         rep = rrp(fp, IndexSet.parse("I1"), (-2, 2))
-        s = rep.summary()
-        assert s["status"] == "pass" and s["witness"] is None
-        assert s["lambda"]["family"] == "L"
+        assert rep.passed and rep.witness is None
+        assert rep.fp is fp and rep.D == IndexSet.parse("I1")
         rows = list(rep.stream())
         assert len(rows) == 5
         assert all(row["identity"] == "rrp" for row in rows)
