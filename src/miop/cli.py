@@ -76,7 +76,7 @@ def _parse_range(text: str, flag: str) -> tuple:
 
 
 def _resolve_family(args) -> tuple:
-    """Build FamilyParams from --preset or the inline parameter flags."""
+    """Build FamilyParams from --preset or the inline parameter flags, never both."""
     if args.preset is not None:
         if args.preset not in PRESETS:
             known = ", ".join(sorted(PRESETS))
@@ -86,6 +86,9 @@ def _resolve_family(args) -> tuple:
             raise ConfigurationError(
                 f"--family {args.family} contradicts preset {args.preset} ({fp.family})"
             )
+        for flag in ("g", "h", "a", "q"):
+            if getattr(args, flag) is not None:
+                raise ConfigurationError(f"--{flag} conflicts with --preset {args.preset}")
         return fp, args.preset
     if args.family is None:
         raise ConfigurationError("either --preset or --family is required")

@@ -180,18 +180,20 @@ PRESETS = {
 # -- parameter motion -------------------------------------------------------
 
 
+def _moved(fp: FamilyParams, steps: tuple) -> FamilyParams:
+    """Parameters moved by steps[k] unit steps each: +1 (L, J), +1/2 (W)
+    or a factor q^(1/2) (AW)."""
+    if fp.family == "AW":
+        lam = tuple(a * fp.qpow(s, 2) for a, s in zip(fp.lam, steps))
+    else:
+        unit = Fraction(1, 2) if fp.family == "W" else 1
+        lam = tuple(a + s * unit for a, s in zip(fp.lam, steps))
+    return FamilyParams(fp.family, lam, fp.q, check_range=False)
+
+
 def shifted(fp: FamilyParams, m: int = 1) -> FamilyParams:
     """Parameters displaced by m times the canonical shift delta."""
-    if fp.family == "L":
-        lam: tuple = (fp.lam[0] + m,)
-    elif fp.family == "J":
-        lam = (fp.lam[0] + m, fp.lam[1] + m)
-    elif fp.family == "W":
-        lam = tuple(a + Fraction(m, 2) for a in fp.lam)
-    else:
-        s = fp.qpow(m, 2)
-        lam = tuple(a * s for a in fp.lam)
-    return FamilyParams(fp.family, lam, fp.q, check_range=False)
+    return _moved(fp, (m,) * len(fp.lam))
 
 
 def twisted(fp: FamilyParams, m1: int, m2: int) -> FamilyParams:
@@ -200,20 +202,9 @@ def twisted(fp: FamilyParams, m1: int, m2: int) -> FamilyParams:
     Type-I twist shift is +1 (L), (+1,-1) (J), (-1/2,-1/2,+1/2,+1/2) (W and
     AW, additively); type-II is its negative.  AW acts multiplicatively.
     """
-    if fp.family == "L":
-        lam: tuple = (fp.lam[0] + m1 - m2,)
-    elif fp.family == "J":
-        lam = (fp.lam[0] + m1 - m2, fp.lam[1] - m1 + m2)
-    elif fp.family == "W":
-        d = Fraction(m1 - m2, 2)
-        a = fp.lam
-        lam = (a[0] - d, a[1] - d, a[2] + d, a[3] + d)
-    else:
-        lo = fp.qpow(-(m1 - m2), 2)
-        hi = fp.qpow(m1 - m2, 2)
-        a = fp.lam
-        lam = (a[0] * lo, a[1] * lo, a[2] * hi, a[3] * hi)
-    return FamilyParams(fp.family, lam, fp.q, check_range=False)
+    d = m1 - m2
+    steps = {"L": (d,), "J": (d, -d)}.get(fp.family, (-d, -d, d, d))
+    return _moved(fp, steps)
 
 
 def virtual_params(fp: FamilyParams, vtype: str) -> FamilyParams:

@@ -11,10 +11,11 @@ with ell = sum(d_j) - M(M-1)/2 + 2 M_I M_II.
 Xi_D is the determinant of the M virtual-state columns on M rows; P_{D,n}
 adds one row and a last column built from the classical P_n, the only
 part that depends on n.  One `build` serves all four families.  A
-family's picture gives, for a size R, the R x M block, each row's factor
-of the last column, P_n's last-column ladder, the map det -> polynomial
-in eta and the radicand; build expands P_{D,n} along its last column,
-with the cofactors of the size-(M+1) block computed once per build.
+family's picture gives, for a size R, the R x M block (a list of rows),
+each row's factor of the last column, P_n's last-column ladder, the map
+det -> polynomial in eta and the radicand; build expands P_{D,n} along
+its last column, with the cofactors of the size-(M+1) block computed
+once per build.  Every determinant is exact.det (Bareiss elimination).
 
 L and J use a Wronskian in eta (_wronskian): columns carry gauge factors
 (exp(eta), powers of eta and (1 +- eta)/2), represented as gauge times
@@ -25,8 +26,9 @@ failed cancellation raises NonPolynomialResult.  The ladder is P_n and
 its derivatives, with row factors 1.
 
 W and AW use a Casoratian-style determinant over the x-picture
-(_casoratian).  Entries combine r-factors (Pochhammer or q-Pochhammer
-chains with kappa powers) and virtual polynomials evaluated on the
+(_casoratian).  Entries combine r-factors (products of _pochs, the
+Pochhammer pairs (a +- ix) of W or q-Pochhammer pairs (uz, u/z; q) of AW,
+with z and kappa powers for AW) and virtual polynomials evaluated on the
 symmetric point ladder x + i((R+1)/2 - j) gamma; the ladder is P_n on the
 same points, with row factors r^II r^I.  The determinant is multiplied
 by its i-phase, divided exactly by the printed normalization and by
@@ -54,11 +56,9 @@ from typing import Optional, Union
 
 from .errors import ConfigurationError, GenericityError, InexactDivision, NonPolynomialResult
 from .exact import (
-    GaussianRational,
     I,
     LaurentPoly,
     Poly,
-    PolyMatrix,
     Scalar,
     det,
     format_scalar,
@@ -305,7 +305,7 @@ def _wronskian(fp: FamilyParams, D: IndexSet):
         def ladder(n: int) -> list:
             return _ladder(_GaugeColumn(classical_poly(fp, n)), R)
 
-        return PolyMatrix(list(zip(*entries))), [1] * R, ladder, finish, Fraction(1)
+        return list(zip(*entries)), [1] * R, ladder, finish, Fraction(1)
 
     return size
 
@@ -313,43 +313,36 @@ def _wronskian(fp: FamilyParams, D: IndexSet):
 # -- W/AW: Casoratian-style determinants ----------------------------------------
 
 
-def _poch_pm(a: Scalar, sign: int, m: int) -> Poly:
-    """(a + sign*ix)_m as a polynomial in x over Gaussian rationals."""
-    out = Poly.one("x")
-    imag = GaussianRational(0, Fraction(sign))
-    for t in range(m):
-        out = out * Poly([a + t, imag], var="x")
-    return out
-
-
-def _qpoch_z(u: Scalar, q: Fraction, power: int, m: int) -> LaurentPoly:
-    """(u z^power; q)_m as a Laurent polynomial (power is +1 or -1)."""
-    out = LaurentPoly.monomial(0)
-    for t in range(m):
-        c = u * q_pow(q, t)
-        if power == 1:
-            out = out * LaurentPoly(0, [1, -c])
-        else:
-            out = out * LaurentPoly(-1, [-c, 1])
+def _pochs(fp: FamilyParams, k: int, R: int, up: int, down: int) -> Carrier:
+    """The Pochhammer pair of parameter k in a size-R Casoratian:
+    (a + ix)_up (a - ix)_down with a = a_k - (R-1)/2 for W, and
+    (uz;q)_up (u/z;q)_down with u = a_k q^(-(R-1)/2) for AW."""
+    if fp.family == "W":
+        a = fp.lam[k - 1] - Fraction(R - 1, 2)
+        factors = [Poly([a + t, I], var="x") for t in range(up)]
+        factors += [Poly([a + t, -I], var="x") for t in range(down)]
+    else:
+        u = fp.lam[k - 1] * q_pow(fp.q, -(R - 1), 2)
+        factors = [LaurentPoly(0, [1, -u * q_pow(fp.q, t)]) for t in range(up)]
+        factors += [LaurentPoly(-1, [-u * q_pow(fp.q, t), 1]) for t in range(down)]
+    out = carrier_one(fp)
+    for f in factors:
+        out = out * f
     return out
 
 
 def _r_poly(fp: FamilyParams, ks: tuple, j: int, R: int) -> Carrier:
     """Polynomial content of an r-factor for row j of a size-R determinant.
 
-    Includes the kappa power (half-integer power of 1/q for AW) but not
-    the alpha prefactor, which is handled once per determinant.
+    Includes the z power and the kappa power (half-integer power of 1/q)
+    for AW but not the alpha prefactor, which is handled once per
+    determinant.
     """
-    if fp.family == "W":
-        out = Poly.one("x")
-        for k in ks:
-            a = fp.lam[k - 1] - Fraction(R - 1, 2)
-            out = out * _poch_pm(a, +1, j - 1) * _poch_pm(a, -1, R - j)
-        return out
-    out = LaurentPoly.monomial(R + 1 - 2 * j)
+    out = carrier_one(fp) if fp.family == "W" else LaurentPoly.monomial(R + 1 - 2 * j)
     for k in ks:
-        u = fp.lam[k - 1] * q_pow(fp.q, -(R - 1), 2)
-        out = out * _qpoch_z(u, fp.q, 1, j - 1) * _qpoch_z(u, fp.q, -1, R - j)
+        out = out * _pochs(fp, k, R, j - 1, R - j)
+    if fp.family == "W":
+        return out
     # kappa = 1/q: exponent (R-1)^2/2 - (j-1)(R-j)
     e_num = -((R - 1) ** 2) + 2 * (j - 1) * (R - j)
     return out * q_pow(fp.q, e_num, 2)
@@ -379,23 +372,14 @@ def _alpha_scale(fp: FamilyParams, R: int, e1: Fraction, e2: Fraction):
 
 def _norm_divisor(fp: FamilyParams, R: int, lim34: int, lim12: int):
     """The printed normalization (A or B): carrier polynomial and scalar."""
+    poly = carrier_one(fp)
     scalar: Scalar = Fraction(1)
-    if fp.family == "W":
-        poly: Carrier = Poly.one("x")
-        for ks, lim in (((3, 4), lim34), ((1, 2), lim12)):
-            for k in ks:
-                a = fp.lam[k - 1] - Fraction(R - 1, 2)
-                for j in range(1, lim + 1):
-                    poly = poly * _poch_pm(a, +1, j) * _poch_pm(a, -1, j)
-        return poly, scalar
-    poly = LaurentPoly.monomial(0)
     for ks, lim in (((3, 4), lim34), ((1, 2), lim12)):
         for k in ks:
-            ak = fp.lam[k - 1]
-            u = ak * q_pow(fp.q, -(R - 1), 2)
             for j in range(1, lim + 1):
-                scalar = scalar * ak ** (-j) * q_pow(fp.q, j * (j + 1) // 2, 2)
-                poly = poly * _qpoch_z(u, fp.q, 1, j) * _qpoch_z(u, fp.q, -1, j)
+                poly = poly * _pochs(fp, k, R, j, j)
+                if fp.family == "AW":
+                    scalar = scalar * fp.lam[k - 1] ** (-j) * q_pow(fp.q, j * (j + 1) // 2, 2)
     return poly, scalar
 
 
@@ -451,7 +435,7 @@ def _casoratian(fp: FamilyParams, D: IndexSet):
             last = classical_poly_x(fp, n)
             return [x_shift(fp, last, c) for c in shifts]
 
-        return PolyMatrix(rows), r21, ladder, finish, rad
+        return rows, r21, ladder, finish, rad
 
     return size
 

@@ -10,6 +10,9 @@ hypergeometric normalizations.  eta_shift_identities gives the closed
 forms of the sum and product of eta at two opposite shifted points, which
 the R-table of the difference families reduces to.
 
+det_cofactor is the Laplace expansion that miop.exact.det (Bareiss
+elimination) is checked against, on plain lists of rows.
+
 schoolbook_mul and long_division are the per-coefficient scalar loops of
 polynomial multiplication and division, on bare coefficient runs, and
 laurent_shift_scalar and laurent_to_eta_scalar those of the x-picture shift
@@ -273,6 +276,32 @@ def long_division(num, den) -> tuple:
         for j, d in enumerate(dc):
             rem[i - dd + j] = rem[i - dd + j] - f * d
     return tuple(quot), tuple(rem)
+
+
+def det_cofactor(rows):
+    """Laplace expansion along the first row of a square list of rows: the
+    reference for miop.exact.det, which eliminates instead (Bareiss)."""
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ConfigurationError("determinant of a non-square matrix")
+    return _det_cofactor(rows)
+
+
+def _det_cofactor(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = None
+    for j in range(n):
+        c = rows[0][j]
+        if not c:
+            continue
+        minor = tuple(tuple(row[k] for k in range(n) if k != j)
+                      for row in rows[1:])
+        term = c * _det_cofactor(minor)
+        if j % 2 == 1:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else rows[0][0] * 0
 
 
 def laurent_shift_scalar(p, c, q):

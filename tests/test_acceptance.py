@@ -13,7 +13,7 @@ import pytest
 
 from miop.errors import InexactDivision, ReductionFailure
 from miop.exact import GaussianRational, LaurentPoly, Poly
-from miop.exact.matrix import PolyMatrix, det_cofactor, det_fraction_free
+from miop.exact.matrix import det
 from miop.exact import poly as poly_module
 from miop.exact.poly import even_poly_to_eta, laurent_to_eta
 from miop.families import PRESETS, FamilyParams, classical_poly, three_term
@@ -32,6 +32,8 @@ from miop.verify import (
     check_seed_proportionality,
     regenerate_from_initial,
 )
+
+from .oracles import det_cofactor
 
 ETA = Poly.variable()
 
@@ -186,10 +188,8 @@ def test_criterion_9_exactness_oracles(monkeypatch):
     for trial in range(200):
         size = rng.randrange(1, 6)
         gaussian = trial % 3 == 0
-        m = PolyMatrix(
-            [[_random_poly(rng, gaussian) for _ in range(size)] for _ in range(size)]
-        )
-        assert det_fraction_free(m) == det_cofactor(m), f"trial {trial}"
+        m = [[_random_poly(rng, gaussian) for _ in range(size)] for _ in range(size)]
+        assert det(m) == det_cofactor(m), f"trial {trial}"
 
     # fault injection: force each guarded failure path to fire
     with pytest.raises(InexactDivision):

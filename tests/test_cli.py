@@ -475,6 +475,16 @@ class TestFlagValidation:
         code, _, err = run_cli(capsys, "gen", "--family", "AW", "--a", "1/2,1/3,1/4,1/5", "--D", "I1")
         assert code == 2 and "--q" in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--g", "1/2"), ("--h", "1/2"), ("--a", "1/2,1/3,1/4,1/5"), ("--q", "1/2"),
+    ], ids=["g", "h", "a", "q"])
+    def test_parameter_flag_conflicts_with_preset(self, capsys, flag, value):
+        # a preset fixes every parameter; a flag next to it is refused, not dropped
+        code, out, err = run_cli(capsys, "gen", "--preset", "aw-default", flag, value,
+                                 "--D", "I1", "--N", "0")
+        assert (code, out) == (2, "")
+        assert f"{flag} conflicts with --preset aw-default" in err
+
     def test_family_preset_mismatch(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--family", "J", "--preset", "l-default", "--D", "I1")
         assert code == 2 and "contradicts" in err
