@@ -25,10 +25,6 @@ class ReductionFailure(MiopError):
     """An x-picture value failed the symmetry checks needed to reduce to eta."""
 
 
-class NonPolynomialResult(MiopError):
-    """Gauge cancellation in a Wronskian construction left a non-integer exponent."""
-
-
 class LeadingCoefficientZero(MiopError):
     """The leading recurrence entry R^[M]_{n,M+1} vanished; cannot regenerate."""
 
@@ -46,4 +42,4 @@ class FloatRangeError(MiopError):
 
 
 class GenericityError(MiopError):
-    """A preset failed the genericity probe (degenerate degree or zero leading term)."""
+    """A parameter point failed the genericity probe (degenerate degree or zero leading term)."""

@@ -143,6 +143,10 @@ class FamilyParams:
 
     # -- serialization -----------------------------------------------------
 
+    def label(self) -> str:
+        """The point as messages print it, e.g. "J lambda=(7/3,9/4)"."""
+        return f"{self.family} lambda=({','.join(format_scalar(x) for x in self.lam)})"
+
     def to_json(self) -> dict:
         obj: dict = {"family": self.family}
         if self.family == "L":

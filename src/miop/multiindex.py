@@ -17,13 +17,17 @@ det -> polynomial in eta and the radicand; build expands P_{D,n} along
 its last column, with the cofactors of the size-(M+1) block computed
 once per build.  Every determinant is exact.det (Bareiss elimination).
 
-L and J use a Wronskian in eta (_wronskian): columns carry gauge factors
-(exp(eta), powers of eta and (1 +- eta)/2), represented as gauge times
-polynomial and differentiated with the product rule, tracking the gauge
-exponent exactly; the printed prefactors cancel all gauges up to a
-nonpositive integer power of the base, which is divided out exactly.  A
-failed cancellation raises NonPolynomialResult.  The ladder is P_n and
-its derivatives, with row factors 1.
+L and J use a Wronskian in eta (_wronskian).  A column is a virtual
+polynomial times its gauge, differentiated by the product rule
+(_ladder): exp(eta) for L type I, else base^(1/2 - lambda_t) with base
+eta (L, II), (1 + eta)/2 (J, I) or (1 - eta)/2 (J, II), lambda_t = g
+(II) or h (I).  At size R, with s = R - M - 1/2, base keeps
+(M_tbar + lambda_t + s) M_t from the printed prefactor plus
+M_t (1/2 - lambda_t - (R-1)) from its M_t columns, i.e. -M_t (M_t - 1),
+and L's exp gauges cancel (M_I against the printed -M_I).  So finish
+divides by eta^(M_II(M_II-1)) (L) or
+((1+eta)/2)^(M_I(M_I-1)) ((1-eta)/2)^(M_II(M_II-1)) (J) at every R.
+The ladder is P_n and its derivatives, with row factors 1.
 
 W and AW use a Casoratian-style determinant over the x-picture
 (_casoratian).  Entries combine r-factors (products of _pochs, the
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import ConfigurationError, GenericityError, InexactDivision, NonPolynomialResult
+from .errors import ConfigurationError, GenericityError
 from .exact import (
     I,
     LaurentPoly,
@@ -136,14 +140,6 @@ class IndexSet:
         return sum(1 for e in self.entries if e.type == "II")
 
     @property
-    def d1(self) -> tuple:
-        return tuple(e.v for e in self.entries if e.type == "I")
-
-    @property
-    def d2(self) -> tuple:
-        return tuple(e.v for e in self.entries if e.type == "II")
-
-    @property
     def ell(self) -> int:
         total = sum(e.v for e in self.entries)
         return total - self.M * (self.M - 1) // 2 + 2 * self.M1 * self.M2
@@ -215,95 +211,50 @@ class MultiIndexedPair:
 # -- L/J: gauge-factored Wronskians ---------------------------------------------
 
 
-@dataclass
-class _GaugeColumn:
-    """One Wronskian column written as exp(eps*eta) * base^c0 * p(eta)."""
-
-    p: Poly
-    eps: int = 0
-    base: Optional[Poly] = None
-    base_id: str = ""
-    b: Fraction = Fraction(0)
-    c0: Fraction = Fraction(0)
-
-
-def _ladder(col: _GaugeColumn, depth: int) -> list:
-    """Polynomial parts of the first `depth` derivatives of the column."""
-    rows = [col.p]
-    c = col.c0
-    for _ in range(1, depth):
+def _ladder(p: Poly, depth: int, eps: int = 0, base: Optional[Poly] = None, c0=0) -> list:
+    """Polynomial parts of the first `depth` derivatives of a column
+    exp(eps*eta) p (no base) or base^c0 p: derivative r is
+    exp(eps*eta) entry_r or base^(c0-r) entry_r."""
+    rows = [p]
+    for r in range(1, depth):
         p = rows[-1]
-        if col.base is None:
-            rows.append(p * col.eps + p.derivative())
+        if base is None:
+            rows.append(p * eps + p.derivative())
         else:
-            rows.append(col.base * p * col.eps + p * (c * col.b) + col.base * p.derivative())
-            c = c - 1
+            rows.append(p * ((c0 - r + 1) * base.derivative()) + base * p.derivative())
     return rows
-
-
-def _lj_columns(fp: FamilyParams, D: IndexSet) -> list:
-    """The M virtual-state columns, type I then type II, with their gauges."""
-    half, eta = Fraction(1, 2), Poly.variable()
-    if fp.family == "L":
-        gauge = {
-            "I": dict(eps=1),
-            "II": dict(base=eta, base_id="eta", b=Fraction(1), c0=half - fp.g),
-        }
-    else:
-        gauge = {
-            "I": dict(base=(eta + 1) * half, base_id="jp", b=half, c0=half - fp.h),
-            "II": dict(base=(1 - eta) * half, base_id="jm", b=-half, c0=half - fp.g),
-        }
-    return [_GaugeColumn(virtual_poly(fp, e), **gauge[t])
-            for t in ("I", "II") for e in D.entries if e.type == t]
 
 
 def _wronskian(fp: FamilyParams, D: IndexSet):
     """The L/J picture: R -> (block, row factors, ladder, finish, radicand)
-    of the size-R Wronskian in eta.
+    of the size-R Wronskian in eta.  Row r of a power-gauge column is
+    scaled by base^(R-1-r), so all its rows share base^(c0-(R-1)); finish
+    divides by the closed-form divisor of the module docstring."""
+    half, eta = Fraction(1, 2), Poly.variable()
+    if fp.family == "L":
+        gauges = {"I": dict(eps=1), "II": dict(base=eta, c0=half - fp.g)}
+    else:
+        gauges = {"I": dict(base=(1 + eta) * half, c0=half - fp.h),
+                  "II": dict(base=(1 - eta) * half, c0=half - fp.g)}
+    cols = [(virtual_poly(fp, e), gauges[t]) for t in ("I", "II") for e in D.entries if e.type == t]
+    divisor = Poly.one()
+    for t, m in (("I", D.M1), ("II", D.M2)):
+        if "base" in gauges[t]:
+            divisor = divisor * gauges[t]["base"] ** (m * (m - 1))
 
-    The printed prefactor's base exponents carry -1/2 for Xi (R = M) and
-    +1/2 for P (R = M+1); the gauge exponents left over must be
-    nonpositive integers, which finish divides out.
-    """
-    cols = _lj_columns(fp, D)
-    M1, M2 = D.M1, D.M2
+    def finish(d: Poly) -> Poly:
+        return d.exact_div(divisor)
 
     def size(R: int):
-        s = R - D.M - Fraction(1, 2)
-        if fp.family == "L":
-            exps, printed_eps = {"eta": (M1 + fp.g + s) * M2}, -M1
-        else:
-            exps, printed_eps = {"jm": (M1 + fp.g + s) * M2, "jp": (M2 + fp.h + s) * M1}, 0
-        if sum(c.eps for c in cols) + printed_eps != 0:
-            raise NonPolynomialResult("exponential gauge factors do not cancel")
-        bases = {}
         entries = []  # column by column
-        for c in cols:
-            ladder = _ladder(c, R)
-            if c.base is not None:
-                ladder = [e * c.base ** (R - 1 - r) for r, e in enumerate(ladder)]
-                bases[c.base_id] = c.base
-                exps[c.base_id] = exps.get(c.base_id, Fraction(0)) + c.c0 - (R - 1)
+        for p, gauge in cols:
+            ladder = _ladder(p, R, **gauge)
+            if "base" in gauge:
+                ladder = [e * gauge["base"] ** (R - 1 - r) for r, e in enumerate(ladder)]
             entries.append(ladder)
-        divisor = Poly.one()
-        for base_id, e in sorted(exps.items()):
-            if e == 0:
-                continue
-            if e.denominator != 1 or e > 0:
-                raise NonPolynomialResult(
-                    f"gauge base {base_id!r} leaves exponent {e} after cancellation"
-                )
-            divisor = divisor * bases[base_id] ** (-int(e))
-
-        def finish(d: Poly) -> Poly:
-            try:
-                return d.exact_div(divisor)
-            except InexactDivision as exc:
-                raise NonPolynomialResult(f"gauge division failed: {exc}") from exc
 
         def ladder(n: int) -> list:
-            return _ladder(_GaugeColumn(classical_poly(fp, n)), R)
+            return _ladder(classical_poly(fp, n), R)
 
         return list(zip(*entries)), [1] * R, ladder, finish, Fraction(1)
 
@@ -410,8 +361,8 @@ def _casoratian(fp: FamilyParams, D: IndexSet):
     """
     from .families import reduce_to_eta
 
-    x1 = [poly_to_x(fp, virtual_poly(fp, VirtualStateData("I", v))) for v in D.d1]
-    x2 = [poly_to_x(fp, virtual_poly(fp, VirtualStateData("II", v))) for v in D.d2]
+    x1 = [poly_to_x(fp, virtual_poly(fp, e)) for e in D.entries if e.type == "I"]
+    x2 = [poly_to_x(fp, virtual_poly(fp, e)) for e in D.entries if e.type == "II"]
 
     def size(R: int):
         shifts = [Fraction(R + 1, 2) - j for j in range(1, R + 1)]
@@ -446,10 +397,7 @@ def _casoratian(fp: FamilyParams, D: IndexSet):
 def _nonzero(d: Carrier, fp: FamilyParams, D: IndexSet, name: str) -> Carrier:
     """d, unless it is zero: then the point is non-generic for D."""
     if not d:
-        point = ",".join(format_scalar(c) for c in fp.lam)
-        raise GenericityError(
-            f"{name} is the zero polynomial at {fp.family} lambda=({point}) D={{{D.label()}}}"
-        )
+        raise GenericityError(f"{name} is the zero polynomial at {fp.label()} D={{{D.label()}}}")
     return d
 
 

@@ -42,7 +42,9 @@ less than the target tolerance, and NonConvergent is raised otherwise.
 
 A grid builds one pair, checks exactly that the energy factor
 prod_j (E_n - Etilde_{d_j}) is positive for every n it covers (else
-ConfigurationError: the norm formula has no positive norm to check), and
+ConfigurationError: the norm formula has no positive norm to check), for
+L and J that the twisted end exponents g' (and h') lie above -1/2 (else
+Psi_D^2 diverges non-integrably at an end of the interval), and
 builds one Weight: Psi_D^2 is derived once, and a Sturm count on the
 exact denominator (a chain of Poly remainders, evaluated exactly)
 refuses (PoleEncountered) any zero on the family's closed eta-domain,
@@ -680,7 +682,8 @@ def ortho_grid(fp: FamilyParams, D: IndexSet, n_max: int, spec: QuadratureSpec =
 
     Returns rows (n, m, integral, expected, rel_err).  A deformation whose
     energy factor prod_j (E_n - Etilde_{d_j}) is not positive at some
-    n <= n_max raises ConfigurationError before the weight is built.
+    n <= n_max, or for L/J one whose twisted end exponent g' (or h') is at
+    most -1/2, raises ConfigurationError before the weight is built.
     """
     pair = build(fp, D, n_max=n_max)
     for n in range(n_max + 1):
@@ -690,6 +693,12 @@ def ortho_grid(fp: FamilyParams, D: IndexSet, n_max: int, spec: QuadratureSpec =
                 f"D={{{D.label()}}} is not admissible at n = {n}: the energy factor "
                 f"prod_j (E_n - Etilde_d_j) = {format_scalar(factor)} is not positive, "
                 f"so the norm formula has no positive norm to check")
+    if not fp.is_difference:
+        for name, x in zip(("g", "h"), twisted(fp, D.M1, D.M2).lam):
+            if x <= Fraction(-1, 2):
+                raise ConfigurationError(
+                    f"D={{{D.label()}}} is not admissible: the twisted exponent {name}' = "
+                    f"{format_scalar(x)} is not above -1/2, so Psi_D^2 is not integrable at its end")
     weight = Weight(pair)
     return [
         (n, m, *orthogonality_check(weight, n, m, spec))

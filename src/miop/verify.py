@@ -88,7 +88,7 @@ class VerificationReport:
     def witness(self) -> Optional[str]:
         for r in self.rows:
             if r["status"] == "fail":
-                return f"n={r['n']}: {r['witness']}"
+                return r["witness"] if r["n"] is None else f"n={r['n']}: {r['witness']}"
         return None
 
     def stream(self):
@@ -268,7 +268,7 @@ def check_degrees(pair: MultiIndexedPair, n_range: tuple) -> VerificationReport:
 
 
 def genericity_probe(pair: MultiIndexedPair, table: RTable, n_range: tuple) -> None:
-    """Abort (GenericityError) unless the preset behaves generically.
+    """Abort (GenericityError) unless the parameter point behaves generically.
 
     Checks the two hypotheses the identity statements rely on: the
     leading table entries R^[M]_{n,M+1} are nonzero constants and the
@@ -280,14 +280,14 @@ def genericity_probe(pair: MultiIndexedPair, table: RTable, n_range: tuple) -> N
         lead = table.entry(M, n, M + 1)
         if lead.is_zero:
             raise GenericityError(
-                f"R^[{M}]_{{{n},{M + 1}}} vanishes at {fp.family} lambda={fp.lam};"
-                " pick a different preset"
+                f"R^[{M}]_{{{n},{M + 1}}} vanishes at {fp.label()};"
+                " pick a different parameter point"
             )
     deg = check_degrees(pair, (lo, hi))
     if not deg.passed:
         raise GenericityError(
-            f"degree law fails at {fp.family} lambda={fp.lam} D={{{D.label()}}}:"
-            f" {deg.witness}; pick a different preset"
+            f"degree law fails at {fp.label()} D={{{D.label()}}}:"
+            f" {deg.witness}; pick a different parameter point"
         )
 
 

@@ -304,6 +304,40 @@ def _det_cofactor(rows):
     return acc if acc is not None else rows[0][0] * 0
 
 
+def lj_gauge_divisor(fp, D, R: int) -> Poly:
+    """The gauge divisor of the size-R L/J Wronskian by the exponent ledger.
+
+    Each power-gauge column of type t leaves base^(1/2 - lambda_t - (R-1))
+    and the printed prefactor adds base^((M_tbar + lambda_t + s) M_t) with
+    s = R - M - 1/2; L's M_I type-I exp(eta) gauges cancel the printed
+    exp(-M_I eta), so only the bases are tracked.  Every base exponent left
+    must be a nonpositive integer, and the divisor is the product of the
+    bases to minus those exponents.
+    """
+    half, eta = Fraction(1, 2), Poly.variable()
+    M1, M2 = D.M1, D.M2
+    s = R - D.M - half
+    if fp.family == "L":
+        gauges = {"II": ("eta", eta, half - fp.g)}
+        exps = {"eta": (M1 + fp.g + s) * M2}
+    else:
+        gauges = {"I": ("jp", (eta + 1) * half, half - fp.h),
+                  "II": ("jm", (1 - eta) * half, half - fp.g)}
+        exps = {"jm": (M1 + fp.g + s) * M2, "jp": (M2 + fp.h + s) * M1}
+    bases = {}
+    for e in D.entries:
+        if e.type in gauges:
+            base_id, base, c0 = gauges[e.type]
+            bases[base_id] = base
+            exps[base_id] += c0 - (R - 1)
+    divisor = Poly.one()
+    for base_id, x in sorted(exps.items()):
+        if x:
+            assert x.denominator == 1 and x < 0, f"gauge base {base_id!r} leaves exponent {x}"
+            divisor = divisor * bases[base_id] ** int(-x)
+    return divisor
+
+
 def laurent_shift_scalar(p, c, q):
     """Substitute z -> z*q**c exactly; c may be a half-integer."""
     c = Fraction(c)
@@ -420,6 +454,11 @@ def ortho_grid_scalar(fp, D, n_max: int, spec: QuadratureSpec = QuadratureSpec()
     for n in range(n_max + 1):
         if scalar_sign(quad._energy_factor(fp, D, n)) <= 0:
             raise ConfigurationError(f"D={{{D.label()}}} is not admissible at n = {n}")
+    if not fp.is_difference:  # L/J: the twisted end exponents g + d (and h - d) exceed -1/2
+        d = D.M1 - D.M2
+        ends = (fp.g + d,) if fp.family == "L" else (fp.g + d, fp.h - d)
+        if min(ends) <= Fraction(-1, 2):
+            raise ConfigurationError(f"D={{{D.label()}}} is not admissible: twisted exponents {ends}")
     weight = quad.Weight(pair)
     eta, polys = weight.eta, [FloatPoly.from_exact(pair.P_of(n)) for n in range(n_max + 1)]
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from miop.errors import ConfigurationError
 from miop.exact import GaussianRational, LaurentPoly, Poly, make_sqrtq
-from miop.families import FamilyParams
+from miop.families import FamilyParams, VirtualStateData
+from miop.multiindex import IndexSet
 
 
 def rationals(max_num=9, max_den=9):
@@ -77,3 +79,18 @@ def family_params(families=("L", "J", "W", "AW")):
         "AW": st.builds(FamilyParams, st.just("AW"), st.tuples(*[_unit()] * 4), q=_unit()),
     }
     return st.one_of([draws[f] for f in families])
+
+
+def _index_set(entries):
+    try:
+        return IndexSet(tuple(entries))
+    except ConfigurationError:  # ell < 1
+        return None
+
+
+def index_sets(max_m=4, max_v=4):
+    """Index sets of 1..max_m distinct entries of either type with degrees
+    0..max_v, in draw order, keeping those with ell >= 1."""
+    entry = st.builds(VirtualStateData, st.sampled_from(("I", "II")), st.integers(0, max_v))
+    return (st.lists(entry, min_size=1, max_size=max_m, unique=True)
+            .map(_index_set).filter(lambda D: D is not None))

@@ -320,6 +320,15 @@ class TestVerify:
         assert code == 2
         assert "--family" in err
 
+    def test_degenerate_point_message(self, capsys):
+        # Xi_D collapses to a constant at J (1, 1), D = {I1,II1}; the point prints as its
+        # exact values and the degree witness has no n, so no "n=None" prefix
+        code, out, err = run_cli(capsys, "verify", "--family", "J", "--g", "1", "--h", "1",
+                                 "--D", "I1,II1", "--n-range", "0..2")
+        assert code == 1 and out == ""
+        assert err == ("error: GenericityError: degree law fails at J lambda=(1,1) D={I1,II1}:"
+                       " deg Xi = 0, expected ell = 3; pick a different parameter point\n")
+
 
 class TestOrtho:
     def test_laguerre_grid(self, capsys):
@@ -418,6 +427,27 @@ class TestOrtho:
                                  "--n", "0..0", _DIFFERENCE)
         assert code == 2 and out == "" and "Traceback" not in err
         assert "D={I1}" in err and "n = 0" in err and "-59/120" in err
+
+    @pytest.mark.parametrize("argv,exponent", [
+        (("--family", "L", "--g", "1", "--D", "II1,II2"), "g' = -1"),
+        (("--family", "J", "--g", "2", "--h", "1", "--D", "I1,I2"), "h' = -1"),
+    ], ids=["L", "J"])
+    def test_low_twisted_exponent_rejected(self, capsys, argv, exponent):
+        # the energy factor at n = 0 is positive ((-2)(-6) for L, (-7)(-27) for J),
+        # but Psi_D^2 grows like (end)^-2 at one end of the interval
+        code, out, err = run_cli(capsys, "ortho", *argv, "--n", "0..0")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert f"D={{{argv[-1]}}}" in err and f"twisted exponent {exponent} is not above -1/2" in err
+
+    def test_negative_factors_with_integrable_weight_accepted(self, capsys):
+        # both factors E_0 - Etilde (-3 and -27/5) are negative, yet the product is
+        # positive at every n and the twisted point (1, 6/5) keeps the weight integrable
+        code, out, _ = run_cli(capsys, "ortho", "--family", "J", "--g", "1", "--h", "6/5",
+                               "--D", "I1,II1", "--n", "0..2")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,m,integral,expected,rel_err" and len(lines) == 7
+        assert max(float(line.split(",")[4]) for line in lines[1:]) < 1e-8
 
     @pytest.mark.parametrize("argv,where", [
         # x ** 2g overflows in the L weight

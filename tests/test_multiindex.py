@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miop.errors import ConfigurationError, GenericityError, SingularCoefficient
-from miop.exact import Poly
+from miop.errors import ConfigurationError, GenericityError, LeadingCoefficientZero, SingularCoefficient
+from miop.exact import Poly, det
 from miop.families import PRESETS, FamilyParams, classical_poly, shifted
 from miop.multiindex import IndexSet, build, build_xi, phi_M
 from miop.quad import Weight, _phi0_sq
 from miop.rtable import build_rtable
 
-from .oracles import det_cofactor, star
-from .strategies import family_params
+from .oracles import det_cofactor, lj_gauge_divisor, star
+from .strategies import family_params, index_sets
 
 ETA = Poly.variable()
 
@@ -26,7 +26,7 @@ class TestIndexSet:
     def test_parse_and_label(self):
         D = IndexSet.parse("I1,II2")
         assert D.M == 2 and D.M1 == 1 and D.M2 == 1
-        assert D.d1 == (1,) and D.d2 == (2,)
+        assert [(e.type, e.v) for e in D.entries] == [("I", 1), ("II", 2)]
         assert D.label() == "I1,II2"
         assert IndexSet.parse("").M == 0
 
@@ -263,6 +263,24 @@ def assert_matches_full_determinants(pair):
     for n in range(pair.n_max + 1):
         rows = [[*row, r * e] for row, r, e in zip(block, row_factors, ladder(n))]
         assert pair.P_of(n) == finish(det_cofactor(rows))
+
+
+class TestGaugeDivisor:
+    @given(family_params(("L", "J")), index_sets(max_m=4), st.integers(0, 1), st.integers(0, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_closed_form_matches_exponent_ledger(self, fp, D, extra, n):
+        """finish divides by the ledger's divisor at R = M (Xi_D) and R = M+1 (P_{D,n})."""
+        from miop import multiindex as mi
+
+        R = D.M + extra
+        try:
+            block, row_factors, ladder, finish, _ = mi._wronskian(fp, D)(R)
+        except (LeadingCoefficientZero, SingularCoefficient):  # no virtual polynomial by recurrence
+            return
+        if extra:
+            block = [[*row, r * e] for row, r, e in zip(block, row_factors, ladder(n))]
+        d = det(block)
+        assert finish(d) == d.exact_div(lj_gauge_divisor(fp, D, R))
 
 
 class TestPhiM:

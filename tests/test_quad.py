@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -31,7 +32,7 @@ from miop.quad import (
 
 from .oracles import (node_weight, ortho_grid_scalar, pairwise_sum_list, phi0_sq_mpmath,
                       pole_scan, real_root_count)
-from .strategies import family_params, polys
+from .strategies import family_params, index_sets, polys
 
 EMPTY = IndexSet.parse("")
 
@@ -433,6 +434,40 @@ class TestOrthoGrid:
         # the Xi denominator, then P_0 .. P_{n_max} once each
         pair = build(fp, IndexSet.parse(label), n_max=n_max)
         assert mirrored[1:] == [pair.P_of(n) for n in range(n_max + 1)]
+
+
+class _WeightReached(Exception):
+    pass
+
+
+class TestAdmissibility:
+    @given(family_params(("L", "J")), index_sets(max_m=4))
+    @example(FamilyParams("J", (F(1), F(6, 5))), IndexSet.parse("I1,II1"))
+    @example(FamilyParams("J", (F(2), F(1))), IndexSet.parse("I1,I2"))
+    @example(FamilyParams("L", (F(1),)), IndexSet.parse("II1,II2"))
+    @settings(max_examples=60, deadline=None)
+    def test_refused_exactly_at_low_twisted_exponent(self, fp, D):
+        """Past the energy-factor check, ortho_grid refuses an L/J set exactly
+        when a twisted end exponent g' (or h' for J) is at most -1/2.  A set
+        whose factors E_0 - Etilde_{d_j} are all positive never is: then g > v + 1/2
+        for type II and, for J, h > v + 1/2 for type I, and the largest degree of
+        type t is at least M_t - 1."""
+        low = min(twisted(fp, D.M1, D.M2).lam) <= F(-1, 2)
+        if all(energy(fp, 0) > virtual_energy(fp, e) for e in D.entries):
+            assert not low
+        try:
+            build(fp, D, n_max=0)
+        except MiopError:
+            return
+        if math.prod(energy(fp, 0) - virtual_energy(fp, e) for e in D.entries) <= 0:
+            return
+        with mock.patch.object(quad, "Weight", side_effect=_WeightReached):
+            if low:
+                with pytest.raises(ConfigurationError, match="twisted exponent"):
+                    ortho_grid(fp, D, 0)
+            else:
+                with pytest.raises(_WeightReached):
+                    ortho_grid(fp, D, 0)
 
 
 class TestScalarOracle:
