@@ -14,13 +14,13 @@ half-integer shifts act by multiplying with q^(1/2).
 
 This module owns:
   * FamilyParams and its curated presets,
-  * the three-term recurrence coefficients (A_n, B_n, C_n),
+  * the three-term recurrence coefficients (A_n, B_n, C_n), virtual state
+    polynomials, twists and energies, and the spectral energies E_n; W and
+    AW write each of these once, in the bracket [e; js] (1-based js):
+    e + the sum of a_j (W), or 1 - q^e * the product of a_j (AW),
   * classical polynomials in eta and in the x-picture,
-  * virtual state polynomials, twists and energies,
-  * spectral energies E_n,
-  * the eta shift-sum and shift-product closed forms for W/AW,
-  * x-picture carrier helpers (shift, eta at a shifted point, phi,
-    reduction back to eta) shared by the recurrence and determinant code.
+  * x-picture carrier helpers (shift, phi, reduction back to eta) shared
+    by the recurrence and determinant code.
 
 Everything here is exact; float data (weights, norms) lives in miop.quad.
 """
@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 from typing import Optional, Union
 
 from .errors import ConfigurationError, LeadingCoefficientZero, SingularCoefficient
@@ -131,12 +133,6 @@ class FamilyParams:
         a = self.lam
         return a[0] + a[1] + a[2] + a[3]
 
-    @property
-    def b4(self) -> Scalar:
-        """Product of the four Askey-Wilson parameters."""
-        a = self.lam
-        return a[0] * a[1] * a[2] * a[3]
-
     def qpow(self, num: int, den: int = 1) -> Scalar:
         """q**(num/den) for this parameter point; den in {1, 2}."""
         return q_pow(self.q, num, den)
@@ -211,6 +207,27 @@ def twisted(fp: FamilyParams, m1: int, m2: int) -> FamilyParams:
     return _moved(fp, steps)
 
 
+# -- the W/AW bracket ----------------------------------------------------------
+#
+# W is the q -> 1 image of AW (Koekoek, Lesky & Swarttouw (2010), 9.1, 14.1):
+# each factor n + a_j + a_k of a Wilson formula is 1 - a_j a_k q^n for AW.
+# _bracket and _reflect are the only code that tells the two apart.
+
+_ALL = (1, 2, 3, 4)
+
+
+def _bracket(fp: FamilyParams, e: int, js: tuple = ()) -> Scalar:
+    """[e; js]: e + the sum (W) or 1 - q^e * the product (AW) of a_j, j in js."""
+    if fp.family == "W":
+        return e + sum(fp.lam[j - 1] for j in js)
+    return 1 - fp.qpow(e) * prod(fp.lam[j - 1] for j in js)
+
+
+def _reflect(fp: FamilyParams, a: Scalar) -> Scalar:
+    """a -> 1 - a (W) or q/a (AW): [e; a'] is [-e-1; a] up to a unit."""
+    return 1 - a if fp.family == "W" else fp.q / a
+
+
 def virtual_params(fp: FamilyParams, vtype: str) -> FamilyParams:
     """Twisted parameter point at which the virtual polynomial is classical.
 
@@ -226,18 +243,9 @@ def virtual_params(fp: FamilyParams, vtype: str) -> FamilyParams:
     elif fp.family == "J":
         g, h = fp.lam
         lam = (g, 1 - h) if vtype == "I" else (1 - g, h)
-    elif fp.family == "W":
-        a = fp.lam
-        if vtype == "I":
-            lam = (1 - a[0], 1 - a[1], a[2], a[3])
-        else:
-            lam = (a[0], a[1], 1 - a[2], 1 - a[3])
     else:
-        a = fp.lam
-        if vtype == "I":
-            lam = (fp.q / a[0], fp.q / a[1], a[2], a[3])
-        else:
-            lam = (a[0], a[1], fp.q / a[2], fp.q / a[3])
+        pair = (0, 1) if vtype == "I" else (2, 3)
+        lam = tuple(_reflect(fp, a) if j in pair else a for j, a in enumerate(fp.lam))
     return FamilyParams(fp.family, lam, fp.q, check_range=False)
 
 
@@ -246,9 +254,7 @@ def virtual_params(fp: FamilyParams, vtype: str) -> FamilyParams:
 
 def _nonzero_den(fp: FamilyParams, n: int, value: Scalar) -> Scalar:
     if not value:
-        raise SingularCoefficient(
-            f"three-term denominator vanishes at {fp.family}, n={n}"
-        )
+        raise SingularCoefficient(f"three-term denominator vanishes at {fp.label()}, n={n}")
     return value
 
 
@@ -283,54 +289,24 @@ def three_term(fp: FamilyParams, n: int):
         B = (h - g) * (g + h - 1) / (dm * dp)
         C = (2 * (n + g - half)) * (n + h - half) / (dm * d0)
         return (A, B, C)
-    # W and AW: (n + b1 - 1)/(2n + b1 - 1) and (1 - b4 q^(n-1))/(1 - b4 q^(2n-1))
-    # are 1 at n = 0, and every term over dm2 carries a factor n (W) or
-    # 1 - q^n (AW), so n = 0 needs neither dm1 nor dm2; they vanish there
-    # for b1 = 1, 2 and b4 = q, q^2
-    C = Fraction(0)
-    a = fp.lam
-    if fp.family == "W":
-        b1 = fp.b1
-        d0 = _nonzero_den(fp, n, 2 * n + b1)
-        prod_1k = (n + a[0] + a[1]) * (n + a[0] + a[2]) * (n + a[0] + a[3])
-        A, B = -1 / d0, prod_1k / d0
-        if n:
-            dm1 = _nonzero_den(fp, n, 2 * n + b1 - 1)
-            dm2 = _nonzero_den(fp, n, 2 * n + b1 - 2)
-            ratio = (n + b1 - 1) / dm1
-            A, B = A * ratio, B * ratio
-            prod_all = Fraction(1)
-            for j in range(4):
-                for k in range(j + 1, 4):
-                    prod_all = prod_all * (n + a[j] + a[k] - 1)
-            C = -(n * prod_all) / (dm2 * dm1)
-            prod_jk = (n + a[1] + a[2] - 1) * (n + a[1] + a[3] - 1) * (n + a[2] + a[3] - 1)
-            B = B + n * prod_jk / (dm2 * dm1)
-        return (A, B - a[0] * a[0], C)
-    b4 = fp.b4
-    qn = fp.qpow(n)
-    d0 = _nonzero_den(fp, n, 1 - b4 * fp.qpow(2 * n))
-    prod_1k = (
-        (1 - a[0] * a[1] * qn) * (1 - a[0] * a[2] * qn) * (1 - a[0] * a[3] * qn)
-    )
-    A, B = 1 / (2 * d0), prod_1k / (2 * a[0] * d0)
+    # W and AW in one body; only the last line, W's eta = x^2 against AW's
+    # cos x, differs.  ratio is 1 at n = 0 and dn and C carry [n;], so n = 0
+    # needs neither dm1 nor dm2 (zero there for b1 = 1, 2 or a1a2a3a4 = q, q^2)
+    d0 = _nonzero_den(fp, n, _bracket(fp, 2 * n, _ALL))
+    ratio, dn, C = 1, 0, Fraction(0)
     if n:
-        dm1 = _nonzero_den(fp, n, 1 - b4 * fp.qpow(2 * n - 1))
-        dm2 = _nonzero_den(fp, n, 1 - b4 * fp.qpow(2 * n - 2))
-        ratio = (1 - b4 * fp.qpow(n - 1)) / dm1
-        A, B = A * ratio, B * ratio
-        prod_all = Fraction(1)
-        for j in range(4):
-            for k in range(j + 1, 4):
-                prod_all = prod_all * (1 - a[j] * a[k] * fp.qpow(n - 1))
-        C = (1 - qn) * prod_all / (2 * dm2 * dm1)
-        prod_jk = (
-            (1 - a[1] * a[2] * fp.qpow(n - 1))
-            * (1 - a[1] * a[3] * fp.qpow(n - 1))
-            * (1 - a[2] * a[3] * fp.qpow(n - 1))
-        )
-        B = B + a[0] * (1 - qn) * prod_jk / (2 * dm2 * dm1)
-    return (A, (a[0] + 1 / a[0]) / 2 - B, C)
+        dm1 = _nonzero_den(fp, n, _bracket(fp, 2 * n - 1, _ALL))
+        dm2 = _nonzero_den(fp, n, _bracket(fp, 2 * n - 2, _ALL))
+        ratio = _bracket(fp, n - 1, _ALL) / dm1
+        pairs = [_bracket(fp, n - 1, jk) for jk in combinations(_ALL, 2)]  # 12 13 14 23 24 34
+        over = _bracket(fp, n) / (dm2 * dm1)
+        dn, C = over * prod(pairs[3:]), over * prod(pairs)
+    A = ratio / d0
+    up = prod(_bracket(fp, n, (1, k)) for k in (2, 3, 4)) * A
+    a1 = fp.lam[0]
+    if fp.family == "W":
+        return (-A, up + dn - a1 * a1, -C)
+    return (A / 2, (a1 + 1 / a1 - up / a1 - a1 * dn) / 2, C / 2)
 
 
 # -- classical polynomials ---------------------------------------------------
@@ -349,9 +325,7 @@ def classical_poly(fp: FamilyParams, n: int) -> Poly:
         return Poly.one()
     A, B, C = three_term(fp, n - 1)
     if not A:
-        raise LeadingCoefficientZero(
-            f"A_{n - 1} = 0 at {fp.family}; recurrence cannot advance"
-        )
+        raise LeadingCoefficientZero(f"A_{n - 1} = 0 at {fp.label()}; recurrence cannot advance")
     eta = Poly.variable()
     num = (eta - B) * classical_poly(fp, n - 1) - classical_poly(fp, n - 2) * C
     return num * (1 / A)
@@ -405,15 +379,8 @@ def virtual_energy(fp: FamilyParams, vsd: VirtualStateData) -> Scalar:
         if vsd.type == "I":
             return -4 * (g + v + half) * (h - v - half)
         return -4 * (g - v - half) * (h + v + half)
-    if fp.family == "W":
-        a = fp.lam
-        if vsd.type == "I":
-            return -(a[0] + a[1] - v - 1) * (a[2] + a[3] + v)
-        return -(a[2] + a[3] - v - 1) * (a[0] + a[1] + v)
-    a = fp.lam
-    if vsd.type == "I":
-        return -(1 - a[0] * a[1] * fp.qpow(-v - 1)) * (1 - a[2] * a[3] * fp.qpow(v))
-    return -(1 - a[2] * a[3] * fp.qpow(-v - 1)) * (1 - a[0] * a[1] * fp.qpow(v))
+    own, other = ((1, 2), (3, 4)) if vsd.type == "I" else ((3, 4), (1, 2))
+    return -_bracket(fp, -v - 1, own) * _bracket(fp, v, other)
 
 
 def energy(fp: FamilyParams, n: int) -> Scalar:
@@ -422,9 +389,8 @@ def energy(fp: FamilyParams, n: int) -> Scalar:
         return Fraction(4 * n)
     if fp.family == "J":
         return 4 * n * (n + fp.g + fp.h)
-    if fp.family == "W":
-        return n * (n + fp.b1 - 1)
-    return (fp.qpow(-n) - 1) * (1 - fp.b4 * fp.qpow(n - 1))
+    # -[-n;] is n (W) and q^-n - 1 = q^-n (1 - q^n) (AW)
+    return -_bracket(fp, -n) * _bracket(fp, n - 1, _ALL)
 
 
 # -- x-picture carriers (difference families) ---------------------------------
@@ -483,17 +449,6 @@ def x_shift(fp: FamilyParams, p: Carrier, c) -> Carrier:
     if fp.family == "W":
         return imag_shift(p, c)
     return laurent_shift(p, -c, fp.q)
-
-
-def eta_at(fp: FamilyParams, c) -> Carrier:
-    """eta(x + i c gamma) as a carrier polynomial; c may be a half-integer."""
-    _require_difference(fp)
-    c = Fraction(c)
-    if fp.family == "W":
-        return Poly([-c * c, I * (2 * c), Fraction(1)], var="x")
-    lo = q_pow(fp.q, c.numerator, c.denominator)
-    hi = q_pow(fp.q, -c.numerator, c.denominator)
-    return LaurentPoly(-1, [lo / 2, 0, hi / 2])
 
 
 def reduce_to_eta(fp: FamilyParams, p: Carrier) -> Poly:

@@ -144,12 +144,17 @@ def pairwise_sum(values) -> float:
 # -- quadrature engines -----------------------------------------------------------
 
 
+# The largest Gauss-Legendre order built (the default contract's last level);
+# numpy's eigensolve for the nodes costs the cube of the order.
+MAX_NODES = 8192
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Acceptance contract for the node-doubling loop.
 
-    nodes is the starting Gauss-Legendre order; tanh-sinh always starts at
-    step h = 1/2 and does not read it.
+    nodes is the starting Gauss-Legendre order, at most MAX_NODES; tanh-sinh
+    always starts at step h = 1/2 and does not read it.
     """
 
     nodes: int = 64
@@ -157,8 +162,8 @@ class QuadratureSpec:
     max_levels: int = 8
 
     def __post_init__(self):
-        if self.nodes < 1:
-            raise ConfigurationError(f"quadrature needs nodes >= 1, got {self.nodes}")
+        if not 1 <= self.nodes <= MAX_NODES:
+            raise ConfigurationError(f"quadrature needs 1 <= nodes <= {MAX_NODES}, got {self.nodes}")
         if not 0 < self.rtol < math.inf:
             raise ConfigurationError(f"quadrature needs a finite rtol > 0, got {self.rtol}")
         if self.max_levels < 1:
@@ -214,9 +219,15 @@ def _integrate(nodes_at: Callable[[int], tuple], f, a: float, b: float, spec: Qu
 
 def integrate_gl(f: Callable, a: float, b: float, spec: QuadratureSpec,
                  floor: Callable[[], float] = lambda: 0.0) -> QuadResult:
-    """Gauss-Legendre from spec.nodes nodes, doubling the order at each level."""
-    return _integrate(lambda level: _leggauss(spec.nodes << level),
-                      f, a, b, spec, floor, "Gauss-Legendre")
+    """Gauss-Legendre from spec.nodes nodes, doubling the order at each level
+    up to MAX_NODES."""
+    def nodes_at(level: int) -> tuple:
+        # no first level is built without room for a second to compare it with
+        if spec.nodes << max(level, 1) > MAX_NODES:
+            raise NonConvergent(f"Gauss-Legendre did not settle below rtol={spec.rtol} by order {MAX_NODES}")
+        return _leggauss(spec.nodes << level)
+
+    return _integrate(nodes_at, f, a, b, spec, floor, "Gauss-Legendre")
 
 
 @lru_cache(maxsize=32)

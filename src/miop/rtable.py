@@ -8,7 +8,7 @@ polynomials in eta:
     R^[s]_{n,k} = A_n R^[s-1]_{n+1,k-1} + (B_n - eta) R^[s-1]_{n,k}
                   + C_n R^[s-1]_{n-1,k+1}.
 
-For W and AW the recursion lives in the x-picture,
+For W and AW the recursion lives in the x-picture (eta_x moved by x_shift),
 
     Rx^[s]_{n,k}(x) = A_n Rx^[s-1]_{n+1,k-1}(x + i gamma/2)
                       + (B_n - eta(x - i s gamma/2)) Rx^[s-1]_{n,k}(x + i gamma/2)
@@ -49,7 +49,7 @@ from .families import (
     FamilyParams,
     carrier_one,
     carrier_zero,
-    eta_at,
+    eta_x,
     reduce_to_eta,
     three_term,
     x_shift,
@@ -146,7 +146,7 @@ def build_rtable(
         one, zero = carrier_one(fp), carrier_zero(fp)
         shift = lambda p: x_shift(fp, p, _HALF)
         reduce = lambda p: reduce_to_eta(fp, p)
-        eta_arg = lambda s: eta_at(fp, Fraction(-s, 2))
+        eta_arg = lambda s: x_shift(fp, eta_x(fp), Fraction(-s, 2))
     else:
         one, zero = Poly.one(), Poly.zero()
         shift = reduce = lambda p: p
@@ -226,6 +226,7 @@ def check_rprop2_rprop3(table: RTable) -> list:
     M = table.M
     lo, hi = table.window
     mirror = Poly.reflect if fp.family == "W" else LaurentPoly.z_inverse
+    eta = eta_x(fp)
     halves: dict = {}  # (s, n, k) -> the entry shifted by -1/2 and by +1/2
     pluses: dict = {}  # (s, n, k) -> the even half of the entry
 
@@ -247,11 +248,11 @@ def check_rprop2_rprop3(table: RTable) -> list:
     bad = []
     for s in range(M + 1):
         pad = M - s
-        e_up = eta_at(fp, Fraction(s, 2))
-        e_dn = eta_at(fp, Fraction(-s, 2))
+        e_up = x_shift(fp, eta, Fraction(s, 2))
+        e_dn = x_shift(fp, eta, Fraction(-s, 2))
         # both identities as residuals that must vanish; the first without
         # the common factor i/2 of its two sides
-        odd = eta_at(fp, Fraction(-(s + 1), 2)) - eta_at(fp, Fraction(s + 1, 2))
+        odd = x_shift(fp, eta, Fraction(-(s + 1), 2)) - x_shift(fp, eta, Fraction(s + 1, 2))
         mid = (e_dn + e_up) * _HALF
         corr = (e_dn - e_up) ** 2 * Fraction(-1, 4)  # zero at s = 0
         for n in range(lo - pad, hi + pad + 1):

@@ -8,7 +8,10 @@ Normalizations match the library: Laguerre L_n^(g-1/2), Jacobi
 P_n^(g-1/2,h-1/2), Wilson W_n and Askey-Wilson p_n in their standard
 hypergeometric normalizations.  eta_shift_identities gives the closed
 forms of the sum and product of eta at two opposite shifted points, which
-the R-table of the difference families reduces to.
+the R-table of the difference families reduces to.  wa_three_term,
+wa_virtual_energy, wa_energy and wa_virtual_params are the Wilson and
+Askey-Wilson formulas as two hand-written branches, the reference for the
+single bracket that miop.families writes both with.
 
 det_cofactor is the Laplace expansion that miop.exact.det (Bareiss
 elimination) is checked against, on plain lists of rows.
@@ -56,7 +59,13 @@ from math import comb, factorial, sqrt
 import mpmath
 
 from miop import quad
-from miop.errors import ConfigurationError, NonConvergent, PoleEncountered, ReductionFailure
+from miop.errors import (
+    ConfigurationError,
+    NonConvergent,
+    PoleEncountered,
+    ReductionFailure,
+    SingularCoefficient,
+)
 from miop import exact
 from miop.exact import LaurentPoly, Poly, q_pow, rational_sqrt, scalar_sign
 from miop.exact.scalars import power
@@ -245,6 +254,105 @@ def eta_shift_identities(fp, m: int):
     qp, qm = fp.qpow(m, 2), fp.qpow(-m, 2)
     c = (qp - qm) / 2
     return (eta * (qp + qm), eta * eta + c * c)
+
+
+# The Wilson and Askey-Wilson formulas as two hand-written branches, kept
+# verbatim as the reference for the single bracket of miop.families (only
+# b4 is now computed here, and _den stands for families._nonzero_den).
+
+
+def _den(fp, n: int, value):
+    if not value:
+        raise SingularCoefficient(f"three-term denominator vanishes at {fp.family}, n={n}")
+    return value
+
+
+def wa_three_term(fp, n: int):
+    """(A_n, B_n, C_n) of W or AW."""
+    if n < 0:
+        z = Fraction(0)
+        return (z, z, z)
+    C = Fraction(0)
+    a = fp.lam
+    if fp.family == "W":
+        b1 = fp.b1
+        d0 = _den(fp, n, 2 * n + b1)
+        prod_1k = (n + a[0] + a[1]) * (n + a[0] + a[2]) * (n + a[0] + a[3])
+        A, B = -1 / d0, prod_1k / d0
+        if n:
+            dm1 = _den(fp, n, 2 * n + b1 - 1)
+            dm2 = _den(fp, n, 2 * n + b1 - 2)
+            ratio = (n + b1 - 1) / dm1
+            A, B = A * ratio, B * ratio
+            prod_all = Fraction(1)
+            for j in range(4):
+                for k in range(j + 1, 4):
+                    prod_all = prod_all * (n + a[j] + a[k] - 1)
+            C = -(n * prod_all) / (dm2 * dm1)
+            prod_jk = (n + a[1] + a[2] - 1) * (n + a[1] + a[3] - 1) * (n + a[2] + a[3] - 1)
+            B = B + n * prod_jk / (dm2 * dm1)
+        return (A, B - a[0] * a[0], C)
+    b4 = a[0] * a[1] * a[2] * a[3]
+    qn = fp.qpow(n)
+    d0 = _den(fp, n, 1 - b4 * fp.qpow(2 * n))
+    prod_1k = (
+        (1 - a[0] * a[1] * qn) * (1 - a[0] * a[2] * qn) * (1 - a[0] * a[3] * qn)
+    )
+    A, B = 1 / (2 * d0), prod_1k / (2 * a[0] * d0)
+    if n:
+        dm1 = _den(fp, n, 1 - b4 * fp.qpow(2 * n - 1))
+        dm2 = _den(fp, n, 1 - b4 * fp.qpow(2 * n - 2))
+        ratio = (1 - b4 * fp.qpow(n - 1)) / dm1
+        A, B = A * ratio, B * ratio
+        prod_all = Fraction(1)
+        for j in range(4):
+            for k in range(j + 1, 4):
+                prod_all = prod_all * (1 - a[j] * a[k] * fp.qpow(n - 1))
+        C = (1 - qn) * prod_all / (2 * dm2 * dm1)
+        prod_jk = (
+            (1 - a[1] * a[2] * fp.qpow(n - 1))
+            * (1 - a[1] * a[3] * fp.qpow(n - 1))
+            * (1 - a[2] * a[3] * fp.qpow(n - 1))
+        )
+        B = B + a[0] * (1 - qn) * prod_jk / (2 * dm2 * dm1)
+    return (A, (a[0] + 1 / a[0]) / 2 - B, C)
+
+
+def wa_virtual_energy(fp, vsd):
+    """Energy of a W or AW virtual state."""
+    v = vsd.v
+    a = fp.lam
+    if fp.family == "W":
+        if vsd.type == "I":
+            return -(a[0] + a[1] - v - 1) * (a[2] + a[3] + v)
+        return -(a[2] + a[3] - v - 1) * (a[0] + a[1] + v)
+    if vsd.type == "I":
+        return -(1 - a[0] * a[1] * fp.qpow(-v - 1)) * (1 - a[2] * a[3] * fp.qpow(v))
+    return -(1 - a[2] * a[3] * fp.qpow(-v - 1)) * (1 - a[0] * a[1] * fp.qpow(v))
+
+
+def wa_energy(fp, n: int):
+    """Spectral energy E_n of W or AW."""
+    if fp.family == "W":
+        return n * (n + fp.b1 - 1)
+    b4 = fp.lam[0] * fp.lam[1] * fp.lam[2] * fp.lam[3]
+    return (fp.qpow(-n) - 1) * (1 - b4 * fp.qpow(n - 1))
+
+
+def wa_virtual_params(fp, vtype: str):
+    """The W or AW point at which a type-vtype virtual polynomial is classical."""
+    a = fp.lam
+    if fp.family == "W":
+        if vtype == "I":
+            lam = (1 - a[0], 1 - a[1], a[2], a[3])
+        else:
+            lam = (a[0], a[1], 1 - a[2], 1 - a[3])
+    else:
+        if vtype == "I":
+            lam = (fp.q / a[0], fp.q / a[1], a[2], a[3])
+        else:
+            lam = (a[0], a[1], fp.q / a[2], fp.q / a[3])
+    return FamilyParams(fp.family, lam, fp.q, check_range=False)
 
 
 def schoolbook_mul(a, b) -> tuple:
@@ -468,6 +576,8 @@ def ortho_grid_scalar(fp, D, n_max: int, spec: QuadratureSpec = QuadratureSpec()
     def pairs(level):
         if fp.family in ("L", "W"):
             xs, ws = quad._ts_nodes(0.5 / 2**level, t_max=4.2)
+        elif spec.nodes << max(level, 1) > quad.MAX_NODES:  # the Gauss-Legendre order cap
+            raise NonConvergent(f"no Gauss-Legendre order above {quad.MAX_NODES}")
         else:
             xs, ws = quad._leggauss(spec.nodes << level)
         return zip(xs.tolist(), ws.tolist())

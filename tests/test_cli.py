@@ -135,6 +135,20 @@ class TestGen:
         assert code == 0, err
         assert sorted(json.loads(out)["P"]) == ["0", "1", "2"]
 
+    @pytest.mark.parametrize("argv,point", [
+        (("--family", "J", "--g", "7/2", "--h", "3/2", "--D", "II1"),
+         "SingularCoefficient: three-term denominator vanishes at J lambda=(-5/2,3/2), n=0"),
+        (("--family", "W", "--a", "2,5/4,4,5/4", "--D", "II1"),
+         "SingularCoefficient: three-term denominator vanishes at W lambda=(2,5/4,-3,-1/4), n=0"),
+        (("--family", "J", "--g", "13/2", "--h", "7/2", "--D", "II3"),
+         "LeadingCoefficientZero: A_2 = 0 at J lambda=(-11/2,7/2)"),
+    ], ids=["J-den", "W-den", "J-lead"])
+    def test_singular_coefficient_names_virtual_point(self, capsys, argv, point):
+        # the recurrence fails at the virtual point, not at the point typed
+        code, out, err = run_cli(capsys, "gen", *argv, "--N", "1")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {point}") and "Traceback" not in err
+
 
 class TestRtable:
     def test_csv_to_missing_directory_rejected(self, capsys, tmp_path):
@@ -388,6 +402,14 @@ class TestOrtho:
                                "--n", "0..1", flag)
         assert code == 2
         assert flag[2:flag.index("=")] in err and "Traceback" not in err
+
+    def test_nodes_above_cap_rejected(self, capsys):
+        # a 10^6-order Gauss-Legendre table would need a 7 TiB companion matrix
+        code, out, err = run_cli(capsys, "ortho", "--preset", "j-default", "--D", "I1",
+                                 "--n", "0..0", "--nodes", "1000000")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert "nodes <= 8192" in err
 
     @pytest.mark.parametrize("argv,csv", [
         (("--preset", "l-default", "--D", "I1,II1", "--n", "0..2"), _GOLDEN_L),

@@ -3,10 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from miop.errors import ConfigurationError, SingularCoefficient
+from miop.errors import ConfigurationError, MiopError, SingularCoefficient
 from miop.exact import GaussianRational, Poly, SqrtQRational, scalar_sign
 from miop.families import (
     PRESETS,
@@ -15,7 +15,6 @@ from miop.families import (
     classical_poly,
     classical_poly_x,
     energy,
-    eta_at,
     eta_x,
     phi_x,
     poly_to_x,
@@ -38,6 +37,10 @@ from .oracles import (
     jacobi_poly,
     laguerre_poly,
     star,
+    wa_energy,
+    wa_three_term,
+    wa_virtual_energy,
+    wa_virtual_params,
     wilson_poly,
 )
 from .strategies import family_params
@@ -86,8 +89,6 @@ class TestFamilyParams:
     def test_b1_b4(self):
         w = PRESETS["w-default"]
         assert w.b1 == F(3, 4) + F(4, 5) + F(6, 5) + F(7, 5)
-        aw = PRESETS["aw-default"]
-        assert aw.b4 == F(1, 2) * F(1, 3) * F(1, 4) * F(1, 5)
 
     def test_json_roundtrip(self):
         for fp in ALL_PRESETS:
@@ -184,6 +185,34 @@ class TestThreeTerm:
         with pytest.raises(SingularCoefficient):
             three_term(fp, 1)
 
+    @given(family_params(("W", "AW")))
+    @example(FamilyParams("W", (F(1, 4),) * 4))  # b1 = 1
+    @example(FamilyParams("W", (F(1, 2),) * 4))  # b1 = 2
+    @example(FamilyParams("W", (F(2), F(5, 4), F(4), F(5, 4))))  # b1' = 0 at type II
+    @example(FamilyParams("AW", (F(1, 2),) * 4, q=F(1, 4)))  # b4 = q^2
+    @example(FamilyParams("AW", (F(1, 2),) * 4, q=F(1, 16)))  # b4 = q
+    @example(FamilyParams("AW", (F(1, 2), F(1, 3), F(1, 4), F(1, 5)), q=F(1, 3)))
+    @settings(max_examples=40, deadline=None)
+    def test_bracket_matches_two_branches(self, fp):
+        # the single W/AW bracket against the two hand-written branches, at
+        # the point and at the shifted, twisted and virtual points it reaches
+        def outcome(f, *args):
+            try:
+                return f(*args)
+            except MiopError as e:
+                return type(e)
+
+        for p in (fp, shifted(fp), twisted(fp, 1, 0), twisted(fp, 0, 1),
+                  virtual_params(fp, "I"), virtual_params(fp, "II")):
+            for n in range(-1, 7):
+                assert outcome(three_term, p, n) == outcome(wa_three_term, p, n)
+                assert energy(p, n) == wa_energy(p, n)
+            for vtype in ("I", "II"):
+                assert virtual_params(p, vtype) == wa_virtual_params(p, vtype)
+                for v in range(4):
+                    vsd = VirtualStateData(vtype, v)
+                    assert virtual_energy(p, vsd) == wa_virtual_energy(p, vsd)
+
     @pytest.mark.parametrize("fp", ALL_PRESETS, ids=list(PRESETS))
     def test_positivity_product(self, fp):
         for n in range(13):
@@ -245,6 +274,14 @@ class TestClassicalPoly:
         fp = PRESETS[key]
         for n in range(9):
             assert classical_poly(fp, n) == askey_wilson_poly(fp.lam, fp.q, n)
+
+    @given(family_params(("W", "AW")))
+    @settings(max_examples=25, deadline=None)
+    def test_difference_oracles_random(self, fp):
+        for n in range(6):
+            ref = (wilson_poly(fp.lam, n) if fp.family == "W"
+                   else askey_wilson_poly(fp.lam, fp.q, n))
+            assert classical_poly(fp, n) == ref
 
     @given(
         num=st.integers(min_value=1, max_value=40),
@@ -366,7 +403,7 @@ class TestEnergy:
         w = PRESETS["w-default"]
         assert energy(w, 2) == 2 * (2 + w.b1 - 1)
         aw = PRESETS["aw-default"]
-        assert energy(aw, 1) == (4 - 1) * (1 - aw.b4)
+        assert energy(aw, 1) == (4 - 1) * (1 - F(1, 2) * F(1, 3) * F(1, 4) * F(1, 5))
 
 
 class TestEtaShiftIdentities:
@@ -387,18 +424,13 @@ class TestEtaShiftIdentities:
     def test_against_carriers(self, fp):
         for m in range(5):
             s_id, p_id = eta_shift_identities(fp, m)
-            lo = eta_at(fp, F(-m, 2))
-            hi = eta_at(fp, F(m, 2))
+            lo = x_shift(fp, eta_x(fp), F(-m, 2))
+            hi = x_shift(fp, eta_x(fp), F(m, 2))
             assert reduce_to_eta(fp, lo + hi) == s_id
             assert reduce_to_eta(fp, lo * hi) == p_id
 
 
 class TestCarriers:
-    @pytest.mark.parametrize("fp", DIFF_PRESETS, ids=["w", "aw", "aw13"])
-    def test_eta_at_is_shifted_eta(self, fp):
-        for c in (F(1, 2), F(-1, 2), F(1), F(3, 2), F(-2)):
-            assert eta_at(fp, c) == x_shift(fp, eta_x(fp), c)
-
     @pytest.mark.parametrize("fp", DIFF_PRESETS, ids=["w", "aw", "aw13"])
     def test_shift_composition(self, fp):
         p = classical_poly_x(fp, 2)

@@ -110,6 +110,25 @@ class TestQuadratureSpec:
         with pytest.raises(NonConvergent):
             integrate_gl(lambda x: np.exp(-x) * np.sin(40 * x), 0.0, 6.0, spec)
 
+    def test_gauss_legendre_order_capped(self, monkeypatch):
+        # a non-settling integral stops before an order above MAX_NODES
+        orders = []
+
+        def fake_leggauss(n):
+            orders.append(n)
+            return np.array([0.0]), np.array([float(n)])
+
+        monkeypatch.setattr(quad, "_leggauss", fake_leggauss)
+        with pytest.raises(NonConvergent, match="8192"):
+            integrate_gl(np.cos, 0.0, 1.0, QuadratureSpec(nodes=3000))
+        assert orders == [3000, 6000]
+        orders.clear()
+        with pytest.raises(NonConvergent, match="8192"):  # one level alone cannot settle
+            integrate_gl(np.cos, 0.0, 1.0, QuadratureSpec(nodes=5000))
+        assert orders == []
+        with pytest.raises(ConfigurationError, match="8192"):
+            QuadratureSpec(nodes=quad.MAX_NODES + 1)
+
     def test_tanh_sinh_gaussian(self):
         spec = QuadratureSpec(rtol=1e-12)
         res = integrate_ts(lambda x: np.exp(-x * x), 0.0, 12.0, spec)
