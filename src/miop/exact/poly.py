@@ -15,7 +15,7 @@ aligned on one common denominator and made canonical once (_dot; a sum or
 a product is the one-term case), powers, division (one pseudo-division
 after clearing the conjugates of the divisor's leading coefficient, as
 scalar division does, serves both exact_div and Poly's remainder %),
-composition (Horner's rule), the derivative, x -> -x, z -> 1/z, the
+composition (Horner's rule), the derivative, the
 x-picture shifts x -> x + i*c (an integer Taylor shift) and z -> z*q**c
 and the reductions to eta.  `coeffs` views each
 column as its canonical scalar (Fraction over Q, GaussianRational across a
@@ -314,11 +314,6 @@ class Poly(_PolyBase):
         return self._new(0, [[j * x for j, x in enumerate(part)][1:] for part in self._parts],
                          self._den, self._q)
 
-    def reflect(self) -> "Poly":
-        """Substitute var -> -var: every odd-degree coordinate changes sign."""
-        return self._new(0, [[-x if j & 1 else x for j, x in enumerate(part)]
-                             for part in self._parts], self._den, self._q)
-
     def compose(self, inner):
         """self(inner), a value in inner's ring (a Poly or a LaurentPoly).
 
@@ -368,10 +363,6 @@ class LaurentPoly(_PolyBase):
     @property
     def hi(self) -> int:
         return self.lo + len(self._parts[0]) - 1
-
-    def z_inverse(self) -> "LaurentPoly":
-        """Substitute z -> 1/z (exact involution)."""
-        return self._new(-self.hi, [part[::-1] for part in self._parts], self._den, self._q)
 
 
 def imag_shift(p: Poly, c) -> Poly:

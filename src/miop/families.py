@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import prod
 from typing import Optional, Union
@@ -133,6 +133,15 @@ class FamilyParams:
         a = self.lam
         return a[0] + a[1] + a[2] + a[3]
 
+    @cached_property
+    def _aggregates(self) -> dict:
+        """W/AW: js -> the sum (W) or the product (AW) of a_j over j in js,
+        for every increasing js in (1, 2, 3, 4); formed once per point for
+        the bracket [e; js]."""
+        combine = sum if self.family == "W" else prod
+        return {js: combine(self.lam[j - 1] for j in js)
+                for r in range(5) for js in combinations(_ALL, r)}
+
     def qpow(self, num: int, den: int = 1) -> Scalar:
         """q**(num/den) for this parameter point; den in {1, 2}."""
         return q_pow(self.q, num, den)
@@ -211,7 +220,8 @@ def twisted(fp: FamilyParams, m1: int, m2: int) -> FamilyParams:
 #
 # W is the q -> 1 image of AW (Koekoek, Lesky & Swarttouw (2010), 9.1, 14.1):
 # each factor n + a_j + a_k of a Wilson formula is 1 - a_j a_k q^n for AW.
-# _bracket and _reflect are the only code that tells the two apart.
+# FamilyParams._aggregates, _bracket and _reflect are the only code that
+# tells the two apart.
 
 _ALL = (1, 2, 3, 4)
 
@@ -219,8 +229,8 @@ _ALL = (1, 2, 3, 4)
 def _bracket(fp: FamilyParams, e: int, js: tuple = ()) -> Scalar:
     """[e; js]: e + the sum (W) or 1 - q^e * the product (AW) of a_j, j in js."""
     if fp.family == "W":
-        return e + sum(fp.lam[j - 1] for j in js)
-    return 1 - fp.qpow(e) * prod(fp.lam[j - 1] for j in js)
+        return e + fp._aggregates[js]
+    return 1 - fp.qpow(e) * fp._aggregates[js]
 
 
 def _reflect(fp: FamilyParams, a: Scalar) -> Scalar:
@@ -404,11 +414,6 @@ def energy(fp: FamilyParams, n: int) -> Scalar:
 def _require_difference(fp: FamilyParams):
     if not fp.is_difference:
         raise ConfigurationError("x-picture carriers exist for W and AW only")
-
-
-def carrier_zero(fp: FamilyParams) -> Carrier:
-    _require_difference(fp)
-    return Poly.zero("x") if fp.family == "W" else LaurentPoly()
 
 
 def carrier_one(fp: FamilyParams) -> Carrier:

@@ -2,35 +2,44 @@
 
 The table holds, for each level -1 <= s <= M and integer n in a window, the
 band of polynomials R^[s]_{n,k}(eta) with |k| <= s+1.  Level -1 is the seed
-row R^[-1]_{n,0} = 1.  For L and J the recursion acts directly on
-polynomials in eta:
-
-    R^[s]_{n,k} = A_n R^[s-1]_{n+1,k-1} + (B_n - eta) R^[s-1]_{n,k}
-                  + C_n R^[s-1]_{n-1,k+1}.
-
-For W and AW the recursion lives in the x-picture (eta_x moved by x_shift),
+row R^[-1]_{n,0} = 1.  Level s follows from level s-1 by one recursion,
 
     Rx^[s]_{n,k}(x) = A_n Rx^[s-1]_{n+1,k-1}(x + i gamma/2)
                       + (B_n - eta(x - i s gamma/2)) Rx^[s-1]_{n,k}(x + i gamma/2)
                       + C_n Rx^[s-1]_{n-1,k+1}(x + i gamma/2),
 
-and every level is self-conjugate and symmetric, hence exactly reducible
-to a polynomial in eta; both forms are stored, with the coefficients and
-the shifted level s-1 entries, which the half-shift checks read again
-(and mirror, x -> -x or z -> 1/z, for the shift to x - i gamma/2).  A table
-under another out-of-range convention computes only the entries whose
-recursion reaches a row n < 0 and takes the rest from a base table.
+in the x-picture of W and AW; for L and J the shift is absent and eta is
+the variable itself.  The table is built from the recursion's closed form.
+Let J be the tridiagonal matrix with J_{n,n+1} = A_n, J_{n,n} = B_n and
+J_{n,n-1} = C_n, and read level s as the matrix (n, n+k) -> R^[s]_{n,k}.
+Then
 
-Because the recursion at level s reads neighbours n-1 and n+1 of level
-s-1, each level is stored on the requested window widened by (M - s) on
-both sides, so all lookups during construction stay inside stored rows.
+  * the recursion reads Rx^[s](x) = (J - eta(x - i s gamma/2)) Rx^[s-1](x + i gamma/2);
+  * J does not depend on x, so it commutes with every function of x and
+    with the shift, and by induction
+    R^[s] = prod_{t=0..s} (J - eta(x - i(s-2t) gamma/2));
+  * expanding the product of commuting factors,
+    R^[s] = sum_{j=0..s+1} (-1)^{s+1-j} sigma^[s]_{s+1-j} J^j, where
+    sigma^[s]_r is the r-th elementary symmetric polynomial of the ladder
+    values eta(x - i(s-2t) gamma/2), t = 0..s.
+
+The ladder is symmetric under x -> -x (z -> 1/z), so each sigma^[s]_r is a
+polynomial in eta; for L and J every ladder value is eta and
+R^[s] = (J - eta)^(s+1).  An entry is a dot product of the scalar band
+[J^j]_{n,n+k} with the s+2 polynomials of its level.  A table under another
+out-of-range convention computes only the entries with n < s, whose
+product reaches a row below 0, and takes the rest from a base table.
 
 Three structural identities are checkable:
-  * the eta-derivative lowers the level: d/deta R^[s] = -(s+1) R^[s-1]
-    (L/J),
-  * the odd half-difference of R^[s] factors through R^[s-1], and R^[s]
-    rebuilds from even halves of level s-1 plus a level s-2 correction
-    (W/AW),
+  * the half-difference lowers the level: D R^[s] = -kappa_{s+1} R^[s-1],
+    with D = d/deta and kappa_m = m for L/J; for W/AW D is the divided
+    difference (f(eta(x - i gamma/2)) - f(eta(x + i gamma/2))) /
+    (eta(x - i gamma/2) - eta(x + i gamma/2)) and kappa_m the same quotient
+    of the ladder values at displacement m/2 (m for W, the q-number [m]
+    for AW),
+  * R^[s] rebuilds from the averages A f = (f(eta(x + i gamma/2)) +
+    f(eta(x - i gamma/2)))/2 of level s-1 with the coefficient recursion,
+    plus a level s-2 correction (W/AW),
   * the depth-M table vanishes on the triangle -M-1 <= n <= -1,
     -n <= k <= M+1 (all families), given the zero convention for
     out-of-range coefficients with A_{-1} = 0.
@@ -40,25 +49,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .errors import ConfigurationError
-from .exact import LaurentPoly, Poly, format_scalar
+from .exact import Poly, format_scalar
 from .exact.poly import _dot
 from .families import (
     FamilyParams,
     carrier_one,
-    carrier_zero,
     eta_x,
     reduce_to_eta,
     three_term,
     x_shift,
 )
 
-Carrier = Union[Poly, LaurentPoly]
 CoeffFn = Callable[[int], tuple]
 
 _HALF = Fraction(1, 2)
+_ZERO, _ONE = Poly.zero(), Poly.one()
 
 
 def _check_window(window) -> tuple:
@@ -72,30 +80,21 @@ def _check_window(window) -> tuple:
 class RTable:
     """Frozen band of recurrence polynomials; read-only after construction.
 
-    abc holds the (A_n, B_n, C_n) the recursion used and, for W and AW, ups
-    the x-picture entries of levels s < M at x + i gamma/2 it computed.
+    Level s is the matrix product prod_{t=0..s} (J - eta(x - i(s-2t) gamma/2))
+    of the module docstring, stored entry by entry as polynomials in eta on
+    the window widened by M - s rows on each side.  abc holds the
+    (A_n, B_n, C_n) of J.
     """
 
     fp: FamilyParams
     M: int
     window: tuple
     entries: dict = field(repr=False)
-    xentries: Optional[dict] = field(default=None, repr=False)
     abc: dict = field(default_factory=dict, repr=False)
-    ups: Optional[dict] = field(default=None, repr=False)
 
     def entry(self, s: int, n: int, k: int) -> Poly:
         """R^[s]_{n,k} in eta; zero outside the band |k| <= s+1."""
-        return self.entries.get((s, n, k), Poly.zero())
-
-    def xentry(self, s: int, n: int, k: int) -> Carrier:
-        """x-picture entry for difference families; zero outside the band."""
-        if self.xentries is None:
-            raise ConfigurationError("x-picture entries exist for W and AW only")
-        out = self.xentries.get((s, n, k))
-        if out is None:
-            return carrier_zero(self.fp)
-        return out
+        return self.entries.get((s, n, k), _ZERO)
 
     def to_rows(self) -> list:
         """Deterministic flat listing for export, every level s = 0..M."""
@@ -116,23 +115,59 @@ class RTable:
         return rows
 
 
+def _ladder(fp: FamilyParams, s: int) -> list:
+    """Coefficients in eta of prod_{t=0..s} (y - eta(x - i(s-2t) gamma/2))
+    in y, lowest first: entry j is (-1)^(s+1-j) sigma^[s]_{s+1-j}.  W and
+    AW expand in the x-picture and reduce; for L and J every value is eta."""
+    if fp.is_difference:
+        one, eta = carrier_one(fp), eta_x(fp)
+        values = [x_shift(fp, eta, Fraction(2 * t - s, 2)) for t in range(s + 1)]
+    else:
+        one, values = _ONE, [Poly.variable()] * (s + 1)
+    out = [one]
+    for e in values:
+        out = [out[0] * -e] + [a - e * b for a, b in zip(out, out[1:])] + [one]
+    return [reduce_to_eta(fp, p) for p in out] if fp.is_difference else out
+
+
+def _powers(abc: dict, M: int, lo: int, hi: int) -> list:
+    """[J^j]_{n,n+k} for j = 0..M+1 as dicts (n, k) -> nonzero scalar, on
+    rows lo-(M+1-j)..hi+(M+1-j) and |k| <= j."""
+    band = {(n, 0): Fraction(1) for n in range(lo - M - 1, hi + M + 2)}
+    out = [band]
+    for j in range(1, M + 2):
+        pad = M + 1 - j
+        prev, band = band, {}
+        for n in range(lo - pad, hi + pad + 1):
+            # the nonzero J_{n,n+d}, d = 1, 0, -1, with the row n+d they read
+            row = [(c, n + d, d) for c, d in zip(abc[n], (1, 0, -1)) if c]
+            for k in range(-j, j + 1):
+                v = None
+                for c, m, d in row:
+                    x = prev.get((m, k - d))
+                    if x is not None:
+                        v = c * x if v is None else v + c * x
+                if v:
+                    band[(n, k)] = v
+        out.append(band)
+    return out
+
+
 def build_rtable(
     fp: FamilyParams, M: int, window, coeffs: Optional[CoeffFn] = None,
     base: Optional[RTable] = None,
 ) -> RTable:
-    """Fill levels -1..M of the table; one recursion serves every family.
+    """Fill levels -1..M of the table from the closed form, for every family.
 
-    Three pieces depend on the family.  L and J recurse on polynomials in
-    eta, where the half-step shift and the reduction to eta are the
-    identity.  W and AW recurse on x-picture carriers, shift each level
-    s-1 entry to x + i gamma/2 and reduce every entry to eta; both forms
-    are stored.
+    Entry (s, n, k) is the dot product of the ladder coefficients of level
+    s with the band entries [J^j]_{n,n+k}, j = 0..s+1; the family enters
+    only through the ladder, whose x-picture shifts and reductions run
+    once per level.
 
     base, a table of fp at depth >= M over a window that covers this one,
     whose coefficients equal coeffs at every n >= 0, lends what coeffs
     cannot change: entry (s, n, k) reads rows n-s..n+s only, so each entry
-    with n >= s is base's, with its x-picture form and +i gamma/2 shift,
-    and so is every (A_n, B_n, C_n) at n >= 0.
+    with n >= s is base's, and so is every (A_n, B_n, C_n) at n >= 0.
     """
     window = _check_window(window)
     if M < 0:
@@ -142,53 +177,24 @@ def build_rtable(
     if lent and (base.fp != fp or base.M < M or base.window[0] > lo or base.window[1] < hi):
         raise ConfigurationError(f"base table does not cover depth {M} on {window}")
     coeffs = coeffs or (lambda n: three_term(fp, n))
-    if fp.is_difference:
-        one, zero = carrier_one(fp), carrier_zero(fp)
-        shift = lambda p: x_shift(fp, p, _HALF)
-        reduce = lambda p: reduce_to_eta(fp, p)
-        eta_arg = lambda s: x_shift(fp, eta_x(fp), Fraction(-s, 2))
-    else:
-        one, zero = Poly.one(), Poly.zero()
-        shift = reduce = lambda p: p
-        eta_arg = lambda s: Poly.variable()
-    # level 0 reads every row; in ascending n the first singular n is the one raised
+    # J^1 reads every row; in ascending n the first singular n is the one raised
     abc = {n: base.abc[n] if lent and n >= 0 else coeffs(n) for n in range(lo - M, hi + M + 1)}
-    xentries: dict = {}
-    entries: dict = {}
-    ups: dict = {}  # level s-1 entries evaluated at x + i gamma/2
-    if lent:
-        base_x = base.entries if base.xentries is None else base.xentries
-        ups = {key: p for key, p in (base.ups or {}).items() if key[1] >= key[0]}
-    for n in range(lo - M - 1, hi + M + 2):
-        xentries[(-1, n, 0)] = one
-        entries[(-1, n, 0)] = Poly.one()
-
-    def up(key):
-        got = ups.get(key)
-        if got is None:
-            got = ups[key] = shift(xentries.get(key, zero))
-        return got
-
+    # a lent table computes entries at rows n < s <= M only
+    powers = _powers(abc, M, lo, min(hi, M - 1) if lent else hi)
+    entries = {(-1, n, 0): _ONE for n in range(lo - M - 1, hi + M + 2)}
     for s in range(M + 1):
         pad = M - s
-        eta_s = eta_arg(s)
+        ladder = _ladder(fp, s)
         for n in range(lo - pad, hi + pad + 1):
-            if lent and n >= s:
-                for k in range(-s - 1, s + 2):
-                    key = (s, n, k)
-                    xentries[key], entries[key] = base_x[key], base.entries[key]
-                continue
-            A, B, C = abc[n]
-            diag = B - eta_s
             for k in range(-s - 1, s + 2):
-                val = _dot([(up((s - 1, n + 1, k - 1)), A),
-                            (diag, up((s - 1, n, k))),
-                            (up((s - 1, n - 1, k + 1)), C)])
-                xentries[(s, n, k)] = val
-                entries[(s, n, k)] = reduce(val)
-    if not fp.is_difference:
-        xentries = ups = None
-    return RTable(fp, M, window, entries, xentries, abc, ups)
+                key = (s, n, k)
+                if lent and n >= s:
+                    entries[key] = base.entries[key]
+                    continue
+                terms = [(c, x) for c, band in zip(ladder, powers)
+                         if (x := band.get((n, k))) is not None]
+                entries[key] = _dot(terms) if terms else _ZERO
+    return RTable(fp, M, window, entries, abc)
 
 
 # -- structural identity checks ------------------------------------------------
@@ -208,65 +214,67 @@ def check_rprop(table: RTable) -> list:
 
 
 def check_rprop2_rprop3(table: RTable) -> list:
-    """Violations (s, n, k, law) of the two half-shift identities for W/AW tables.
+    """Violations (s, n, k, law) of the two half-shift laws for W/AW tables.
 
-    First identity: the odd half of a level-s entry equals the odd half of
-    eta at displacement (s+1)/2 times the level s-1 entry at rest.  Second:
-    a level-s entry rebuilds from even halves of level s-1 with the
-    coefficient recursion, corrected by a level s-2 term; at s = 0 the
-    correction factor is identically zero.
+    half-difference:   D R^[s]_{n,k} = -kappa_{s+1} R^[s-1]_{n,k};
+    even-half-rebuild: R^[s]_{n,k} = A_n (A R^[s-1]_{n+1,k-1})
+                           + (B_n - mid_s) (A R^[s-1]_{n,k})
+                           + C_n (A R^[s-1]_{n-1,k+1}) + corr_s R^[s-2]_{n,k},
 
-    Every x-entry is even in x (W) or symmetric under z -> 1/z (AW), as
-    reduce_to_eta proved when build_rtable stored it, so its shift to
-    x - i gamma/2 is the mirror (x -> -x, z -> 1/z) of the one to x + i gamma/2.
+    with D and A the divided difference and the average of the module
+    docstring, mid_s the average and corr_s minus a quarter of the squared
+    difference of eta(x - i s gamma/2) and eta(x + i s gamma/2); corr_0 = 0.
+    Both operators act on the stored eta entries through their images of
+    1, eta, eta^2, ..., built once per call.  Lifting eta to the x-picture
+    is injective, so these are the x-picture laws of the recursion exactly.
     """
     fp = table.fp
     if not fp.is_difference:
         raise ConfigurationError("check_rprop2_rprop3 requires family W or AW")
     M = table.M
     lo, hi = table.window
-    mirror = Poly.reflect if fp.family == "W" else LaurentPoly.z_inverse
     eta = eta_x(fp)
-    halves: dict = {}  # (s, n, k) -> the entry shifted by -1/2 and by +1/2
-    pluses: dict = {}  # (s, n, k) -> the even half of the entry
+    eta_at = lambda c: x_shift(fp, eta, c)  # eta(x + i c gamma)
+    reduce = lambda p: reduce_to_eta(fp, p)
+    dn, up = eta_at(-_HALF), eta_at(_HALF)
+    gap = dn - up
+    top = max([M + 1] + [p.degree for p in table.entries.values() if p])
+    averages, differences = [_ONE], [_ZERO]
+    p_dn = p_up = carrier_one(fp)
+    for _ in range(top):
+        p_dn, p_up = p_dn * dn, p_up * up
+        averages.append(reduce((p_dn + p_up) * _HALF))
+        differences.append(reduce((p_dn - p_up).exact_div(gap)))
 
-    def halves_of(key):
-        got = halves.get(key)
-        if got is None:
-            up = table.ups.get(key)
-            if up is None:  # level M
-                up = x_shift(fp, table.xentry(*key), _HALF)
-            got = halves[key] = (mirror(up), up)
-        return got
+    avg: dict = {}  # (s, n, k) -> the average of the entry
 
-    def plus(key):
-        got = pluses.get(key)
+    def average(key):
+        got = avg.get(key)
         if got is None:
-            got = pluses[key] = _dot([(h, _HALF) for h in halves_of(key)])
+            p = table.entry(*key)
+            got = avg[key] = _dot([(averages[j], c) for j, c in enumerate(p.coeffs)]) if p else p
         return got
 
     bad = []
     for s in range(M + 1):
         pad = M - s
-        e_up = x_shift(fp, eta, Fraction(s, 2))
-        e_dn = x_shift(fp, eta, Fraction(-s, 2))
-        # both identities as residuals that must vanish; the first without
-        # the common factor i/2 of its two sides
-        odd = x_shift(fp, eta, Fraction(-(s + 1), 2)) - x_shift(fp, eta, Fraction(s + 1, 2))
-        mid = (e_dn + e_up) * _HALF
-        corr = (e_dn - e_up) ** 2 * Fraction(-1, 4)  # zero at s = 0
+        e_dn, e_up = eta_at(Fraction(-s, 2)), eta_at(Fraction(s, 2))
+        kappa = reduce((eta_at(Fraction(-s - 1, 2)) - eta_at(Fraction(s + 1, 2))).exact_div(gap))
+        mid = reduce((e_dn + e_up) * _HALF)
+        corr = reduce((e_dn - e_up) ** 2 * Fraction(-1, 4))
         for n in range(lo - pad, hi + pad + 1):
             A, B, C = table.abc[n]
             diag = B - mid
             for k in range(-s - 1, s + 2):
-                c_dn, c_up = halves_of((s, n, k))
-                if _dot([(c_dn, 1), (c_up, -1), (odd, table.xentry(s - 1, n, k))]):
+                p = table.entry(s, n, k)
+                if _dot([(differences[j], c) for j, c in enumerate(p.coeffs)]
+                        + [(table.entry(s - 1, n, k), kappa)]):
                     bad.append((s, n, k, "half-difference"))
-                if _dot([(plus((s - 1, n + 1, k - 1)), A),
-                         (diag, plus((s - 1, n, k))),
-                         (plus((s - 1, n - 1, k + 1)), C),
-                         (corr, table.xentry(s - 2, n, k)),
-                         (table.xentry(s, n, k), -1)]):
+                if _dot([(average((s - 1, n + 1, k - 1)), A),
+                         (diag, average((s - 1, n, k))),
+                         (average((s - 1, n - 1, k + 1)), C),
+                         (corr, table.entry(s - 2, n, k)),
+                         (p, -1)]):
                     bad.append((s, n, k, "even-half-rebuild"))
     return bad
 

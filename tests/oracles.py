@@ -13,6 +13,13 @@ wa_virtual_energy, wa_energy and wa_virtual_params are the Wilson and
 Askey-Wilson formulas as two hand-written branches, the reference for the
 single bracket that miop.families writes both with.
 
+rtable_recursion is the level recursion that miop.rtable's closed form
+replaced, with its x-picture for W and AW (each level s-1 entry shifted
+to x + i*gamma/2, multiplied by the three-term coefficients and reduced
+back to eta entry by entry), and half_shift_violations_x the two
+half-shift laws checked on x-picture entries: the references for
+build_rtable and check_rprop2_rprop3.
+
 det_cofactor is the Laplace expansion that miop.exact.det (Bareiss
 elimination) is checked against, on plain lists of rows.
 
@@ -29,7 +36,8 @@ back in the tests' terms: one coefficient, a coefficient-wise image, a
 miop scalar from its format_scalar string, and a parameter point from its
 JSON form.  conj_coeffs and star are the two conjugations
 the x-picture values are tested against: every coefficient conjugated, and
-for a Laurent value in z = e^{ix} also z -> 1/z (its conjugate at real x).
+for a Laurent value in z = e^{ix} also z -> 1/z (its conjugate at real x);
+reflect and z_inverse are the mirrors x -> -x and z -> 1/z.
 
 phi0_sq_mpmath is a float oracle: the W and AW weights phi_0^2 evaluated
 through mpmath's complex Gamma function and q-products, the reference for
@@ -69,7 +77,14 @@ from miop.errors import (
 from miop import exact
 from miop.exact import LaurentPoly, Poly, q_pow, rational_sqrt, scalar_sign
 from miop.exact.scalars import power
-from miop.families import FamilyParams
+from miop.families import (
+    FamilyParams,
+    carrier_one,
+    eta_x,
+    reduce_to_eta,
+    three_term,
+    x_shift,
+)
 from miop.multiindex import build
 from miop.quad import FloatPoly, QuadratureSpec, _qpoch_inf
 
@@ -92,9 +107,19 @@ def conj_coeffs(p):
                          for k, part in enumerate(p._parts)], p._den, p._q)
 
 
+def reflect(p: Poly) -> Poly:
+    """p(-x) for a Poly p in x."""
+    return p.compose(Poly([0, -1], p.var))
+
+
+def z_inverse(p: LaurentPoly) -> LaurentPoly:
+    """p(1/z) for a Laurent value p in z."""
+    return LaurentPoly(-p.hi, p.coeffs[::-1], p.var)
+
+
 def star(p: LaurentPoly) -> LaurentPoly:
     """The complex conjugate of a Laurent value at real x, z = e^{ix}."""
-    return conj_coeffs(p.z_inverse())
+    return conj_coeffs(z_inverse(p))
 
 
 _FRACTION_RE = r"[+-]?\d+(?:/\d+)?"
@@ -355,6 +380,99 @@ def wa_virtual_params(fp, vtype: str):
     return FamilyParams(fp.family, lam, fp.q, check_range=False)
 
 
+# -- R-tables by the level recursion -------------------------------------------
+
+
+def rtable_recursion(fp, M: int, window, coeffs=None) -> tuple:
+    """(entries, xentries) of the depth-M table on window by the recursion
+
+        Rx^[s]_{n,k}(x) = A_n Rx^[s-1]_{n+1,k-1}(x + i gamma/2)
+                          + (B_n - eta(x - i s gamma/2)) Rx^[s-1]_{n,k}(x + i gamma/2)
+                          + C_n Rx^[s-1]_{n-1,k+1}(x + i gamma/2),
+
+    level s on the window widened by M - s rows on each side.  For W and AW
+    xentries holds the x-picture values and entries their reductions to
+    eta; for L and J the shift and the reduction are the identity and
+    xentries is None.
+    """
+    lo, hi = window
+    coeffs = coeffs or (lambda n: three_term(fp, n))
+    abc = {n: coeffs(n) for n in range(lo - M, hi + M + 1)}
+    half = Fraction(1, 2)
+    if fp.is_difference:
+        one = carrier_one(fp)
+        zero = Poly.zero("x") if fp.family == "W" else LaurentPoly()
+        shift = lambda p: x_shift(fp, p, half)
+        reduce = lambda p: reduce_to_eta(fp, p)
+        eta_arg = lambda s: x_shift(fp, eta_x(fp), Fraction(-s, 2))
+    else:
+        one, zero = Poly.one(), Poly.zero()
+        shift = reduce = lambda p: p
+        eta_arg = lambda s: Poly.variable()
+    xentries = {(-1, n, 0): one for n in range(lo - M - 1, hi + M + 2)}
+    entries = {(-1, n, 0): Poly.one() for n in range(lo - M - 1, hi + M + 2)}
+
+    def up(key):
+        return shift(xentries.get(key, zero))
+
+    for s in range(M + 1):
+        pad = M - s
+        eta_s = eta_arg(s)
+        for n in range(lo - pad, hi + pad + 1):
+            A, B, C = abc[n]
+            for k in range(-s - 1, s + 2):
+                val = (up((s - 1, n + 1, k - 1)) * A + (B - eta_s) * up((s - 1, n, k))
+                       + up((s - 1, n - 1, k + 1)) * C)
+                xentries[(s, n, k)] = val
+                entries[(s, n, k)] = reduce(val)
+    return entries, (xentries if fp.is_difference else None)
+
+
+def half_shift_violations_x(fp, M: int, window, abc: dict, xentries: dict) -> list:
+    """Violations (s, n, k, law) of the two half-shift laws on x-picture
+    entries of a depth-M W or AW table, in the order check_rprop2_rprop3
+    lists them.
+
+    half-difference: Rx^[s](x - i gamma/2) - Rx^[s](x + i gamma/2)
+        + (eta(x - i(s+1) gamma/2) - eta(x + i(s+1) gamma/2)) Rx^[s-1](x) = 0;
+    even-half-rebuild: with P the even half (p(x - i gamma/2) + p(x + i gamma/2))/2,
+        A_n P(Rx^[s-1]_{n+1,k-1}) + (B_n - mid) P(Rx^[s-1]_{n,k})
+        + C_n P(Rx^[s-1]_{n-1,k+1}) + corr Rx^[s-2]_{n,k} - Rx^[s]_{n,k} = 0,
+    mid and corr the half sum and minus a quarter of the squared difference
+    of eta(x - i s gamma/2) and eta(x + i s gamma/2).
+    """
+    lo, hi = window
+    half = Fraction(1, 2)
+    zero = Poly.zero("x") if fp.family == "W" else LaurentPoly()
+    eta = eta_x(fp)
+
+    def x(key):
+        return xentries.get(key, zero)
+
+    def plus(key):
+        return (x_shift(fp, x(key), -half) + x_shift(fp, x(key), half)) * half
+
+    bad = []
+    for s in range(M + 1):
+        pad = M - s
+        e_up = x_shift(fp, eta, Fraction(s, 2))
+        e_dn = x_shift(fp, eta, Fraction(-s, 2))
+        odd = x_shift(fp, eta, Fraction(-(s + 1), 2)) - x_shift(fp, eta, Fraction(s + 1, 2))
+        mid = (e_dn + e_up) * half
+        corr = (e_dn - e_up) ** 2 * Fraction(-1, 4)
+        for n in range(lo - pad, hi + pad + 1):
+            A, B, C = abc[n]
+            for k in range(-s - 1, s + 2):
+                key = (s, n, k)
+                if (x_shift(fp, x(key), -half) - x_shift(fp, x(key), half)
+                        + odd * x((s - 1, n, k))):
+                    bad.append((s, n, k, "half-difference"))
+                if (plus((s - 1, n + 1, k - 1)) * A + (B - mid) * plus((s - 1, n, k))
+                        + plus((s - 1, n - 1, k + 1)) * C + corr * x((s - 2, n, k)) - x(key)):
+                    bad.append((s, n, k, "even-half-rebuild"))
+    return bad
+
+
 def schoolbook_mul(a, b) -> tuple:
     """Coefficient run of the product of the runs a and b (lowest first)."""
     if not a or not b:
@@ -473,7 +591,7 @@ def laurent_to_eta_scalar(p):
     eta = (z + 1/z)/2, by peeling leading Chebyshev terms."""
     if star(p) != p:
         raise ReductionFailure("x-picture value is not self-conjugate")
-    if p.z_inverse() != p:
+    if z_inverse(p) != p:
         raise ReductionFailure("x-picture value is not symmetric under z -> 1/z")
     hi = max(p.hi, 0)
     rem = [coeff(p, k) for k in range(-hi, hi + 1)]  # rem[hi + k] multiplies z**k

@@ -15,7 +15,7 @@ from miop.exact.poly import _dot
 from miop.families import PRESETS, poly_to_x
 
 from .oracles import (coeff, conj, conj_coeffs, laurent_shift_scalar, laurent_to_eta_scalar,
-                      long_division, schoolbook_mul, star, x_shift_compose)
+                      long_division, schoolbook_mul, star, x_shift_compose, z_inverse)
 from .strategies import (RADICANDS, laurents, nonzero_polys, polys, rationals,
                          tower_scalars)
 
@@ -120,12 +120,12 @@ class TestLaurent:
 
     @given(laurents())
     def test_z_inverse_involution(self, p):
-        assert p.z_inverse().z_inverse() == p
+        assert z_inverse(z_inverse(p)) == p
 
     @given(laurents(), laurents())
     @settings(max_examples=40)
     def test_mul_commutes_with_z_inverse(self, a, b):
-        assert (a * b).z_inverse() == a.z_inverse() * b.z_inverse()
+        assert z_inverse(a * b) == z_inverse(a) * z_inverse(b)
 
     def test_exact_div(self):
         a = LaurentPoly(-1, [1, 2, 1])
@@ -399,7 +399,6 @@ class TestIntegerKernel:
             todo += [(lambda lp=lp, c=c, base=base: laurent_shift(lp, c, base),
                       laurent_shift_scalar(lp, c, base)) for c, base in shifts]
             px = Poly(run, "x")
-            todo.append((lambda px=px: px.reflect(), px.compose(Poly([0, -1], "x"))))
             todo += [(lambda px=px, c=c: imag_shift(px, c), x_shift_compose(px, c))
                      for c in (Fraction(1, 2), Fraction(-3, 2), 2, Fraction(5, 3))]
         for run in real_runs:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import miop.verify as verify_mod
 from miop.errors import ConfigurationError, GenericityError, LeadingCoefficientZero, MiopError
-from miop.exact import LaurentPoly, Poly
-from miop.families import PRESETS, FamilyParams, carrier_one, three_term
+from miop.exact import Poly
+from miop.families import PRESETS, FamilyParams, three_term
 from miop.multiindex import IndexSet, build
 from miop.rtable import build_rtable
 from miop.verify import (
@@ -242,21 +242,20 @@ class TestTableLaws:
         assert not rep.passed
         assert "(n=2, k=0)" in rep.witness
 
-    @pytest.mark.parametrize("key", ["w-default", "aw-default"])
+    @pytest.mark.parametrize("key", ["w-default", "aw-default", "aw-q13"])
     @pytest.mark.parametrize("s", [0, 1, 2])
     def test_shift_laws_catch_xentry_corruption(self, key, s):
-        """The half-shift laws read the shifts build_rtable stored for the
-        levels below M and mirror them for the shifts to x - i gamma/2; an
-        x-entry changed after the build, by an even constant or by a term
-        odd under the mirror (+x for W, +z for AW), still fails them at its
-        own level, whether or not its shift was stored."""
+        """The half-shift laws read the stored eta entries through the
+        average and the divided difference; an entry changed after the
+        build, by a constant or by a term of degree 1 or 2 in eta (its
+        x-picture lift changed by the same polynomial in eta(x)), fails them
+        first at its own level."""
         fp = PRESETS[key]
         D = IndexSet.parse("I1,I2")
-        odd = Poly([F(0), F(1)], var="x") if fp.family == "W" else LaurentPoly.monomial(1)
-        for bump in (carrier_one(fp), odd):
+        for bump in (Poly.one(), ETA, ETA * ETA * F(1, 7)):
             table = build_rtable(fp, D.M, (-3, 3))
             entry = (s, 1, 0)
-            table.xentries[entry] = table.xentries[entry] + bump
+            table.entries[entry] = table.entries[entry] + bump
             rep = check_rtable_shift(table, D)
             assert not rep.passed
             assert [r["s"] for r in rep.rows if r["status"] == "fail"][0] == s
