@@ -11,26 +11,31 @@ Poly, lo = 0 for LaurentPoly).  Values are immutable.
 
 A tower scalar is one column of the same form, read as a run of length
 one.  Every ring operation works on the integers: sums of products,
-aligned on one common denominator and made canonical once (_dot; a sum or
-a product is the one-term case), powers, division (one pseudo-division
-after clearing the conjugates of the divisor's leading coefficient, as
-scalar division does, serves both exact_div and Poly's remainder %),
-composition (Horner's rule), the derivative, the
+aligned on one common denominator and made canonical once (_dot; a
+product is the one-term case, a sum or difference the two-term case with
+factors 1 and +-1), in two lanes: the rational lane, where both factors
+are width-1 runs (or one is an int or Fraction) and a sum of such
+products is one integer pass, and the tower path over the basis
+(1, i, r, i*r) for the rest.  A rational-lane result has the same
+canonical (parts, den, q) as the tower path's.  Then powers, division
+(one pseudo-division after clearing the conjugates of the divisor's
+leading coefficient, as scalar division does, serves both exact_div and
+Poly's remainder %), composition (Horner's rule), the derivative, the
 x-picture shifts x -> x + i*c (an integer Taylor shift) and z -> z*q**c
-and the reductions to eta.  `coeffs` views each
-column as its canonical scalar (Fraction over Q, GaussianRational across a
-run with any i part) on first use.  Mixing the two carriers, two
-variables or two radicands raises ConfigurationError.
+and the reductions to eta.  `coeffs` views each column as its canonical
+scalar (Fraction over Q, GaussianRational across a run with any i part)
+on first use.  Mixing the two carriers, two variables or two radicands
+raises ConfigurationError.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from typing import Iterable
 
 from ..errors import ConfigurationError, InexactDivision, ReductionFailure
-from .scalars import (_F0, _TIMES, Scalar, _align, _clear_conjugates, _column, _mul_ints,
-                      _normal, _r2, _radicand, _view, format_scalar, power)
+from .scalars import (_F0, _TIMES, Scalar, _Tower, _align, _clear_conjugates, _column, _conv,
+                      _mul_ints, _normal, _r2, _radicand, _view, format_scalar, power)
 
 NEG_INF = float("-inf")
 
@@ -38,14 +43,22 @@ NEG_INF = float("-inf")
 # -- scalars in and out ------------------------------------------------------------
 
 def _coords(run: Iterable[Scalar]) -> tuple:
-    """(parts, den, q) of a coefficient run, not yet in canonical form."""
+    """(parts, den, q) of a coefficient run, not yet in canonical form.
+
+    A run of ints and Fractions takes one lcm and one pass; any other run
+    is aligned column by column.
+    """
+    run = tuple(run)
+    if all(type(c) is int or type(c) is Fraction for c in run):
+        den = lcm(*[c.denominator for c in run])
+        return [[c.numerator * (den // c.denominator) for c in run]], den, None
     terms = []
     for j, c in enumerate(run):
         col = _column(c)
         if col is None:
             raise ConfigurationError(f"cannot hold {type(c).__name__} in a polynomial")
         terms.append((j, *col))
-    return _align(terms)[1:] if terms else ([[]], 1, None)
+    return _align(terms)[1:]
 
 
 def _from_ints(parts, den: int, q) -> list:
@@ -73,24 +86,67 @@ def _dot(terms) -> "_PolyBase":
     """sum a*b over the pairs (a, b) of terms, a nonempty iterable.
 
     Every a is a value of one carrier ring and every b a value of that ring
-    or a scalar; the products are summed over one common denominator and
-    the result is put in canonical form once.
+    or a scalar.  A product takes one of two lanes.  The rational lane
+    takes a pair of width-1 runs (no i or sqrt(q) part, an int or Fraction
+    b included, read in place): its product is one _conv, or none where
+    one side has a single entry, which then rides in the term's alignment
+    multiplier.  Every other product takes the tower path, _mul_ints over
+    the basis (1, i, r, i*r).  A sum of rational terms alone is aligned in
+    one integer pass; otherwise they join the tower terms in _align.  The
+    result is made canonical once, so it has the same (parts, den, q)
+    whichever lane each of its terms took.
     """
-    ring, prods = None, []
+    ring, rats, prods = None, [], []
     for a, b in terms:
         if ring is None:
-            ring = a
-        a = ring._operand(a)
-        if isinstance(b, _PolyBase):
-            b = ring._operand(b)
+            ring, cls, var = a, type(a), a.var
+        if type(a) is not cls or a.var != var:
+            a = ring._operand(a)
+        aparts = a._parts
+        if type(b) is int or type(b) is Fraction:  # a rational scalar, read in place
+            n, d = b.as_integer_ratio()
+            if not (n and aparts[0]):
+                continue
+            if len(aparts) == 1:
+                rats.append((a.lo, aparts[0], a._den * d, n))
+                continue
+            blo, bparts, bden, bq = 0, [[n]], d, None
+        elif isinstance(b, _PolyBase):
+            if type(b) is not cls or b.var != var:
+                b = ring._operand(b)
             blo, bparts, bden, bq = b.lo, b._parts, b._den, b._q
         else:
             blo, (bparts, bden, bq) = 0, _column(b)
-        if a._parts[0] and any(map(any, bparts)):
+        if not (aparts[0] and bparts[0]):
+            continue
+        lo, den = a.lo + blo, a._den * bden
+        if len(aparts) == 1 and len(bparts) == 1:  # (lo, run, den, multiplier)
+            x, y = aparts[0], bparts[0]
+            if len(y) == 1:
+                rats.append((lo, x, den, y[0]))
+            elif len(x) == 1:
+                rats.append((lo, y, den, x[0]))
+            else:
+                rats.append((lo, _conv(x, y), den, 1))
+        else:
             q = _radicand(a._q, bq)
-            prods.append((a.lo + blo, _mul_ints(a._parts, bparts, _r2(q)), a._den * bden, q))
+            prods.append((lo, _mul_ints(aparts, bparts, _r2(q)), den, q))
     if not prods:
-        return ring._new(0, [[]], 1, None)
+        if len(rats) == 1:
+            lo, run, den, m = rats[0]
+            return ring._new(lo, [run if m == 1 else [x * m for x in run]], den, None)
+        if not rats:
+            return ring._new(0, [[]], 1, None)
+        lo = min(t[0] for t in rats)
+        den = lcm(*[t[2] for t in rats])
+        out = [0] * (max(t[0] + len(t[1]) for t in rats) - lo)
+        for tlo, run, d, m in rats:
+            m *= den // d
+            for j, x in enumerate(run, tlo - lo):
+                out[j] += x * m
+        return ring._new(lo, [out], den, None)
+    for lo, run, den, m in rats:
+        prods.append((lo, [run if m == 1 else [x * m for x in run]], den, None))
     return ring._new(*(prods[0] if len(prods) == 1 else _align(prods)))
 
 
@@ -150,15 +206,9 @@ class _PolyBase:
 
     # -- ring ops --------------------------------------------------------------
     def __add__(self, other):
-        other = self._operand(other)
-        if other is None:
+        if self._operand(other) is None:
             return NotImplemented
-        if not other._parts[0]:
-            return self
-        if not self._parts[0]:
-            return other
-        return self._new(*_align([(self.lo, self._parts, self._den, self._q),
-                                  (other.lo, other._parts, other._den, other._q)]))
+        return _dot([(self, 1), (other, 1)])
 
     __radd__ = __add__
 
@@ -167,13 +217,17 @@ class _PolyBase:
                          self._den, self._q)
 
     def __sub__(self, other):
-        return self + (-other)
+        if self._operand(other) is None:
+            return NotImplemented
+        return _dot([(self, 1), (other, -1)])
 
     def __rsub__(self, other):
-        return (-self) + other
+        if self._operand(other) is None:
+            return NotImplemented
+        return _dot([(self, -1), (other, 1)])
 
     def __mul__(self, other):
-        if isinstance(other, _PolyBase) or _column(other) is not None:
+        if isinstance(other, (_PolyBase, int, Fraction, _Tower)):
             return _dot([(self, other)])
         return NotImplemented
 

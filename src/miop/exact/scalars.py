@@ -119,6 +119,8 @@ def _mul_ints(a: list, b: list, r2: int) -> list:
     if len(b) == 1 and len(b[0]) == 1:  # a rational constant
         c = b[0][0]
         return [[x * c for x in part] for part in a]
+    if len(a) == 1 and len(b) == 1:
+        return [_conv(a[0], b[0])]
     out = [None] * max(len(a), len(b))
     for k, ak in enumerate(a):
         if not any(ak):

@@ -378,7 +378,13 @@ def _phi0_sq(fp: FamilyParams) -> Callable[[float], float]:
     """
     if fp.family == "L":
         g2 = 2.0 * float(fp.g)
-        return lambda x: math.exp(-x * x) * x ** g2
+
+        def l_weight(x: float) -> float:
+            try:
+                return math.exp(-x * x) * x ** g2
+            except OverflowError:  # x ** 2g alone leaves range: one exp of the summed logs
+                return math.exp(g2 * math.log(x) - x * x)
+        return l_weight
     if fp.family == "J":
         g2, h2 = 2.0 * float(fp.g), 2.0 * float(fp.h)
         return lambda x: math.sin(x) ** g2 * math.cos(x) ** h2
@@ -685,7 +691,15 @@ def orthogonality_check(weight: Weight, n: int, m: int, spec: QuadratureSpec = Q
     norm_n, norm_m = weight.norm(n), weight.norm(m)
     if n == m:
         return result.value, norm_n, abs(result.value - norm_n) / abs(norm_n)
-    return result.value, 0.0, abs(result.value) / math.sqrt(abs(norm_n) * abs(norm_m))
+    return result.value, 0.0, abs(result.value) / _geometric_mean(norm_n, norm_m)
+
+
+def _geometric_mean(h_n: float, h_m: float) -> float:
+    """sqrt(|h_n| |h_m|), from the two roots where the product leaves binary64 range."""
+    prod = abs(h_n) * abs(h_m)
+    if 0.0 < prod < math.inf:
+        return math.sqrt(prod)
+    return math.sqrt(abs(h_n)) * math.sqrt(abs(h_m))
 
 
 def ortho_grid(fp: FamilyParams, D: IndexSet, n_max: int, spec: QuadratureSpec = QuadratureSpec()):

@@ -208,7 +208,7 @@ def check_rprop(table: RTable) -> list:
     for (s, n, k), p in sorted(table.entries.items()):
         if s < 0:
             continue
-        if p.derivative() != table.entry(s - 1, n, k) * Fraction(-(s + 1)):
+        if p.derivative() != table.entry(s - 1, n, k) * -(s + 1):
             bad.append((s, n, k))
     return bad
 
@@ -260,6 +260,8 @@ def check_rprop2_rprop3(table: RTable) -> list:
         pad = M - s
         e_dn, e_up = eta_at(Fraction(-s, 2)), eta_at(Fraction(s, 2))
         kappa = reduce((eta_at(Fraction(-s - 1, 2)) - eta_at(Fraction(s + 1, 2))).exact_div(gap))
+        # the half-difference law over kappa, a nonzero constant (m, or the q-number [m])
+        scaled = [_dot([(d, 1 / kappa.lc)]) for d in differences]
         mid = reduce((e_dn + e_up) * _HALF)
         corr = reduce((e_dn - e_up) ** 2 * Fraction(-1, 4))
         for n in range(lo - pad, hi + pad + 1):
@@ -267,8 +269,11 @@ def check_rprop2_rprop3(table: RTable) -> list:
             diag = B - mid
             for k in range(-s - 1, s + 2):
                 p = table.entry(s, n, k)
-                if _dot([(differences[j], c) for j, c in enumerate(p.coeffs)]
-                        + [(table.entry(s - 1, n, k), kappa)]):
+                # on a rational p = run/den the law times den: p's integer run and
+                # den R^[s-1], zero exactly when the law holds; no scalar is built
+                run, den = (p._parts[0], p._den) if len(p._parts) == 1 else (p.coeffs, 1)
+                if _dot([(scaled[j], c) for j, c in enumerate(run)]
+                        + [(table.entry(s - 1, n, k), den)]):
                     bad.append((s, n, k, "half-difference"))
                 if _dot([(average((s - 1, n + 1, k - 1)), A),
                          (diag, average((s - 1, n, k))),

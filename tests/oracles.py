@@ -23,6 +23,12 @@ build_rtable and check_rprop2_rprop3.
 det_cofactor is the Laplace expansion that miop.exact.det (Bareiss
 elimination) is checked against, on plain lists of rows.
 
+reference_scalar, run_coords and dot_schoolbook read the integer form of
+miop.exact from the scalars alone: a value in the reference tower, the
+canonical (parts, den, q, lo) of a coefficient run, and that of a sum of
+products formed coefficient by coefficient; the references for the
+constructors and for _dot.
+
 schoolbook_mul and long_division are the per-coefficient scalar loops of
 polynomial multiplication and division, on bare coefficient runs, and
 laurent_shift_scalar and laurent_to_eta_scalar those of the x-picture shift
@@ -62,7 +68,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial, sqrt
+from math import comb, factorial, lcm, sqrt
 
 import mpmath
 
@@ -486,6 +492,65 @@ def schoolbook_mul(a, b) -> tuple:
     return tuple(out)
 
 
+def reference_scalar(x):
+    """A miop scalar, int or Fraction as a value of the reference tower below
+    (which it leaves as it is)."""
+    if isinstance(x, (GaussianRational, SqrtQRational)):
+        return x
+    if isinstance(x, exact.SqrtQRational):
+        return make_sqrtq(reference_scalar(x.a), reference_scalar(x.b), x.q)
+    if isinstance(x, exact.GaussianRational):
+        return GaussianRational(x.re, x.im)
+    return Fraction(x)
+
+
+def run_coords(run, lo: int = 0, both_ends: bool = False) -> tuple:
+    """(parts, den, q, lo) of a coefficient run of either tower, from each
+    scalar's own parts: coordinate k of entry j along (1, i, r, i*r), with
+    r = sqrt(qn*qd) so that b*sqrt(q) = (b/qd)*r, over the lcm of their
+    denominators; zero end entries dropped (the low ones too, moving lo,
+    when both_ends), width 1, 2 or 4 as the entries need, q kept at width 4."""
+    cols, q = [], None
+    for c in map(reference_scalar, run):
+        if isinstance(c, SqrtQRational):
+            q, qd = c.q, c.q.denominator
+            cols.append((c.a.re, c.a.im, c.b.re / qd, c.b.im / qd))
+        elif isinstance(c, GaussianRational):
+            cols.append((c.re, c.im, Fraction(0), Fraction(0)))
+        else:
+            cols.append((c, Fraction(0), Fraction(0), Fraction(0)))
+    while cols and not any(cols[-1]):
+        cols.pop()
+    while both_ends and cols and not any(cols[0]):
+        cols.pop(0)
+        lo += 1
+    if not cols:
+        return [[]], 1, None, 0
+    width = 4 if any(c[2] or c[3] for c in cols) else 2 if any(c[1] for c in cols) else 1
+    den = lcm(*(x.denominator for c in cols for x in c))
+    parts = [[int(c[k] * den) for c in cols] for k in range(width)]
+    return parts, den, q if width == 4 else None, lo
+
+
+def dot_schoolbook(terms) -> tuple:
+    """run_coords of sum a*b over the pairs (a, b) of terms, each a a Poly or
+    LaurentPoly and each b one of the same carrier or a scalar: every
+    coefficient product formed in the reference tower and summed per
+    exponent, the reference for miop.exact.poly._dot."""
+    acc, laurent = {}, False
+    for a, b in terms:
+        laurent = isinstance(a, LaurentPoly)
+        bs = (list(enumerate(b.coeffs, b.lo)) if isinstance(b, (Poly, LaurentPoly))
+              else [(0, b)])
+        for e, x in enumerate(a.coeffs, a.lo):
+            for f, y in bs:
+                acc[e + f] = acc.get(e + f, Fraction(0)) + reference_scalar(x) * reference_scalar(y)
+    if not acc:
+        return [[]], 1, None, 0
+    lo = min(acc) if laurent else 0
+    return run_coords([acc.get(e, 0) for e in range(lo, max(acc) + 1)], lo, laurent)
+
+
 def long_division(num, den) -> tuple:
     """(quotient, remainder) runs of num by den; den's last entry nonzero."""
     rem = list(num)
@@ -712,7 +777,10 @@ def ortho_grid_scalar(fp, D, n_max: int, spec: QuadratureSpec = QuadratureSpec()
             if n == m:
                 rows.append((n, m, value, norm_n, abs(value - norm_n) / abs(norm_n)))
             else:
-                rows.append((n, m, value, 0.0, abs(value) / sqrt(abs(norm_n) * abs(norm_m))))
+                prod = abs(norm_n) * abs(norm_m)  # its two roots where it leaves binary64 range
+                mean = (sqrt(prod) if 0.0 < prod < float("inf")
+                        else sqrt(abs(norm_n)) * sqrt(abs(norm_m)))
+                rows.append((n, m, value, 0.0, abs(value) / mean))
     return rows
 
 

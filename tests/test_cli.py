@@ -307,6 +307,15 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "8a4999579af04536ae023c1f6e3f6d2452f4609e71f516940d49c0b8988704c7")
 
+    def test_default_sweep_digest(self, capsys):
+        # all four presets x six index sets, so a changed witness scalar on
+        # J, W or AW fails too; no change to the exact core may move it
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 0
+        assert len(out.splitlines()) == 2137
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4c5cd2ed5f43a1392a5a5382f075c8c175478f414d6c7b3b9b94f7532612efb0")
+
     def test_workers_do_not_change_output(self, capsys, monkeypatch):
         args = ("verify", "--preset", "l-default", "--n-range", "-2..3")
         _, serial, _ = run_cli(capsys, *args)
@@ -471,9 +480,25 @@ class TestOrtho:
         assert lines[0] == "n,m,integral,expected,rel_err" and len(lines) == 7
         assert max(float(line.split(",")[4]) for line in lines[1:]) < 1e-8
 
+    def test_off_diagonal_beyond_norm_product_range(self, capsys):
+        # h_0 h_1 = 1.89e159 * 1.92e161 overflows binary64; rel_err takes the two roots
+        code, out, _ = run_cli(capsys, "ortho", "--family", "L", "--g", "100", "--D", "I1",
+                               "--n", "0..1")
+        assert code == 0
+        assert out.splitlines()[2] == "0,1,-8.877472439961103e+144,0.0,4.65715361730209e-16"
+
+    def test_weight_beyond_power_range(self, capsys):
+        # x ** 300 overflows at x = 17 although exp(-x^2) x^300 and h_0 are finite
+        code, out, _ = run_cli(capsys, "ortho", "--family", "L", "--g", "150", "--D", "I1",
+                               "--n", "0..1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,m,integral,expected,rel_err" and len(lines) == 4
+        assert max(float(line.split(",")[4]) for line in lines[1:]) < 1e-13
+
     @pytest.mark.parametrize("argv,where", [
-        # x ** 2g overflows in the L weight
-        (("--family", "L", "--g", "150", "--D", "I1", "--n", "0..1"), "L weight"),
+        # exp(-x^2) x^2g overflows in the L weight (h_0 = Gamma(300.5)/2 exceeds binary64 too)
+        (("--family", "L", "--g", "300", "--D", "I1", "--n", "0..1"), "L weight"),
         # exp of the summed q-product logs overflows in the AW weight near q = 1
         (("--family", "AW", "--a", "1/3,2/5,1/20,1/12", "--q", "999/1000", "--D", "II1",
           "--n", "0..0", _DIFFERENCE), "AW weight"),

@@ -14,8 +14,9 @@ from miop.exact import (NEG_INF, GaussianRational, LaurentPoly, Poly,
 from miop.exact.poly import _dot
 from miop.families import PRESETS, poly_to_x
 
-from .oracles import (coeff, conj, conj_coeffs, laurent_shift_scalar, laurent_to_eta_scalar,
-                      long_division, schoolbook_mul, star, x_shift_compose, z_inverse)
+from .oracles import (coeff, conj, conj_coeffs, dot_schoolbook, laurent_shift_scalar,
+                      laurent_to_eta_scalar, long_division, run_coords, schoolbook_mul, star,
+                      x_shift_compose, z_inverse)
 from .strategies import (RADICANDS, laurents, nonzero_polys, polys, rationals,
                          tower_scalars)
 
@@ -53,6 +54,12 @@ class TestPolyArith:
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
+
+    @given(st.one_of(polys(), laurents()), rationals())
+    @settings(max_examples=60)
+    def test_scalar_on_either_side(self, p, c):
+        assert (c - p) + p == c and (p - c) + c == p
+        assert c + p == p + c and (c - p) == -(p - c)
 
     def test_eval_and_compose(self):
         p = Poly([4, -4, 1], "eta")  # (eta-2)^2
@@ -543,9 +550,35 @@ def level_runs(draw, level, count):
     return q, [draw(entries) for _ in range(count)]
 
 
+CARRIERS = [(lambda lo, run: Poly(run)), LaurentPoly]
+
+
+@st.composite
+def lane_terms(draw, carrier):
+    """1-6 pairs for _dot weighted toward its rational lane: runs of ints and
+    Fractions, often of length one, Laurent offsets, int, Fraction and zero
+    factors, and sometimes one pair above Q (a Gaussian or sqrt(q) factor
+    or run) at a random place."""
+    q = draw(st.sampled_from(RADICANDS[:3]))
+    entry = st.one_of(st.just(0), st.integers(-5, 5), rationals())
+    runs = st.one_of(st.lists(entry, min_size=1, max_size=1), st.lists(entry, max_size=6))
+    value = st.builds(carrier, st.integers(-4, 3), runs)
+    factor = st.one_of(value, st.integers(-5, 5), rationals(), st.just(0))
+    terms = draw(st.lists(st.tuples(value, factor), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        wide_value = st.builds(carrier, st.integers(-4, 3),
+                               st.lists(tower_scalars(2, q), min_size=1, max_size=4))
+        wide = st.one_of(st.sampled_from([GaussianRational(0, 1), sqrt_q(q)]), wide_value)
+        pair = draw(st.one_of(st.tuples(value, wide), st.tuples(wide_value, factor)))
+        terms.insert(draw(st.integers(0, len(terms))), pair)
+    return terms
+
+
 class TestDot:
-    """_dot, the fused sum of products, against the plain sum of products:
-    the same value in the same stored form."""
+    """_dot, the fused sum of products, against dot_schoolbook in
+    tests/oracles.py (every coefficient product formed in the reference
+    tower): the same value in the same stored form, whichever lane each
+    term takes."""
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     @given(data=st.data())
@@ -556,16 +589,37 @@ class TestDot:
         scalar = data.draw(tower_scalars(level, q))
         # one term at the level's full width, so widths 1, 2 and 4 all occur
         extra = (3, GaussianRational(0, 1), sqrt_q(q))[level]
-        for carrier in (lambda lo, run: Poly(run), LaurentPoly):
+        for carrier in CARRIERS:
             a1, b1, a2, b2, a3, b3 = (carrier(lo, run) for lo, run in zip(los, runs))
             zero = a1 * 0
             terms = [(a1, b1), (a2, b2), (a3, scalar), (b3, extra),
-                     (zero, b1), (a1, zero), (a2, 0)]
-            want = a1 * b1 + a2 * b2 + a3 * scalar + b3 * extra
+                     (b3 * extra, Fraction(-2, 3)), (zero, b1), (a1, zero), (a2, 0)]
             got = _dot(terms)
             assert type(got) is type(a1) and got.var == a1.var
-            assert _coords_of(got) == _coords_of(want) and hash(got) == hash(want)
+            assert _coords_of(got) == dot_schoolbook(terms)
             assert _coords_of(_dot([(zero, b1), (a1, 0)])) == _coords_of(zero)
+
+    @pytest.mark.parametrize("carrier", CARRIERS, ids=["Poly", "LaurentPoly"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rational_lane(self, carrier, data):
+        terms = data.draw(lane_terms(carrier))
+        got = _dot(iter(terms))
+        assert type(got) is type(terms[0][0])
+        assert _coords_of(got) == dot_schoolbook(terms)
+        assert hash(got) == hash(carrier(got.lo, got.coeffs))
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_constructors_match_coords(self, level, data):
+        # Poly(run) and LaurentPoly(lo, run), one lcm and one pass on a run of
+        # ints and Fractions, against the coordinates read off the scalars
+        q, (run,) = data.draw(level_runs(level, 1))
+        lo = data.draw(st.integers(-4, 3))
+        assert _coords_of(Poly(run)) == run_coords(run)
+        assert _coords_of(Poly(iter(run))) == run_coords(run)
+        assert _coords_of(LaurentPoly(lo, run)) == run_coords(run, lo, both_ends=True)
 
     def test_mixed_radicand_raises(self):
         a = Poly([1, sqrt_q(Fraction(1, 3))])
