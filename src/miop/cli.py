@@ -11,11 +11,12 @@ point and validates its own flags.  Every flag default lives in the parser
 (the quadrature ones read from QuadratureSpec), except the rtable window,
 whose default -M-1..8 depends on --M.
 
-Outputs are deterministic: exact scalars serialize as strings, JSON keys
-are sorted, floats use shortest round-trip repr, and payloads carry no
-timestamps.  Every artifact embeds a provenance block with the resolved
-configuration and a digest of the content, so results are traceable to
-(family, lambda, D, N) alone.
+Outputs are deterministic: exact scalars serialize as strings, every digit
+of them (gen and rtable lift Python's int-to-text digit limit while they
+format them), JSON keys are sorted, floats use shortest round-trip repr, and
+payloads carry no timestamps.  Every artifact embeds a provenance block
+with the resolved configuration and a digest of the content, so results
+are traceable to (family, lambda, D, N) alone.
 
 `ortho` is the only subcommand that loads numpy and mpmath: miop.quad
 imports them on first use and sums every grid's node sets as numpy arrays,
@@ -26,6 +27,7 @@ only the randomized permutation probe; no mathematical output depends on it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -142,6 +144,22 @@ def _emit_json(payload: dict, out: Optional[str], fp: FamilyParams, preset: Opti
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's limit on the decimal digits of an int converted to text
+    (4300 by default, since 3.10.7) while gen and rtable turn exact scalars
+    into text, so they print in full.  Flags are parsed under the limit, so
+    an over-long --g exits 2; the limit is restored after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 # -- gen -------------------------------------------------------------------------
 
 
@@ -151,7 +169,8 @@ def cmd_gen(args) -> int:
     if args.N < 0:
         raise ConfigurationError("--N must be nonnegative")
     pair = build(fp, D, n_max=args.N)
-    payload = pair.to_json()
+    with _all_digits():
+        payload = pair.to_json()
     payload["degree_Xi"] = pair.Xi.degree
     _emit_json(payload, args.out, fp, preset, D)
     return 0
@@ -166,7 +185,8 @@ def cmd_rtable(args) -> int:
         raise ConfigurationError("--M must be nonnegative")
     window = (-args.M - 1, 8) if args.window is None else _parse_range(args.window, "--window")
     table = build_rtable(fp, args.M, window)
-    rows = table.to_rows()
+    with _all_digits():
+        rows = table.to_rows()
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -19,13 +19,17 @@ nonzero and deg P_{D,n} must equal ell + n over the tested range.  The
 probe raises GenericityError with a diagnostic instead of letting a
 downstream check fail obscurely.
 
-run_all builds the pair (Xi_D, P_{D,n}) and the depth-M table R^[s]_{n,k}
-once per (family, D) and hands them to every check.  Level s of that table
-is the depth-s table, so the prefix chain reads it too.  Only four objects
-are built apart: the override table, which takes from that table every
-entry whose recursion misses row -1 and computes the rest, Xi_D alone at
-shifted parameters for the seed, the prefix pairs of depth s < M and the
-permuted pair, unless the drawn permutation is the identity.
+run_all builds the pair (Xi_D, P_{D,n}) once per (family, D) and hands it
+to every check.  The depth-M table R^[s]_{n,k} has no D in it, so run_all
+reads the process-wide one of rtable.shared_rtable, built once per (family,
+M, window) and shared by every index set of depth M; level s of that table
+is the depth-s table, so the prefix chain reads it too.  Kept with that
+table and computed once each: the override table, which takes from it every
+entry whose recursion misses row -1 and computes the rest (once per window),
+and the rtable-shift law violations.  Three objects are built for each D
+apart: Xi_D alone at shifted parameters for the seed, the prefix pairs of
+depth s < M and the permuted pair, unless the drawn permutation is the
+identity.
 
 Each check returns one VerificationReport, and the CLI prints it as it is:
 one_line() or the stream() rows, and a FAIL verdict from its fields.
@@ -50,6 +54,7 @@ from .rtable import (
     check_rprop,
     check_rprop2_rprop3,
     check_vanishing_region,
+    shared_rtable,
 )
 
 IDENTITY_TAGS = (
@@ -122,18 +127,26 @@ def _rrp_residual(table: RTable, P_of, M: int, n: int) -> Poly:
     return _dot([(table.entry(M, n, k), P_of(n + k)) for k in range(-M - 1, M + 2)])
 
 
+def _kept(table: RTable, key, make):
+    """make(), computed once per key and kept with table (RTable.derived)."""
+    if key not in table.derived:
+        table.derived[key] = make()
+    return table.derived[key]
+
+
 def shared_objects(fp: FamilyParams, D: IndexSet, n_range: tuple) -> tuple:
     """The pair and the depth-M table that every check of run_all reads.
 
     The table covers rows min(lo, -M-1)..hi, so the vanishing triangle is
     inside it; the pair reaches n = hi + M + 1 for the recurrence and at
-    least n = 3 for the permutation probe.  The table is built first, so a
-    singular three-term coefficient is reported at the smallest n where it
-    occurs.
+    least n = 3 for the permutation probe.  The pair is built for D; the
+    table is the shared one of (fp, M, window), built on first use for any
+    D of depth M.  The table is read first, so a singular three-term
+    coefficient is reported at the smallest n where it occurs.
     """
     M = D.M
     lo, hi = n_range
-    table = build_rtable(fp, M, (min(lo, -M - 1), hi))
+    table = shared_rtable(fp, M, (min(lo, -M - 1), hi))
     pair = build(fp, D, n_max=max(hi + M + 1, 3))
     return pair, table
 
@@ -165,9 +178,11 @@ def check_rrp_override(pair: MultiIndexedPair, table: RTable, n_range: tuple) ->
     A_-1 = 0 is kept: it is what makes the table, and hence the identity,
     insensitive to the rest of the convention for nonnegative n.  table, the
     depth-M table under the default convention over a window that covers
-    n >= 0 of n_range, lends every entry whose recursion misses row -1.
+    n >= 0 of n_range, lends every entry whose recursion misses row -1.  The
+    override table is built once per table, depth and window and kept with
+    the table.
     """
-    fp = pair.fp
+    fp, M = pair.fp, pair.D.M
     window = (max(0, n_range[0]), n_range[1])
 
     def coeffs(n):
@@ -176,7 +191,8 @@ def check_rrp_override(pair: MultiIndexedPair, table: RTable, n_range: tuple) ->
             return (zero, Fraction(7), zero)
         return three_term(fp, n)
 
-    override = build_rtable(fp, pair.D.M, window, coeffs=coeffs, base=table)
+    override = _kept(table, ("override", M, window),
+                     lambda: build_rtable(fp, M, window, coeffs=coeffs, base=table))
     return check_rrp(pair, override, window, identity="rrp-override")
 
 
@@ -336,9 +352,11 @@ def check_rtable_shift(table: RTable, D: IndexSet) -> VerificationReport:
     """Derivative law of the R-table (L/J) or the two half-shift laws (W/AW).
 
     Both reduce level s to level s-1, so a single depth-M table exercises
-    every level at once; one row per level is reported.
+    every level at once; one row per level is reported.  The violations are
+    found once per table and kept with it.
     """
-    bad = check_rprop2_rprop3(table) if table.fp.is_difference else check_rprop(table)
+    laws = check_rprop2_rprop3 if table.fp.is_difference else check_rprop
+    bad = _kept(table, "shift-laws", lambda: tuple(laws(table)))
 
     def fail(s, n, k, *law):
         return f"level {s} entry (n={n}, k={k})" + (f" [{law[0]}]" if law else "")

@@ -4,15 +4,17 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miop import verify as verify_mod
+from miop import rtable as rtable_mod
 from miop.cli import main
 from miop.exact import Poly
+from miop.families import FamilyParams, classical_poly
 from miop.rtable import build_rtable
 
 from .strategies import family_params
@@ -135,6 +137,29 @@ class TestGen:
         assert code == 0, err
         assert sorted(json.loads(out)["P"]) == ["0", "1", "2"]
 
+    def test_coefficients_beyond_int_digit_limit_print_exactly(self, capsys):
+        # g = (10^2200 + 1)/3 gives P_2 coefficients of about 4400 digits, past
+        # the 4300 that Python turns into text by default
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        g = F(10**2200 + 1, 3)
+        code, out, err = run_cli(capsys, "gen", "--family", "L", "--g", str(g),
+                                 "--D", "", "--N", "2")
+        assert code == 0 and err == ""
+        P = json.loads(out)["P"]
+        assert [F(c) for c in P["1"]] == list(classical_poly(FamilyParams("L", (g,)), 1).coeffs)
+        assert max(len(c) for c in P["2"]) > 4300
+        # the limit is lifted only while the output is serialized
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int-to-text digit limit")
+    def test_flag_beyond_int_digit_limit_refused(self, capsys):
+        # flags are parsed under the limit: a --g of 4400 digits is refused
+        code, out, err = run_cli(capsys, "gen", "--family", "L", "--g", "7" * 4400,
+                                 "--D", "", "--N", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --g expects an exact rational") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv,point", [
         (("--family", "J", "--g", "7/2", "--h", "3/2", "--D", "II1"),
          "SingularCoefficient: three-term denominator vanishes at J lambda=(-5/2,3/2), n=0"),
@@ -157,6 +182,14 @@ class TestRtable:
                                "--format", "csv", "--out", str(target))
         assert code == 2
         assert "--out" in err and "Traceback" not in err
+
+    def test_entries_beyond_int_digit_limit_print_exactly(self, capsys):
+        # B_n^2 of L at g = (10^2200 + 1)/3 has about 4400 digits
+        g = F(10**2200 + 1, 3)
+        code, out, err = run_cli(capsys, "rtable", "--family", "L", "--g", str(g), "--M", "1",
+                                 "--window", "-2..1", "--format", "csv")
+        assert code == 0 and err == ""
+        assert max(len(line) for line in out.splitlines()) > 4300
 
     def test_top_corner_frozen(self, capsys):
         code, out, _ = run_cli(
@@ -262,7 +295,7 @@ class TestVerify:
          " n=1: eta^1 coefficient -54654355/2359296"),
     ], ids=["L", "AW"])
     def test_corrupted_coefficient_exits_one(self, capsys, monkeypatch, argv, verdict):
-        real_build = verify_mod.build_rtable
+        real_build = rtable_mod.build_rtable
 
         def corrupting(fp, M, window, coeffs=None, base=None):
             table = real_build(fp, M, window, coeffs=coeffs, base=base)
@@ -271,7 +304,9 @@ class TestVerify:
                 table.entries[key] = table.entries[key] + Poly([F(0), F(3)])
             return table
 
-        monkeypatch.setattr(verify_mod, "build_rtable", corrupting)
+        # the shared table (rtable.shared_rtable) is built in rtable; the
+        # autouse cold_memo fixture drops it before and after the test
+        monkeypatch.setattr(rtable_mod, "build_rtable", corrupting)
         code, out, _ = run_cli(capsys, "verify", *argv, "--n-range", "0..3")
         assert code == 1
         assert "FAIL" in out

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import miop.rtable as rtable_mod
 import miop.verify as verify_mod
 from miop.errors import ConfigurationError, GenericityError, LeadingCoefficientZero, MiopError
 from miop.exact import Poly
@@ -283,19 +284,27 @@ class TestRunAll:
     def test_builds_pair_and_table_once(self, monkeypatch):
         fp = PRESETS["w-default"]
         D = IndexSet.parse("I1,II1")
-        pairs, tables = [], []
-        real_build, real_build_rtable = verify_mod.build, verify_mod.build_rtable
+        pairs, tables, laws = [], [], []
+        real_build, real_build_rtable = verify_mod.build, rtable_mod.build_rtable
+        real_laws = verify_mod.check_rprop2_rprop3
 
         def counting_build(fp1, D1, n_max=8):
             pairs.append((fp1, D1))
             return real_build(fp1, D1, n_max)
 
         def counting_build_rtable(fp1, M, window, coeffs=None, base=None):
-            tables.append((M, coeffs is None, base is None))
+            tables.append((M, window, coeffs is None, base is None))
             return real_build_rtable(fp1, M, window, coeffs, base)
 
+        def counting_laws(table):
+            laws.append((table.M, table.window))
+            return real_laws(table)
+
         monkeypatch.setattr(verify_mod, "build", counting_build)
+        # the shared table is built in rtable, the override table in verify
+        monkeypatch.setattr(rtable_mod, "build_rtable", counting_build_rtable)
         monkeypatch.setattr(verify_mod, "build_rtable", counting_build_rtable)
+        monkeypatch.setattr(verify_mod, "check_rprop2_rprop3", counting_laws)
         # seed 3 swaps the two entries, so the permuted pair is built for another D
         reports = run_all(fp, D, (-3, 1), seed=3)
         assert all(r.passed for r in reports)
@@ -303,7 +312,24 @@ class TestRunAll:
         # seed 3 swaps the two entries: the permuted pair is built
         assert (fp, D.permute((1, 0))) in pairs
         # the shared depth-M table, then the B_-1 := 7 override table on it
-        assert tables == [(D.M, True, True), (D.M, False, False)]
+        once = [(D.M, (-3, 1), True, True), (D.M, (0, 1), False, False)]
+        assert tables == once
+        assert laws == [(D.M, (-3, 1))]
+        # another index set of the same depth and window builds its own pair
+        # but reads the same table, override table and law violations
+        other = IndexSet.parse("I1,I2")
+        again = run_all(fp, other, (-3, 1), seed=3)
+        assert all(r.passed for r in again)
+        assert pairs.count((fp, other)) == 1
+        assert tables == once
+        assert laws == [(D.M, (-3, 1))]
+        # a range from n = 1 reads the same table through another override window
+        run_all(fp, other, (1, 1), seed=3)
+        assert tables[2:] == [(D.M, (1, 1), False, False)]
+        # another window is another table
+        run_all(fp, other, (-3, 2), seed=3)
+        assert tables[3:] == [(D.M, (-3, 2), True, True), (D.M, (0, 2), False, False)]
+        assert laws == [(D.M, (-3, 1)), (D.M, (-3, 2))]
 
     def test_identity_permutation_reuses_pair(self, monkeypatch):
         fp = PRESETS["w-default"]
