@@ -20,11 +20,11 @@ products is one integer pass, and the tower path over the basis
 canonical (parts, den, q) as the tower path's.  Then powers, division
 (one pseudo-division after clearing the conjugates of the divisor's
 leading coefficient, as scalar division does, serves both exact_div and
-Poly's remainder %), composition (Horner's rule), the derivative, the
-x-picture shifts x -> x + i*c (an integer Taylor shift) and z -> z*q**c
-and the reductions to eta.  `coeffs` views each column as its canonical
-scalar (Fraction over Q, GaussianRational across a run with any i part)
-on first use.  Mixing the two carriers, two variables or two radicands
+Poly's remainder %), composition (Horner's rule, also Wilson's shift
+y -> y + c), the derivative, the x-picture shift z -> z*q**c and the
+reductions to eta.  `coeffs` views each column as its canonical scalar
+(Fraction over Q, GaussianRational across a run with any i part) on
+first use.  Mixing the two carriers, two variables or two radicands
 raises ConfigurationError.
 """
 from __future__ import annotations
@@ -419,32 +419,6 @@ class LaurentPoly(_PolyBase):
         return self.lo + len(self._parts[0]) - 1
 
 
-def imag_shift(p: Poly, c) -> Poly:
-    """Substitute x -> x + i*c exactly, for a rational c = u/v.
-
-    With d = deg p, v**d * p(x + i*c) = sum_j p_j v**(d-j) (v*x + i*u)**j:
-    coefficient j is scaled by v**(d-j), the run is Taylor-shifted by i*u
-    (synthetic division, where a product by i maps the coordinate pairs
-    (a, b) of a + b*i and of (a + b*i)*r to (-b, a)), coefficient k is
-    scaled by v**k and the denominator by v**d.
-    """
-    c = Fraction(c)
-    if not c or not p._parts[0]:
-        return p
-    u, v = c._numerator, c._denominator
-    d = len(p._parts[0]) - 1
-    vs = [v ** k for k in range(d + 1)]
-    parts = [[x * f for x, f in zip(part, vs[::-1])]
-             for part in _widen(p._parts, max(len(p._parts), 2))]
-    for re, im in zip(parts[0::2], parts[1::2]):
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                re[j] -= u * im[j + 1]
-                im[j] += u * re[j + 1]
-    return p._new(0, [[x * f for x, f in zip(part, vs)] for part in parts],
-                  p._den * vs[d], p._q)
-
-
 def laurent_shift(p: LaurentPoly, c, q) -> LaurentPoly:
     """Substitute z -> z*q**c exactly; c may be a half-integer.
 
@@ -485,14 +459,16 @@ def laurent_shift(p: LaurentPoly, c, q) -> LaurentPoly:
 # -- eta reductions ---------------------------------------------------------------
 
 def even_poly_to_eta(p: Poly) -> Poly:
-    """Map an even, real-coefficient Poly in x to a Poly in eta = x**2."""
+    """Map an even, real-coefficient Poly in y (Wilson's y = -ix, tagged
+    "x") to a Poly in eta = x**2 = -y**2: y**(2k) becomes (-eta)**k."""
     if p.var != "x":
         raise ConfigurationError("even reduction expects a Poly in x")
     if any(map(any, p._parts[1::2])):
-        raise ReductionFailure("x-picture value is not self-conjugate")
+        raise ReductionFailure("x-picture value is not real")
     if any(any(part[1::2]) for part in p._parts):
         raise ReductionFailure("x-picture value has odd powers of x")
-    return _make(Poly, "eta", 0, [part[::2] for part in p._parts], p._den, p._q)
+    return _make(Poly, "eta", 0, [[-x if k & 1 else x for k, x in enumerate(part[::2])]
+                                  for part in p._parts], p._den, p._q)
 
 
 def laurent_to_eta(p: LaurentPoly) -> Poly:

@@ -44,7 +44,6 @@ from .exact import (
     downcast,
     even_poly_to_eta,
     format_scalar,
-    imag_shift,
     laurent_shift,
     laurent_to_eta,
     q_pow,
@@ -406,10 +405,11 @@ def energy(fp: FamilyParams, n: int) -> Scalar:
 
 # -- x-picture carriers (difference families) ---------------------------------
 #
-# W works with Poly in x over Gaussian rationals; AW with LaurentPoly in
-# z = e^{ix}.  A shift x -> x + i c gamma acts on W by the Taylor shift
-# x -> x + ic (imag_shift, gamma = 1) and on AW by z -> z q^{-c}
-# (gamma = log q), which is laurent_shift(p, -c).
+# W works with Poly in y = -ix, tagged "x", so that eta = x^2 = -y^2 and the
+# shift x -> x + ic gamma (gamma = 1) is the real translation y -> y + c: a
+# value that is real in eta has rational coefficients in y.  AW works with
+# LaurentPoly in z = e^{ix}, where the shift is z -> z q^{-c}
+# (gamma = log q), laurent_shift(p, -c).
 
 
 def _require_difference(fp: FamilyParams):
@@ -423,19 +423,19 @@ def carrier_one(fp: FamilyParams) -> Carrier:
 
 
 def eta_x(fp: FamilyParams) -> Carrier:
-    """eta as a carrier polynomial: x^2 (W) or (z + 1/z)/2 (AW)."""
+    """eta as a carrier polynomial: -y^2 = x^2 (W) or (z + 1/z)/2 (AW)."""
     _require_difference(fp)
     if fp.family == "W":
-        return Poly([0, 0, 1], var="x")
+        return Poly([0, 0, -1], var="x")
     half = Fraction(1, 2)
     return LaurentPoly(-1, [half, 0, half])
 
 
 def phi_x(fp: FamilyParams) -> Carrier:
-    """The auxiliary function phi: 2x (W) or 2 sin x = -i(z - 1/z) (AW)."""
+    """The auxiliary function phi: 2x = 2iy (W) or 2 sin x = -i(z - 1/z) (AW)."""
     _require_difference(fp)
     if fp.family == "W":
-        return Poly([0, 2], var="x")
+        return Poly([0, 2 * I], var="x")
     return LaurentPoly(-1, [I, 0, -I])
 
 
@@ -448,12 +448,13 @@ def poly_to_x(fp: FamilyParams, p: Poly) -> Carrier:
 
 
 def x_shift(fp: FamilyParams, p: Carrier, c) -> Carrier:
-    """Evaluate the carrier at x + i c gamma; c may be a half-integer."""
+    """Evaluate the carrier at x + i c gamma, c a half-integer: y -> y + c
+    (W, a composition) or z -> z q^{-c} (AW)."""
     _require_difference(fp)
     if not c:
         return p
     if fp.family == "W":
-        return imag_shift(p, c)
+        return p.compose(Poly([c, 1], var=p.var))
     return laurent_shift(p, -c, fp.q)
 
 

@@ -30,14 +30,16 @@ divides by eta^(M_II(M_II-1)) (L) or
 The ladder is P_n and its derivatives, with row factors 1.
 
 W and AW use a Casoratian-style determinant over the x-picture
-(_casoratian).  Entries combine r-factors (products of _pochs, the
-Pochhammer pairs (a +- ix) of W or q-Pochhammer pairs (uz, u/z; q) of AW,
-with z and kappa powers for AW) and virtual polynomials evaluated on the
-symmetric point ladder x + i((R+1)/2 - j) gamma; the ladder is P_n on the
-same points, with row factors r^II r^I.  The determinant is multiplied
-by its i-phase, divided exactly by the printed normalization and by
-phi_R, and reduced to a polynomial in eta.  InexactDivision or
-ReductionFailure signal implementation errors, never expected states.
+(_casoratian): W in y = -ix, with rational entries, AW in z = e^{ix}.
+Entries combine r-factors (products of _pochs, the Pochhammer pairs
+(a +- ix) = (a -+ y) of W or q-Pochhammer pairs (uz, u/z; q) of AW, with
+z and kappa powers for AW) and virtual polynomials evaluated on the
+symmetric point ladder x + i((R+1)/2 - j) gamma (y + (R+1)/2 - j for W);
+the ladder is P_n on the same points, with row factors r^II r^I.  The
+determinant is multiplied by its i-phase, divided exactly by the printed
+normalization and by phi_R, and reduced to a polynomial in eta.
+InexactDivision or ReductionFailure signal implementation errors, never
+expected states.
 
 A zero Xi_D or P_{D,n} marks a point that is not generic for D (a
 virtual state of zero energy, say) and raises GenericityError.
@@ -266,12 +268,13 @@ def _wronskian(fp: FamilyParams, D: IndexSet):
 
 def _pochs(fp: FamilyParams, k: int, R: int, up: int, down: int) -> Carrier:
     """The Pochhammer pair of parameter k in a size-R Casoratian:
-    (a + ix)_up (a - ix)_down with a = a_k - (R-1)/2 for W, and
-    (uz;q)_up (u/z;q)_down with u = a_k q^(-(R-1)/2) for AW."""
+    (a + ix)_up (a - ix)_down = (a - y)_up (a + y)_down with
+    a = a_k - (R-1)/2 for W, and (uz;q)_up (u/z;q)_down with
+    u = a_k q^(-(R-1)/2) for AW."""
     if fp.family == "W":
         a = fp.lam[k - 1] - Fraction(R - 1, 2)
-        factors = [Poly([a + t, I], var="x") for t in range(up)]
-        factors += [Poly([a + t, -I], var="x") for t in range(down)]
+        factors = [Poly([a + t, -1], var="x") for t in range(up)]
+        factors += [Poly([a + t, 1], var="x") for t in range(down)]
     else:
         u = fp.lam[k - 1] * q_pow(fp.q, -(R - 1), 2)
         factors = [LaurentPoly(0, [1, -u * q_pow(fp.q, t)]) for t in range(up)]

@@ -32,10 +32,12 @@ constructors and for _dot.
 schoolbook_mul and long_division are the per-coefficient scalar loops of
 polynomial multiplication and division, on bare coefficient runs, and
 laurent_shift_scalar and laurent_to_eta_scalar those of the x-picture shift
-z -> z*q**c and the Chebyshev peel, and x_shift_compose the Wilson shift
-x -> x + i*c as a composition with x + i*c (Horner's rule), which the
-integer Taylor shift imag_shift replaced: the references for the integer
-coordinates of miop.exact.poly.
+z -> z*q**c and the Chebyshev peel: the references for the integer
+coordinates of miop.exact.poly.  x_lift, x_shift_compose and x_to_eta are
+Wilson's x-picture over Q(i) that the real picture in y = -ix of
+miop.families replaced: eta = x**2, the shift x -> x + i*c as a
+composition with x + i*c (Horner's rule), and the reduction x**(2k) ->
+eta**k.
 
 coeff, map_coeffs, parse_scalar and family_params_from_json read a value
 back in the tests' terms: one coefficient, a coefficient-wise image, a
@@ -646,9 +648,22 @@ def laurent_shift_scalar(p, c, q):
     return LaurentPoly(p.lo, out)
 
 
+def x_lift(p: Poly) -> Poly:
+    """A Poly in eta as a Poly in x, with eta = x**2."""
+    return p.compose(Poly([0, 0, 1], var="x"))
+
+
 def x_shift_compose(p: Poly, c) -> Poly:
     """p(x + i*c) for a Poly p in x, by composing with the polynomial x + i*c."""
     return p.compose(Poly([exact.GaussianRational(0, Fraction(c)), Fraction(1)], var=p.var))
+
+
+def x_to_eta(p: Poly) -> Poly:
+    """An even Poly in x with real coefficients as a Poly in eta = x**2."""
+    run = [exact.downcast(c) for c in p.coeffs]
+    if any(type(c) is not Fraction for c in run) or any(run[1::2]):
+        raise ReductionFailure("not an even real polynomial in x")
+    return Poly(run[::2], "eta")
 
 
 def laurent_to_eta_scalar(p):

@@ -61,7 +61,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# content_sha256 of `miop gen --preset P --D D --N 3` past the benchmark's
+# depth 3, recorded with W's Casoratian in the Gaussian x-picture
+DEEP_GEN_SHA256 = {
+    ("w-default", "I1,I2,I3,II1"): "e9014af6d5bc207fe044550c602e1c644fc868893682a31ea5485d413d31a47f",
+    ("aw-default", "I1,I2,I3,II1"): "760472819bdadb71f8b341157fccf807c7f884e84203a56cbac0f3a4af2933d1",
+    ("w-default", "I1,I2,I3,II1,II2"): "542a09546ad5add7cb60a4deb7ad726edbb02a71a83b7f1920e35e0f86893b33",
+    ("aw-q13", "I1,II1,II2"): "4c0adb76b3f31faa04ac556d39aaaf39ef1ba99f85dc7fadd80a9750510fef3b",
+}
+
+
 class TestGen:
+    @pytest.mark.parametrize("preset,D", sorted(DEEP_GEN_SHA256))
+    def test_deep_digest(self, capsys, preset, D):
+        code, out, _ = run_cli(capsys, "gen", "--preset", preset, "--D", D, "--N", "3")
+        assert code == 0
+        assert json.loads(out)["provenance"]["content_sha256"] == DEEP_GEN_SHA256[preset, D]
+
     def test_laguerre_single_deletion(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--family", "L", "--g", "7/3", "--D", "I1", "--N", "8")
         assert code == 0
@@ -350,6 +366,14 @@ class TestVerify:
         assert len(out.splitlines()) == 2137
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4c5cd2ed5f43a1392a5a5382f075c8c175478f414d6c7b3b9b94f7532612efb0")
+
+    def test_deep_w_digest(self, capsys):
+        # depth 4, past the default sweep's depth 3
+        code, out, _ = run_cli(
+            capsys, "verify", "--preset", "w-default", "--D", "I1,I2,I3,II1", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4a5456e9056e3ee334b34d6c3a078d39a707531daabb1b0927356e68b274f238")
 
     def test_negative_range_end_rejected(self, capsys):
         code, _, err = run_cli(

@@ -456,8 +456,9 @@ class TestCarriers:
     @pytest.mark.parametrize("fp", DIFF_PRESETS, ids=["w", "aw", "aw13"])
     def test_phi_real_and_odd(self, fp):
         phi = phi_x(fp)
-        assert (conj_coeffs(phi) if fp.family == "W" else star(phi)) == phi
-        if fp.family == "W":
-            assert coeff(phi, 0) == 0 and coeff(phi, 1) == 2
+        if fp.family == "W":  # 2x = 2iy in y = -ix: imaginary coefficients
+            assert conj_coeffs(phi) == -phi
+            assert coeff(phi, 0) == 0 and coeff(phi, 1) == GaussianRational(0, 2)
         else:
+            assert star(phi) == phi
             assert z_inverse(phi) == -phi

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError, GenericityError, LeadingCoefficientZero, SingularCoefficient
-from miop.exact import Poly, det
+from miop.exact import GaussianRational, Poly, det
 from miop.families import PRESETS, FamilyParams, classical_poly, shifted
 from miop.multiindex import IndexSet, build, build_xi, phi_M
 from miop.quad import Weight, _phi0_sq
@@ -291,8 +291,9 @@ class TestPhiM:
 
     def test_wilson_frozen(self):
         fp = PRESETS["w-default"]
-        assert phi_M(fp, 2) == Poly([0, 2], var="x")
-        assert phi_M(fp, 3) == Poly([0, 2, 0, 8], var="x")
+        # 2x and 2x + 8x^3 at x = iy
+        assert phi_M(fp, 2) == Poly([0, GaussianRational(0, 2)], var="x")
+        assert phi_M(fp, 3) == Poly([0, GaussianRational(0, 2), 0, GaussianRational(0, -8)], var="x")
 
     def test_askey_wilson_self_conjugate(self):
         fp = PRESETS["aw-default"]

@@ -7,18 +7,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from miop.errors import ConfigurationError, InexactDivision, ReductionFailure
+from miop.cli import _SWEEP_SETS
+from miop.errors import ConfigurationError, InexactDivision, MiopError, ReductionFailure
 from miop.exact import (NEG_INF, GaussianRational, LaurentPoly, Poly,
                         SqrtQRational, even_poly_to_eta, format_scalar,
-                        imag_shift, laurent_shift, laurent_to_eta, make_sqrtq, sqrt_q)
+                        laurent_shift, laurent_to_eta, make_sqrtq, sqrt_q)
 from miop.exact.poly import _dot
-from miop.families import PRESETS, poly_to_x
+from miop.families import PRESETS, poly_to_x, reduce_to_eta, x_shift
+from miop.multiindex import IndexSet, _casoratian, build
+from miop.quad import _denominator
 
 from .oracles import (coeff, conj, conj_coeffs, dot_schoolbook, laurent_shift_scalar,
                       laurent_to_eta_scalar, long_division, run_coords, schoolbook_mul, star,
-                      x_shift_compose, z_inverse)
-from .strategies import (RADICANDS, laurents, nonzero_polys, polys, rationals,
-                         tower_scalars)
+                      x_lift, x_shift_compose, x_to_eta, z_inverse)
+from .strategies import (RADICANDS, family_params, index_sets, laurents, nonzero_polys, polys,
+                         rationals, tower_scalars)
 
 ETA = Poly.variable("eta")
 
@@ -167,8 +170,8 @@ class TestEtaReductions:
         assert laurent_to_eta(lifted) == Poly(p.coeffs, "eta")
 
     def test_even_poly_to_eta(self):
-        p = Poly([0, 0, 1, 0, 1], "x")  # x^2 + x^4
-        assert even_poly_to_eta(p) == Poly([0, 1, 1], "eta")
+        p = Poly([0, 0, 1, 0, 1], "x")  # y^2 + y^4 with eta = -y^2
+        assert even_poly_to_eta(p) == Poly([0, -1, 1], "eta")
 
     def test_even_poly_rejects_odd_powers(self):
         with pytest.raises(ReductionFailure):
@@ -182,8 +185,7 @@ class TestEtaReductions:
     @given(polys(max_deg=3))
     @settings(max_examples=40)
     def test_even_roundtrip_through_eta(self, p):
-        x_sq = Poly([0, 0, 1], "x")
-        lifted = p.compose(x_sq)
+        lifted = p.compose(Poly([0, 0, -1], "x"))  # eta -> -y^2
         assert even_poly_to_eta(lifted) == Poly(p.coeffs, "eta")
 
 
@@ -405,12 +407,9 @@ class TestIntegerKernel:
                           LaurentPoly(-lp.hi, [conj(c) for c in reversed(lp.coeffs)])))
             todo += [(lambda lp=lp, c=c, base=base: laurent_shift(lp, c, base),
                       laurent_shift_scalar(lp, c, base)) for c, base in shifts]
-            px = Poly(run, "x")
-            todo += [(lambda px=px, c=c: imag_shift(px, c), x_shift_compose(px, c))
-                     for c in (Fraction(1, 2), Fraction(-3, 2), 2, Fraction(5, 3))]
         for run in real_runs:
             p = Poly(run)
-            x_sq = p.compose(Poly([0, 0, 1], "x"))
+            x_sq = p.compose(Poly([0, 0, -1], "x"))
             z_sum = poly_to_x(PRESETS["aw-default"], p)
             todo += [(lambda x_sq=x_sq: even_poly_to_eta(x_sq), p),
                      (lambda z_sum=z_sum: laurent_to_eta(z_sum), p)]
@@ -523,22 +522,45 @@ def _coords_of(p):
     return p._parts, p._den, p._q, p.lo
 
 
-SHIFT_STEPS = st.one_of(st.integers(-4, 4), st.sampled_from([Fraction(k, 2) for k in range(-7, 8)]),
-                        rationals())
+W = PRESETS["w-default"]
+HALF_STEPS = st.sampled_from([Fraction(k, 2) for k in range(-7, 8)])
 
 
-class TestImagShift:
-    """imag_shift, the integer Taylor shift x -> x + i*c, against the
-    composition with x + i*c in tests/oracles.py, coordinate for coordinate."""
+class TestWilsonPictures:
+    """Wilson's real picture in y = -ix (eta = -y**2, x -> x + i*c is
+    y -> y + c) against the Gaussian x-picture it replaced (eta = x**2,
+    the shift a composition with x + i*c): both give the same values in
+    eta, and the y-picture's Casoratian never leaves Q."""
 
-    @given(radicand_runs(count=1, max_len=13), SHIFT_STEPS)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_compose(self, q_runs, c):
-        _, (run,) = q_runs
-        p = Poly(run, "x")
-        got, want = imag_shift(p, c), x_shift_compose(p, c)
-        assert _coords_of(got) == _coords_of(want)
-        assert got.var == "x" and hash(got) == hash(want)
+    @given(polys(max_deg=5), HALF_STEPS)
+    @settings(max_examples=100, deadline=None)
+    def test_shift_sum_and_product(self, p, c):
+        y_lo, y_hi = (x_shift(W, poly_to_x(W, p), s) for s in (-c, c))
+        x_lo, x_hi = (x_shift_compose(x_lift(p), s) for s in (-c, c))
+        assert len(y_lo._parts) == len(y_hi._parts) == 1
+        assert reduce_to_eta(W, y_lo * y_hi) == x_to_eta(x_lo * x_hi)
+        assert reduce_to_eta(W, y_lo + y_hi) == x_to_eta(x_lo + x_hi)
+
+    @given(family_params(("W",)), index_sets(max_m=2, max_v=2))
+    @settings(max_examples=25, deadline=None)
+    def test_denominator(self, fp, D):
+        try:
+            pair = build(fp, D, n_max=0)
+        except MiopError:
+            assume(False)
+        xi = x_lift(pair.Xi)
+        half = Fraction(1, 2)
+        assert _denominator(pair) == x_to_eta(x_shift_compose(xi, -half) * x_shift_compose(xi, half))
+
+    @pytest.mark.parametrize("label", _SWEEP_SETS)
+    def test_casoratian_is_rational(self, label):
+        D = IndexSet.parse(label)
+        picture = _casoratian(W, D)
+        for R in (D.M, D.M + 1):
+            block, row_factors, ladder, _, _ = picture(R)
+            runs = [e for row in block for e in row] + row_factors
+            runs += [e for n in range(4) for e in ladder(n)]
+            assert [len(e._parts) for e in runs] == [1] * len(runs)
 
 
 @st.composite
