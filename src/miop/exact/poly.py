@@ -20,9 +20,8 @@ products is one integer pass, and the tower path over the basis
 canonical (parts, den, q) as the tower path's.  Then powers, division
 (one pseudo-division after clearing the conjugates of the divisor's
 leading coefficient, as scalar division does, serves both exact_div and
-Poly's remainder %), composition (Horner's rule, also Wilson's shift
-y -> y + c), the derivative, the x-picture shift z -> z*q**c and the
-reductions to eta.  `coeffs` views each column as its canonical scalar
+Poly's remainder %), composition (Horner's rule), the derivative and
+the reductions to eta.  `coeffs` views each column as its canonical scalar
 (Fraction over Q, GaussianRational across a run with any i part) on
 first use.  Mixing the two carriers, two variables or two radicands
 raises ConfigurationError.
@@ -30,7 +29,7 @@ raises ConfigurationError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 from typing import Iterable
 
 from ..errors import ConfigurationError, InexactDivision, ReductionFailure
@@ -417,43 +416,6 @@ class LaurentPoly(_PolyBase):
     @property
     def hi(self) -> int:
         return self.lo + len(self._parts[0]) - 1
-
-
-def laurent_shift(p: LaurentPoly, c, q) -> LaurentPoly:
-    """Substitute z -> z*q**c exactly; c may be a half-integer.
-
-    The column of z**e gains q**(c*e) = qn**t * qd**(-t-h) * r**h, where
-    2*c*e = 2*t + h with h in {0, 1}: an integer once the least powers of
-    qn and qd move to one new numerator and denominator, times r where h is
-    1 (an integer too when q is a square).
-    """
-    c, q = Fraction(c), Fraction(q)
-    if c.denominator not in (1, 2):
-        raise ConfigurationError("shift step must be integer or half-integer")
-    if not p or not c:
-        return p
-    m = 2 * c.numerator // c.denominator
-    qn, qd = q.numerator, q.denominator
-    halves = [divmod(m * e, 2) for e in range(p.lo, p.hi + 1)]
-    hs = [h for _, h in halves]
-    tn = min(t for t, _ in halves)
-    td = min(-t - h for t, h in halves)
-    num = qn ** max(tn, 0) * qd ** max(td, 0)
-    fs = [num * qn ** (t - tn) * qd ** (-t - h - td) for t, h in halves]
-    den = p._den * qn ** max(-tn, 0) * qd ** max(-td, 0)
-    parts, rq = p._parts, p._q
-    r2 = qn * qd
-    r = isqrt(r2)
-    if r * r == r2:
-        fs = [f * r if h else f for f, h in zip(fs, hs)]
-    elif any(hs):
-        rq = _radicand(rq, q)
-        x0, x1, x2, x3 = _widen(parts, 4)  # r*(x0 + x1 i + x2 r + x3 ir)
-        parts = [[b * r2 if h else a for a, b, h in zip(x0, x2, hs)],
-                 [b * r2 if h else a for a, b, h in zip(x1, x3, hs)],
-                 [a if h else b for a, b, h in zip(x0, x2, hs)],
-                 [a if h else b for a, b, h in zip(x1, x3, hs)]]
-    return p._new(p.lo, [[x * f for x, f in zip(part, fs)] for part in parts], den, rq)
 
 
 # -- eta reductions ---------------------------------------------------------------

@@ -18,9 +18,10 @@ This module owns:
     polynomials, twists and energies, and the spectral energies E_n; W and
     AW write each of these once, in the bracket [e; js] (1-based js):
     e + the sum of a_j (W), or 1 - q^e * the product of a_j (AW),
-  * classical polynomials in eta and in the x-picture,
-  * x-picture carrier helpers (shift, phi, reduction back to eta) shared
-    by the recurrence and determinant code.
+  * classical polynomials in eta,
+  * x-picture carrier helpers (eta and phi at a shifted point, an
+    eta-polynomial at a shifted point, reduction back to eta) shared by
+    the recurrence and determinant code.
 
 Everything here is exact; float data (weights, norms) lives in miop.quad.
 """
@@ -44,7 +45,6 @@ from .exact import (
     downcast,
     even_poly_to_eta,
     format_scalar,
-    laurent_shift,
     laurent_to_eta,
     q_pow,
     scalar_sign,
@@ -341,11 +341,6 @@ def classical_poly(fp: FamilyParams, n: int) -> Poly:
     return num * (1 / A)
 
 
-def classical_poly_x(fp: FamilyParams, n: int) -> Carrier:
-    """Classical polynomial through the coordinate map: W in x, AW in z."""
-    return poly_to_x(fp, classical_poly(fp, n))
-
-
 # -- virtual states -----------------------------------------------------------
 
 
@@ -406,10 +401,15 @@ def energy(fp: FamilyParams, n: int) -> Scalar:
 # -- x-picture carriers (difference families) ---------------------------------
 #
 # W works with Poly in y = -ix, tagged "x", so that eta = x^2 = -y^2 and the
-# shift x -> x + ic gamma (gamma = 1) is the real translation y -> y + c: a
-# value that is real in eta has rational coefficients in y.  AW works with
-# LaurentPoly in z = e^{ix}, where the shift is z -> z q^{-c}
-# (gamma = log q), laurent_shift(p, -c).
+# point x + ic gamma (gamma = 1) is y + c: a value that is real in eta has
+# rational coefficients in y.  AW works with LaurentPoly in z = e^{ix}, where
+# x + ic gamma (gamma = log q) is z q^{-c}.  eta_x and phi_x give eta and phi
+# at the shifted point in closed form, so an eta-polynomial at the shifted
+# point is one composition with eta_x (x_shift); the sqrt(q) of a half step
+# comes from q_pow.
+
+# the default verify sweep reads 28 (point, step) pairs, a depth-6 run about 20
+_ETA_X_CACHE_SIZE = 256
 
 
 def _require_difference(fp: FamilyParams):
@@ -417,45 +417,48 @@ def _require_difference(fp: FamilyParams):
         raise ConfigurationError("x-picture carriers exist for W and AW only")
 
 
+def _step(fp: FamilyParams, c) -> Fraction:
+    """c as a Fraction, checked to be a half-integer shift step."""
+    _require_difference(fp)
+    c = Fraction(c)
+    if c.denominator not in (1, 2):
+        raise ConfigurationError("shift step must be integer or half-integer")
+    return c
+
+
 def carrier_one(fp: FamilyParams) -> Carrier:
     _require_difference(fp)
     return Poly.one("x") if fp.family == "W" else LaurentPoly.monomial(0)
 
 
-def eta_x(fp: FamilyParams) -> Carrier:
-    """eta as a carrier polynomial: -y^2 = x^2 (W) or (z + 1/z)/2 (AW)."""
-    _require_difference(fp)
+@lru_cache(maxsize=_ETA_X_CACHE_SIZE)
+def eta_x(fp: FamilyParams, c=0) -> Carrier:
+    """eta(x + ic gamma) as a carrier polynomial, c a half-integer:
+    x^2 = -(y + c)^2 (W) or (q^c/z + q^-c z)/2 (AW); built once per
+    (point, c)."""
+    c = _step(fp, c)
     if fp.family == "W":
-        return Poly([0, 0, -1], var="x")
-    half = Fraction(1, 2)
-    return LaurentPoly(-1, [half, 0, half])
+        return Poly([-c * c, -2 * c, -1], var="x")
+    up, dn = fp.qpow(c.numerator, c.denominator), fp.qpow(-c.numerator, c.denominator)
+    return LaurentPoly(-1, [up / 2, 0, dn / 2])
 
 
-def phi_x(fp: FamilyParams) -> Carrier:
-    """The auxiliary function phi: 2x = 2iy (W) or 2 sin x = -i(z - 1/z) (AW)."""
-    _require_difference(fp)
+def phi_x(fp: FamilyParams, c=0) -> Carrier:
+    """The auxiliary function phi at x + ic gamma, c a half-integer:
+    2x = 2i(y + c) (W) or 2 sin x = -i(q^-c z - q^c/z) (AW)."""
+    c = _step(fp, c)
     if fp.family == "W":
-        return Poly([0, 2 * I], var="x")
-    return LaurentPoly(-1, [I, 0, -I])
+        return Poly([2 * I * c, 2 * I], var="x")
+    up, dn = fp.qpow(c.numerator, c.denominator), fp.qpow(-c.numerator, c.denominator)
+    return LaurentPoly(-1, [I * up, 0, -I * dn])
 
 
-def poly_to_x(fp: FamilyParams, p: Poly) -> Carrier:
-    """Substitute the coordinate map into a polynomial in eta."""
-    _require_difference(fp)
+def x_shift(fp: FamilyParams, p: Poly, c=0) -> Carrier:
+    """p(eta(x + ic gamma)) for a polynomial p in eta, c a half-integer: the
+    carrier of p at the shifted point, one composition with eta_x(fp, c)."""
     if p.var != "eta":
-        raise ConfigurationError("poly_to_x expects a polynomial in eta")
-    return p.compose(eta_x(fp))
-
-
-def x_shift(fp: FamilyParams, p: Carrier, c) -> Carrier:
-    """Evaluate the carrier at x + i c gamma, c a half-integer: y -> y + c
-    (W, a composition) or z -> z q^{-c} (AW)."""
-    _require_difference(fp)
-    if not c:
-        return p
-    if fp.family == "W":
-        return p.compose(Poly([c, 1], var=p.var))
-    return laurent_shift(p, -c, fp.q)
+        raise ConfigurationError("x_shift expects a polynomial in eta")
+    return p.compose(eta_x(fp, c))
 
 
 def reduce_to_eta(fp: FamilyParams, p: Carrier) -> Poly:

@@ -33,9 +33,10 @@ W and AW use a Casoratian-style determinant over the x-picture
 (_casoratian): W in y = -ix, with rational entries, AW in z = e^{ix}.
 Entries combine r-factors (products of _pochs, the Pochhammer pairs
 (a +- ix) = (a -+ y) of W or q-Pochhammer pairs (uz, u/z; q) of AW, with
-z and kappa powers for AW) and virtual polynomials evaluated on the
-symmetric point ladder x + i((R+1)/2 - j) gamma (y + (R+1)/2 - j for W);
-the ladder is P_n on the same points, with row factors r^II r^I.  The
+z and kappa powers for AW) and the virtual polynomials, kept in eta and
+evaluated on the symmetric point ladder x + i((R+1)/2 - j) gamma by one
+composition each with eta at that point (families.x_shift); the ladder
+is P_n on the same points, with row factors r^II r^I.  The
 determinant is multiplied by its i-phase, divided exactly by the printed
 normalization and by phi_R, and reduced to a polynomial in eta.
 InexactDivision or ReductionFailure signal implementation errors, never
@@ -79,9 +80,7 @@ from .families import (
     VirtualStateData,
     carrier_one,
     classical_poly,
-    classical_poly_x,
     phi_x,
-    poly_to_x,
     virtual_poly,
     x_shift,
 )
@@ -343,10 +342,9 @@ def phi_M(fp: FamilyParams, M: int) -> Carrier:
         raise ConfigurationError("phi_M needs M >= 0")
     if M <= 1:
         return carrier_one(fp)
-    phi = phi_x(fp)
-    out = phi ** (M // 2)
+    out = phi_x(fp) ** (M // 2)
     for k in range(1, M - 1):
-        pair = x_shift(fp, phi, Fraction(-k, 2)) * x_shift(fp, phi, Fraction(k, 2))
+        pair = phi_x(fp, Fraction(-k, 2)) * phi_x(fp, Fraction(k, 2))
         out = out * pair ** ((M - k) // 2)
     return out
 
@@ -356,16 +354,18 @@ def _casoratian(fp: FamilyParams, D: IndexSet):
     x_j = x + i((R+1)/2 - j) gamma, as (block, row factors, ladder,
     finish, radicand).
 
-    Row j holds the type-I columns times r^II and the type-II columns
-    times r^I, all at x_j; the last column, P_n(x_j), carries r^II r^I,
-    so it counts as one column of each type in the normalization.  finish
-    applies the i-phase, divides by the printed normalization and phi_R
-    and reduces to eta; the radicand is what the alpha scale leaves.
+    The columns are the virtual polynomials xi in eta: the entry of column
+    xi in row j is xi at x_j, x_shift(fp, xi, (R+1)/2 - j), times r^II
+    (type I) or r^I (type II).  The last column, P_n(x_j), carries
+    r^II r^I, so it counts as one column of each type in the
+    normalization.  finish applies the i-phase, divides by the printed
+    normalization and phi_R and reduces to eta; the radicand is what the
+    alpha scale leaves.
     """
     from .families import reduce_to_eta
 
-    x1 = [poly_to_x(fp, virtual_poly(fp, e)) for e in D.entries if e.type == "I"]
-    x2 = [poly_to_x(fp, virtual_poly(fp, e)) for e in D.entries if e.type == "II"]
+    v1 = [virtual_poly(fp, e) for e in D.entries if e.type == "I"]
+    v2 = [virtual_poly(fp, e) for e in D.entries if e.type == "II"]
 
     def size(R: int):
         shifts = [Fraction(R + 1, 2) - j for j in range(1, R + 1)]
@@ -373,7 +373,7 @@ def _casoratian(fp: FamilyParams, D: IndexSet):
         for j, c in enumerate(shifts, 1):
             r1 = _r_poly(fp, (1, 2), j, R)
             r2 = _r_poly(fp, (3, 4), j, R)
-            rows.append([r2 * x_shift(fp, p, c) for p in x1] + [r1 * x_shift(fp, p, c) for p in x2])
+            rows.append([r2 * x_shift(fp, p, c) for p in v1] + [r1 * x_shift(fp, p, c) for p in v2])
             r21.append(r2 * r1)
         m1, m2 = D.M1 + R - D.M, D.M2 + R - D.M
         norm_poly, norm_scalar = _norm_divisor(fp, R, max(m1 - 1, 0), max(m2 - 1, 0))
@@ -386,7 +386,7 @@ def _casoratian(fp: FamilyParams, D: IndexSet):
             return reduce_to_eta(fp, (d * phase).exact_div(divisor) * factor)
 
         def ladder(n: int) -> list:
-            last = classical_poly_x(fp, n)
+            last = classical_poly(fp, n)
             return [x_shift(fp, last, c) for c in shifts]
 
         return rows, r21, ladder, finish, rad

@@ -74,7 +74,6 @@ from .exact import Poly, Scalar, format_scalar, scalar_sign
 from .families import (
     FamilyParams,
     energy,
-    poly_to_x,
     reduce_to_eta,
     twisted,
     virtual_energy,
@@ -564,9 +563,8 @@ def _denominator(pair: MultiIndexedPair) -> Poly:
     fp = pair.fp
     if fp.family in ("L", "J"):
         return pair.Xi
-    xi_x = poly_to_x(fp, pair.Xi)
     half = Fraction(1, 2)
-    return reduce_to_eta(fp, x_shift(fp, xi_x, -half) * x_shift(fp, xi_x, half))
+    return reduce_to_eta(fp, x_shift(fp, pair.Xi, -half) * x_shift(fp, pair.Xi, half))
 
 
 # -- pole exclusion ---------------------------------------------------------------

@@ -58,7 +58,6 @@ from .exact.poly import _dot
 from .families import (
     FamilyParams,
     carrier_one,
-    eta_x,
     reduce_to_eta,
     three_term,
     x_shift,
@@ -67,7 +66,7 @@ from .families import (
 CoeffFn = Callable[[int], tuple]
 
 _HALF = Fraction(1, 2)
-_ZERO, _ONE = Poly.zero(), Poly.one()
+_ZERO, _ONE, _ETA = Poly.zero(), Poly.one(), Poly.variable()
 
 # shared_rtable keeps this many tables, with what verify derives from each;
 # the default verify sweep reads 12, a verify-sweep pass of the benchmark 10
@@ -126,12 +125,13 @@ class RTable:
 def _ladder(fp: FamilyParams, s: int) -> list:
     """Coefficients in eta of prod_{t=0..s} (y - eta(x - i(s-2t) gamma/2))
     in y, lowest first: entry j is (-1)^(s+1-j) sigma^[s]_{s+1-j}.  W and
-    AW expand in the x-picture and reduce; for L and J every value is eta."""
+    AW expand the product of the ladder values x_shift(fp, eta, c), the
+    shifted eta as carriers, and reduce; for L and J every value is eta."""
     if fp.is_difference:
-        one, eta = carrier_one(fp), eta_x(fp)
-        values = [x_shift(fp, eta, Fraction(2 * t - s, 2)) for t in range(s + 1)]
+        one = carrier_one(fp)
+        values = [x_shift(fp, _ETA, Fraction(2 * t - s, 2)) for t in range(s + 1)]
     else:
-        one, values = _ONE, [Poly.variable()] * (s + 1)
+        one, values = _ONE, [_ETA] * (s + 1)
     out = [one]
     for e in values:
         out = [out[0] * -e] + [a - e * b for a, b in zip(out, out[1:])] + [one]
@@ -253,8 +253,7 @@ def check_rprop2_rprop3(table: RTable) -> list:
         raise ConfigurationError("check_rprop2_rprop3 requires family W or AW")
     M = table.M
     lo, hi = table.window
-    eta = eta_x(fp)
-    eta_at = lambda c: x_shift(fp, eta, c)  # eta(x + i c gamma)
+    eta_at = lambda c: x_shift(fp, _ETA, c)  # eta(x + i c gamma)
     reduce = lambda p: reduce_to_eta(fp, p)
     dn, up = eta_at(-_HALF), eta_at(_HALF)
     gap = dn - up

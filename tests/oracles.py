@@ -18,7 +18,9 @@ replaced, with its x-picture for W and AW (each level s-1 entry shifted
 to x + i*gamma/2, multiplied by the three-term coefficients and reduced
 back to eta entry by entry), and half_shift_violations_x the two
 half-shift laws checked on x-picture entries: the references for
-build_rtable and check_rprop2_rprop3.
+build_rtable and check_rprop2_rprop3.  Both shift carriers with
+carrier_shift, never with miop.families.x_shift, which shifts only
+eta-polynomials.
 
 det_cofactor is the Laplace expansion that miop.exact.det (Bareiss
 elimination) is checked against, on plain lists of rows.
@@ -31,9 +33,12 @@ constructors and for _dot.
 
 schoolbook_mul and long_division are the per-coefficient scalar loops of
 polynomial multiplication and division, on bare coefficient runs, and
-laurent_shift_scalar and laurent_to_eta_scalar those of the x-picture shift
-z -> z*q**c and the Chebyshev peel: the references for the integer
-coordinates of miop.exact.poly.  x_lift, x_shift_compose and x_to_eta are
+laurent_to_eta_scalar that of the Chebyshev peel: the references for the
+integer coordinates of miop.exact.poly.  laurent_shift_scalar is the
+scalar loop of the shift z -> z*q**c, and carrier_shift the carrier shift
+x -> x + i*c*gamma built on it (AW) or on composition with y + c (W): the
+references for the shifted eta_x, phi_x and x_shift of miop.families,
+which compose in closed form.  x_lift, x_shift_compose and x_to_eta are
 Wilson's x-picture over Q(i) that the real picture in y = -ix of
 miop.families replaced: eta = x**2, the shift x -> x + i*c as a
 composition with x + i*c (Horner's rule), and the reduction x**(2k) ->
@@ -91,7 +96,6 @@ from miop.families import (
     eta_x,
     reduce_to_eta,
     three_term,
-    x_shift,
 )
 from miop.multiindex import build
 from miop.quad import FloatPoly, QuadratureSpec, _qpoch_inf
@@ -154,9 +158,9 @@ def parse_scalar(s: str):
             r"(?P<a>.+?)\s*\+\s*\((?P<b>[^)]+)\)\*sqrt\((?P<q>[^)]+)\)", s)
         if not m:
             raise ValueError(f"malformed scalar string: {s!r}")
-        return exact.make_sqrtq(_parse_gaussian(m.group("a")),
-                                _parse_gaussian(m.group("b")),
-                                Fraction(m.group("q")))
+        return exact.scalars.make_sqrtq(_parse_gaussian(m.group("a")),
+                                        _parse_gaussian(m.group("b")),
+                                        Fraction(m.group("q")))
     return exact.downcast(_parse_gaussian(s))
 
 
@@ -410,9 +414,9 @@ def rtable_recursion(fp, M: int, window, coeffs=None) -> tuple:
     if fp.is_difference:
         one = carrier_one(fp)
         zero = Poly.zero("x") if fp.family == "W" else LaurentPoly()
-        shift = lambda p: x_shift(fp, p, half)
+        shift = lambda p: carrier_shift(fp, p, half)
         reduce = lambda p: reduce_to_eta(fp, p)
-        eta_arg = lambda s: x_shift(fp, eta_x(fp), Fraction(-s, 2))
+        eta_arg = lambda s: carrier_shift(fp, eta_x(fp), Fraction(-s, 2))
     else:
         one, zero = Poly.one(), Poly.zero()
         shift = reduce = lambda p: p
@@ -458,21 +462,22 @@ def half_shift_violations_x(fp, M: int, window, abc: dict, xentries: dict) -> li
         return xentries.get(key, zero)
 
     def plus(key):
-        return (x_shift(fp, x(key), -half) + x_shift(fp, x(key), half)) * half
+        return (carrier_shift(fp, x(key), -half) + carrier_shift(fp, x(key), half)) * half
 
     bad = []
     for s in range(M + 1):
         pad = M - s
-        e_up = x_shift(fp, eta, Fraction(s, 2))
-        e_dn = x_shift(fp, eta, Fraction(-s, 2))
-        odd = x_shift(fp, eta, Fraction(-(s + 1), 2)) - x_shift(fp, eta, Fraction(s + 1, 2))
+        e_up = carrier_shift(fp, eta, Fraction(s, 2))
+        e_dn = carrier_shift(fp, eta, Fraction(-s, 2))
+        odd = (carrier_shift(fp, eta, Fraction(-(s + 1), 2))
+               - carrier_shift(fp, eta, Fraction(s + 1, 2)))
         mid = (e_dn + e_up) * half
         corr = (e_dn - e_up) ** 2 * Fraction(-1, 4)
         for n in range(lo - pad, hi + pad + 1):
             A, B, C = abc[n]
             for k in range(-s - 1, s + 2):
                 key = (s, n, k)
-                if (x_shift(fp, x(key), -half) - x_shift(fp, x(key), half)
+                if (carrier_shift(fp, x(key), -half) - carrier_shift(fp, x(key), half)
                         + odd * x((s - 1, n, k))):
                     bad.append((s, n, k, "half-difference"))
                 if (plus((s - 1, n + 1, k - 1)) * A + (B - mid) * plus((s - 1, n, k))
@@ -646,6 +651,15 @@ def laurent_shift_scalar(p, c, q):
         out.append(coeff * factor)
         factor = factor * step
     return LaurentPoly(p.lo, out)
+
+
+def carrier_shift(fp, p, c):
+    """A W or AW carrier p at x + i*c*gamma, c a half-integer: W's Poly in
+    y = -ix composed with y + c, AW's LaurentPoly in z = e^{ix} under
+    z -> z*q**(-c) by laurent_shift_scalar."""
+    if fp.family == "W":
+        return p.compose(Poly([Fraction(c), 1], var=p.var))
+    return laurent_shift_scalar(p, -c, fp.q)
 
 
 def x_lift(p: Poly) -> Poly:

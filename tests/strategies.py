@@ -4,7 +4,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError
-from miop.exact import GaussianRational, LaurentPoly, Poly, make_sqrtq
+from miop.exact import GaussianRational, LaurentPoly, Poly
+from miop.exact.scalars import make_sqrtq
 from miop.families import FamilyParams, VirtualStateData
 from miop.multiindex import IndexSet
 

@@ -367,6 +367,15 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4c5cd2ed5f43a1392a5a5382f075c8c175478f414d6c7b3b9b94f7532612efb0")
 
+    def test_non_square_q_sweep_digest(self, capsys):
+        # the six sweep sets at q = 1/3, where a half step adjoins sqrt(q);
+        # the default sweep's AW point has the square q = 1/4
+        code, out, _ = run_cli(capsys, "verify", "--preset", "aw-q13", "--format", "json")
+        assert code == 0
+        assert len(out.splitlines()) == 535
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8e244d4702f9ec4011fdfcbd8e399bf66c5c735be4343e6d5af7ed8481cceee2")
+
     def test_deep_w_digest(self, capsys):
         # depth 4, past the default sweep's depth 3
         code, out, _ = run_cli(

@@ -12,12 +12,10 @@ from miop.families import (
     PRESETS,
     FamilyParams,
     VirtualStateData,
+    carrier_one,
     classical_poly,
-    classical_poly_x,
     energy,
-    eta_x,
     phi_x,
-    poly_to_x,
     reduce_to_eta,
     shifted,
     three_term,
@@ -30,6 +28,7 @@ from miop.families import (
 
 from .oracles import (
     askey_wilson_poly,
+    carrier_shift,
     coeff,
     conj_coeffs,
     eta_shift_identities,
@@ -326,14 +325,17 @@ class TestClassicalPoly:
 
 
 class TestClassicalPolyX:
+    """Classical polynomials in the x-picture: x_shift(fp, P_n), the
+    unshifted lift of P_n(eta)."""
+
     @pytest.mark.parametrize("fp", DIFF_PRESETS, ids=["w", "aw", "aw13"])
     def test_constant(self, fp):
-        assert classical_poly_x(fp, 0) == poly_to_x(fp, Poly.one())
+        assert x_shift(fp, classical_poly(fp, 0)) == carrier_one(fp)
 
     def test_wilson_even_powers(self):
         fp = PRESETS["w-default"]
         for n in range(7):
-            px = classical_poly_x(fp, n)
+            px = x_shift(fp, classical_poly(fp, n))
             assert px.degree == 2 * n
             assert all(coeff(px, i) == 0 for i in range(1, 2 * n, 2))
 
@@ -341,18 +343,20 @@ class TestClassicalPolyX:
     def test_askey_wilson_symmetric(self, key):
         fp = PRESETS[key]
         for n in range(7):
-            px = classical_poly_x(fp, n)
+            px = x_shift(fp, classical_poly(fp, n))
             assert z_inverse(px) == px
             assert star(px) == px
 
     @pytest.mark.parametrize("fp", DIFF_PRESETS, ids=["w", "aw", "aw13"])
     def test_reduction_roundtrip(self, fp):
         for n in range(7):
-            assert reduce_to_eta(fp, classical_poly_x(fp, n)) == classical_poly(fp, n)
+            assert reduce_to_eta(fp, x_shift(fp, classical_poly(fp, n))) == classical_poly(fp, n)
 
     def test_rejects_continuous_families(self):
         with pytest.raises(ConfigurationError):
-            classical_poly_x(PRESETS["l-default"], 1)
+            x_shift(PRESETS["l-default"], classical_poly(PRESETS["l-default"], 1))
+        with pytest.raises(ConfigurationError, match="polynomial in eta"):
+            x_shift(PRESETS["w-default"], Poly.one("x"))
 
 
 class TestVirtualStates:
@@ -437,10 +441,11 @@ class TestEtaShiftIdentities:
 
     @pytest.mark.parametrize("fp", DIFF_PRESETS, ids=["w", "aw", "aw13"])
     def test_against_carriers(self, fp):
+        eta = Poly.variable()
         for m in range(5):
             s_id, p_id = eta_shift_identities(fp, m)
-            lo = x_shift(fp, eta_x(fp), F(-m, 2))
-            hi = x_shift(fp, eta_x(fp), F(m, 2))
+            lo = x_shift(fp, eta, F(-m, 2))
+            hi = x_shift(fp, eta, F(m, 2))
             assert reduce_to_eta(fp, lo + hi) == s_id
             assert reduce_to_eta(fp, lo * hi) == p_id
 
@@ -448,10 +453,13 @@ class TestEtaShiftIdentities:
 class TestCarriers:
     @pytest.mark.parametrize("fp", DIFF_PRESETS, ids=["w", "aw", "aw13"])
     def test_shift_composition(self, fp):
-        p = classical_poly_x(fp, 2)
-        once = x_shift(fp, x_shift(fp, p, F(1, 2)), F(1, 2))
-        assert once == x_shift(fp, p, 1)
-        assert x_shift(fp, x_shift(fp, p, F(3, 2)), F(-3, 2)) == p
+        """Shifted points add up: P_2 at x + i gamma is P_2 at x + i gamma/2
+        moved on by the carrier shift of i gamma/2, and the carrier shift
+        of -3i gamma/2 takes P_2 at x + 3i gamma/2 back to x."""
+        p = classical_poly(fp, 2)
+        half = x_shift(fp, p, F(1, 2))
+        assert carrier_shift(fp, half, F(1, 2)) == x_shift(fp, p, 1)
+        assert carrier_shift(fp, x_shift(fp, p, F(3, 2)), F(-3, 2)) == x_shift(fp, p)
 
     @pytest.mark.parametrize("fp", DIFF_PRESETS, ids=["w", "aw", "aw13"])
     def test_phi_real_and_odd(self, fp):

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 
 from miop.cli import _SWEEP_SETS
 from miop.errors import ConfigurationError, InexactDivision, MiopError, ReductionFailure
-from miop.exact import (NEG_INF, GaussianRational, LaurentPoly, Poly,
-                        SqrtQRational, even_poly_to_eta, format_scalar,
-                        laurent_shift, laurent_to_eta, make_sqrtq, sqrt_q)
-from miop.exact.poly import _dot
-from miop.families import PRESETS, poly_to_x, reduce_to_eta, x_shift
+from miop.exact import (GaussianRational, LaurentPoly, Poly, SqrtQRational,
+                        even_poly_to_eta, format_scalar, laurent_to_eta, sqrt_q)
+from miop.exact.poly import NEG_INF, _dot
+from miop.exact.scalars import make_sqrtq
+from miop.families import PRESETS, FamilyParams, eta_x, phi_x, reduce_to_eta, x_shift
 from miop.multiindex import IndexSet, _casoratian, build
 from miop.quad import _denominator
 
-from .oracles import (coeff, conj, conj_coeffs, dot_schoolbook, laurent_shift_scalar,
-                      laurent_to_eta_scalar, long_division, run_coords, schoolbook_mul, star,
-                      x_lift, x_shift_compose, x_to_eta, z_inverse)
+from .oracles import (carrier_shift, coeff, conj, conj_coeffs, dot_schoolbook,
+                      laurent_shift_scalar, laurent_to_eta_scalar, long_division, run_coords,
+                      schoolbook_mul, star, x_lift, x_shift_compose, x_to_eta, z_inverse)
 from .strategies import (RADICANDS, family_params, index_sets, laurents, nonzero_polys, polys,
                          rationals, tower_scalars)
 
@@ -100,34 +100,6 @@ class TestDerivative:
 
 
 class TestLaurent:
-    Q = Fraction(1, 4)
-
-    def test_shift_identity(self):
-        p = LaurentPoly(-2, [1, 0, Fraction(1, 2), 5])
-        assert laurent_shift(p, 0, self.Q) == p
-
-    def test_shift_z_by_one(self):
-        z = LaurentPoly.monomial(1)
-        assert laurent_shift(z, 1, self.Q) == LaurentPoly.monomial(1, Fraction(1, 4))
-
-    def test_aw_eta_sum_identity(self):
-        # eta(x -+ i gamma/2) sum: (q^{1/2}+q^{-1/2}) eta = (5/2) eta at q=1/4
-        eta = LaurentPoly(-1, [Fraction(1, 2), 0, Fraction(1, 2)])
-        total = laurent_shift(eta, Fraction(1, 2), self.Q) + \
-            laurent_shift(eta, Fraction(-1, 2), self.Q)
-        assert total == eta * Fraction(5, 2)
-
-    def test_half_shift_adjoins_sqrt(self):
-        z = LaurentPoly.monomial(1)
-        shifted = laurent_shift(z, Fraction(1, 2), Fraction(1, 3))
-        assert coeff(shifted, 1) == sqrt_q(Fraction(1, 3))
-
-    @given(laurents())
-    @settings(max_examples=60)
-    def test_shift_involution(self, p):
-        c = Fraction(3, 2)
-        assert laurent_shift(laurent_shift(p, c, self.Q), -c, self.Q) == p
-
     @given(laurents())
     def test_z_inverse_involution(self, p):
         assert z_inverse(z_inverse(p)) == p
@@ -166,7 +138,7 @@ class TestEtaReductions:
     @given(polys(max_deg=3))
     @settings(max_examples=40)
     def test_laurent_roundtrip_through_eta(self, p):
-        lifted = poly_to_x(PRESETS["aw-default"], p)  # eta -> (z + 1/z)/2
+        lifted = x_shift(PRESETS["aw-default"], p)  # eta -> (z + 1/z)/2
         assert laurent_to_eta(lifted) == Poly(p.coeffs, "eta")
 
     def test_even_poly_to_eta(self):
@@ -370,9 +342,10 @@ class TestIntegerKernel:
         real_runs = (runs[0], [make_sqrtq(k - 3, Fraction(1, k + 2), q) for k in range(13)])
         scalars = (3, Fraction(-5, 7), GaussianRational(Fraction(1, 2), -2),
                    make_sqrtq(GaussianRational(1), GaussianRational(0, Fraction(1, 3)), q))
-        shifts = [(c, base) for c in (Fraction(1, 2), Fraction(-1, 2), 1, -1,
-                                      Fraction(3, 2), Fraction(-3, 2))
-                  for base in (Fraction(1, 4), q)]
+        shifts = [(PRESETS[key], c) for key in ("w-default", "aw-default", "aw-q13")
+                  for c in (Fraction(1, 2), Fraction(-1, 2), 1, -1, Fraction(3, 2), Fraction(-3, 2))]
+        for fp, c in shifts:  # eta_x builds eta at the shifted point from scalars, once
+            eta_x(fp, c)
         cases = [(carrier(ra), carrier(rb)) for ra in runs for rb in runs
                  for carrier in (Poly, lambda run: LaurentPoly(-5, run))]
 
@@ -405,12 +378,12 @@ class TestIntegerKernel:
                 todo.append((lambda p=p, inner=inner: p.compose(inner), want))
             todo.append((lambda lp=lp: star(lp),
                           LaurentPoly(-lp.hi, [conj(c) for c in reversed(lp.coeffs)])))
-            todo += [(lambda lp=lp, c=c, base=base: laurent_shift(lp, c, base),
-                      laurent_shift_scalar(lp, c, base)) for c, base in shifts]
+            todo += [(lambda p=p, fp=fp, c=c: x_shift(fp, p, c),
+                      carrier_shift(fp, x_shift(fp, p), c)) for fp, c in shifts]
         for run in real_runs:
             p = Poly(run)
             x_sq = p.compose(Poly([0, 0, -1], "x"))
-            z_sum = poly_to_x(PRESETS["aw-default"], p)
+            z_sum = x_shift(PRESETS["aw-default"], p)
             todo += [(lambda x_sq=x_sq: even_poly_to_eta(x_sq), p),
                      (lambda z_sum=z_sum: laurent_to_eta(z_sum), p)]
 
@@ -492,14 +465,20 @@ def _peel(reduce, p):
 
 
 class TestShiftAndPeel:
-    """laurent_shift and laurent_to_eta in coordinates against the scalar
+    """AW's x_shift and laurent_to_eta in coordinates against the scalar
     loops of tests/oracles.py."""
 
-    @given(shifted_laurents(), st.sampled_from([Fraction(k, 2) for k in range(-5, 6)]))
+    @given(radicand_runs(count=1), st.sampled_from([Fraction(k, 2) for k in range(-5, 6)]))
     @settings(max_examples=150, deadline=None)
-    def test_shift_matches_scalar_loop(self, p_q, c):
-        p, q = p_q
-        got, want = laurent_shift(p, c, q), laurent_shift_scalar(p, c, q)
+    def test_shift_matches_scalar_loop(self, q_runs, c):
+        """An eta-polynomial at any tower level over q, at x + ic gamma:
+        the composition with the shifted eta is the scalar loop's
+        z -> z*q**(-c) of the unshifted lift."""
+        q, (run,) = q_runs
+        assume(q < 1)
+        fp = FamilyParams("AW", PRESETS["aw-default"].lam, q=q)
+        got = x_shift(fp, Poly(run), c)
+        want = laurent_shift_scalar(x_shift(fp, Poly(run)), -c, q)
         assert got == want and got.lo == want.lo and hash(got) == hash(want)
         assert _strs(got) == _strs(want)
 
@@ -524,6 +503,36 @@ def _coords_of(p):
 
 W = PRESETS["w-default"]
 HALF_STEPS = st.sampled_from([Fraction(k, 2) for k in range(-7, 8)])
+SHIFT_POINTS = st.one_of(st.sampled_from([PRESETS[k] for k in ("w-default", "aw-default", "aw-q13")]),
+                         family_params(("W", "AW")))
+
+
+class TestXShift:
+    """An eta-polynomial at x + ic gamma is one composition with the
+    shifted eta (x_shift), and phi_x gives phi there: both against the
+    carrier shift of tests/oracles.py applied to the value at x."""
+
+    @given(SHIFT_POINTS, polys(max_deg=6), HALF_STEPS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_carrier_shift(self, fp, p, c):
+        got, want = x_shift(fp, p, c), carrier_shift(fp, x_shift(fp, p), c)
+        assert _coords_of(got) == _coords_of(want) and hash(got) == hash(want)
+        assert phi_x(fp, c) == carrier_shift(fp, phi_x(fp), c)
+        for shift in (lambda: x_shift(fp, p, Fraction(1, 3)), lambda: phi_x(fp, Fraction(1, 3))):
+            with pytest.raises(ConfigurationError, match="half-integer"):
+                shift()
+
+    def test_aw_eta_sum_identity(self):
+        # eta(x -+ i gamma/2) sum: (q^{1/2}+q^{-1/2}) eta = (5/2) eta at q=1/4
+        fp = PRESETS["aw-default"]
+        total = x_shift(fp, ETA, Fraction(1, 2)) + x_shift(fp, ETA, Fraction(-1, 2))
+        assert total == x_shift(fp, ETA) * Fraction(5, 2)
+
+    def test_half_shift_adjoins_sqrt(self):
+        # eta(x - i gamma/2) = (q^(-1/2)/z + q^(1/2) z)/2 at the non-square q = 1/3
+        shifted = x_shift(PRESETS["aw-q13"], ETA, Fraction(-1, 2))
+        assert coeff(shifted, 1) == sqrt_q(Fraction(1, 3)) / 2
+        assert shifted._q == Fraction(1, 3)
 
 
 class TestWilsonPictures:
@@ -535,7 +544,7 @@ class TestWilsonPictures:
     @given(polys(max_deg=5), HALF_STEPS)
     @settings(max_examples=100, deadline=None)
     def test_shift_sum_and_product(self, p, c):
-        y_lo, y_hi = (x_shift(W, poly_to_x(W, p), s) for s in (-c, c))
+        y_lo, y_hi = (x_shift(W, p, s) for s in (-c, c))
         x_lo, x_hi = (x_shift_compose(x_lift(p), s) for s in (-c, c))
         assert len(y_lo._parts) == len(y_hi._parts) == 1
         assert reduce_to_eta(W, y_lo * y_hi) == x_to_eta(x_lo * x_hi)

@@ -17,7 +17,6 @@ from miop.exact import Poly
 from miop.families import (
     PRESETS,
     FamilyParams,
-    poly_to_x,
     three_term,
     x_shift,
 )
@@ -30,6 +29,7 @@ from miop.rtable import (
 )
 
 from .oracles import (
+    carrier_shift,
     conj_coeffs,
     eta_shift_identities,
     half_shift_violations_x,
@@ -124,9 +124,9 @@ class TestConstruction:
         """An entry lifts to the x-picture for W and AW only."""
         t = build_rtable(PRESETS["l-default"], 0, (0, 1))
         with pytest.raises(ConfigurationError):
-            poly_to_x(t.fp, t.entry(0, 0, 0))
+            x_shift(t.fp, t.entry(0, 0, 0))
         w = build_rtable(PRESETS["w-default"], 0, (0, 1))
-        assert poly_to_x(w.fp, w.entry(0, 0, 0)).var == "x"
+        assert x_shift(w.fp, w.entry(0, 0, 0)).var == "x"
 
 
 class TestDegreeLaw:
@@ -250,7 +250,7 @@ class TestXPicture:
         fp = PRESETS[key]
         t = build_rtable(fp, 2, (-2, 3))
         _, xentries = rtable_recursion(fp, 2, (-2, 3))
-        lifts = [poly_to_x(fp, p) for p in t.entries.values()]
+        lifts = [x_shift(fp, p) for p in t.entries.values()]
         for xp in list(xentries.values()) + lifts:
             assert (conj_coeffs(xp) if fp.family == "W" else star(xp)) == xp
 
@@ -264,7 +264,7 @@ class TestXPicture:
         _, xentries = rtable_recursion(fp, 2, (-2, 3))
         assert xentries.keys() == t.entries.keys()
         for key3, xp in xentries.items():
-            assert poly_to_x(fp, t.entries[key3]) == xp
+            assert x_shift(fp, t.entries[key3]) == xp
         assert t.abc == {n: three_term(fp, n) for n in range(-4, 6)}
 
     @given(fp=family_params(("W", "AW")))
@@ -280,7 +280,7 @@ class TestXPicture:
             return
         mirror = reflect if fp.family == "W" else z_inverse
         for xp in xentries.values():
-            assert mirror(x_shift(fp, xp, F(1, 2))) == x_shift(fp, xp, F(-1, 2))
+            assert mirror(carrier_shift(fp, xp, F(1, 2))) == carrier_shift(fp, xp, F(-1, 2))
 
     def test_wilson_s1_matches_shift_identities(self):
         fp = PRESETS["w-default"]
@@ -344,7 +344,7 @@ class TestClosedForm:
         key = data.draw(st.sampled_from(sorted(t.entries)))
         bump = data.draw(polys(max_deg=M + 1)) + ETA ** data.draw(st.integers(0, M + 2))
         t.entries[key] = t.entries[key] + bump
-        xentries = {k: poly_to_x(fp, p) for k, p in t.entries.items()}
+        xentries = {k: x_shift(fp, p) for k, p in t.entries.items()}
         assert check_rprop2_rprop3(t) == half_shift_violations_x(fp, M, window, t.abc, xentries)
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError
 from miop.exact import (GaussianRational, I, SqrtQRational, downcast,
-                        format_scalar, make_sqrtq, q_pow,
-                        rational_sqrt, scalar_sign, sqrt_q)
+                        format_scalar, q_pow, rational_sqrt, scalar_sign, sqrt_q)
+from miop.exact.scalars import make_sqrtq
 
 from . import oracles
 from .oracles import conj, parse_scalar
