@@ -1,13 +1,12 @@
 """Exact arithmetic core: scalar tower, polynomials, Bareiss determinants."""
 from .matrix import det, last_column_cofactors
-from .poly import LaurentPoly, Poly, even_poly_to_eta, laurent_to_eta
+from .poly import LaurentPoly, Poly, uncompose
 from .scalars import (GaussianRational, I, Scalar, SqrtQRational, downcast,
                       format_scalar, q_pow, rational_sqrt, scalar_sign, sqrt_q)
 
 __all__ = [
     "GaussianRational", "I", "LaurentPoly", "Poly",
     "Scalar", "SqrtQRational", "det",
-    "downcast", "even_poly_to_eta", "format_scalar",
-    "last_column_cofactors", "laurent_to_eta",
-    "q_pow", "rational_sqrt", "scalar_sign", "sqrt_q",
+    "downcast", "format_scalar", "last_column_cofactors",
+    "q_pow", "rational_sqrt", "scalar_sign", "sqrt_q", "uncompose",
 ]

@@ -20,16 +20,16 @@ products is one integer pass, and the tower path over the basis
 canonical (parts, den, q) as the tower path's.  Then powers, division
 (one pseudo-division after clearing the conjugates of the divisor's
 leading coefficient, as scalar division does, serves both exact_div and
-Poly's remainder %), composition (Horner's rule), the derivative and
-the reductions to eta.  `coeffs` views each column as its canonical scalar
-(Fraction over Q, GaussianRational across a run with any i part) on
-first use.  Mixing the two carriers, two variables or two radicands
-raises ConfigurationError.
+Poly's remainder %), composition (Horner's rule), its inverse uncompose
+(a value read back as a polynomial in eta) and the derivative.  `coeffs`
+views each column as its canonical scalar (Fraction over Q,
+GaussianRational across a run with any i part) on first use.  Mixing the
+two carriers, two variables or two radicands raises ConfigurationError.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable
 
 from ..errors import ConfigurationError, InexactDivision, ReductionFailure
@@ -418,52 +418,48 @@ class LaurentPoly(_PolyBase):
         return self.lo + len(self._parts[0]) - 1
 
 
-# -- eta reductions ---------------------------------------------------------------
+# -- the inverse of composition ---------------------------------------------------
 
-def even_poly_to_eta(p: Poly) -> Poly:
-    """Map an even, real-coefficient Poly in y (Wilson's y = -ix, tagged
-    "x") to a Poly in eta = x**2 = -y**2: y**(2k) becomes (-eta)**k."""
-    if p.var != "x":
-        raise ConfigurationError("even reduction expects a Poly in x")
+def uncompose(p, inner) -> Poly:
+    """The Poly f in eta with real coefficients and f.compose(inner) == p.
+
+    inner is rational, I/d with I led by lead = +-1 at exponent h >= 1.  Each
+    coordinate of p = P/dp is peeled from the top: with inner^k = I^k/d^k
+    (its nonzero (exponent, entry) pairs), the entry c left at exponent k*h
+    gives f_k = c * lead^k * d^k / dp, and c * lead^k * I^k leaves the run.
+    An i or i*r coordinate in p, or a remainder (p is no polynomial in
+    inner), raises ReductionFailure.
+    """
+    run = inner._parts
+    h = inner.lo + len(run[0]) - 1
+    if len(run) != 1 or h < 1 or run[0][-1] not in (1, -1):
+        raise ConfigurationError("uncompose needs a rational inner value led by +-1 at h >= 1")
+    p = inner._operand(p)
     if any(map(any, p._parts[1::2])):
-        raise ReductionFailure("x-picture value is not real")
-    if any(any(part[1::2]) for part in p._parts):
-        raise ReductionFailure("x-picture value has odd powers of x")
-    return _make(Poly, "eta", 0, [[-x if k & 1 else x for k, x in enumerate(part[::2])]
-                                  for part in p._parts], p._den, p._q)
-
-
-def laurent_to_eta(p: LaurentPoly) -> Poly:
-    """Express a symmetric self-conjugate Laurent value as a Poly in
-    eta = (z + 1/z)/2, by peeling leading Chebyshev terms.
-
-    p is self-conjugate (its coefficients conjugated, z -> 1/z, give p back)
-    when the run mirrors onto itself with its i and i*r parts negated; then
-    p is symmetric under z -> 1/z when those parts are zero."""
-    if not p:
-        return Poly.zero()
-    if p.lo != -p.hi or any(part[::-1] != ([-x for x in part] if k & 1 else part)
-                            for k, part in enumerate(p._parts)):
-        raise ReductionFailure("x-picture value is not self-conjugate")
-    if any(map(any, p._parts[1::2])):
-        raise ReductionFailure("x-picture value is not symmetric under z -> 1/z")
-    hi = p.hi
-    rem = [list(part) for part in p._parts]  # rem[k][hi + e]: coordinate k of z**e
-    out = [[0] * (hi + 1) for _ in rem]
-    for n in range(hi, 0, -1):
-        a = [part[hi + n] for part in rem]
-        if not any(a):
-            continue
-        for part, x in zip(out, a):  # a*(z+1/z)^n = a*2^n*eta^n
-            part[n] = x << n
-        for j in range(n + 1):  # (z + 1/z)^n = sum_j C(n, j) z^(n-2j)
-            b = comb(n, j)
-            for part, x in zip(rem, a):
-                part[hi + n - 2 * j] -= x * b
-        if any(part[hi + n] for part in rem):
-            raise ReductionFailure("Chebyshev peel failed to lower degree")
-    if any(x for part in rem for k, x in enumerate(part) if k != hi):
-        raise ReductionFailure("asymmetric residue after Chebyshev peel")
-    for part, res in zip(out, rem):
-        part[0] = res[hi]
+        raise ReductionFailure("value is not real in eta")
+    lead, d, top = run[0][-1], inner._den, p.lo + len(p._parts[0]) - 1
+    n = max(top // h, 0)
+    pairs = [(e, x) for e, x in enumerate(run[0], inner.lo) if x]
+    pows = [[(0, 1)]]  # pows[k]: the nonzero (exponent, entry) pairs of I^k
+    for _ in range(n):
+        acc = {}
+        for e, x in pows[-1]:
+            for s, y in pairs:
+                acc[e + s] = acc.get(e + s, 0) + x * y
+        pows.append([t for t in acc.items() if t[1]])
+    lo = min(p.lo, 0, n * inner.lo)
+    out = [[0] * (n + 1) for _ in p._parts]
+    for part, f in zip(p._parts, out):
+        rem = [0] * (p.lo - lo) + part + [0] * (max(top, 0) - top)
+        lk, dk = lead ** n, d ** n
+        for k in range(n, -1, -1):
+            c = rem[k * h - lo]
+            if c:
+                f[k] = c * lk * dk
+                c *= lk
+                for e, y in pows[k]:
+                    rem[e - lo] -= c * y
+            lk, dk = lk * lead, dk // d
+        if any(rem):
+            raise ReductionFailure("value is not a polynomial in eta")
     return _make(Poly, "eta", 0, out, p._den, p._q)

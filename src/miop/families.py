@@ -43,11 +43,10 @@ from .exact import (
     Poly,
     Scalar,
     downcast,
-    even_poly_to_eta,
     format_scalar,
-    laurent_to_eta,
     q_pow,
     scalar_sign,
+    uncompose,
 )
 
 FAMILIES = ("L", "J", "W", "AW")
@@ -93,8 +92,14 @@ class FamilyParams:
                 raise ConfigurationError("AW requires 0 < q < 1")
         elif self.q is not None:
             raise ConfigurationError(f"family {self.family} takes no q")
+        # hashed once for the lru_caches keyed by a point; the family as an index (str hashes are seeded)
+        object.__setattr__(self, "_hash", hash((FAMILIES.index(self.family), lam, self.q,
+                                                self.check_range)))
         if self.check_range:
             self._check_ranges()
+
+    def __hash__(self):
+        return self._hash
 
     def _check_ranges(self):
         half = Fraction(1, 2)
@@ -406,7 +411,8 @@ def energy(fp: FamilyParams, n: int) -> Scalar:
 # x + ic gamma (gamma = log q) is z q^{-c}.  eta_x and phi_x give eta and phi
 # at the shifted point in closed form, so an eta-polynomial at the shifted
 # point is one composition with eta_x (x_shift); the sqrt(q) of a half step
-# comes from q_pow.
+# comes from q_pow.  reduce_to_eta, the inverse of the unshifted lift, is
+# exact.uncompose with eta_x, so eta_x alone holds each family's coordinates.
 
 # the default verify sweep reads 28 (point, step) pairs, a depth-6 run about 20
 _ETA_X_CACHE_SIZE = 256
@@ -462,8 +468,6 @@ def x_shift(fp: FamilyParams, p: Poly, c=0) -> Carrier:
 
 
 def reduce_to_eta(fp: FamilyParams, p: Carrier) -> Poly:
-    """Rewrite a carrier known to be a polynomial in eta(x) back in eta."""
-    _require_difference(fp)
-    if fp.family == "W":
-        return even_poly_to_eta(p)
-    return laurent_to_eta(p)
+    """The f in eta with x_shift(fp, f) == p, as uncompose with eta_x(fp):
+    the inverse of the lift; ReductionFailure where p is no such lift."""
+    return uncompose(p, eta_x(fp))

@@ -38,7 +38,7 @@ evaluated on the symmetric point ladder x + i((R+1)/2 - j) gamma by one
 composition each with eta at that point (families.x_shift); the ladder
 is P_n on the same points, with row factors r^II r^I.  The
 determinant is multiplied by its i-phase, divided exactly by the printed
-normalization and by phi_R, and reduced to a polynomial in eta.
+normalization and by phi_R, and read back in eta (families.reduce_to_eta).
 InexactDivision or ReductionFailure signal implementation errors, never
 expected states.
 
@@ -109,24 +109,23 @@ class IndexSet:
             degs = [e.v for e in entries if e.type == t]
             if len(degs) != len(set(degs)):
                 raise ConfigurationError(f"duplicate type-{t} degrees in index set")
-        if self.M >= 1 and self.ell < 1:
-            raise ConfigurationError(
-                f"index set {self.label()} has ell = {self.ell} < 1"
-            )
 
     @classmethod
     def parse(cls, text: str) -> "IndexSet":
-        """Parse a compact label such as "I1,II2" or "" for the empty set."""
+        """Parse a compact label such as "I1,II2" or "" for the empty set.
+        A nonempty set needs ell >= 1 here, where --D enters, and not in the
+        constructor: each prefix of I0,II0 (ell = 1) must build."""
         text = text.strip()
-        if not text:
-            return cls(())
         entries = []
-        for tok in text.split(","):
+        for tok in text.split(",") if text else ():
             m = _ENTRY_RE.match(tok.strip())
             if not m:
                 raise ConfigurationError(f"cannot parse index entry {tok!r}")
             entries.append(VirtualStateData(m.group(1), int(m.group(2))))
-        return cls(tuple(entries))
+        D = cls(tuple(entries))
+        if D.M and D.ell < 1:
+            raise ConfigurationError(f"index set {D.label()} has ell = {D.ell} < 1")
+        return D
 
     @property
     def M(self) -> int:

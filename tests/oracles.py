@@ -33,8 +33,9 @@ constructors and for _dot.
 
 schoolbook_mul and long_division are the per-coefficient scalar loops of
 polynomial multiplication and division, on bare coefficient runs, and
-laurent_to_eta_scalar that of the Chebyshev peel: the references for the
-integer coordinates of miop.exact.poly.  laurent_shift_scalar is the
+laurent_to_eta_scalar that of AW's Chebyshev peel: the references for the
+integer coordinates of miop.exact.poly, the last for AW's reduce_to_eta
+(exact.uncompose with the unshifted eta, which holds no family kernel).  laurent_shift_scalar is the
 scalar loop of the shift z -> z*q**c, and carrier_shift the carrier shift
 x -> x + i*c*gamma built on it (AW) or on composition with y + c (W): the
 references for the shifted eta_x, phi_x and x_shift of miop.families,

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from miop.errors import ConfigurationError
 from miop.exact import GaussianRational, LaurentPoly, Poly
 from miop.exact.scalars import make_sqrtq
 from miop.families import FamilyParams, VirtualStateData
@@ -82,16 +81,9 @@ def family_params(families=("L", "J", "W", "AW")):
     return st.one_of([draws[f] for f in families])
 
 
-def _index_set(entries):
-    try:
-        return IndexSet(tuple(entries))
-    except ConfigurationError:  # ell < 1
-        return None
-
-
 def index_sets(max_m=4, max_v=4):
     """Index sets of 1..max_m distinct entries of either type with degrees
     0..max_v, in draw order, keeping those with ell >= 1."""
     entry = st.builds(VirtualStateData, st.sampled_from(("I", "II")), st.integers(0, max_v))
     return (st.lists(entry, min_size=1, max_size=max_m, unique=True)
-            .map(_index_set).filter(lambda D: D is not None))
+            .map(lambda entries: IndexSet(tuple(entries))).filter(lambda D: D.ell >= 1))

@@ -14,9 +14,7 @@ import pytest
 from miop.errors import InexactDivision, ReductionFailure
 from miop.exact import GaussianRational, LaurentPoly, Poly
 from miop.exact.matrix import det
-from miop.exact import poly as poly_module
-from miop.exact.poly import even_poly_to_eta, laurent_to_eta
-from miop.families import PRESETS, FamilyParams, classical_poly, three_term
+from miop.families import PRESETS, FamilyParams, classical_poly, reduce_to_eta, three_term
 from miop.multiindex import IndexSet, build
 from miop.quad import Weight, orthogonality_check
 from miop.rtable import (
@@ -182,7 +180,7 @@ def _random_poly(rng: random.Random, gaussian: bool) -> Poly:
     return Poly(coeffs)
 
 
-def test_criterion_9_exactness_oracles(monkeypatch):
+def test_criterion_9_exactness_oracles():
     t0 = time.perf_counter()
     rng = random.Random(20260815)
     for trial in range(200):
@@ -194,35 +192,19 @@ def test_criterion_9_exactness_oracles(monkeypatch):
     # fault injection: force each guarded failure path to fire
     with pytest.raises(InexactDivision):
         Poly([F(0), F(1)]).exact_div(Poly([F(1), F(1)]))
-    with pytest.raises(ReductionFailure, match="not real"):
-        even_poly_to_eta(Poly([GaussianRational(F(0), F(1))], "x"))
-    with pytest.raises(ReductionFailure, match="odd powers"):
-        even_poly_to_eta(Poly([F(0), F(1)], "x"))
+    # the one reduction (uncompose with eta_x) has two guards, both reachable
+    # from either family: an i coordinate, and a remainder after the peel
+    w, aw = PRESETS["w-default"], PRESETS["aw-default"]
     i = GaussianRational(F(0), F(1))
-    with pytest.raises(ReductionFailure, match="self-conjugate"):
-        laurent_to_eta(LaurentPoly(-1, (i, F(0), i)))
-    with pytest.raises(ReductionFailure, match="z -> 1/z"):
-        laurent_to_eta(LaurentPoly(-1, (-i, F(0), i)))
-
-    # the two peel guards are unreachable through the symmetry checks, so
-    # corrupt the Chebyshev term (z + 1/z)^n itself, through the binomial
-    # coefficients it is peeled with: once with a wrong top power (degree
-    # fails to drop), once with a wrong tail (residue skewed)
-    real_comb = poly_module.comb
-
-    def top_corrupt(n, j):
-        return real_comb(n, j) + (j == 0)
-
-    def tail_corrupt(n, j):
-        return real_comb(n, j) + (j == n)
-
-    symmetric = LaurentPoly(-2, (F(1), F(0), F(3), F(0), F(1)))
-    monkeypatch.setattr(poly_module, "comb", top_corrupt)
-    with pytest.raises(ReductionFailure, match="failed to lower"):
-        laurent_to_eta(symmetric)
-    monkeypatch.setattr(poly_module, "comb", tail_corrupt)
-    with pytest.raises(ReductionFailure, match="asymmetric residue"):
-        laurent_to_eta(symmetric)
-    monkeypatch.undo()
+    with pytest.raises(ReductionFailure, match="not real"):
+        reduce_to_eta(w, Poly([i], "x"))
+    with pytest.raises(ReductionFailure, match="not a polynomial in eta"):
+        reduce_to_eta(w, Poly([F(0), F(1)], "x"))
+    with pytest.raises(ReductionFailure, match="not real"):
+        reduce_to_eta(aw, LaurentPoly(-1, (i, F(0), i)))
+    with pytest.raises(ReductionFailure, match="not real"):
+        reduce_to_eta(aw, LaurentPoly(-1, (-i, F(0), i)))
+    with pytest.raises(ReductionFailure, match="not a polynomial in eta"):
+        reduce_to_eta(aw, LaurentPoly(-2, (F(1), F(0), F(3), F(0), F(2))))
 
     _verdict(9, "exactness oracles", t0)

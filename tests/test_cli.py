@@ -384,6 +384,21 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4a5456e9056e3ee334b34d6c3a078d39a707531daabb1b0927356e68b274f238")
 
+    @pytest.mark.parametrize("preset,D", [("j-default", "II0,I2"), ("j-default", "I2,II0"),
+                                          ("aw-default", "I0,II0"), ("aw-default", "II0,I0")])
+    def test_verdict_independent_of_entry_order(self, capsys, preset, D):
+        # the prefix chain builds D's first entry alone, here with ell = 0;
+        # ell >= 1 binds only the set that --D names
+        code, out, err = run_cli(capsys, "verify", "--preset", preset, "--D", D,
+                                 "--n-range", "-2..3")
+        assert code == 0, err
+        assert out.strip().endswith("PASS") and "FAIL" not in out
+
+    def test_ell_zero_set_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "gen", "--preset", "l-default", "--D", "I0")
+        assert code == 2
+        assert err == "error: index set I0 has ell = 0 < 1\n"
+
     def test_negative_range_end_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--preset", "l-default", "--D", "I1", "--n-range", "-4..-1"

@@ -50,6 +50,15 @@ class TestIndexSet:
         assert IndexSet.parse("I1,II2").ell == 1 + 2 - 1 + 2
         assert IndexSet.parse("").ell == 0
 
+    def test_ell_rule_binds_parsed_sets_only(self):
+        for label in ("I0", "II0"):
+            with pytest.raises(ConfigurationError, match="ell = 0 < 1"):
+                IndexSet.parse(label)
+        for label, ells in (("II0,I2", [0, 0, 3]), ("I0,II0", [0, 0, 1])):
+            D = IndexSet.parse(label)  # its first entry alone has ell = 0, and builds
+            assert [D.prefix(s).ell for s in range(D.M + 1)] == ells
+            assert D.permute((1, 0)).ell == D.ell
+
     def test_prefix_and_permute(self):
         D = IndexSet.parse("I1,II2,I3")
         assert D.prefix(2).label() == "I1,II2"

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from miop.cli import _SWEEP_SETS
 from miop.errors import ConfigurationError, InexactDivision, MiopError, ReductionFailure
-from miop.exact import (GaussianRational, LaurentPoly, Poly, SqrtQRational,
-                        even_poly_to_eta, format_scalar, laurent_to_eta, sqrt_q)
+from miop.exact import (GaussianRational, LaurentPoly, Poly, SqrtQRational, format_scalar,
+                        sqrt_q, uncompose)
 from miop.exact.poly import NEG_INF, _dot
 from miop.exact.scalars import make_sqrtq
-from miop.families import PRESETS, FamilyParams, eta_x, phi_x, reduce_to_eta, x_shift
+from miop.families import (PRESETS, FamilyParams, carrier_one, eta_x, phi_x, reduce_to_eta,
+                           x_shift)
 from miop.multiindex import IndexSet, _casoratian, build
 from miop.quad import _denominator
 
@@ -117,48 +118,71 @@ class TestLaurent:
             LaurentPoly(0, [1, 0, 1]).exact_div(LaurentPoly(0, [1, 1]))
 
 
+AW = PRESETS["aw-default"]
+W = PRESETS["w-default"]
+ETA_Z = LaurentPoly(-1, [Fraction(1, 2), 0, Fraction(1, 2)])  # AW's eta = (z + 1/z)/2
+
+
 class TestEtaReductions:
+    """reduce_to_eta is uncompose with eta_x(fp): the one reduction of both
+    difference families."""
+
     def test_laurent_to_eta_basic(self):
-        eta_l = LaurentPoly(-1, [Fraction(1, 2), 0, Fraction(1, 2)])
-        assert laurent_to_eta(eta_l) == Poly([0, 1], "eta")
-        assert laurent_to_eta(eta_l * eta_l) == Poly([0, 0, 1], "eta")
-        assert laurent_to_eta(LaurentPoly(0, [Fraction(7, 3)])) \
+        assert reduce_to_eta(AW, ETA_Z) == Poly([0, 1], "eta")
+        assert reduce_to_eta(AW, ETA_Z * ETA_Z) == Poly([0, 0, 1], "eta")
+        assert reduce_to_eta(AW, LaurentPoly(0, [Fraction(7, 3)])) \
             == Poly([Fraction(7, 3)], "eta")
 
     def test_laurent_to_eta_rejects_asymmetric(self):
-        with pytest.raises(ReductionFailure):
-            laurent_to_eta(LaurentPoly(0, [1, 1]))  # 1 + z
+        # the peel of z^2 reaches z^-2, below the lowest power of 1 + z + z^2
+        for value in (LaurentPoly(0, [1, 1]), LaurentPoly(0, [1, 1, 1])):
+            with pytest.raises(ReductionFailure, match="not a polynomial in eta"):
+                reduce_to_eta(AW, value)
 
     def test_laurent_to_eta_rejects_non_selfconjugate(self):
         i = GaussianRational(0, 1)
         # i*(z + 1/z) is symmetric but not self-conjugate
-        with pytest.raises(ReductionFailure):
-            laurent_to_eta(LaurentPoly(-1, [i, 0, i]))
+        with pytest.raises(ReductionFailure, match="not real"):
+            reduce_to_eta(AW, LaurentPoly(-1, [i, 0, i]))
 
     @given(polys(max_deg=3))
     @settings(max_examples=40)
     def test_laurent_roundtrip_through_eta(self, p):
-        lifted = x_shift(PRESETS["aw-default"], p)  # eta -> (z + 1/z)/2
-        assert laurent_to_eta(lifted) == Poly(p.coeffs, "eta")
+        lifted = x_shift(AW, p)  # eta -> (z + 1/z)/2
+        assert reduce_to_eta(AW, lifted) == Poly(p.coeffs, "eta")
 
     def test_even_poly_to_eta(self):
         p = Poly([0, 0, 1, 0, 1], "x")  # y^2 + y^4 with eta = -y^2
-        assert even_poly_to_eta(p) == Poly([0, -1, 1], "eta")
+        assert reduce_to_eta(W, p) == Poly([0, -1, 1], "eta")
 
     def test_even_poly_rejects_odd_powers(self):
-        with pytest.raises(ReductionFailure):
-            even_poly_to_eta(Poly([0, 1], "x"))
+        with pytest.raises(ReductionFailure, match="not a polynomial in eta"):
+            reduce_to_eta(W, Poly([0, 1], "x"))
 
     def test_even_poly_rejects_complex(self):
         i = GaussianRational(0, 1)
-        with pytest.raises(ReductionFailure):
-            even_poly_to_eta(Poly([i, 0, 1], "x"))
+        with pytest.raises(ReductionFailure, match="not real"):
+            reduce_to_eta(W, Poly([i, 0, 1], "x"))
 
     @given(polys(max_deg=3))
     @settings(max_examples=40)
     def test_even_roundtrip_through_eta(self, p):
         lifted = p.compose(Poly([0, 0, -1], "x"))  # eta -> -y^2
-        assert even_poly_to_eta(lifted) == Poly(p.coeffs, "eta")
+        assert uncompose(lifted, Poly([0, 0, -1], "x")) == Poly(p.coeffs, "eta")
+
+    def test_inner_and_operand_checked(self):
+        """uncompose takes a rational inner value led by +-1 at a positive
+        exponent, and a value of inner's ring (as ring operations do)."""
+        i = GaussianRational(0, 1)
+        for inner in (Poly([0, 0, 2], "x"), Poly([3], "x"), Poly([0, i, 1], "x"),
+                      Poly.zero("x"), LaurentPoly(-2, [1])):
+            with pytest.raises(ConfigurationError, match="rational inner"):
+                uncompose(Poly([1], "x"), inner)
+        for value in (ETA_Z, Poly([1, 1], "eta")):  # another carrier, another variable
+            with pytest.raises(ConfigurationError, match="mixing"):
+                uncompose(value, Poly([0, 0, -1], "x"))
+        with pytest.raises(ConfigurationError, match="W and AW only"):
+            reduce_to_eta(PRESETS["j-default"], Poly([1], "x"))
 
 
 def _as_poly(p: LaurentPoly) -> Poly:
@@ -331,7 +355,7 @@ class TestIntegerKernel:
     def test_no_scalar_arithmetic_in_ring_core(self, monkeypatch):
         """Degree-12 values over Q, Q(i) and Q(i)(sqrt q) with every scalar
         sum, product and quotient made to raise: the ring operations, the
-        comparisons, the shifts and the eta reductions work on integers only."""
+        comparisons, the shifts and the reduction to eta work on integers only."""
         q = Fraction(1, 3)
         runs = (
             [Fraction(k * k - 7, k + 2) for k in range(13)],
@@ -342,10 +366,13 @@ class TestIntegerKernel:
         real_runs = (runs[0], [make_sqrtq(k - 3, Fraction(1, k + 2), q) for k in range(13)])
         scalars = (3, Fraction(-5, 7), GaussianRational(Fraction(1, 2), -2),
                    make_sqrtq(GaussianRational(1), GaussianRational(0, Fraction(1, 3)), q))
-        shifts = [(PRESETS[key], c) for key in ("w-default", "aw-default", "aw-q13")
+        points = [PRESETS[key] for key in ("w-default", "aw-default", "aw-q13")]
+        shifts = [(fp, c) for fp in points
                   for c in (Fraction(1, 2), Fraction(-1, 2), 1, -1, Fraction(3, 2), Fraction(-3, 2))]
         for fp, c in shifts:  # eta_x builds eta at the shifted point from scalars, once
             eta_x(fp, c)
+        for fp in points:  # and the unshifted eta that reduce_to_eta inverts
+            eta_x(fp)
         cases = [(carrier(ra), carrier(rb)) for ra in runs for rb in runs
                  for carrier in (Poly, lambda run: LaurentPoly(-5, run))]
 
@@ -382,10 +409,8 @@ class TestIntegerKernel:
                       carrier_shift(fp, x_shift(fp, p), c)) for fp, c in shifts]
         for run in real_runs:
             p = Poly(run)
-            x_sq = p.compose(Poly([0, 0, -1], "x"))
-            z_sum = x_shift(PRESETS["aw-default"], p)
-            todo += [(lambda x_sq=x_sq: even_poly_to_eta(x_sq), p),
-                     (lambda z_sum=z_sum: laurent_to_eta(z_sum), p)]
+            todo += [(lambda fp=fp, value=x_shift(fp, p): reduce_to_eta(fp, value), p)
+                     for fp in points]
 
         def forbidden(*args):
             raise AssertionError("scalar arithmetic in the ring core")
@@ -456,16 +481,16 @@ def shifted_laurents(draw):
     return LaurentPoly(draw(st.integers(-6, -1)), run), q
 
 
-def _peel(reduce, p):
-    """Coefficient strings of reduce(p), or the ReductionFailure it raises."""
+def _reduced(reduce, value):
+    """reduce(value), or ReductionFailure if it raises one."""
     try:
-        return _strs(reduce(p))
-    except ReductionFailure as exc:
-        return str(exc)
+        return reduce(value)
+    except ReductionFailure:
+        return ReductionFailure
 
 
 class TestShiftAndPeel:
-    """AW's x_shift and laurent_to_eta in coordinates against the scalar
+    """AW's x_shift and reduce_to_eta in coordinates against the scalar
     loops of tests/oracles.py."""
 
     @given(radicand_runs(count=1), st.sampled_from([Fraction(k, 2) for k in range(-5, 6)]))
@@ -489,19 +514,19 @@ class TestShiftAndPeel:
         real = [c + conj(c) for c in p.coeffs]  # conj-invariant entries
         sym = LaurentPoly(1 - len(real), real[::-1] + real[1:])
         for value in (p, sym):
-            assert _peel(laurent_to_eta, value) == _peel(laurent_to_eta_scalar, value)
+            assert _reduced(lambda v: reduce_to_eta(AW, v), value) \
+                == _reduced(laurent_to_eta_scalar, value)
 
     def test_peel_of_zero(self):
         zero = LaurentPoly()
         assert (zero.lo, zero.hi) == (0, -1)
-        assert laurent_to_eta(zero) == laurent_to_eta_scalar(zero) == Poly.zero("eta")
+        assert reduce_to_eta(AW, zero) == laurent_to_eta_scalar(zero) == Poly.zero("eta")
 
 
 def _coords_of(p):
     return p._parts, p._den, p._q, p.lo
 
 
-W = PRESETS["w-default"]
 HALF_STEPS = st.sampled_from([Fraction(k, 2) for k in range(-7, 8)])
 SHIFT_POINTS = st.one_of(st.sampled_from([PRESETS[k] for k in ("w-default", "aw-default", "aw-q13")]),
                          family_params(("W", "AW")))
@@ -533,6 +558,65 @@ class TestXShift:
         shifted = x_shift(PRESETS["aw-q13"], ETA, Fraction(-1, 2))
         assert coeff(shifted, 1) == sqrt_q(Fraction(1, 3)) / 2
         assert shifted._q == Fraction(1, 3)
+
+
+def _w_strided(p: Poly) -> Poly:
+    """W's reduction read off the coefficients: y^(2k) -> (-eta)^k, after
+    checking that p is even and real."""
+    run = p.coeffs
+    if any(run[1::2]) or any(conj(c) != c for c in run):
+        raise ReductionFailure("not an even real polynomial in y")
+    return Poly([-c if k & 1 else c for k, c in enumerate(run[::2])], "eta")
+
+
+@st.composite
+def real_eta_polys(draw):
+    """(fp, p): a shift point and an eta-polynomial of degree <= 6 with real
+    coefficients, over Q(sqrt(1/3)) at aw-q13 and over Q elsewhere."""
+    fp = draw(SHIFT_POINTS)
+    coeffs = rationals()
+    if fp == PRESETS["aw-q13"]:
+        root = st.builds(lambda a, b: make_sqrtq(a, b, fp.q), rationals(), rationals())
+        coeffs = st.one_of(coeffs, root)
+    return fp, Poly(draw(st.lists(coeffs, max_size=7)))
+
+
+class TestOneReduction:
+    """reduce_to_eta inverts the unshifted lift x_shift(fp, p) on every
+    point, and agrees with an independent reference on each family: AW's
+    scalar Chebyshev peel and W's strided read, also where both refuse."""
+
+    @given(real_eta_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_inverts_the_lift(self, fp_p):
+        fp, p = fp_p
+        lifted = x_shift(fp, p)
+        got = reduce_to_eta(fp, lifted)
+        assert got == p and _coords_of(got) == _coords_of(p)
+        assert got == (_w_strided if fp.family == "W" else laurent_to_eta_scalar)(lifted)
+
+    @given(laurents(max_span=6), polys("x", max_deg=6))
+    @settings(max_examples=150, deadline=None)
+    def test_accepts_exactly_the_lifts(self, z_value, y_value):
+        """Any carrier value is refused, as by the reference, or is the lift
+        of what reduce_to_eta returns."""
+        for fp, value, reference in ((AW, z_value, laurent_to_eta_scalar), (W, y_value, _w_strided)):
+            got = _reduced(lambda v: reduce_to_eta(fp, v), value)
+            assert got == _reduced(reference, value)
+            assert got is ReductionFailure or x_shift(fp, got) == value
+
+    @given(SHIFT_POINTS, polys(max_deg=6), rationals().filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_refusals_match_the_reference(self, fp, p, c):
+        """An odd W value or an asymmetric AW value (the lift times, or plus
+        c times, y or z) and a Gaussian constant are refused by both."""
+        reference = _w_strided if fp.family == "W" else laurent_to_eta_scalar
+        tilt = Poly([0, 1], "x") if fp.family == "W" else LaurentPoly(1, [1])
+        lifted = x_shift(fp, p)
+        for value in (lifted * tilt, lifted + tilt * c, carrier_one(fp) * GaussianRational(c, 1)):
+            got = _reduced(lambda v: reduce_to_eta(fp, v), value)
+            assert got == _reduced(reference, value)
+            assert (got is ReductionFailure) == (not value.is_zero)
 
 
 class TestWilsonPictures:
