@@ -413,10 +413,6 @@ class LaurentPoly(_PolyBase):
     def monomial(cls, k: int, c: Scalar = Fraction(1)) -> "LaurentPoly":
         return cls(k, (c,))
 
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self._parts[0]) - 1
-
 
 # -- the inverse of composition ---------------------------------------------------
 

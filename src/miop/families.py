@@ -220,8 +220,11 @@ def twisted(fp: FamilyParams, m1: int, m2: int) -> FamilyParams:
 #
 # W is the q -> 1 image of AW (Koekoek, Lesky & Swarttouw (2010), 9.1, 14.1):
 # each factor n + a_j + a_k of a Wilson formula is 1 - a_j a_k q^n for AW.
-# FamilyParams._aggregates, _bracket and _reflect are the only code that
-# tells the two apart.
+# In the recurrence data, FamilyParams._aggregates, _bracket, _reflect and
+# the last line of three_term are the only code that tells the two apart.
+# Elsewhere the sites are _moved (additive or multiplicative steps), the
+# x-picture carriers below, multiindex's Pochhammer table, _scale and AW
+# row constant, and quad's weights.
 
 _ALL = (1, 2, 3, 4)
 
@@ -438,10 +441,10 @@ def carrier_one(fp: FamilyParams) -> Carrier:
 
 
 @lru_cache(maxsize=_ETA_X_CACHE_SIZE)
-def eta_x(fp: FamilyParams, c=0) -> Carrier:
+def eta_x(fp: FamilyParams, c) -> Carrier:
     """eta(x + ic gamma) as a carrier polynomial, c a half-integer:
     x^2 = -(y + c)^2 (W) or (q^c/z + q^-c z)/2 (AW); built once per
-    (point, c)."""
+    (point, c), so every caller names c (the unshifted eta is c = 0)."""
     c = _step(fp, c)
     if fp.family == "W":
         return Poly([-c * c, -2 * c, -1], var="x")
@@ -468,6 +471,6 @@ def x_shift(fp: FamilyParams, p: Poly, c=0) -> Carrier:
 
 
 def reduce_to_eta(fp: FamilyParams, p: Carrier) -> Poly:
-    """The f in eta with x_shift(fp, f) == p, as uncompose with eta_x(fp):
+    """The f in eta with x_shift(fp, f) == p, as uncompose with eta_x(fp, 0):
     the inverse of the lift; ReductionFailure where p is no such lift."""
-    return uncompose(p, eta_x(fp))
+    return uncompose(p, eta_x(fp, 0))

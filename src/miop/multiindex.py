@@ -31,14 +31,19 @@ The ladder is P_n and its derivatives, with row factors 1.
 
 W and AW use a Casoratian-style determinant over the x-picture
 (_casoratian): W in y = -ix, with rational entries, AW in z = e^{ix}.
-Entries combine r-factors (products of _pochs, the Pochhammer pairs
-(a +- ix) = (a -+ y) of W or q-Pochhammer pairs (uz, u/z; q) of AW, with
-z and kappa powers for AW) and the virtual polynomials, kept in eta and
-evaluated on the symmetric point ladder x + i((R+1)/2 - j) gamma by one
-composition each with eta at that point (families.x_shift); the ladder
-is P_n on the same points, with row factors r^II r^I.  The
-determinant is multiplied by its i-phase, divided exactly by the printed
-normalization and by phi_R, and read back in eta (families.reduce_to_eta).
+One table per size R (_pochhammers) holds the Pochhammer ladders
+(a +- ix)_t = (a -+ y)_t of W or (uz, u/z; q)_t of AW, t < R.  Entries
+combine r-factors (two ladder entries per parameter) and the virtual
+polynomials, kept in eta and evaluated on the symmetric point ladder
+x + i((R+1)/2 - j) gamma by one composition each with eta at that point
+(families.x_shift); the ladder is P_n on the same points, with row
+factors r^II r^I.  AW's row constant c_j = z^(R+1-2j) kappa^(e_j), with
+e_j = (R-1)^2/2 - (j-1)(R-j) and kappa = 1/q, on both r-factors of row j,
+leaves the block: the z powers multiply to 1, one c_j stays on the last
+column's row factor and kappa^(sum_j e_j) joins the scale.  The
+determinant is divided exactly by phi_R and the printed normalization,
+products of up[j] down[j] from the table, multiplied by one closed-form
+scalar (_scale) and read back in eta (families.reduce_to_eta).
 InexactDivision or ReductionFailure signal implementation errors, never
 expected states.
 
@@ -47,7 +52,7 @@ virtual state of zero energy, say) and raises GenericityError.
 
 For AW the alpha prefactors contribute (a1 a2 q^-R)^e (a3 a4 q^-R)^e'
 with half-integer exponents.  The part representable in the scalar tower
-is folded into the coefficients; a residual square root of a rational,
+is folded into the scale; a residual square root of a rational,
 when present, is detached and recorded on the pair as a radicand
 (norm tag): the verbatim object is sqrt(radicand) times the stored
 polynomial.  The tag is independent of n, so every identity checked
@@ -66,7 +71,6 @@ from .exact import (
     I,
     LaurentPoly,
     Poly,
-    Scalar,
     det,
     format_scalar,
     last_column_cofactors,
@@ -264,75 +268,60 @@ def _wronskian(fp: FamilyParams, D: IndexSet):
 # -- W/AW: Casoratian-style determinants ----------------------------------------
 
 
-def _pochs(fp: FamilyParams, k: int, R: int, up: int, down: int) -> Carrier:
-    """The Pochhammer pair of parameter k in a size-R Casoratian:
-    (a + ix)_up (a - ix)_down = (a - y)_up (a + y)_down with
-    a = a_k - (R-1)/2 for W, and (uz;q)_up (u/z;q)_down with
-    u = a_k q^(-(R-1)/2) for AW."""
-    if fp.family == "W":
-        a = fp.lam[k - 1] - Fraction(R - 1, 2)
-        factors = [Poly([a + t, -1], var="x") for t in range(up)]
-        factors += [Poly([a + t, 1], var="x") for t in range(down)]
-    else:
-        u = fp.lam[k - 1] * q_pow(fp.q, -(R - 1), 2)
-        factors = [LaurentPoly(0, [1, -u * q_pow(fp.q, t)]) for t in range(up)]
-        factors += [LaurentPoly(-1, [-u * q_pow(fp.q, t), 1]) for t in range(down)]
-    out = carrier_one(fp)
-    for f in factors:
-        out = out * f
-    return out
+def _pochhammers(fp: FamilyParams, R: int) -> dict:
+    """k -> (up, down), the Pochhammer ladders of parameter k in a size-R
+    Casoratian, t = 0..R-1: up[t] = (a + ix)_t = (a - y)_t and
+    down[t] = (a - ix)_t = (a + y)_t with a = a_k - (R-1)/2 for W, and
+    (uz;q)_t and (u/z;q)_t with u = a_k q^(-(R-1)/2) for AW.  Each linear
+    factor is built once; each entry extends the one before by one factor."""
+    table = {}
+    for k, a in enumerate(fp.lam, 1):
+        if fp.family == "W":
+            a -= Fraction(R - 1, 2)
+            steps = [(Poly([a + t, -1], var="x"), Poly([a + t, 1], var="x")) for t in range(R - 1)]
+        else:
+            u = a * q_pow(fp.q, -(R - 1), 2)
+            steps = [(LaurentPoly(0, [1, -v]), LaurentPoly(-1, [-v, 1]))
+                     for v in (u * q_pow(fp.q, t) for t in range(R - 1))]
+        up, down = [carrier_one(fp)], [carrier_one(fp)]
+        for f, g in steps:
+            up.append(up[-1] * f)
+            down.append(down[-1] * g)
+        table[k] = up, down
+    return table
 
 
-def _r_poly(fp: FamilyParams, ks: tuple, j: int, R: int) -> Carrier:
-    """Polynomial content of an r-factor for row j of a size-R determinant.
+def _scale(fp: FamilyParams, R: int, m1: int, m2: int) -> tuple:
+    """(scalar, radicand) of a size-R Casoratian with m1 type-I and m2
+    type-II columns, applied once per determinant.
 
-    Includes the z power and the kappa power (half-integer power of 1/q)
-    for AW but not the alpha prefactor, which is handled once per
-    determinant.
+    The scalar is the i-phase i^(R(R-1)/2), all of it for W.  For AW it
+    also holds the alpha prefactors (a1 a2 q^-R)^(-(R-1) m2/2)
+    (a3 a4 q^-R)^(-(R-1) m1/2) and the row constants' kappa^(sum_j e_j) =
+    q^((R(R-1)(R-2)/3 - R(R-1)^2)/2), over the normalization's
+    (a1 a2)^-T(m2-1) (a3 a4)^-T(m1-1) q^(S(m2-1) + S(m1-1)), with
+    T(L) = L(L+1)/2 and S(L) = L(L+1)(L+2)/6.  An odd alpha exponent puts
+    its base in the rational rad: sqrt(rad), or else sqrt(rad/q), folds into
+    the scalar when rational; otherwise rad is the radicand.
     """
-    out = carrier_one(fp) if fp.family == "W" else LaurentPoly.monomial(R + 1 - 2 * j)
-    for k in ks:
-        out = out * _pochs(fp, k, R, j - 1, R - j)
+    scalar = I ** ((R * (R - 1) // 2) % 4)
     if fp.family == "W":
-        return out
-    # kappa = 1/q: exponent (R-1)^2/2 - (j-1)(R-j)
-    e_num = -((R - 1) ** 2) + 2 * (j - 1) * (R - j)
-    return out * q_pow(fp.q, e_num, 2)
-
-
-def _alpha_scale(fp: FamilyParams, R: int, e1: Fraction, e2: Fraction):
-    """(a1 a2 q^-R)^e1 (a3 a4 q^-R)^e2 split into tower scalar and radicand."""
-    if fp.family == "W":
-        return Fraction(1), Fraction(1)
-    a = fp.lam
-    qR = fp.q ** (-R)
-    rational = Fraction(1)
+        return scalar, Fraction(1)
+    a, q = fp.lam, fp.q
+    scalar = scalar * q_pow(q, R * (R - 1) * (R - 2) // 3 - R * (R - 1) ** 2, 2)
     rad = Fraction(1)
-    for u, e in ((a[0] * a[1] * qR, Fraction(e1)), (a[2] * a[3] * qR, Fraction(e2))):
-        n = e.numerator // e.denominator
-        rational *= Fraction(u) ** n
-        if e - n:
-            rad *= Fraction(u)
+    for pair, m in ((a[0] * a[1], m2), (a[2] * a[3], m1)):
+        u, e = Fraction(pair * q ** -R), -(R - 1) * m  # u^(e/2) with pair^T(m-1) q^-S(m-1)
+        scalar = scalar * u ** (e // 2) * pair ** ((m - 1) * m // 2) / q ** ((m - 1) * m * (m + 1) // 6)
+        if e % 2:
+            rad *= u
     root = rational_sqrt(rad)
     if root is not None:
-        return rational * root, Fraction(1)
-    root = rational_sqrt(rad / fp.q)
+        return scalar * root, Fraction(1)
+    root = rational_sqrt(rad / q)
     if root is not None:
-        return rational * root * sqrt_q(fp.q), Fraction(1)
-    return rational, rad
-
-
-def _norm_divisor(fp: FamilyParams, R: int, lim34: int, lim12: int):
-    """The printed normalization (A or B): carrier polynomial and scalar."""
-    poly = carrier_one(fp)
-    scalar: Scalar = Fraction(1)
-    for ks, lim in (((3, 4), lim34), ((1, 2), lim12)):
-        for k in ks:
-            for j in range(1, lim + 1):
-                poly = poly * _pochs(fp, k, R, j, j)
-                if fp.family == "AW":
-                    scalar = scalar * fp.lam[k - 1] ** (-j) * q_pow(fp.q, j * (j + 1) // 2, 2)
-    return poly, scalar
+        return scalar * root * sqrt_q(q), Fraction(1)
+    return scalar, rad
 
 
 def phi_M(fp: FamilyParams, M: int) -> Carrier:
@@ -355,11 +344,11 @@ def _casoratian(fp: FamilyParams, D: IndexSet):
 
     The columns are the virtual polynomials xi in eta: the entry of column
     xi in row j is xi at x_j, x_shift(fp, xi, (R+1)/2 - j), times r^II
-    (type I) or r^I (type II).  The last column, P_n(x_j), carries
-    r^II r^I, so it counts as one column of each type in the
-    normalization.  finish applies the i-phase, divides by the printed
-    normalization and phi_R and reduces to eta; the radicand is what the
-    alpha scale leaves.
+    (type I) or r^I (type II), without AW's row constant c_j.  The last
+    column, P_n(x_j), carries r^II r^I c_j, so it counts as one column of
+    each type in the normalization.  finish divides by the printed
+    normalization's polynomial and phi_R, applies _scale's scalar and
+    reduces to eta; the radicand is what the scale leaves.
     """
     from .families import reduce_to_eta
 
@@ -367,22 +356,31 @@ def _casoratian(fp: FamilyParams, D: IndexSet):
     v2 = [virtual_poly(fp, e) for e in D.entries if e.type == "II"]
 
     def size(R: int):
+        table = _pochhammers(fp, R)
+
+        def r(ks: tuple, j: int) -> Carrier:  # the r-factor of row j, no row constant
+            (up1, down1), (up2, down2) = (table[k] for k in ks)
+            return up1[j - 1] * down1[R - j] * up2[j - 1] * down2[R - j]
+
         shifts = [Fraction(R + 1, 2) - j for j in range(1, R + 1)]
         rows, r21 = [], []
         for j, c in enumerate(shifts, 1):
-            r1 = _r_poly(fp, (1, 2), j, R)
-            r2 = _r_poly(fp, (3, 4), j, R)
+            r1, r2 = r((1, 2), j), r((3, 4), j)
             rows.append([r2 * x_shift(fp, p, c) for p in v1] + [r1 * x_shift(fp, p, c) for p in v2])
             r21.append(r2 * r1)
+            if fp.family == "AW":  # the one copy of c_j left in the determinant
+                e2 = 2 * (j - 1) * (R - j) - (R - 1) ** 2  # -2 e_j
+                r21[-1] *= LaurentPoly.monomial(R + 1 - 2 * j, q_pow(fp.q, e2, 2))
         m1, m2 = D.M1 + R - D.M, D.M2 + R - D.M
-        norm_poly, norm_scalar = _norm_divisor(fp, R, max(m1 - 1, 0), max(m2 - 1, 0))
-        half = Fraction(1, 2)
-        scale, rad = _alpha_scale(fp, R, -(R - 1) * m2 * half, -(R - 1) * m1 * half)
-        phase = I ** ((R * (R - 1) // 2) % 4)
-        divisor, factor = norm_poly * phi_M(fp, R), scale / norm_scalar
+        divisor = phi_M(fp, R)
+        for ks, m in (((3, 4), m1), ((1, 2), m2)):
+            for up, down in (table[k] for k in ks):
+                for j in range(1, m):
+                    divisor = divisor * up[j] * down[j]
+        factor, rad = _scale(fp, R, m1, m2)
 
         def finish(d: Carrier) -> Poly:
-            return reduce_to_eta(fp, (d * phase).exact_div(divisor) * factor)
+            return reduce_to_eta(fp, d.exact_div(divisor) * factor)
 
         def ladder(n: int) -> list:
             last = classical_poly(fp, n)

@@ -25,6 +25,13 @@ eta-polynomials.
 det_cofactor is the Laplace expansion that miop.exact.det (Bareiss
 elimination) is checked against, on plain lists of rows.
 
+pochs, r_poly, alpha_scale and norm_scalar are the W/AW Casoratian pieces
+that miop.multiindex's per-size Pochhammer table and closed-form _scale
+replaced: each Pochhammer pair rebuilt from linear factors, the r-factor
+of one row with AW's z and kappa powers, the alpha prefactors split into
+scalar and radicand, and the printed normalization's scalar, built row by
+row.
+
 reference_scalar, run_coords and dot_schoolbook read the integer form of
 miop.exact from the scalars alone: a value in the reference tower, the
 canonical (parts, den, q, lo) of a coefficient run, and that of a sum of
@@ -89,7 +96,7 @@ from miop.errors import (
     SingularCoefficient,
 )
 from miop import exact
-from miop.exact import LaurentPoly, Poly, q_pow, rational_sqrt, scalar_sign
+from miop.exact import LaurentPoly, Poly, q_pow, rational_sqrt, scalar_sign, sqrt_q
 from miop.exact.scalars import power
 from miop.families import (
     FamilyParams,
@@ -127,7 +134,7 @@ def reflect(p: Poly) -> Poly:
 
 def z_inverse(p: LaurentPoly) -> LaurentPoly:
     """p(1/z) for a Laurent value p in z."""
-    return LaurentPoly(-p.hi, p.coeffs[::-1], p.var)
+    return LaurentPoly(1 - p.lo - len(p.coeffs), p.coeffs[::-1], p.var)
 
 
 def star(p: LaurentPoly) -> LaurentPoly:
@@ -417,7 +424,7 @@ def rtable_recursion(fp, M: int, window, coeffs=None) -> tuple:
         zero = Poly.zero("x") if fp.family == "W" else LaurentPoly()
         shift = lambda p: carrier_shift(fp, p, half)
         reduce = lambda p: reduce_to_eta(fp, p)
-        eta_arg = lambda s: carrier_shift(fp, eta_x(fp), Fraction(-s, 2))
+        eta_arg = lambda s: carrier_shift(fp, eta_x(fp, 0), Fraction(-s, 2))
     else:
         one, zero = Poly.one(), Poly.zero()
         shift = reduce = lambda p: p
@@ -457,7 +464,7 @@ def half_shift_violations_x(fp, M: int, window, abc: dict, xentries: dict) -> li
     lo, hi = window
     half = Fraction(1, 2)
     zero = Poly.zero("x") if fp.family == "W" else LaurentPoly()
-    eta = eta_x(fp)
+    eta = eta_x(fp, 0)
 
     def x(key):
         return xentries.get(key, zero)
@@ -637,6 +644,78 @@ def lj_gauge_divisor(fp, D, R: int) -> Poly:
     return divisor
 
 
+# -- W/AW Casoratian pieces, row by row --------------------------------------------
+
+
+def pochs(fp: FamilyParams, k: int, R: int, up: int, down: int):
+    """The Pochhammer pair of parameter k in a size-R Casoratian:
+    (a + ix)_up (a - ix)_down = (a - y)_up (a + y)_down with
+    a = a_k - (R-1)/2 for W, and (uz;q)_up (u/z;q)_down with
+    u = a_k q^(-(R-1)/2) for AW."""
+    if fp.family == "W":
+        a = fp.lam[k - 1] - Fraction(R - 1, 2)
+        factors = [Poly([a + t, -1], var="x") for t in range(up)]
+        factors += [Poly([a + t, 1], var="x") for t in range(down)]
+    else:
+        u = fp.lam[k - 1] * q_pow(fp.q, -(R - 1), 2)
+        factors = [LaurentPoly(0, [1, -u * q_pow(fp.q, t)]) for t in range(up)]
+        factors += [LaurentPoly(-1, [-u * q_pow(fp.q, t), 1]) for t in range(down)]
+    out = carrier_one(fp)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def r_poly(fp: FamilyParams, ks: tuple, j: int, R: int):
+    """Polynomial content of an r-factor for row j of a size-R determinant.
+
+    Includes the z power and the kappa power (half-integer power of 1/q)
+    for AW but not the alpha prefactor, which is handled once per
+    determinant.
+    """
+    out = carrier_one(fp) if fp.family == "W" else LaurentPoly.monomial(R + 1 - 2 * j)
+    for k in ks:
+        out = out * pochs(fp, k, R, j - 1, R - j)
+    if fp.family == "W":
+        return out
+    # kappa = 1/q: exponent (R-1)^2/2 - (j-1)(R-j)
+    e_num = -((R - 1) ** 2) + 2 * (j - 1) * (R - j)
+    return out * q_pow(fp.q, e_num, 2)
+
+
+def alpha_scale(fp: FamilyParams, R: int, e1: Fraction, e2: Fraction):
+    """(a1 a2 q^-R)^e1 (a3 a4 q^-R)^e2 split into tower scalar and radicand."""
+    if fp.family == "W":
+        return Fraction(1), Fraction(1)
+    a = fp.lam
+    qR = fp.q ** (-R)
+    rational = Fraction(1)
+    rad = Fraction(1)
+    for u, e in ((a[0] * a[1] * qR, Fraction(e1)), (a[2] * a[3] * qR, Fraction(e2))):
+        n = e.numerator // e.denominator
+        rational *= Fraction(u) ** n
+        if e - n:
+            rad *= Fraction(u)
+    root = rational_sqrt(rad)
+    if root is not None:
+        return rational * root, Fraction(1)
+    root = rational_sqrt(rad / fp.q)
+    if root is not None:
+        return rational * root * sqrt_q(fp.q), Fraction(1)
+    return rational, rad
+
+
+def norm_scalar(fp: FamilyParams, R: int, lim34: int, lim12: int):
+    """The scalar of the printed normalization (A or B)."""
+    scalar = Fraction(1)
+    for ks, lim in (((3, 4), lim34), ((1, 2), lim12)):
+        for k in ks:
+            for j in range(1, lim + 1):
+                if fp.family == "AW":
+                    scalar = scalar * fp.lam[k - 1] ** (-j) * q_pow(fp.q, j * (j + 1) // 2, 2)
+    return scalar
+
+
 def laurent_shift_scalar(p, c, q):
     """Substitute z -> z*q**c exactly; c may be a half-integer."""
     c = Fraction(c)
@@ -688,7 +767,7 @@ def laurent_to_eta_scalar(p):
         raise ReductionFailure("x-picture value is not self-conjugate")
     if z_inverse(p) != p:
         raise ReductionFailure("x-picture value is not symmetric under z -> 1/z")
-    hi = max(p.hi, 0)
+    hi = max(p.lo + len(p.coeffs) - 1, 0)
     rem = [coeff(p, k) for k in range(-hi, hi + 1)]  # rem[hi + k] multiplies z**k
     out = [Fraction(0)] * (hi + 1)
     for n in range(hi, 0, -1):

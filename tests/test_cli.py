@@ -68,6 +68,9 @@ DEEP_GEN_SHA256 = {
     ("aw-default", "I1,I2,I3,II1"): "760472819bdadb71f8b341157fccf807c7f884e84203a56cbac0f3a4af2933d1",
     ("w-default", "I1,I2,I3,II1,II2"): "542a09546ad5add7cb60a4deb7ad726edbb02a71a83b7f1920e35e0f86893b33",
     ("aw-q13", "I1,II1,II2"): "4c0adb76b3f31faa04ac556d39aaaf39ef1ba99f85dc7fadd80a9750510fef3b",
+    # depth 6 with a Xi radicand that is not 1: 2097152/15 (aw-default), 177147/40 (aw-q13)
+    ("aw-default", "I1,I2,I3,II1,II2,II3"): "ffcb49893c1f6fc1f215f3a2085f4d4ef139d921019588c4bbe218e1252572b0",
+    ("aw-q13", "I1,I2,I3,II1,II2,II3"): "eff5f032bb33aeac407d381fd3448ca0b3bb833ba0cfb1dc2005df9eba1661c0",
 }
 
 

@@ -1,25 +1,29 @@
 """Tests for denominator / multi-indexed polynomial construction."""
 
+from collections import Counter
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError, GenericityError, LeadingCoefficientZero, SingularCoefficient
-from miop.exact import GaussianRational, Poly, det
-from miop.families import PRESETS, FamilyParams, classical_poly, shifted
+from miop import multiindex as mi
+from miop.exact import I, GaussianRational, LaurentPoly, Poly, det, q_pow, rational_sqrt
+from miop.families import PRESETS, FamilyParams, classical_poly, shifted, twisted, virtual_poly, x_shift
 from miop.multiindex import IndexSet, build, build_xi, phi_M
 from miop.quad import Weight, _phi0_sq
 from miop.rtable import build_rtable
 
-from .oracles import det_cofactor, lj_gauge_divisor, star
+from .oracles import alpha_scale, det_cofactor, lj_gauge_divisor, norm_scalar, pochs, r_poly, star
 from .strategies import family_params, index_sets
 
 ETA = Poly.variable()
 
 ACCEPTANCE_SETS = ["I1", "II1", "I1,I2", "I1,II1", "I1,I2,I3", "I1,I2,II1"]
 ALL_PRESETS = ["l-default", "j-default", "w-default", "aw-default"]
+DIFFERENCE_PRESETS = ["w-default", "aw-default", "aw-q13"]
 
 
 class TestIndexSet:
@@ -334,6 +338,108 @@ class TestNormTags:
         a = build(fp, IndexSet.parse("I1"), n_max=0)
         b = build(fp, IndexSet.parse("I1"), n_max=3)
         assert a.p_radicand == b.p_radicand
+
+
+class TestCasoratianTable:
+    """The per-size Pochhammer table, the block without AW's row constant and
+    the closed-form _scale, against the row-by-row pieces they replaced."""
+
+    @pytest.mark.parametrize("name", DIFFERENCE_PRESETS)
+    def test_table_at_presets(self, name):
+        for R in range(1, 7):
+            assert_table_matches_pochs(PRESETS[name], R)
+
+    @given(family_params(("W", "AW")), st.integers(1, 6))
+    @settings(max_examples=20, deadline=None)
+    def test_table_at_random_points(self, fp, R):
+        assert_table_matches_pochs(fp, R)
+
+    @pytest.mark.parametrize("name", DIFFERENCE_PRESETS)
+    @pytest.mark.parametrize("lbl", ["I1", "I1,II1", "I1,I2,II2", "I1,I2,I3,II1,II2"])
+    def test_rows_at_presets(self, name, lbl):
+        D = IndexSet.parse(lbl)
+        for R in (D.M, D.M + 1):
+            assert_rows_match_r_poly(PRESETS[name], D, R)
+
+    @given(family_params(("W", "AW")), index_sets(max_m=4), st.integers(0, 1))
+    @settings(max_examples=20, deadline=None)
+    def test_rows_at_random_points(self, fp, D, extra):
+        try:
+            assert_rows_match_r_poly(fp, D, D.M + extra)
+        except (LeadingCoefficientZero, SingularCoefficient):  # no virtual polynomial by recurrence
+            return
+
+    def test_wilson_scale_is_the_phase(self):
+        for R in range(1, 9):
+            assert mi._scale(PRESETS["w-default"], R, R, 0) == (I ** (R * (R - 1) // 2 % 4), 1)
+
+    def test_askey_wilson_scale_closed_form(self):
+        """_scale is the phase times prod_j kappa^(e_j) times the alpha scale
+        over the normalization scalar, in value and radicand, at plain and
+        twisted points (sqrt(q) parameters) with every radicand outcome."""
+        lams = [(F(1, 2), F(1, 3), F(1, 4), F(1, 5)),
+                (F(1, 2), F(1, 8), F(1, 3), F(3, 4)),  # a1 a2 and a3 a4 squares
+                (F(1, 2), F(2, 3), F(1, 3), F(1, 4))]  # a1 a2 = 1/3
+        qs = [F(1, 4), F(1, 3), F(1, 9), F(2, 7), F(4, 9), F(1, 2)]
+        points = [twisted(FamilyParams("AW", lam, q), *tw)
+                  for lam in lams for q in qs for tw in ((0, 0), (1, 0), (0, 1))]
+        grid = [(fp, R, m1, m2) for fp in points for R in range(1, 9)
+                for m1 in range(R + 1) for m2 in range(R + 1)]
+        outcomes = Counter()
+        for fp, R, m1, m2 in grid[::30]:
+            half = F(1, 2)
+            alpha, rad = alpha_scale(fp, R, -(R - 1) * m2 * half, -(R - 1) * m1 * half)
+            kappa = prod((row_constant(fp, R, j).coeffs[0] for j in range(1, R + 1)), start=F(1))
+            want = I ** (R * (R - 1) // 2 % 4) * kappa * alpha / norm_scalar(fp, R, max(m1 - 1, 0),
+                                                                              max(m2 - 1, 0))
+            assert mi._scale(fp, R, m1, m2) == (want, rad)
+            outcomes[_radicand_outcome(fp, R, m1, m2)] += 1
+        assert set(outcomes) == {"no half power", "sqrt(rad)", "sqrt(rad/q)", "detached"}
+
+
+def _radicand_outcome(fp, R, m1, m2) -> str:
+    """Which way the alpha prefactors' half powers end at (R, m1, m2)."""
+    a, q = fp.lam, fp.q
+    half = [F(pair * q ** -R) for pair, m in ((a[0] * a[1], m2), (a[2] * a[3], m1)) if (R - 1) * m % 2]
+    if not half:
+        return "no half power"
+    if rational_sqrt(prod(half)) is not None:
+        return "sqrt(rad)"
+    return "sqrt(rad/q)" if rational_sqrt(prod(half) / q) is not None else "detached"
+
+
+def row_constant(fp, R: int, j: int):
+    """AW's c_j = z^(R+1-2j) kappa^((R-1)^2/2 - (j-1)(R-j)), kappa = 1/q; 1 for W."""
+    if fp.family == "W":
+        return Poly.one("x")
+    return LaurentPoly.monomial(R + 1 - 2 * j, q_pow(fp.q, 2 * (j - 1) * (R - j) - (R - 1) ** 2, 2))
+
+
+def assert_table_matches_pochs(fp, R: int):
+    """Every up[t] down[s] of the size-R table is the Pochhammer pair rebuilt
+    from linear factors."""
+    table = mi._pochhammers(fp, R)
+    assert sorted(table) == [1, 2, 3, 4]
+    for k, (up, down) in table.items():
+        assert len(up) == len(down) == R
+        for t in range(R):
+            for s in range(R):
+                assert up[t] * down[s] == pochs(fp, k, R, t, s)
+
+
+def assert_rows_match_r_poly(fp, D, R: int):
+    """Each block entry of the size-R Casoratian is the Pochhammer product
+    times the shifted virtual polynomial, with no z or kappa power, and each
+    last-column row factor times c_j is the row-by-row r^II r^I."""
+    block, r21, _, _, _ = mi._casoratian(fp, D)(R)
+    for j, (row, r) in enumerate(zip(block, r21), 1):
+        c, cj = F(R + 1, 2) - j, row_constant(fp, R, j)
+        r1, r2 = (pochs(fp, k1, R, j - 1, R - j) * pochs(fp, k2, R, j - 1, R - j)
+                  for k1, k2 in ((1, 2), (3, 4)))
+        assert (r1 * cj, r2 * cj) == (r_poly(fp, (1, 2), j, R), r_poly(fp, (3, 4), j, R))
+        assert row == [(r2 if t == "I" else r1) * x_shift(fp, virtual_poly(fp, e), c)
+                       for t in ("I", "II") for e in D.entries if e.type == t]
+        assert r * cj == r_poly(fp, (3, 4), j, R) * r_poly(fp, (1, 2), j, R)
 
 
 class TestWeightDescriptor:

@@ -13,8 +13,8 @@ from miop.exact import (GaussianRational, LaurentPoly, Poly, SqrtQRational, form
                         sqrt_q, uncompose)
 from miop.exact.poly import NEG_INF, _dot
 from miop.exact.scalars import make_sqrtq
-from miop.families import (PRESETS, FamilyParams, carrier_one, eta_x, phi_x, reduce_to_eta,
-                           x_shift)
+from miop.families import (PRESETS, FamilyParams, carrier_one, classical_poly, eta_x, phi_x,
+                           reduce_to_eta, x_shift)
 from miop.multiindex import IndexSet, _casoratian, build
 from miop.quad import _denominator
 
@@ -170,6 +170,15 @@ class TestEtaReductions:
         lifted = p.compose(Poly([0, 0, -1], "x"))  # eta -> -y^2
         assert uncompose(lifted, Poly([0, 0, -1], "x")) == Poly(p.coeffs, "eta")
 
+    def test_unshifted_eta_is_built_once(self):
+        """The lift and the reduction read one cached unshifted eta: each
+        caller names the step, so eta_x(fp) and eta_x(fp, 0) are no longer
+        two cache keys for the same value."""
+        p = classical_poly(AW, 2)
+        eta_x.cache_clear()
+        reduce_to_eta(AW, x_shift(AW, p))
+        assert eta_x.cache_info().currsize == 1
+
     def test_inner_and_operand_checked(self):
         """uncompose takes a rational inner value led by +-1 at a positive
         exponent, and a value of inner's ring (as ring operations do)."""
@@ -188,7 +197,7 @@ class TestEtaReductions:
 def _as_poly(p: LaurentPoly) -> Poly:
     """A Laurent value with no negative powers, as a Poly in z."""
     assert p.is_zero or p.lo >= 0
-    return Poly([coeff(p, k) for k in range(p.hi + 1)], "z")
+    return Poly([coeff(p, k) for k in range(p.lo + len(p.coeffs))], "z")
 
 
 class TestSharedCore:
@@ -372,7 +381,7 @@ class TestIntegerKernel:
         for fp, c in shifts:  # eta_x builds eta at the shifted point from scalars, once
             eta_x(fp, c)
         for fp in points:  # and the unshifted eta that reduce_to_eta inverts
-            eta_x(fp)
+            eta_x(fp, 0)
         cases = [(carrier(ra), carrier(rb)) for ra in runs for rb in runs
                  for carrier in (Poly, lambda run: LaurentPoly(-5, run))]
 
@@ -404,7 +413,7 @@ class TestIntegerKernel:
                     want = want * inner + c
                 todo.append((lambda p=p, inner=inner: p.compose(inner), want))
             todo.append((lambda lp=lp: star(lp),
-                          LaurentPoly(-lp.hi, [conj(c) for c in reversed(lp.coeffs)])))
+                          LaurentPoly(1 - lp.lo - len(lp.coeffs), [conj(c) for c in reversed(lp.coeffs)])))
             todo += [(lambda p=p, fp=fp, c=c: x_shift(fp, p, c),
                       carrier_shift(fp, x_shift(fp, p), c)) for fp, c in shifts]
         for run in real_runs:
@@ -519,7 +528,7 @@ class TestShiftAndPeel:
 
     def test_peel_of_zero(self):
         zero = LaurentPoly()
-        assert (zero.lo, zero.hi) == (0, -1)
+        assert (zero.lo, zero.lo + len(zero.coeffs) - 1) == (0, -1)
         assert reduce_to_eta(AW, zero) == laurent_to_eta_scalar(zero) == Poly.zero("eta")
 
 
