@@ -1,4 +1,4 @@
-"""Exact arithmetic core: scalar tower, polynomials, Bareiss determinants."""
+"""Exact arithmetic core: scalar tower, polynomials, fraction-free determinants."""
 from .matrix import det, last_column_cofactors
 from .poly import LaurentPoly, Poly, uncompose
 from .scalars import (GaussianRational, I, Scalar, SqrtQRational, downcast,

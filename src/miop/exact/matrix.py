@@ -1,52 +1,52 @@
-"""Exact determinants of square matrices over Poly/LaurentPoly.
+"""Exact determinants over Poly/LaurentPoly by one fraction-free elimination.
 
 A matrix is a plain sequence of equal-length rows whose entries share one
 ring; mixing carriers or variables raises ConfigurationError in the ring's
-own arithmetic.  det is Bareiss elimination at every size: every division
-is exact in the polynomial ring.
-last_column_cofactors serves a family of determinants that differ only in
-their last column: one det per cofactor, then det([block | c]) is
-sum_i c[i] * cof[i] for every column c.
+own arithmetic.  last_column_cofactors eliminates the transpose of an
+R x (R-1) block fraction-free, Gauss-Jordan style: every division is by
+the previous pivot and exact (Bareiss), and the result reads [d*I | b].
+By Cramer's rule the cofactors of the last column of [block | c] are
+-b_i and d, so det([block | c]) is sum_i c[i] * cof[i] for every column c.
+det is that expansion along a matrix's own last column.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from ..errors import ConfigurationError
+from .poly import _dot
 
 
 def det(rows: Sequence[Sequence]):
-    """Bareiss elimination; all intermediate divisions are exact."""
+    """The expansion of rows along their last column."""
     n = len(rows)
     if not n or any(len(row) != n for row in rows):
         raise ConfigurationError("determinant of a non-square matrix")
-    a = [list(row) for row in rows]
-    zero = a[0][0] * 0
-    sign = 1
-    prev = None  # previous pivot; None encodes the ring 1 at step 0
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot_row = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if pivot_row is None:
-                return zero
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else num.exact_div(prev)
-            a[i][k] = zero
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
+    return _dot(zip([row[-1] for row in rows], last_column_cofactors([row[:-1] for row in rows])))
 
 
 def last_column_cofactors(block: Sequence[Sequence]) -> list:
     """Signed cofactors of the last column of [block | c], block R x (R-1):
     entry i is (-1)^(i+R-1) times the det of block without row i."""
-    rows = list(block)
-    R = len(rows)
-    if not rows or any(len(row) != R - 1 for row in rows):
+    cols = [list(row) for row in block]  # the columns of block^T
+    R = len(cols)
+    if not cols or any(len(col) != R - 1 for col in cols):
         raise ConfigurationError("last-column cofactors need an R x (R-1) block")
-    minors = [det(rows[:i] + rows[i + 1:]) for i in range(R)]
-    return [-m if (R - 1 - i) % 2 else m for i, m in enumerate(minors)]
+    order, sign, prev = list(range(R)), 1, 1
+    for k in range(R - 1):
+        j = next((j for j in range(k, R) if cols[j][k]), None)
+        if j is None:  # row k of block^T lies in the span of rows 0..k-1
+            return [cols[0][0] * 0] * R
+        if j != k:  # a zero pivot: bring block's row j in as column k
+            cols[k], cols[j], order[k], order[j], sign = cols[j], cols[k], order[j], order[k], -sign
+        pivot, col_k = cols[k][k], cols[k]
+        for col in cols[k + 1:]:  # columns 0..k are never read again
+            for i in range(R - 1):
+                if i != k:
+                    num = col[i] * pivot - col_k[i] * col[k]
+                    col[i] = num.exact_div(prev) if k else num
+        prev = pivot
+    cofs = [None] * R
+    for i, c in zip(order, [-b for b in cols[-1]] + [prev]):
+        cofs[i] = c if sign == 1 else -c
+    return cofs

@@ -15,7 +15,7 @@ family's picture gives, for a size R, the R x M block (a list of rows),
 each row's factor of the last column, P_n's last-column ladder, the map
 det -> polynomial in eta and the radicand; build expands P_{D,n} along
 its last column, with the cofactors of the size-(M+1) block computed
-once per build.  Every determinant is exact.det (Bareiss elimination).
+once per build.  Every determinant is exact.matrix's one elimination.
 
 L and J use a Wronskian in eta (_wronskian).  A column is a virtual
 polynomial times its gauge, differentiated by the product rule

@@ -22,8 +22,11 @@ build_rtable and check_rprop2_rprop3.  Both shift carriers with
 carrier_shift, never with miop.families.x_shift, which shifts only
 eta-polynomials.
 
-det_cofactor is the Laplace expansion that miop.exact.det (Bareiss
-elimination) is checked against, on plain lists of rows.
+det_cofactor is the Laplace expansion that miop.exact.det is checked
+against, on plain lists of rows.  bareiss_det and cofactors_by_minors are
+the paths that miop.exact.matrix's one Gauss-Jordan elimination replaced:
+a Bareiss elimination per determinant, and the last-column cofactors as
+one such determinant per minor.
 
 pochs, r_poly, alpha_scale and norm_scalar are the W/AW Casoratian pieces
 that miop.multiindex's per-size Pochhammer table and closed-form _scale
@@ -608,6 +611,43 @@ def _det_cofactor(rows):
             term = -term
         acc = term if acc is None else acc + term
     return acc if acc is not None else rows[0][0] * 0
+
+
+def bareiss_det(rows):
+    """Bareiss elimination; all intermediate divisions are exact."""
+    n = len(rows)
+    if not n or any(len(row) != n for row in rows):
+        raise ConfigurationError("determinant of a non-square matrix")
+    a = [list(row) for row in rows]
+    zero = a[0][0] * 0
+    sign = 1
+    prev = None  # previous pivot; None encodes the ring 1 at step 0
+    for k in range(n - 1):
+        if not a[k][k]:
+            pivot_row = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if pivot_row is None:
+                return zero
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = num if prev is None else num.exact_div(prev)
+            a[i][k] = zero
+        prev = a[k][k]
+    result = a[n - 1][n - 1]
+    return result if sign == 1 else -result
+
+
+def cofactors_by_minors(block):
+    """Signed cofactors of the last column of [block | c], block R x (R-1):
+    entry i is (-1)^(i+R-1) times the det of block without row i."""
+    rows = list(block)
+    R = len(rows)
+    if not rows or any(len(row) != R - 1 for row in rows):
+        raise ConfigurationError("last-column cofactors need an R x (R-1) block")
+    minors = [bareiss_det(rows[:i] + rows[i + 1:]) for i in range(R)]
+    return [-m if (R - 1 - i) % 2 else m for i, m in enumerate(minors)]
 
 
 def lj_gauge_divisor(fp, D, R: int) -> Poly:

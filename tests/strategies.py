@@ -40,7 +40,7 @@ def tower_scalars(level, q):
 
 
 def polys(var="eta", max_deg=4, coeffs=None):
-    coeffs = coeffs or rationals()
+    coeffs = rationals() if coeffs is None else coeffs
     return st.builds(lambda cs: Poly(cs, var),
                      st.lists(coeffs, min_size=0, max_size=max_deg + 1))
 
@@ -50,7 +50,7 @@ def nonzero_polys(var="eta", max_deg=4, coeffs=None):
 
 
 def laurents(max_span=4, coeffs=None):
-    coeffs = coeffs or rationals()
+    coeffs = rationals() if coeffs is None else coeffs
     return st.builds(lambda lo, cs: LaurentPoly(lo, cs),
                      st.integers(-3, 3),
                      st.lists(coeffs, min_size=0, max_size=max_span + 1))

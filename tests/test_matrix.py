@@ -1,4 +1,5 @@
-"""Determinant kernels: Bareiss vs cofactor oracle, conjugation, pivoting."""
+"""Determinant kernels: the one elimination against the Laplace, Bareiss and
+per-minor oracles, conjugation, pivoting."""
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from miop.errors import ConfigurationError
 from miop.exact import GaussianRational, LaurentPoly, Poly, det, last_column_cofactors
 
-from .oracles import conj, det_cofactor, map_coeffs
-from .strategies import laurents, polys
+from .oracles import bareiss_det, cofactors_by_minors, conj, det_cofactor, map_coeffs
+from .strategies import RADICANDS, laurents, polys, tower_scalars
 
 
 def random_poly(rng, max_deg=2, var="eta"):
@@ -60,7 +61,7 @@ class TestBasics:
 
 
 class TestOracle:
-    # det is Bareiss at every size, so each test also draws sizes 1-3
+    # det expands the last column at every size, so each test also draws sizes 1-3
     def test_random_4x4_against_cofactor(self):
         rng = random.Random(20240817)
         for n in (4, 1, 2, 3):
@@ -150,3 +151,68 @@ class TestLastColumnCofactors:
         one = Poly.one("eta")
         with pytest.raises(ConfigurationError):
             last_column_cofactors([[one, one], [one, one]])
+
+
+@st.composite
+def sparse_blocks(draw):
+    """An R x (R-1) block (R = 1..5) and a last column of Poly or
+    LaurentPoly entries over one tower level and radicand, each entry zero
+    about half the time, so zero pivots and swaps are common."""
+    q = draw(st.sampled_from(RADICANDS))
+    coeffs = tower_scalars(draw(st.integers(0, 2)), q)
+    values = draw(st.sampled_from([polys(max_deg=2, coeffs=coeffs),
+                                   laurents(max_span=2, coeffs=coeffs)]))
+    zero = draw(values) * 0
+    entries = st.one_of(st.just(zero), values)
+    R = draw(st.integers(1, 5))
+    block = [[draw(entries) for _ in range(R - 1)] for _ in range(R)]
+    return block, [draw(entries) for _ in range(R)]
+
+
+class TestOneElimination:
+    """det and last_column_cofactors are one fraction-free Gauss-Jordan
+    elimination; the Bareiss det and the per-minor cofactors they replaced
+    are the references."""
+
+    @given(sparse_blocks())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_bareiss_and_minors(self, case):
+        block, column = case
+        full = [row + [c] for row, c in zip(block, column)]
+        assert det(full) == bareiss_det(full)
+        if len(block) > 1:
+            assert last_column_cofactors(block) == cofactors_by_minors(block)
+
+    def check(self, block):
+        cofs = last_column_cofactors(block)
+        assert cofs == cofactors_by_minors(block)
+        full = [row + [Poly([k, 1], "eta")] for k, row in enumerate(block)]
+        assert det(full) == bareiss_det(full) == det_cofactor(full)
+        return cofs
+
+    def test_zero_pivot_at_step_0(self):
+        z, one, eta = Poly.zero("eta"), Poly.one("eta"), Poly.variable("eta")
+        assert not all(w.is_zero for w in self.check([[z, eta], [one, z], [eta, one]]))
+
+    def test_zero_pivot_at_a_later_step(self):
+        # block's rows 0 and 1 agree in columns 0 and 1: step 1's pivot is zero
+        one, eta = Poly.one("eta"), Poly.variable("eta")
+        block = [[one, eta, one + eta], [one, eta, 2 * eta], [eta, one, one], [one, one, eta]]
+        assert not all(w.is_zero for w in self.check(block))
+
+    def test_swap_brings_the_last_column_in(self):
+        # block^T's row 0 is nonzero only in its last column
+        z, one, eta = Poly.zero("eta"), Poly.one("eta"), Poly.variable("eta")
+        assert not all(w.is_zero for w in self.check([[z, one], [z, 2 * eta], [eta, one]]))
+
+    def test_rank_deficient_gives_zeros(self):
+        # block's column 1 is eta times column 0: every maximal minor vanishes
+        one, eta = Poly.one("eta"), Poly.variable("eta")
+        block = [[one + eta, eta + eta * eta, one], [one, eta, eta], [eta, eta * eta, one],
+                 [one, eta, 2 * one]]
+        assert all(w.is_zero for w in self.check(block))
+
+    def test_size_1(self):
+        assert last_column_cofactors([[]]) == [1]
+        p = LaurentPoly(-1, [2, 3])
+        assert det([[p]]) == p

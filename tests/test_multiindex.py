@@ -16,7 +16,8 @@ from miop.multiindex import IndexSet, build, build_xi, phi_M
 from miop.quad import Weight, _phi0_sq
 from miop.rtable import build_rtable
 
-from .oracles import alpha_scale, det_cofactor, lj_gauge_divisor, norm_scalar, pochs, r_poly, star
+from .oracles import (alpha_scale, bareiss_det, cofactors_by_minors, det_cofactor, lj_gauge_divisor,
+                      norm_scalar, pochs, r_poly, star)
 from .strategies import family_params, index_sets
 
 ETA = Poly.variable()
@@ -228,22 +229,23 @@ class TestSharedBlock:
     @pytest.mark.parametrize("lbl", ["I1", "I1,II1", "I1,I2,II1"])
     @pytest.mark.parametrize("n_max", [1, 4])
     def test_det_calls_independent_of_n_max(self, monkeypatch, name, lbl, n_max):
+        """Two eliminations per build whatever n_max: the P block's
+        cofactors and the Xi determinant's (det expands its last column)."""
         from miop import multiindex
         from miop.exact import matrix
 
         calls = []
-        real_det = matrix.det
+        real = matrix.last_column_cofactors
 
-        def counting(rows):
-            calls.append(len(rows))
-            return real_det(rows)
+        def counting(block):
+            calls.append(len(block))
+            return real(block)
 
-        monkeypatch.setattr(matrix, "det", counting)
-        monkeypatch.setattr(multiindex, "det", counting)
+        monkeypatch.setattr(matrix, "last_column_cofactors", counting)
+        monkeypatch.setattr(multiindex, "last_column_cofactors", counting)
         M = IndexSet.parse(lbl).M
         build(PRESETS[name], IndexSet.parse(lbl), n_max=n_max)
-        # M+1 last-column cofactors of the P block plus the Xi determinant
-        assert sorted(calls) == [M] * (M + 2)
+        assert sorted(calls) == [M, M + 1]
 
     @pytest.mark.parametrize("name", ALL_PRESETS)
     @pytest.mark.parametrize("lbl", ["I1", "I1,II1"])
@@ -261,6 +263,29 @@ class TestSharedBlock:
         except (GenericityError, SingularCoefficient):
             return
         assert_matches_full_determinants(pair)
+
+    @given(family_params(), st.sampled_from(["I1,I2,I3", "I1,I2,II1", "I1,II1,II2", "II1,II2,II3",
+                                             "I1,I2,I3,II1", "I1,I2,II1,II2", "I1,II1,II2,II3"]))
+    @settings(max_examples=25, deadline=None)
+    def test_random_points_past_depth_2_match_replaced_paths(self, fp, lbl):
+        """build equals a build through the Bareiss det and the per-minor
+        cofactors it replaced, at random in-range points for depth-3 and
+        depth-4 sets; non-genericity on both sides agrees."""
+        from miop import multiindex
+
+        def outcome():
+            try:
+                pair = build(fp, IndexSet.parse(lbl), n_max=2)
+            except (GenericityError, SingularCoefficient) as exc:
+                return type(exc)
+            return pair.Xi, pair.P, pair.xi_radicand, pair.p_radicand
+
+        got = outcome()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multiindex, "det", bareiss_det)
+            mp.setattr(multiindex, "last_column_cofactors", cofactors_by_minors)
+            assert outcome() == got
+
 
 
 def assert_matches_full_determinants(pair):

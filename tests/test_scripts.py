@@ -1,5 +1,6 @@
 """Smoke tests of scripts/: each runs to exit 0 on a small input."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -22,3 +23,16 @@ def test_script_exits_zero(tmp_path, script, args):
     argv += [a.format(tmp=tmp_path) for a in args]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_depth_bench_reports_one_tree(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, str(ROOT / "scripts" / "depth_bench.py"),
+            "--presets", "l-default", "--depths", "4", "--runs", "1"]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    (case,) = json.loads(proc.stdout)["cases"]
+    assert (case["preset"], case["depth"], case["D"]) == ("l-default", 4, "I1,I2,I3,II1")
+    assert case["identical_stdout"] and case["last_line"] == "PASS"
+    assert [len(ts) for ts in case["times_s"].values()] == [1]
