@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Wall time of `miop verify` at depth, alternating between source trees.
 
-For each preset and depth, runs
+For each preset and depth, and for two sets of that depth (a mixed one and
+the pure type-I set I1..I<depth>, whose Casoratians one type fills), runs
 
     python -m miop verify --preset P --D SET --format json
 
@@ -28,11 +29,19 @@ import sys
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SETS = {
+SETS = {  # the mixed set of each depth
     4: "I1,I2,I3,II1",
+    5: "I1,I2,I3,II1,II2",
     6: "I1,I2,I3,I4,II1,II2",
     7: "I1,I2,I3,I4,I5,II1,II2",
 }
+
+
+def pure(depth: int) -> str:
+    """The pure type-I set I1..I<depth>."""
+    return ",".join(f"I{v}" for v in range(1, depth + 1))
+
+
 PRESETS = "l-default,j-default,w-default,aw-default,aw-q13"
 
 
@@ -57,8 +66,7 @@ def main() -> int:
     trees = [str(pathlib.Path(s).resolve()) for s in args.src]
     cases, ok = [], True
     for preset in args.presets.split(","):
-        for depth in map(int, args.depths.split(",")):
-            D = SETS[depth]
+        for depth, D in ((d, D) for d in map(int, args.depths.split(",")) for D in (SETS[d], pure(d))):
             times = {t: [] for t in trees}
             outputs, codes = set(), set()
             for _ in range(args.runs):

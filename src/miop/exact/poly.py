@@ -23,8 +23,10 @@ leading coefficient, as scalar division does, serves both exact_div and
 Poly's remainder %), composition (Horner's rule), its inverse uncompose
 (a value read back as a polynomial in eta) and the derivative.  `coeffs`
 views each column as its canonical scalar (Fraction over Q,
-GaussianRational across a run with any i part) on first use.  Mixing the
-two carriers, two variables or two radicands raises ConfigurationError.
+GaussianRational across a run with any i part) on first use, and
+format_coeffs prints a run, a rational one straight from its integers.
+Mixing the two carriers, two variables or two radicands raises
+ConfigurationError.
 """
 from __future__ import annotations
 
@@ -85,12 +87,13 @@ def _dot(terms) -> "_PolyBase":
     """sum a*b over the pairs (a, b) of terms, a nonempty iterable.
 
     Every a is a value of one carrier ring and every b a value of that ring
-    or a scalar.  A product takes one of two lanes.  The rational lane
-    takes a pair of width-1 runs (no i or sqrt(q) part, an int or Fraction
-    b included, read in place): its product is one _conv, or none where
-    one side has a single entry, which then rides in the term's alignment
-    multiplier.  Every other product takes the tower path, _mul_ints over
-    the basis (1, i, r, i*r).  A sum of rational terms alone is aligned in
+    or a scalar; a rational b may also be an (n, d) pair of ints, d > 0,
+    read as n/d with no Fraction formed.  A product takes one of two lanes.
+    The rational lane takes a pair of width-1 runs (no i or sqrt(q) part,
+    a rational b included, read in place): its product is one _conv, or
+    none where one side has a single entry, which then rides in the term's
+    alignment multiplier.  Every other product takes the tower path,
+    _mul_ints over the basis (1, i, r, i*r).  A sum of rational terms alone is aligned in
     one integer pass; otherwise they join the tower terms in _align.  The
     result is made canonical once, so it has the same (parts, den, q)
     whichever lane each of its terms took.
@@ -102,8 +105,8 @@ def _dot(terms) -> "_PolyBase":
         if type(a) is not cls or a.var != var:
             a = ring._operand(a)
         aparts = a._parts
-        if type(b) is int or type(b) is Fraction:  # a rational scalar, read in place
-            n, d = b.as_integer_ratio()
+        if type(b) is int or type(b) is Fraction or type(b) is tuple:  # a rational, read in place
+            n, d = b if type(b) is tuple else b.as_integer_ratio()
             if not (n and aparts[0]):
                 continue
             if len(aparts) == 1:
@@ -412,6 +415,22 @@ class LaurentPoly(_PolyBase):
     @classmethod
     def monomial(cls, k: int, c: Scalar = Fraction(1)) -> "LaurentPoly":
         return cls(k, (c,))
+
+
+# -- text ---------------------------------------------------------------------------
+
+def format_coeffs(p) -> list:
+    """format_scalar of each coefficient of p, lowest first.  A rational run
+    is read from its integer coordinates, one gcd per coefficient and no
+    Fraction; a tower run formats its canonical scalars."""
+    parts, den = p._parts, p._den
+    if len(parts) > 1:
+        return [format_scalar(c) for c in p.coeffs]
+    out = []
+    for x in parts[0]:
+        g = gcd(x, den)
+        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return out
 
 
 # -- the inverse of composition ---------------------------------------------------

@@ -56,8 +56,28 @@ def rational_sqrt(q: Fraction) -> Optional[Fraction]:
 def _normal(parts: list, den: int, q, both_ends: bool) -> tuple:
     """(lead, parts, den, q) in canonical form; lead counts the zero
     columns dropped at the low end (only when both_ends)."""
+    if len(parts) == 1:  # a rational run: no column scan, no width to lower
+        run = parts[0]
+        hi = len(run)
+        while hi and not run[hi - 1]:
+            hi -= 1
+        if not hi:
+            return 0, [[]], 1, None
+        lead = 0
+        if both_ends:
+            while not run[lead]:
+                lead += 1
+        if lead or hi < len(run):
+            run = run[lead:hi]
+        if den < 0:
+            den, run = -den, [-x for x in run]
+        g = gcd(den, *run)
+        if g != 1:
+            den //= g
+            run = [x // g for x in run]
+        return lead, [run], den, None
     n = hi = len(parts[0])
-    nonzero = parts[0] if len(parts) == 1 else [any(col) for col in zip(*parts)]
+    nonzero = [any(col) for col in zip(*parts)]
     while hi and not nonzero[hi - 1]:
         hi -= 1
     lead = 0

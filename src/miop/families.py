@@ -148,9 +148,17 @@ class FamilyParams:
         return {js: combine(self.lam[j - 1] for j in js)
                 for r in range(5) for js in combinations(_ALL, r)}
 
+    @cached_property
+    def _qpows(self) -> dict:
+        """(num, den) -> q**(num/den), filled by qpow once per power and point."""
+        return {}
+
     def qpow(self, num: int, den: int = 1) -> Scalar:
         """q**(num/den) for this parameter point; den in {1, 2}."""
-        return q_pow(self.q, num, den)
+        got = self._qpows.get((num, den))
+        if got is None:
+            got = self._qpows[num, den] = q_pow(self.q, num, den)
+        return got
 
     # -- serialization -----------------------------------------------------
 

@@ -43,7 +43,11 @@ leaves the block: the z powers multiply to 1, one c_j stays on the last
 column's row factor and kappa^(sum_j e_j) joins the scale.  The
 determinant is divided exactly by phi_R and the printed normalization,
 products of up[j] down[j] from the table, multiplied by one closed-form
-scalar (_scale) and read back in eta (families.reduce_to_eta).
+scalar (_scale) and read back in eta (families.reduce_to_eta).  Where one
+type fills the block (M_II = 0 or M_I = 0; the last column counts as
+both), its r-factors multiply, over the rows, to exactly its pair's part
+of the normalization, so both leave: the block keeps the bare shifted
+polynomials, and that pair's ladders are not built.
 InexactDivision or ReductionFailure signal implementation errors, never
 expected states.
 
@@ -64,6 +68,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, Union
 
 from .errors import ConfigurationError, GenericityError
@@ -72,6 +77,7 @@ from .exact import (
     LaurentPoly,
     Poly,
     det,
+    format_coeffs,
     format_scalar,
     last_column_cofactors,
     q_pow,
@@ -200,11 +206,8 @@ class MultiIndexedPair:
         obj = self.fp.to_json()
         obj["D"] = self.D.to_json()
         obj["ell"] = self.D.ell
-        obj["Xi"] = [format_scalar(c) for c in self.Xi.coeffs]
-        obj["P"] = {
-            str(n): [format_scalar(c) for c in p.coeffs]
-            for n, p in sorted(self.P.items())
-        }
+        obj["Xi"] = format_coeffs(self.Xi)
+        obj["P"] = {str(n): format_coeffs(p) for n, p in sorted(self.P.items())}
         obj["norm_sqrt"] = {
             "Xi": format_scalar(self.xi_radicand),
             "P": format_scalar(self.p_radicand),
@@ -268,21 +271,22 @@ def _wronskian(fp: FamilyParams, D: IndexSet):
 # -- W/AW: Casoratian-style determinants ----------------------------------------
 
 
-def _pochhammers(fp: FamilyParams, R: int) -> dict:
-    """k -> (up, down), the Pochhammer ladders of parameter k in a size-R
-    Casoratian, t = 0..R-1: up[t] = (a + ix)_t = (a - y)_t and
+def _pochhammers(fp: FamilyParams, R: int, ks) -> dict:
+    """k -> (up, down) for each k in ks, the Pochhammer ladders of parameter
+    k in a size-R Casoratian, t = 0..R-1: up[t] = (a + ix)_t = (a - y)_t and
     down[t] = (a - ix)_t = (a + y)_t with a = a_k - (R-1)/2 for W, and
     (uz;q)_t and (u/z;q)_t with u = a_k q^(-(R-1)/2) for AW.  Each linear
     factor is built once; each entry extends the one before by one factor."""
     table = {}
-    for k, a in enumerate(fp.lam, 1):
+    for k in ks:
+        a = fp.lam[k - 1]
         if fp.family == "W":
             a -= Fraction(R - 1, 2)
             steps = [(Poly([a + t, -1], var="x"), Poly([a + t, 1], var="x")) for t in range(R - 1)]
         else:
-            u = a * q_pow(fp.q, -(R - 1), 2)
+            u = a * fp.qpow(-(R - 1), 2)
             steps = [(LaurentPoly(0, [1, -v]), LaurentPoly(-1, [-v, 1]))
-                     for v in (u * q_pow(fp.q, t) for t in range(R - 1))]
+                     for v in (u * fp.qpow(t) for t in range(R - 1))]
         up, down = [carrier_one(fp)], [carrier_one(fp)]
         for f, g in steps:
             up.append(up[-1] * f)
@@ -349,6 +353,11 @@ def _casoratian(fp: FamilyParams, D: IndexSet):
     each type in the normalization.  finish divides by the printed
     normalization's polynomial and phi_R, applies _scale's scalar and
     reduces to eta; the radicand is what the scale leaves.
+
+    A type whose m columns fill the block (m = R) has its r-factor in every
+    entry of row j, and each k of its pair gives prod_j up_k[j-1]
+    down_k[R-j] = prod_{t=1..R-1} up_k[t] down_k[t], that pair's part of
+    the divisor: both leave, and the last column keeps the other pair's.
     """
     from .families import reduce_to_eta
 
@@ -356,24 +365,33 @@ def _casoratian(fp: FamilyParams, D: IndexSet):
     v2 = [virtual_poly(fp, e) for e in D.entries if e.type == "II"]
 
     def size(R: int):
-        table = _pochhammers(fp, R)
+        m1, m2 = D.M1 + R - D.M, D.M2 + R - D.M
+        # the r-factor pair of each type that does not fill the block, with its column count
+        kept = {ks: m for ks, m in (((3, 4), m1), ((1, 2), m2)) if m < R}
+        table = _pochhammers(fp, R, [k for ks in kept for k in ks])
 
-        def r(ks: tuple, j: int) -> Carrier:  # the r-factor of row j, no row constant
+        def r(ks: tuple, j: int) -> Optional[Carrier]:  # row j's r-factor, no row constant; None if it left
+            if ks not in kept:
+                return None
             (up1, down1), (up2, down2) = (table[k] for k in ks)
             return up1[j - 1] * down1[R - j] * up2[j - 1] * down2[R - j]
+
+        def times(f: Optional[Carrier], cols: list) -> list:
+            return cols if f is None else [f * e for e in cols]
 
         shifts = [Fraction(R + 1, 2) - j for j in range(1, R + 1)]
         rows, r21 = [], []
         for j, c in enumerate(shifts, 1):
             r1, r2 = r((1, 2), j), r((3, 4), j)
-            rows.append([r2 * x_shift(fp, p, c) for p in v1] + [r1 * x_shift(fp, p, c) for p in v2])
-            r21.append(r2 * r1)
+            rows.append(times(r2, [x_shift(fp, p, c) for p in v1])
+                        + times(r1, [x_shift(fp, p, c) for p in v2]))
+            factors = [f for f in (r2, r1) if f is not None]
             if fp.family == "AW":  # the one copy of c_j left in the determinant
                 e2 = 2 * (j - 1) * (R - j) - (R - 1) ** 2  # -2 e_j
-                r21[-1] *= LaurentPoly.monomial(R + 1 - 2 * j, q_pow(fp.q, e2, 2))
-        m1, m2 = D.M1 + R - D.M, D.M2 + R - D.M
+                factors.append(LaurentPoly.monomial(R + 1 - 2 * j, fp.qpow(e2, 2)))
+            r21.append(prod(factors[1:], start=factors[0]) if factors else carrier_one(fp))
         divisor = phi_M(fp, R)
-        for ks, m in (((3, 4), m1), ((1, 2), m2)):
+        for ks, m in kept.items():
             for up, down in (table[k] for k in ks):
                 for j in range(1, m):
                     divisor = divisor * up[j] * down[j]

@@ -26,7 +26,10 @@ Then
 The ladder is symmetric under x -> -x (z -> 1/z), so each sigma^[s]_r is a
 polynomial in eta; for L and J every ladder value is eta and
 R^[s] = (J - eta)^(s+1).  An entry is a dot product of the scalar band
-[J^j]_{n,n+k} with the s+2 polynomials of its level.  A table under another
+[J^j]_{n,n+k} with the s+2 polynomials of its level, the band held in
+integers, each row of J^j over its own least common denominator (one
+shared by the window would grow with its width: AW's brackets
+1 - a1a2a3a4 q^m differ from row to row).  A table under another
 out-of-range convention computes only the entries with n < s, whose
 product reaches a row below 0, and takes the rest from a base table.
 
@@ -50,11 +53,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Callable, Optional
 
 from .errors import ConfigurationError
-from .exact import Poly, format_scalar
+from .exact import Poly, format_coeffs
 from .exact.poly import _dot
+from .exact.scalars import _column
 from .families import (
     FamilyParams,
     carrier_one,
@@ -116,7 +121,7 @@ class RTable:
                             "s": s,
                             "n": n,
                             "k": k,
-                            "coeffs": [format_scalar(c) for c in p.coeffs],
+                            "coeffs": format_coeffs(p),
                         }
                     )
         return rows
@@ -139,26 +144,45 @@ def _ladder(fp: FamilyParams, s: int) -> list:
 
 
 def _powers(abc: dict, M: int, lo: int, hi: int) -> list:
-    """[J^j]_{n,n+k} for j = 0..M+1 as dicts (n, k) -> nonzero scalar, on
-    rows lo-(M+1-j)..hi+(M+1-j) and |k| <= j."""
-    band = {(n, 0): Fraction(1) for n in range(lo - M - 1, hi + M + 2)}
+    """[J^j] for j = 0..M+1 by rows: bands[j][n] = (D, u), u the nonzero
+    {k: D [J^j]_{n,n+k}}, on rows lo-(M+1-j)..hi+(M+1-j); u holds ints over
+    the row's least common denominator D where abc is rational, else the
+    entries over D = 1.  With J_{n,n+e} = N_e / den_n, row n of J^j is
+    sum_e N_e (L / D_(n+e)) u_(n+e) over den_n L, L the lcm of the D of the
+    rows read: one lcm and one gcd per row, and no Fraction."""
+    jrows = {}  # n -> (den_n, the nonzero (N_e, e), e = 1, 0, -1)
+    for n in range(lo - M, hi + M + 1):
+        den = lcm(*(_column(c)[1] for c in abc[n]))
+        jrows[n] = den, [(_times(c, den), e) for c, e in zip(abc[n], (1, 0, -1)) if c]
+    band = {n: (1, {0: 1}) for n in range(lo - M - 1, hi + M + 2)}
     out = [band]
     for j in range(1, M + 2):
         pad = M + 1 - j
         prev, band = band, {}
         for n in range(lo - pad, hi + pad + 1):
-            # the nonzero J_{n,n+d}, d = 1, 0, -1, with the row n+d they read
-            row = [(c, n + d, d) for c, d in zip(abc[n], (1, 0, -1)) if c]
-            for k in range(-j, j + 1):
-                v = None
-                for c, m, d in row:
-                    x = prev.get((m, k - d))
-                    if x is not None:
-                        v = c * x if v is None else v + c * x
-                if v:
-                    band[(n, k)] = v
+            den, row = jrows[n]
+            common = lcm(*(prev[n + e][0] for _, e in row))
+            acc = {}
+            for c, e in row:
+                d, u = prev[n + e]
+                f = c * (common // d)
+                for k, x in u.items():
+                    acc[k + e] = acc.get(k + e, 0) + f * x
+            den *= common
+            if all(type(x) is int for x in acc.values()):
+                g = gcd(den, *acc.values())
+                band[n] = den // g, {k: x // g for k, x in acc.items() if x}
+            else:
+                band[n] = 1, {k: x * Fraction(1, den) for k, x in acc.items() if x}
         out.append(band)
     return out
+
+
+def _times(c, d: int):
+    """c * d for a d that c's denominator divides: an int where c is rational."""
+    if type(c) is int or type(c) is Fraction:
+        return c.numerator * (d // c.denominator)
+    return c * d
 
 
 def build_rtable(
@@ -170,7 +194,8 @@ def build_rtable(
     Entry (s, n, k) is the dot product of the ladder coefficients of level
     s with the band entries [J^j]_{n,n+k}, j = 0..s+1; the family enters
     only through the ladder, whose x-picture shifts and reductions run
-    once per level.
+    once per level.  The band's ints enter each entry's one _dot as
+    (int, row denominator) pairs (_powers), so no Fraction is formed.
 
     base, a table of fp at depth >= M over a window that covers this one,
     whose coefficients equal coeffs at every n >= 0, lends what coeffs
@@ -194,14 +219,15 @@ def build_rtable(
         pad = M - s
         ladder = _ladder(fp, s)
         for n in range(lo - pad, hi + pad + 1):
+            if lent and n >= s:
+                for k in range(-s - 1, s + 2):
+                    entries[s, n, k] = base.entries[s, n, k]
+                continue
+            rows = [band[n] for band in powers[:s + 2]]
             for k in range(-s - 1, s + 2):
-                key = (s, n, k)
-                if lent and n >= s:
-                    entries[key] = base.entries[key]
-                    continue
-                terms = [(c, x) for c, band in zip(ladder, powers)
-                         if (x := band.get((n, k))) is not None]
-                entries[key] = _dot(terms) if terms else _ZERO
+                terms = [(c, x if d == 1 else (x, d)) for c, (d, row) in zip(ladder, rows)
+                         if (x := row.get(k)) is not None]
+                entries[s, n, k] = _dot(terms) if terms else _ZERO
     return RTable(fp, M, window, entries, abc)
 
 

@@ -33,7 +33,12 @@ that miop.multiindex's per-size Pochhammer table and closed-form _scale
 replaced: each Pochhammer pair rebuilt from linear factors, the r-factor
 of one row with AW's z and kappa powers, the alpha prefactors split into
 scalar and radicand, and the printed normalization's scalar, built row by
-row.
+row.  casoratian_all_factors is the W/AW picture that keeps every r-factor
+in the block and every pair's product in the divisor, also where one type
+fills the block, whose factors miop.multiindex takes out together;
+fraction_powers is the band [J^j]_{n,n+k} in the scalars of the
+three-term coefficients (Fractions), which miop.rtable's integer band
+replaced.
 
 reference_scalar, run_coords and dot_schoolbook read the integer form of
 miop.exact from the scalars alone: a value in the reference tower, the
@@ -104,10 +109,14 @@ from miop.exact.scalars import power
 from miop.families import (
     FamilyParams,
     carrier_one,
+    classical_poly,
     eta_x,
     reduce_to_eta,
     three_term,
+    virtual_poly,
+    x_shift,
 )
+from miop import multiindex as mi
 from miop.multiindex import build
 from miop.quad import FloatPoly, QuadratureSpec, _qpoch_inf
 
@@ -754,6 +763,71 @@ def norm_scalar(fp: FamilyParams, R: int, lim34: int, lim12: int):
                 if fp.family == "AW":
                     scalar = scalar * fp.lam[k - 1] ** (-j) * q_pow(fp.q, j * (j + 1) // 2, 2)
     return scalar
+
+
+def casoratian_all_factors(fp: FamilyParams, D):
+    """The W/AW picture with every r-factor kept in the block, for every
+    index set: R -> (block, row factors, ladder, finish, radicand)."""
+    v1 = [virtual_poly(fp, e) for e in D.entries if e.type == "I"]
+    v2 = [virtual_poly(fp, e) for e in D.entries if e.type == "II"]
+
+    def size(R: int):
+        table = mi._pochhammers(fp, R, (1, 2, 3, 4))
+
+        def r(ks: tuple, j: int):  # the r-factor of row j, no row constant
+            (up1, down1), (up2, down2) = (table[k] for k in ks)
+            return up1[j - 1] * down1[R - j] * up2[j - 1] * down2[R - j]
+
+        shifts = [Fraction(R + 1, 2) - j for j in range(1, R + 1)]
+        rows, r21 = [], []
+        for j, c in enumerate(shifts, 1):
+            r1, r2 = r((1, 2), j), r((3, 4), j)
+            rows.append([r2 * x_shift(fp, p, c) for p in v1] + [r1 * x_shift(fp, p, c) for p in v2])
+            r21.append(r2 * r1)
+            if fp.family == "AW":  # the one copy of c_j left in the determinant
+                e2 = 2 * (j - 1) * (R - j) - (R - 1) ** 2  # -2 e_j
+                r21[-1] *= LaurentPoly.monomial(R + 1 - 2 * j, q_pow(fp.q, e2, 2))
+        m1, m2 = D.M1 + R - D.M, D.M2 + R - D.M
+        divisor = mi.phi_M(fp, R)
+        for ks, m in (((3, 4), m1), ((1, 2), m2)):
+            for up, down in (table[k] for k in ks):
+                for j in range(1, m):
+                    divisor = divisor * up[j] * down[j]
+        factor, rad = mi._scale(fp, R, m1, m2)
+
+        def finish(d):
+            return reduce_to_eta(fp, d.exact_div(divisor) * factor)
+
+        def ladder(n: int) -> list:
+            last = classical_poly(fp, n)
+            return [x_shift(fp, last, c) for c in shifts]
+
+        return rows, r21, ladder, finish, rad
+
+    return size
+
+
+def fraction_powers(abc: dict, M: int, lo: int, hi: int) -> list:
+    """[J^j]_{n,n+k} for j = 0..M+1 as dicts (n, k) -> nonzero scalar, on
+    rows lo-(M+1-j)..hi+(M+1-j) and |k| <= j, in the scalars of abc."""
+    band = {(n, 0): Fraction(1) for n in range(lo - M - 1, hi + M + 2)}
+    out = [band]
+    for j in range(1, M + 2):
+        pad = M + 1 - j
+        prev, band = band, {}
+        for n in range(lo - pad, hi + pad + 1):
+            # the nonzero J_{n,n+d}, d = 1, 0, -1, with the row n+d they read
+            row = [(c, n + d, d) for c, d in zip(abc[n], (1, 0, -1)) if c]
+            for k in range(-j, j + 1):
+                v = None
+                for c, m, d in row:
+                    x = prev.get((m, k - d))
+                    if x is not None:
+                        v = c * x if v is None else v + c * x
+                if v:
+                    band[(n, k)] = v
+        out.append(band)
+    return out
 
 
 def laurent_shift_scalar(p, c, q):

@@ -16,8 +16,8 @@ from miop.multiindex import IndexSet, build, build_xi, phi_M
 from miop.quad import Weight, _phi0_sq
 from miop.rtable import build_rtable
 
-from .oracles import (alpha_scale, bareiss_det, cofactors_by_minors, det_cofactor, lj_gauge_divisor,
-                      norm_scalar, pochs, r_poly, star)
+from .oracles import (alpha_scale, bareiss_det, casoratian_all_factors, cofactors_by_minors, det_cofactor,
+                      lj_gauge_divisor, norm_scalar, pochs, r_poly, star)
 from .strategies import family_params, index_sets
 
 ETA = Poly.variable()
@@ -394,6 +394,29 @@ class TestCasoratianTable:
         except (LeadingCoefficientZero, SingularCoefficient):  # no virtual polynomial by recurrence
             return
 
+    @given(family_params(("W", "AW")),
+           st.sampled_from(["I1", "I2", "I1,I2", "I1,I3", "I1,I2,I3", "II1", "II2", "II1,II2",
+                            "II1,II2,II3", "I1,II1", "I1,I2,II1", "I1,II1,II2"]))
+    @settings(max_examples=30, deadline=None)
+    def test_build_matches_every_factor_kept(self, fp, lbl):
+        """build, where a filled type's r-factors and its part of the
+        normalization leave together, equals a build through the picture
+        that keeps every r-factor, at random points: pure type I, pure
+        type II and mixed sets; non-genericity on both sides agrees."""
+        D = IndexSet.parse(lbl)
+
+        def outcome():
+            try:
+                pair = build(fp, D, n_max=3)
+            except (GenericityError, SingularCoefficient) as exc:
+                return type(exc)
+            return pair.Xi, pair.P, pair.xi_radicand, pair.p_radicand
+
+        got = outcome()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mi, "_casoratian", casoratian_all_factors)
+            assert outcome() == got
+
     def test_wilson_scale_is_the_phase(self):
         for R in range(1, 9):
             assert mi._scale(PRESETS["w-default"], R, R, 0) == (I ** (R * (R - 1) // 2 % 4), 1)
@@ -443,7 +466,7 @@ def row_constant(fp, R: int, j: int):
 def assert_table_matches_pochs(fp, R: int):
     """Every up[t] down[s] of the size-R table is the Pochhammer pair rebuilt
     from linear factors."""
-    table = mi._pochhammers(fp, R)
+    table = mi._pochhammers(fp, R, (1, 2, 3, 4))
     assert sorted(table) == [1, 2, 3, 4]
     for k, (up, down) in table.items():
         assert len(up) == len(down) == R
@@ -455,16 +478,20 @@ def assert_table_matches_pochs(fp, R: int):
 def assert_rows_match_r_poly(fp, D, R: int):
     """Each block entry of the size-R Casoratian is the Pochhammer product
     times the shifted virtual polynomial, with no z or kappa power, and each
-    last-column row factor times c_j is the row-by-row r^II r^I."""
+    last-column row factor times c_j is the row-by-row r^II r^I; the
+    r-factor of a type whose columns fill the block (m1 or m2 = R, the last
+    column counted) is left out of every entry and of the row factor."""
     block, r21, _, _, _ = mi._casoratian(fp, D)(R)
+    m1, m2 = D.M1 + R - D.M, D.M2 + R - D.M
     for j, (row, r) in enumerate(zip(block, r21), 1):
         c, cj = F(R + 1, 2) - j, row_constant(fp, R, j)
         r1, r2 = (pochs(fp, k1, R, j - 1, R - j) * pochs(fp, k2, R, j - 1, R - j)
                   for k1, k2 in ((1, 2), (3, 4)))
         assert (r1 * cj, r2 * cj) == (r_poly(fp, (1, 2), j, R), r_poly(fp, (3, 4), j, R))
-        assert row == [(r2 if t == "I" else r1) * x_shift(fp, virtual_poly(fp, e), c)
+        (kept1, left1), (kept2, left2) = ((f, 1) if m < R else (1, f) for f, m in ((r1, m2), (r2, m1)))
+        assert row == [(kept2 if t == "I" else kept1) * x_shift(fp, virtual_poly(fp, e), c)
                        for t in ("I", "II") for e in D.entries if e.type == t]
-        assert r * cj == r_poly(fp, (3, 4), j, R) * r_poly(fp, (1, 2), j, R)
+        assert r * cj * left2 * left1 == r_poly(fp, (3, 4), j, R) * r_poly(fp, (1, 2), j, R)
 
 
 class TestWeightDescriptor:

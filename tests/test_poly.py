@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from miop.cli import _SWEEP_SETS
 from miop.errors import ConfigurationError, InexactDivision, MiopError, ReductionFailure
-from miop.exact import (GaussianRational, LaurentPoly, Poly, SqrtQRational, format_scalar,
-                        sqrt_q, uncompose)
+from miop.exact import (GaussianRational, LaurentPoly, Poly, SqrtQRational, format_coeffs,
+                        format_scalar, sqrt_q, uncompose)
 from miop.exact.poly import NEG_INF, _dot
 from miop.exact.scalars import make_sqrtq
 from miop.families import (PRESETS, FamilyParams, carrier_one, classical_poly, eta_x, phi_x,
@@ -481,6 +481,27 @@ class TestCanonicalForm:
                 assert (got._parts, got._den, got._q, got.lo) == \
                     (built._parts, built._den, built._q, built.lo)
                 assert hash(got) == hash(built)
+
+
+class TestFormatCoeffs:
+    """format_coeffs, which reads a rational run from its integer
+    coordinates, prints what format_scalar prints coefficient by
+    coefficient, at every tower level."""
+
+    @given(st.sampled_from(RADICANDS), st.integers(0, 2), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_format_scalar(self, q, level, data):
+        coeffs = tower_scalars(level, q)
+        for p in (data.draw(polys(max_deg=6, coeffs=coeffs)), data.draw(laurents(coeffs=coeffs))):
+            assert format_coeffs(p) == [format_scalar(c) for c in p.coeffs]
+
+    def test_zero_negative_and_whole_entries(self):
+        p = Poly([0, Fraction(-3, 4), Fraction(6, 4), -(10 ** 30), 7])
+        assert format_coeffs(p) == ["0", "-3/4", "3/2", f"-{10 ** 30}", "7"]
+        assert format_coeffs(p * Fraction(2, 3)) == ["0", "-1/2", "1", f"-{2 * 10 ** 30}/3", "14/3"]
+        assert format_coeffs(Poly.zero()) == []
+        root = sqrt_q(Fraction(1, 3))
+        assert format_coeffs(p * root) == [format_scalar(c * root) for c in p.coeffs]
 
 
 @st.composite

@@ -5,7 +5,7 @@ import hashlib
 import io
 import re
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from miop.cli import main
 from miop.errors import ConfigurationError, MiopError
 from miop.exact import Poly
+from miop.exact.scalars import _column
 from miop.families import (
     PRESETS,
     FamilyParams,
+    shifted,
     three_term,
     x_shift,
 )
@@ -32,6 +34,7 @@ from .oracles import (
     carrier_shift,
     conj_coeffs,
     eta_shift_identities,
+    fraction_powers,
     half_shift_violations_x,
     reflect,
     rtable_recursion,
@@ -346,6 +349,72 @@ class TestClosedForm:
         t.entries[key] = t.entries[key] + bump
         xentries = {k: x_shift(fp, p) for k, p in t.entries.items()}
         assert check_rprop2_rprop3(t) == half_shift_violations_x(fp, M, window, t.abc, xentries)
+
+
+class TestIntegerBand:
+    """build_rtable on the integer band (each row of J^j as ints over its
+    least common denominator) against the same build on the Fraction band
+    it replaced, and the band itself against that band."""
+
+    @staticmethod
+    def fraction_band(abc, M, lo, hi):
+        """fraction_powers in _powers' layout: every row over 1, in Fractions."""
+        return [{n: (1, {k: v for (m, k), v in band.items() if m == n})
+                 for n in range(lo - M - 1 + j, hi + M + 2 - j)}
+                for j, band in enumerate(fraction_powers(abc, M, lo, hi))]
+
+    def fraction_built(self, *args, **kwargs):
+        from miop import rtable
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rtable, "_powers", self.fraction_band)
+            return build_rtable(*args, **kwargs)
+
+    def assert_same(self, fp, M, window):
+        t = build_rtable(fp, M, window)
+        ref = self.fraction_built(fp, M, window)
+        assert t.entries == ref.entries and t.abc == ref.abc
+        assert t.to_rows() == ref.to_rows()
+        # the B_-1 := 7 table lent by t, its rows n < s from the band
+        lo = max(0, window[0])
+        over = build_rtable(fp, M, (lo, window[1]), coeffs=b_minus_one_7(fp), base=t)
+        ref = self.fraction_built(fp, M, (lo, window[1]), coeffs=b_minus_one_7(fp), base=t)
+        assert over.entries == ref.entries
+
+    def assert_band(self, fp, M, lo, hi):
+        from miop.rtable import _powers
+
+        abc = {n: three_term(fp, n) for n in range(lo - M, hi + M + 1)}
+        want = self.fraction_band(abc, M, lo, hi)
+        for got_j, want_j in zip(_powers(abc, M, lo, hi), want, strict=True):
+            assert sorted(got_j) == sorted(want_j)
+            for n, (den, row) in got_j.items():
+                assert {k: x * F(1, den) for k, x in row.items()} == want_j[n][1]
+                if all(type(x) is int for x in row.values()):
+                    assert gcd(den, *row.values()) == 1  # the least denominator
+
+    @pytest.mark.parametrize("key", sorted(PRESETS))
+    def test_presets(self, key):
+        self.assert_same(PRESETS[key], 3, (-4, 6))
+        self.assert_band(PRESETS[key], 3, -4, 6)
+
+    def test_tower_valued_point(self):
+        """shifted(aw-q13): a_j sqrt(q), so A_n, B_n, C_n leave Q and the
+        band holds tower values."""
+        fp = shifted(PRESETS["aw-q13"])
+        assert any(len(_column(c)[0]) > 1 for n in range(4) for c in three_term(fp, n))
+        self.assert_same(fp, 2, (-3, 4))
+        self.assert_band(fp, 2, -3, 4)
+
+    @given(fp=family_params(), M=st.integers(0, 3), lo=st.integers(-4, 2))
+    @settings(max_examples=15, deadline=None)
+    def test_random_points(self, fp, M, lo):
+        try:
+            build_rtable(fp, M, (lo, lo + 4))
+        except MiopError:
+            return  # a singular coefficient: neither table exists
+        self.assert_same(fp, M, (lo, lo + 4))
+        self.assert_band(fp, M, lo, lo + 4)
 
 
 # SHA-256 of `miop rtable --preset P --M M --format csv` on the default

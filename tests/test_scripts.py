@@ -32,7 +32,9 @@ def test_depth_bench_reports_one_tree(tmp_path):
             "--presets", "l-default", "--depths", "4", "--runs", "1"]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    (case,) = json.loads(proc.stdout)["cases"]
-    assert (case["preset"], case["depth"], case["D"]) == ("l-default", 4, "I1,I2,I3,II1")
-    assert case["identical_stdout"] and case["last_line"] == "PASS"
-    assert [len(ts) for ts in case["times_s"].values()] == [1]
+    cases = json.loads(proc.stdout)["cases"]
+    assert [(c["preset"], c["depth"], c["D"]) for c in cases] == [
+        ("l-default", 4, "I1,I2,I3,II1"), ("l-default", 4, "I1,I2,I3,I4")]
+    for case in cases:
+        assert case["identical_stdout"] and case["last_line"] == "PASS"
+        assert [len(ts) for ts in case["times_s"].values()] == [1]
