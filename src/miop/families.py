@@ -279,11 +279,18 @@ def _nonzero_den(fp: FamilyParams, n: int, value: Scalar) -> Scalar:
     return value
 
 
+# A full verify-sweep or export pass holds fewer than 100 entries in each of
+# the three_term and classical_poly caches.
+_CLASSICAL_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CLASSICAL_CACHE_SIZE)
 def three_term(fp: FamilyParams, n: int):
     """Coefficients (A_n, B_n, C_n) of eta*P_n = A_n P_{n+1} + B_n P_n + C_n P_{n-1}.
 
     Negative n returns (0, 0, 0); this is one valid instantiation of the
-    free choice at out-of-range indices and pins A_{-1} = 0.
+    free choice at out-of-range indices and pins A_{-1} = 0.  Computed once
+    per (point, n) in a process; a singular point raises on every call.
     """
     if n < 0:
         z = Fraction(0)
@@ -333,8 +340,6 @@ def three_term(fp: FamilyParams, n: int):
 # -- classical polynomials ---------------------------------------------------
 
 
-# A full verify-sweep or export pass holds fewer than 100 entries.
-_CLASSICAL_CACHE_SIZE = 1024
 # classical_poly fills its cache upward at every multiple of this stride
 # below n - 1 first, so no call recurses more than about two strides deep
 _CLASSICAL_STRIDE = 32

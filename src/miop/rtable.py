@@ -30,8 +30,7 @@ R^[s] = (J - eta)^(s+1).  An entry is a dot product of the scalar band
 integers, each row of J^j over its own least common denominator (one
 shared by the window would grow with its width: AW's brackets
 1 - a1a2a3a4 q^m differ from row to row).  A table under another
-out-of-range convention computes only the entries with n < s, whose
-product reaches a row below 0, and takes the rest from a base table.
+out-of-range convention is built the same way from its own coefficients.
 
 Three structural identities are checkable:
   * the half-difference lowers the level: D R^[s] = -kappa_{s+1} R^[s-1],
@@ -185,10 +184,7 @@ def _times(c, d: int):
     return c * d
 
 
-def build_rtable(
-    fp: FamilyParams, M: int, window, coeffs: Optional[CoeffFn] = None,
-    base: Optional[RTable] = None,
-) -> RTable:
+def build_rtable(fp: FamilyParams, M: int, window, coeffs: Optional[CoeffFn] = None) -> RTable:
     """Fill levels -1..M of the table from the closed form, for every family.
 
     Entry (s, n, k) is the dot product of the ladder coefficients of level
@@ -196,33 +192,21 @@ def build_rtable(
     only through the ladder, whose x-picture shifts and reductions run
     once per level.  The band's ints enter each entry's one _dot as
     (int, row denominator) pairs (_powers), so no Fraction is formed.
-
-    base, a table of fp at depth >= M over a window that covers this one,
-    whose coefficients equal coeffs at every n >= 0, lends what coeffs
-    cannot change: entry (s, n, k) reads rows n-s..n+s only, so each entry
-    with n >= s is base's, and so is every (A_n, B_n, C_n) at n >= 0.
+    coeffs(n) gives (A_n, B_n, C_n), three_term's by default.
     """
     window = _check_window(window)
     if M < 0:
         raise ConfigurationError("depth M must be >= 0")
     lo, hi = window
-    lent = base is not None
-    if lent and (base.fp != fp or base.M < M or base.window[0] > lo or base.window[1] < hi):
-        raise ConfigurationError(f"base table does not cover depth {M} on {window}")
     coeffs = coeffs or (lambda n: three_term(fp, n))
     # J^1 reads every row; in ascending n the first singular n is the one raised
-    abc = {n: base.abc[n] if lent and n >= 0 else coeffs(n) for n in range(lo - M, hi + M + 1)}
-    # a lent table computes entries at rows n < s <= M only
-    powers = _powers(abc, M, lo, min(hi, M - 1) if lent else hi)
+    abc = {n: coeffs(n) for n in range(lo - M, hi + M + 1)}
+    powers = _powers(abc, M, lo, hi)
     entries = {(-1, n, 0): _ONE for n in range(lo - M - 1, hi + M + 2)}
     for s in range(M + 1):
         pad = M - s
         ladder = _ladder(fp, s)
         for n in range(lo - pad, hi + pad + 1):
-            if lent and n >= s:
-                for k in range(-s - 1, s + 2):
-                    entries[s, n, k] = base.entries[s, n, k]
-                continue
             rows = [band[n] for band in powers[:s + 2]]
             for k in range(-s - 1, s + 2):
                 terms = [(c, x if d == 1 else (x, d)) for c, (d, row) in zip(ladder, rows)

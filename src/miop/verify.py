@@ -24,12 +24,11 @@ to every check.  The depth-M table R^[s]_{n,k} has no D in it, so run_all
 reads the process-wide one of rtable.shared_rtable, built once per (family,
 M, window) and shared by every index set of depth M; level s of that table
 is the depth-s table, so the prefix chain reads it too.  Kept with that
-table and computed once each: the override table, which takes from it every
-entry whose recursion misses row -1 and computes the rest (once per window),
-and the rtable-shift law violations.  Three objects are built for each D
-apart: Xi_D alone at shifted parameters for the seed, the prefix pairs of
-depth s < M and the permuted pair, unless the drawn permutation is the
-identity.
+table and computed once each: the override table, an ordinary table built
+from its own coefficients (once per window), and the rtable-shift law
+violations.  Three objects are built for each D apart: Xi_D alone at
+shifted parameters for the seed, the prefix pairs of depth s < M and the
+permuted pair, unless the drawn permutation is the identity.
 
 Each check returns one VerificationReport, and the CLI prints it as it is:
 one_line() or the stream() rows, and a FAIL verdict from its fields.
@@ -176,11 +175,9 @@ def check_rrp_override(pair: MultiIndexedPair, table: RTable, n_range: tuple) ->
     """RRP for n >= 0 with the out-of-range convention altered (B_-1 := 7).
 
     A_-1 = 0 is kept: it is what makes the table, and hence the identity,
-    insensitive to the rest of the convention for nonnegative n.  table, the
-    depth-M table under the default convention over a window that covers
-    n >= 0 of n_range, lends every entry whose recursion misses row -1.  The
-    override table is built once per table, depth and window and kept with
-    the table.
+    insensitive to the rest of the convention for nonnegative n.  The
+    override table is an ordinary table built from its own coefficients,
+    once per depth and window, and kept with table, the default one.
     """
     fp, M = pair.fp, pair.D.M
     window = (max(0, n_range[0]), n_range[1])
@@ -192,7 +189,7 @@ def check_rrp_override(pair: MultiIndexedPair, table: RTable, n_range: tuple) ->
         return three_term(fp, n)
 
     override = _kept(table, ("override", M, window),
-                     lambda: build_rtable(fp, M, window, coeffs=coeffs, base=table))
+                     lambda: build_rtable(fp, M, window, coeffs=coeffs))
     return check_rrp(pair, override, window, identity="rrp-override")
 
 

@@ -1,9 +1,10 @@
 """The process-wide memos change no output.
 
 rtable.shared_rtable keeps each default-convention table, with the override
-tables and shift-law violations verify derives from it.  A warm memo must
-give the bytes a cold one gives, no check may change what the memo holds,
-and a build that raises must leave nothing behind.
+tables and shift-law violations verify derives from it, and
+families.three_term keeps each (A_n, B_n, C_n).  A warm memo must give the
+bytes a cold one gives, no check may change what the memo holds, and a
+build that raises must leave nothing behind.
 """
 import contextlib
 import hashlib
@@ -19,7 +20,7 @@ import miop.cli as cli
 import miop.rtable as rtable_mod
 from miop.cli import main
 from miop.errors import SingularCoefficient
-from miop.families import PRESETS, FamilyParams
+from miop.families import PRESETS, FamilyParams, three_term
 from miop.multiindex import IndexSet
 from miop.rtable import shared_rtable
 from miop.verify import run_all
@@ -31,7 +32,8 @@ import workloads  # noqa: E402
 
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())["export-artifacts"]
 VERIFY_ARGVS = [item["argvs"][0] for item in workloads.items("verify-sweep", 0)]
-RTABLE_ARGVS = [(item["id"], item["argvs"][1]) for item in workloads.items("export-artifacts", 0)]
+EXPORT_ITEMS = workloads.items("export-artifacts", 0)
+RTABLE_ARGVS = [(item["id"], item["argvs"][1]) for item in EXPORT_ITEMS]
 
 
 def _stdout(argv) -> str:
@@ -114,3 +116,25 @@ def test_failed_build_is_not_kept(monkeypatch):
         with pytest.raises(SingularCoefficient):
             run_all(fp, IndexSet.parse("I1"), (0, 2))
     assert shared_rtable.cache_info().currsize == 0
+
+
+def test_singular_three_term_is_not_kept():
+    # the point of test_failed_build_is_not_kept: A_0 has a pole there
+    fp = FamilyParams("J", (F(3, 4), F(-7, 4)), check_range=False)
+    three_term(PRESETS["j-default"], 0)
+    size = three_term.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(SingularCoefficient):
+            three_term(fp, 0)
+        assert three_term.cache_info().currsize == size
+
+
+def test_export_pass_computes_each_coefficient_once():
+    # gen and rtable of every export item read (A_n, B_n, C_n) of the same
+    # points; each (point, n) is computed once and read from then on
+    for item in EXPORT_ITEMS:
+        for argv in item["argvs"]:
+            _stdout(argv)
+    info = three_term.cache_info()
+    assert info.misses == info.currsize
+    assert info.hits > info.misses

@@ -292,9 +292,9 @@ class TestRunAll:
             pairs.append((fp1, D1))
             return real_build(fp1, D1, n_max)
 
-        def counting_build_rtable(fp1, M, window, coeffs=None, base=None):
-            tables.append((M, window, coeffs is None, base is None))
-            return real_build_rtable(fp1, M, window, coeffs, base)
+        def counting_build_rtable(fp1, M, window, coeffs=None):
+            tables.append((M, window, coeffs is None))
+            return real_build_rtable(fp1, M, window, coeffs)
 
         def counting_laws(table):
             laws.append((table.M, table.window))
@@ -311,8 +311,8 @@ class TestRunAll:
         assert pairs.count((fp, D)) == 1
         # seed 3 swaps the two entries: the permuted pair is built
         assert (fp, D.permute((1, 0))) in pairs
-        # the shared depth-M table, then the B_-1 := 7 override table on it
-        once = [(D.M, (-3, 1), True, True), (D.M, (0, 1), False, False)]
+        # the shared depth-M table, then the B_-1 := 7 override table kept with it
+        once = [(D.M, (-3, 1), True), (D.M, (0, 1), False)]
         assert tables == once
         assert laws == [(D.M, (-3, 1))]
         # another index set of the same depth and window builds its own pair
@@ -325,10 +325,10 @@ class TestRunAll:
         assert laws == [(D.M, (-3, 1))]
         # a range from n = 1 reads the same table through another override window
         run_all(fp, other, (1, 1), seed=3)
-        assert tables[2:] == [(D.M, (1, 1), False, False)]
+        assert tables[2:] == [(D.M, (1, 1), False)]
         # another window is another table
         run_all(fp, other, (-3, 2), seed=3)
-        assert tables[3:] == [(D.M, (-3, 2), True, True), (D.M, (0, 2), False, False)]
+        assert tables[3:] == [(D.M, (-3, 2), True), (D.M, (0, 2), False)]
         assert laws == [(D.M, (-3, 1)), (D.M, (-3, 2))]
 
     def test_identity_permutation_reuses_pair(self, monkeypatch):
