@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Wall time of `miop verify` at depth, alternating between source trees.
 
-For each preset and depth, and for two sets of that depth (a mixed one and
-the pure type-I set I1..I<depth>, whose Casoratians one type fills), runs
+For each preset and depth, and for two sets of that depth, runs
 
     python -m miop verify --preset P --D SET --format json
 
@@ -11,6 +10,15 @@ the trees in turn (A B A B ...).  Prints one JSON object: per case the
 times and their median per tree, whether stdout was identical across
 every run and tree, its sha256 and its last line.  Exits nonzero if a run
 fails or stdout differs.
+
+The two sets are SETS[depth] and the pure type-I set I1..I<depth>, whose
+Casoratians one type fills.  SETS[depth] is mixed (types I and II) from
+depth 2 on; at depth 1 it is II1, the type-II set.  Depths 1-3 are the
+default `miop verify` sweep's six sets, so
+
+    python3 scripts/depth_bench.py --presets l-default,j-default,w-default,aw-default --depths 1,2,3
+
+times exactly that sweep's 24 (preset, set) runs, one subprocess each.
 
 Usage:
     python3 scripts/depth_bench.py [--src TREE ...] [--presets P,...]
@@ -29,7 +37,10 @@ import sys
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SETS = {  # the mixed set of each depth
+SETS = {  # the set of each depth next to pure(depth)
+    1: "II1",
+    2: "I1,II1",
+    3: "I1,I2,II1",
     4: "I1,I2,I3,II1",
     5: "I1,I2,I3,II1,II2",
     6: "I1,I2,I3,I4,II1,II2",

@@ -208,9 +208,9 @@ def _moved(fp: FamilyParams, steps: tuple) -> FamilyParams:
     return FamilyParams(fp.family, lam, fp.q, check_range=False)
 
 
-def shifted(fp: FamilyParams, m: int = 1) -> FamilyParams:
-    """Parameters displaced by m times the canonical shift delta."""
-    return _moved(fp, (m,) * len(fp.lam))
+def shifted(fp: FamilyParams) -> FamilyParams:
+    """Parameters displaced by the canonical shift delta."""
+    return _moved(fp, (1,) * len(fp.lam))
 
 
 def twisted(fp: FamilyParams, m1: int, m2: int) -> FamilyParams:

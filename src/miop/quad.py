@@ -16,11 +16,12 @@ and the sum use only +, - and *, which numpy rounds elementwise as
 Python does; phi_0^2 (lgamma, log1p, exp) and eta = cos (J, AW) stay
 scalar libm calls per abscissa, so every output bit is what the per-node
 scalar path gives.  A weight or integrand value that leaves binary64
-range raises FloatRangeError.  mpmath serves only the norms, numpy the
-node tables and the level sums of every grid.  Both are imported inside
-the functions that use them, so importing this module (and with it
-miop.cli) loads neither: the first `ortho` use pays for them, and `gen`,
-`rtable` and `verify` never do.
+range raises FloatRangeError.  mpmath serves the norms (at 120 bits) and
+the AW alpha/kappa prefactor of Psi_D^2 (at mpmath's default 53 bits),
+numpy the node tables and the level sums of every grid.  Both are
+imported inside the functions that use them, so importing this module
+(and with it miop.cli) loads neither: the first `ortho` use pays for
+them, and `gen`, `rtable` and `verify` never do.
 
 The deformed weight is
 
@@ -728,22 +729,3 @@ def ortho_grid(fp: FamilyParams, D: IndexSet, n_max: int, spec: QuadratureSpec =
         for n in range(n_max + 1)
         for m in range(n, n_max + 1)
     ]
-
-
-# Deformed W/AW quadrature is meaningful only where the deformation adds no
-# discrete state: the continuous integral then accounts for the full norm.
-# Each tuple below was checked by ortho_grid at n <= 2, with the binary64
-# weight kernels, against the product-formula norm to better than 1e-14
-# relative: on the diagonal at most 1.2e-15 (W) and 6.3e-15 (AW), off it at
-# most 6.6e-16.  Elsewhere ortho_grid refuses a deformation that is not
-# admissible (ConfigurationError) or whose denominator vanishes on the
-# eta-domain (PoleEncountered); an admissible, pole-free point can still
-# fall short of the norm by the mass of a discrete state.
-DIFFERENCE_ORTHO_PRESETS = (
-    ("W", (Fraction(5, 4), Fraction(13, 10), Fraction(6, 5), Fraction(7, 5)), None, "I1"),
-    ("W", (Fraction(3, 4), Fraction(4, 5), Fraction(3, 2), Fraction(8, 5)), None, "II1"),
-    ("W", (Fraction(7, 2), Fraction(13, 4), Fraction(6, 5), Fraction(7, 5)), None, "I1,I2"),
-    ("AW", (Fraction(1, 20), Fraction(1, 12), Fraction(1, 3), Fraction(2, 5)), Fraction(1, 4), "I1"),
-    ("AW", (Fraction(1, 3), Fraction(2, 5), Fraction(1, 20), Fraction(1, 12)), Fraction(1, 4), "II1"),
-    ("AW", (Fraction(1, 20), Fraction(1, 12), Fraction(1, 18), Fraction(1, 10)), Fraction(1, 4), "I1,II1"),
-)

