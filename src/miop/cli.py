@@ -39,7 +39,7 @@ from typing import Optional
 
 from . import __version__
 from .errors import ConfigurationError, MiopError
-from .families import PARAM_NAMES, PRESETS, FamilyParams
+from .families import FAMILIES, PARAM_NAMES, PRESETS, FamilyParams
 from .multiindex import IndexSet, build
 from .quad import QuadratureSpec, ortho_grid
 from .rtable import build_rtable
@@ -265,7 +265,7 @@ def cmd_ortho(args) -> int:
 
 
 def _add_family_flags(sub) -> None:
-    sub.add_argument("--family", choices=["L", "J", "W", "AW"], help="family tag")
+    sub.add_argument("--family", choices=FAMILIES, help="family tag")
     sub.add_argument("--preset", help="named parameter preset")
     sub.add_argument("--g", help="exact rational g (L, J)")
     sub.add_argument("--h", help="exact rational h (J)")

@@ -31,6 +31,7 @@ ConfigurationError.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable
 
@@ -435,6 +436,22 @@ def format_coeffs(p) -> list:
 
 # -- the inverse of composition ---------------------------------------------------
 
+@lru_cache(maxsize=256)
+def _sparse_powers(inner, n: int) -> tuple:
+    """pows[k], k = 0..n: the nonzero (exponent, entry) pairs of I^k, for a
+    rational inner = I/d; kept per (inner, n), since reduce_to_eta passes
+    one eta_x value per point."""
+    pairs = [(e, x) for e, x in enumerate(inner._parts[0], inner.lo) if x]
+    pows = [((0, 1),)]
+    for _ in range(n):
+        acc = {}
+        for e, x in pows[-1]:
+            for s, y in pairs:
+                acc[e + s] = acc.get(e + s, 0) + x * y
+        pows.append(tuple(t for t in acc.items() if t[1]))
+    return tuple(pows)
+
+
 def uncompose(p, inner) -> Poly:
     """The Poly f in eta with real coefficients and f.compose(inner) == p.
 
@@ -454,14 +471,7 @@ def uncompose(p, inner) -> Poly:
         raise ReductionFailure("value is not real in eta")
     lead, d, top = run[0][-1], inner._den, p.lo + len(p._parts[0]) - 1
     n = max(top // h, 0)
-    pairs = [(e, x) for e, x in enumerate(run[0], inner.lo) if x]
-    pows = [[(0, 1)]]  # pows[k]: the nonzero (exponent, entry) pairs of I^k
-    for _ in range(n):
-        acc = {}
-        for e, x in pows[-1]:
-            for s, y in pairs:
-                acc[e + s] = acc.get(e + s, 0) + x * y
-        pows.append([t for t in acc.items() if t[1]])
+    pows = _sparse_powers(inner, n)
     lo = min(p.lo, 0, n * inner.lo)
     out = [[0] * (n + 1) for _ in p._parts]
     for part, f in zip(p._parts, out):

@@ -51,6 +51,9 @@ from .exact import (
 
 FAMILIES = ("L", "J", "W", "AW")
 _LAM_LEN = {"L": 1, "J": 2, "W": 4, "AW": 4}
+# each family's open parameter range lo < x < hi (hi None: unbounded) and its wording
+_RANGES = {"L": (Fraction(1, 2), None, "g > 1/2"), "J": (Fraction(1, 2), None, "g, h > 1/2"),
+           "W": (Fraction(0), None, "a_i > 0"), "AW": (Fraction(0), Fraction(1), "0 < a_i < 1")}
 # each family's parameter names: its JSON keys and its CLI flags (--g, ...)
 PARAM_NAMES = {"L": ("g",), "J": ("g", "h"), "W": ("a",), "AW": ("a", "q")}
 
@@ -102,22 +105,10 @@ class FamilyParams:
         return self._hash
 
     def _check_ranges(self):
-        half = Fraction(1, 2)
-        if self.family == "L":
-            if scalar_sign(self.lam[0] - half) <= 0:
-                raise ConfigurationError("L requires g > 1/2")
-        elif self.family == "J":
-            for x in self.lam:
-                if scalar_sign(x - half) <= 0:
-                    raise ConfigurationError("J requires g, h > 1/2")
-        elif self.family == "W":
-            for x in self.lam:
-                if scalar_sign(x) <= 0:
-                    raise ConfigurationError("W requires a_i > 0")
-        else:
-            for x in self.lam:
-                if scalar_sign(x) <= 0 or scalar_sign(x - 1) >= 0:
-                    raise ConfigurationError("AW requires 0 < a_i < 1")
+        lo, hi, text = _RANGES[self.family]
+        for x in self.lam:
+            if scalar_sign(x - lo) <= 0 or (hi is not None and scalar_sign(x - hi) >= 0):
+                raise ConfigurationError(f"{self.family} requires {text}")
 
     # -- convenience views ------------------------------------------------
 

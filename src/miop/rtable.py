@@ -90,10 +90,11 @@ class RTable:
 
     Level s is the matrix product prod_{t=0..s} (J - eta(x - i(s-2t) gamma/2))
     of the module docstring, stored entry by entry as polynomials in eta on
-    the window widened by M - s rows on each side.  abc holds the
-    (A_n, B_n, C_n) of J.  derived keeps what is computed from the table
-    once (verify's override tables and shift-law violations); entries and
-    abc never change.
+    the window widened by M - s rows on each side; entry raises on a key in
+    the band that was not built, so a table must cover what it checks.  abc
+    holds the (A_n, B_n, C_n) of J.  derived keeps what is computed from the
+    table once (verify's override tables and shift-law violations); entries
+    and abc never change.
     """
 
     fp: FamilyParams
@@ -104,8 +105,17 @@ class RTable:
     derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def entry(self, s: int, n: int, k: int) -> Poly:
-        """R^[s]_{n,k} in eta; zero outside the band |k| <= s+1."""
-        return self.entries.get((s, n, k), _ZERO)
+        """R^[s]_{n,k} in eta: zero outside the band |k| <= s+1 (so at every
+        level s <= -2); a key in the band at a level or row the table did not
+        build raises ConfigurationError, so a short table cannot read as zero."""
+        got = self.entries.get((s, n, k))
+        if got is None:
+            if abs(k) <= s + 1:
+                raise ConfigurationError(
+                    f"R^[{s}]_{{{n},{k}}} is not in the table of depth {self.M}"
+                    f" on window {self.window}")
+            return _ZERO
+        return got
 
     def to_rows(self) -> list:
         """Deterministic flat listing for export, every level s = 0..M."""
@@ -235,7 +245,7 @@ def check_rprop(table: RTable) -> list:
     if table.fp.is_difference:
         raise ConfigurationError("check_rprop applies to L and J tables")
     bad = []
-    for (s, n, k), p in sorted(table.entries.items()):
+    for (s, n, k), p in table.entries.items():
         if s < 0:
             continue
         if p.derivative() != table.entry(s - 1, n, k) * -(s + 1):

@@ -30,8 +30,11 @@ violations.  Three objects are built for each D apart: Xi_D alone at
 shifted parameters for the seed, the prefix pairs of depth s < M and the
 permuted pair, unless the drawn permutation is the identity.
 
-Each check returns one VerificationReport, and the CLI prints it as it is:
-one_line() or the stream() rows, and a FAIL verdict from its fields.
+The identities are one table, _CHECKS at the bottom of this module: its
+tags are IDENTITY_TAGS, and run_all runs the wanted ones in its order,
+which is the report order.  Each check returns one VerificationReport and
+adds its rows in (s, n) order, and the CLI prints it as it is: one_line()
+or the stream() rows as added, and a FAIL verdict from its fields.
 rtable-shift and vanishing report the first (s, n, k) violation at each level.
 """
 
@@ -54,18 +57,6 @@ from .rtable import (
     check_rprop2_rprop3,
     check_vanishing_region,
     shared_rtable,
-)
-
-IDENTITY_TAGS = (
-    "rrp",
-    "rrp-override",
-    "rtable-shift",
-    "vanishing",
-    "regeneration",
-    "seed-proportionality",
-    "prefix-chain",
-    "permutation",
-    "degrees",
 )
 
 
@@ -96,13 +87,9 @@ class VerificationReport:
         return None
 
     def stream(self):
-        """One JSON-ready object per check row, deterministic order."""
-        base = {
-            "identity": self.identity,
-            "family": self.fp.family,
-            "D": self.D.label(),
-        }
-        for r in sorted(self.rows, key=lambda r: (r.get("s", -1), r["n"] if r["n"] is not None else -(10**9))):
+        """One JSON-ready object per check row, in the order the rows were added."""
+        base = {"identity": self.identity, "family": self.fp.family, "D": self.D.label()}
+        for r in self.rows:
             obj = dict(base)
             obj.update(r)
             yield obj
@@ -378,29 +365,27 @@ def run_all(
     identities: Optional[list] = None,
 ) -> list:
     """All identity checks for one (fp, D), preceded by the genericity probe."""
-    wanted = identities or list(IDENTITY_TAGS)
+    wanted = identities or IDENTITY_TAGS
     if n_range[1] < 0:
         raise ConfigurationError(f"--n-range upper end must be >= 0, got {n_range[1]}")
     pair, table = shared_objects(fp, D, n_range)
     genericity_probe(pair, table, n_range)
-    reports = []
-    if "rrp" in wanted:
-        reports.append(check_rrp(pair, table, n_range))
-    if "rrp-override" in wanted:
-        reports.append(check_rrp_override(pair, table, n_range))
-    if "rtable-shift" in wanted:
-        reports.append(check_rtable_shift(table, D))
-    if "vanishing" in wanted:
-        reports.append(check_vanishing(table, D))
-    if "regeneration" in wanted:
-        reports.append(regenerate_from_initial(pair, table, max(n_range[1], D.M + 1)))
-    if "seed-proportionality" in wanted:
-        reports.append(check_seed_proportionality(pair))
-    if "prefix-chain" in wanted:
-        reports.append(check_prefix_chain(pair, table, n_range))
-    if "permutation" in wanted:
-        reports.append(check_permutation(pair, seed=seed))
-    if "degrees" in wanted:
-        reports.append(check_degrees(pair, n_range))
-    reports.sort(key=lambda r: r.identity)
-    return reports
+    return [check(pair, table, n_range, seed) for tag, check in _CHECKS.items() if tag in wanted]
+
+
+# tag -> check(pair, table, n_range, seed), in report order.  Each entry reads
+# its check from this module's globals when called, so a check replaced on the
+# module (perfbench/tracer.py wraps them so) is the one run_all runs.
+_CHECKS = {
+    "degrees": lambda pair, table, n_range, seed: check_degrees(pair, n_range),
+    "permutation": lambda pair, table, n_range, seed: check_permutation(pair, seed=seed),
+    "prefix-chain": lambda pair, table, n_range, seed: check_prefix_chain(pair, table, n_range),
+    "regeneration": lambda pair, table, n_range, seed: regenerate_from_initial(
+        pair, table, max(n_range[1], pair.D.M + 1)),
+    "rrp": lambda pair, table, n_range, seed: check_rrp(pair, table, n_range),
+    "rrp-override": lambda pair, table, n_range, seed: check_rrp_override(pair, table, n_range),
+    "rtable-shift": lambda pair, table, n_range, seed: check_rtable_shift(table, pair.D),
+    "seed-proportionality": lambda pair, table, n_range, seed: check_seed_proportionality(pair),
+    "vanishing": lambda pair, table, n_range, seed: check_vanishing(table, pair.D),
+}
+IDENTITY_TAGS = tuple(_CHECKS)

@@ -370,6 +370,14 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4c5cd2ed5f43a1392a5a5382f075c8c175478f414d6c7b3b9b94f7532612efb0")
 
+    def test_default_sweep_text_digest(self, capsys):
+        # the plain-text report of the same sweep: one line per identity and D
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0
+        assert out.splitlines()[-1] == "PASS"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d7580fd1f7bd60f1f7fe670789cc3559b52a72712be2039b7c5c2a8b6cd1f725")
+
     def test_non_square_q_sweep_digest(self, capsys):
         # the six sweep sets at q = 1/3, where a half step adjoins sqrt(q);
         # the default sweep's AW point has the square q = 1/4

@@ -81,6 +81,18 @@ class TestConstruction:
         t = build_rtable(PRESETS["l-default"], 1, (0, 3))
         assert t.entry(0, 1, 2).is_zero
         assert t.entry(1, 1, 5).is_zero
+        assert t.entry(-2, 0, 0).is_zero
+
+    def test_unbuilt_key_in_band_raises(self):
+        # a level past the depth, or a row past the widened window, is not zero
+        t = build_rtable(PRESETS["l-default"], 1, (0, 3))
+        with pytest.raises(ConfigurationError, match=r"R\^\[2\]_\{0,1\}.*depth 1 on window \(0, 3\)"):
+            t.entry(2, 0, 1)
+        assert not t.entry(0, 4, 0).is_zero  # level 0 reaches one row past the window
+        with pytest.raises(ConfigurationError):
+            t.entry(0, 5, 0)
+        with pytest.raises(ConfigurationError):
+            t.entry(-1, -3, 0)
 
     def test_level_zero_row(self):
         for fp in (PRESETS["l-default"], PRESETS["j-default"]):

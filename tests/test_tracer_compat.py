@@ -9,7 +9,10 @@ such a change fail the main suite too.
 import sys
 from pathlib import Path
 
+from miop import verify
 from miop.exact import GaussianRational, LaurentPoly, Poly, SqrtQRational
+from miop.families import PRESETS
+from miop.multiindex import IndexSet
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -36,3 +39,16 @@ def test_install_then_uninstall_restores_every_attribute():
     assert Poly.__mul__ is LaurentPoly.__mul__ is Poly.__rmul__
     for cls in (GaussianRational, SqrtQRational):
         assert cls.__mul__ is cls.__rmul__, cls.__name__
+
+
+def test_patched_run_all_times_every_check_once():
+    # run_all must reach each check through verify's module globals: a check
+    # it held as a function object would escape the patch and read 0 calls
+    t = tracer.Tracer()
+    try:
+        t.install()
+        verify.run_all(PRESETS["l-default"], IndexSet.parse("I1,II1"), (-3, 2))
+    finally:
+        t.uninstall()
+    names = [f"verify.{tag}" for tag in tracer.VERIFY_TAGS.values()] + ["verify.genericity_probe"]
+    assert {name: t.stats[name][0] for name in names} == dict.fromkeys(names, 1)

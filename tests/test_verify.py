@@ -1,5 +1,6 @@
 """Tests for the identity-verification layer."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -67,6 +68,20 @@ class TestCheckRrp:
         rep = check_rrp(pair, build_rtable(fp, D.M, (0, 2)), (0, 2))
         assert not rep.passed
         assert "eta^" in rep.witness
+
+    def test_table_short_of_the_checked_rows_raises(self):
+        # a table lacking the pair's depth, or the rows checked, once read as
+        # zero coefficients, and the corrupted pair passed
+        fp = PRESETS["l-default"]
+        D = IndexSet.parse("I1,II1")
+        pair = build(fp, D, n_max=24)
+        bad = dataclasses.replace(pair, P={**pair.P, 3: pair.P[3] * 3})
+        with pytest.raises(ConfigurationError, match=r"R\^\[2\].*depth 1 on window \(-3, 8\)"):
+            check_rrp(bad, build_rtable(fp, 1, (-3, 8)), (-3, 5))
+        deep = build_rtable(fp, 2, (-3, 8))
+        with pytest.raises(ConfigurationError, match=r"R\^\[2\]_\{9,-3\}.*depth 2"):
+            check_rrp(bad, deep, (9, 20))
+        assert not check_rrp(bad, deep, (-3, 5)).passed
 
     @pytest.mark.parametrize("name,lbl", [("w-default", "II1"), ("aw-q13", "I1,II1")])
     def test_difference_families(self, name, lbl):
@@ -270,7 +285,17 @@ class TestRunAll:
         assert {r.identity for r in reports} == set(IDENTITY_TAGS)
         assert all(r.passed for r in reports)
         tags = [r.identity for r in reports]
-        assert tags == sorted(tags)
+        assert tags == sorted(tags) == list(IDENTITY_TAGS)
+
+    @pytest.mark.parametrize("name", ["l-default", "aw-default"])
+    def test_one_identity_streams_as_in_full_run(self, name):
+        fp = PRESETS[name]
+        D = IndexSet.parse("I1,II1")
+        full = {r.identity: list(r.stream()) for r in run_all(fp, D, (-3, 3), seed=3)}
+        for tag in IDENTITY_TAGS:
+            (rep,) = run_all(fp, D, (-3, 3), seed=3, identities=[tag])
+            assert rep.identity == tag
+            assert list(rep.stream()) == full[tag]
 
     def test_aborts_on_nongeneric(self):
         fp = FamilyParams("L", (F(-1, 2),), check_range=False)
