@@ -13,10 +13,15 @@ Each quadrature level is one numpy array expression over its node set:
 the weight array times the P_n and P_m arrays, summed by halving steps
 that add in the order of the scalar pairwise sum.  eta = x^2, FloatPoly
 and the sum use only +, - and *, which numpy rounds elementwise as
-Python does; phi_0^2 (lgamma, log1p, exp) and eta = cos (J, AW) stay
-scalar libm calls per abscissa, so every output bit is what the per-node
-scalar path gives.  A weight or integrand value that leaves binary64
-range raises FloatRangeError.  mpmath serves the norms (at 120 bits) and
+Python does.  phi_0^2 is one call per node set, on the abscissae not
+seen before: its arithmetic runs elementwise in numpy, each
+transcendental (log1p, log, atan2, expm1, exp, cos, sin) is a math call
+per element, and each sum over parameters or factors is builtin sum per
+node, so its bits are those of the per-node path (L and J call their
+scalar kernel per abscissa, and eta = cos for J and AW is a math call per
+abscissa too).  Every output bit is what the per-node scalar path gives.
+A weight or integrand value that leaves binary64 range raises
+FloatRangeError.  mpmath serves the norms (at 120 bits) and
 the AW alpha/kappa prefactor of Psi_D^2 (at mpmath's default 53 bits),
 numpy the node tables and the level sums of every grid.  Both are
 imported inside the functions that use them, so importing this module
@@ -128,7 +133,8 @@ def pairwise_sum(values) -> float:
     """Deterministic pairwise summation (reproducible across runs).
 
     Each halving step adds neighbours, v0 + v1, v2 + v3, ..., as one array
-    operation and carries an odd last element to the next step.
+    operation.  An odd step writes its sums into an array one slot longer
+    and carries its last element into that slot, to the next step.
     """
     import numpy as np
 
@@ -136,8 +142,13 @@ def pairwise_sum(values) -> float:
     if not vals.size:
         return 0.0
     while vals.size > 1:
-        nxt = vals[:-1:2] + vals[1::2]
-        vals = np.append(nxt, vals[-1]) if vals.size % 2 else nxt
+        if vals.size % 2:
+            nxt = np.empty(vals.size // 2 + 1)
+            np.add(vals[:-1:2], vals[1::2], out=nxt[:-1])
+            nxt[-1] = vals[-1]
+            vals = nxt
+        else:
+            vals = vals[::2] + vals[1::2]
     return float(vals[0])
 
 
@@ -307,74 +318,133 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 _STIRLING_SHIFT = 16.0
 
 
-def _stirling_tail(z):
-    """sum_k c_k z^(1-2k): log Gamma(z) less (z - 1/2) log z - z + log(2 pi)/2."""
-    inv = 1 / z
-    inv2 = inv * inv
-    s = _STIRLING[-1]
+def _mapped(f, *arrays):
+    """f, a math function, called on each element of the broadcast arrays, as an array."""
+    import numpy as np
+
+    args = np.broadcast_arrays(*arrays)
+    values = list(map(f, *(a.ravel().tolist() for a in args)))
+    return np.array(values, dtype=float).reshape(args[0].shape)
+
+
+def _each(f, args: list, xs: list, family: str) -> list:
+    """[f(a) for a in args]; an OverflowError names xs[i] for the first args[i] that overflows."""
+    out = []
+    try:
+        for a in args:
+            out.append(f(a))
+    except OverflowError:
+        raise FloatRangeError(f"phi_0^2 of the {family} weight leaves binary64 range "
+                              f"at x = {xs[len(out)]!r}") from None
+    return out
+
+
+def _stirling_tail(u, x):
+    """Re sum_k c_k z^(1-2k) at z = u + ix (arrays, u >= 16, x >= 0): log Gamma(z)
+    less (z - 1/2) log z - z + log(2 pi)/2.
+
+    Real arrays that round as CPython's complex arithmetic does, operation by
+    operation: 1/z by Smith's quotient, then Horner's rule in 1/z^2 by the
+    complex product, a float coefficient c entering as c + 0i.
+    """
+    import numpy as np
+
+    big = u >= x
+    ratio = np.minimum(u, x) / np.maximum(u, x)  # x/u where u >= x, else u/x
+    den = np.where(big, u + x * ratio, u * ratio + x)
+    inv_re = np.where(big, 1.0, ratio) / den
+    inv_im = np.where(big, 0.0 - ratio, -1.0) / den
+    inv2_re = inv_re * inv_re - inv_im * inv_im
+    inv2_im = inv_re * inv_im + inv_im * inv_re
+    s_re, s_im = _STIRLING[-1], 0.0
     for c in reversed(_STIRLING[:-1]):
-        s = c + inv2 * s
-    return inv * s
+        s_re, s_im = c + (inv2_re * s_re - inv2_im * s_im), inv2_re * s_im + inv2_im * s_re
+    return inv_re * s_re - inv_im * s_im
 
 
-def _log_gamma_sq(a: float) -> Callable[[float], float]:
-    """x -> log |Gamma(a + ix)|^2 for x > 0, in binary64.
+def _log_gamma_sq(avals) -> Callable:
+    """xs -> log |Gamma(a_j + ix)|^2 for each a_j (rows) and x > 0 (columns), in binary64.
 
     log Gamma(a)^2 plus the log of the ratio |Gamma(a + ix)|^2 / Gamma(a)^2:
     shift to u = a + N >= 16 and divide by prod_{k<N} (1 + (x / (a + k))^2);
     for the shifted ratio the large Stirling terms cancel inside log1p and
     atan2, never after an exp.  At a = -m (m = 0, 1, ...) Gamma(a) has a pole
     but |Gamma(a + ix)|^2 does not: the factor k = m is x^2 and the others
-    leave 1/m!^2 in place of Gamma(a)^2.
+    leave 1/m!^2 in place of Gamma(a)^2.  Every a_j is a row of one array
+    pass; a row with fewer shifts is padded with s = inf, whose factor
+    1 + x^2/inf is exactly 1.
     """
-    n = max(0, math.ceil(_STIRLING_SHIFT - a))
-    u = a + n
-    shifts = [(a + k) ** 2 for k in range(n) if a + k != 0]
-    pole = len(shifts) < n
-    log_gamma_a_sq = -2.0 * math.lgamma(1.0 - a) if pole else 2.0 * math.lgamma(a)
-    tail_u = _stirling_tail(u)
+    import numpy as np
 
-    def log_gamma_sq(x: float) -> float:
+    us, log_gamma_a_sq, shifts, poles = [], [], [], []
+    for a in avals:
+        n = max(0, math.ceil(_STIRLING_SHIFT - a))
+        us.append(a + n)
+        shifts.append([(a + k) ** 2 for k in range(n) if a + k != 0])
+        poles.append(len(shifts[-1]) < n)
+        log_gamma_a_sq.append(-2.0 * math.lgamma(1.0 - a) if poles[-1] else 2.0 * math.lgamma(a))
+    width = max(map(len, shifts))
+    u = np.array(us)[:, None]
+    log_gamma_a_sq = np.array(log_gamma_a_sq)[:, None]
+    shifts = np.array([s + [math.inf] * (width - len(s)) for s in shifts])
+    poles = np.array(poles)[:, None]
+    tail_u = _stirling_tail(u, 0.0)
+
+    def log_gamma_sq(xs):
+        x = np.asarray(xs, dtype=float)
         x2 = x * x
-        out = (log_gamma_a_sq + (u - 0.5) * math.log1p(x2 / (u * u)) - 2.0 * x * math.atan2(x, u)
-               + 2.0 * (_stirling_tail(complex(u, x)).real - tail_u)
-               - math.log(math.prod(1.0 + x2 / s for s in shifts)))
-        return out - 2.0 * math.log(x) if pole else out
+        prod = np.ones((len(us), x.size))
+        for k in range(width):
+            prod = prod * (1.0 + x2 / shifts[:, k:k + 1])
+        out = (log_gamma_a_sq + (u - 0.5) * _mapped(math.log1p, x2 / (u * u))
+               - 2.0 * x * _mapped(math.atan2, x, u)
+               + 2.0 * (_stirling_tail(u, x) - tail_u)
+               - _mapped(math.log, prod))
+        return np.where(poles, out - 2.0 * _mapped(math.log, x), out)
 
     return log_gamma_sq
 
 
-def _log_qpoch_abs_sq(t: float, q: float) -> Callable[[float], float]:
-    """theta -> log |(t e^(i theta); q)_inf|^2 for real t, in binary64.
+def _log_qpoch_abs_sq(t: float, q: float) -> Callable:
+    """thetas -> log |(t e^(i theta); q)_inf|^2 for real t, in binary64, as an array.
 
     Factor k is |1 - r e^(i theta)|^2 with r = t q^k, and the product stops
     at the first |r| <= 10^-30, the cut of _qpoch_inf.  A factor with
     |r| < 1/2 is 1 + r (r - 2 cos theta) >= 1/4, and log1p keeps the bits
-    that rounding it near 1 would lose; one with |r| >= 1/2 is
-    (1 - |r|)^2 + 4 |r| s^2, with s = sin(theta/2) for r > 0 and cos(theta/2)
-    for r < 0, so no term cancels.
+    that rounding it near 1 would lose; these form one (N x K) matrix,
+    summed per theta.  One with |r| >= 1/2 is (1 - |r|)^2 + 4 |r| s^2, with
+    s = sin(theta/2) for r > 0 and cos(theta/2) for r < 0, so no term
+    cancels; each is added in turn.
     """
+    import numpy as np
+
     small, large = [], []
     r = t
     while abs(r) > 1e-30:
         (small if abs(r) < 0.5 else large).append(r)
         r *= q
+    small = np.array(small)
+    large = [((1.0 - abs(r)) ** 2, 4.0 * abs(r), r > 0) for r in large]
 
-    def log_abs_sq(theta: float) -> float:
-        c = math.cos(theta)
-        out = sum(math.log1p(r * (r - 2.0 * c)) for r in small)
-        for r in large:
-            s = math.sin(0.5 * theta) if r > 0 else math.cos(0.5 * theta)
-            out += math.log((1.0 - abs(r)) ** 2 + 4.0 * abs(r) * s * s)
+    def log_abs_sq(theta):
+        c = _mapped(math.cos, theta)
+        factors = (small * (small - 2.0 * c[:, None])).tolist()
+        out = np.array([sum(map(math.log1p, row)) for row in factors], dtype=float)
+        for one_less_r_sq, four_r, positive in large:
+            s = _mapped(math.sin if positive else math.cos, 0.5 * theta)
+            out = out + _mapped(math.log, one_less_r_sq + four_r * s * s)
         return out
 
     return log_abs_sq
 
 
-def _phi0_sq(fp: FamilyParams) -> Callable[[float], float]:
-    """phi_0(x; lambda)^2 as a float function, in binary64 for every family.
+def _phi0_sq(fp: FamilyParams) -> Callable[[list], list]:
+    """phi_0(x; lambda)^2 in binary64, from a list of abscissae to the list of their values.
 
-    Each kernel raises OverflowError where its value leaves binary64 range.
+    L and J call their scalar kernel on each abscissa, W and AW evaluate the
+    list as arrays with the bits of a per-node evaluation.  A value that
+    leaves binary64 range raises FloatRangeError naming the first such
+    abscissa.
     """
     if fp.family == "L":
         g2 = 2.0 * float(fp.g)
@@ -384,21 +454,26 @@ def _phi0_sq(fp: FamilyParams) -> Callable[[float], float]:
                 return math.exp(-x * x) * x ** g2
             except OverflowError:  # x ** 2g alone leaves range: one exp of the summed logs
                 return math.exp(g2 * math.log(x) - x * x)
-        return l_weight
+        return lambda xs: _each(l_weight, xs, xs, "L")
     if fp.family == "J":
         g2, h2 = 2.0 * float(fp.g), 2.0 * float(fp.h)
-        return lambda x: math.sin(x) ** g2 * math.cos(x) ** h2
-    if fp.family == "W":
-        log_gammas = [_log_gamma_sq(float(a)) for a in fp.lam]
+        return lambda xs: _each(lambda x: math.sin(x) ** g2 * math.cos(x) ** h2, xs, xs, "J")
+    import numpy as np
 
-        def w_weight(x: float) -> float:
-            if x == 0.0:
-                # the closed end of (0, cutoff): 1/|Gamma(2ix)|^2 vanishes like 4x^2
-                return 0.0
+    if fp.family == "W":
+        log_gamma_sq = _log_gamma_sq([float(a) for a in fp.lam])
+
+        def w_weight(xs: list) -> list:
+            # the closed end x = 0 of (0, cutoff): 1/|Gamma(2ix)|^2 vanishes like 4x^2
+            pos = [x for x in xs if x != 0.0]
+            x = np.array(pos, dtype=float)
             # prod_j |Gamma(a_j + ix)|^2 times 1/|Gamma(2ix)|^2 = 2x sinh(2 pi x)/pi,
             # summed as logs and exponentiated once
-            return math.exp(math.log(x / math.pi) + 2.0 * math.pi * x
-                            + math.log(-math.expm1(-4.0 * math.pi * x)) + sum(f(x) for f in log_gammas))
+            logs = (_mapped(math.log, x / math.pi) + 2.0 * math.pi * x
+                    + _mapped(math.log, -_mapped(math.expm1, -4.0 * math.pi * x))
+                    + np.array(list(map(sum, log_gamma_sq(x).T.tolist())), dtype=float))
+            vals = iter(_each(math.exp, logs.tolist(), pos, "W"))
+            return [0.0 if x == 0.0 else next(vals) for x in xs]
 
         return w_weight
     # |(e^{2ix}; q)_inf|^2 / prod_j |(a_j e^{ix}; q)_inf|^2; float() also reads
@@ -407,8 +482,10 @@ def _phi0_sq(fp: FamilyParams) -> Callable[[float], float]:
     num = _log_qpoch_abs_sq(1.0, q)
     dens = [_log_qpoch_abs_sq(float(a), q) for a in fp.lam]
 
-    def aw_weight(x: float) -> float:
-        return math.exp(num(2.0 * x) - sum(f(x) for f in dens))
+    def aw_weight(xs: list) -> list:
+        x = np.array(xs, dtype=float)
+        den_logs = list(map(sum, zip(*(f(x).tolist() for f in dens))))
+        return _each(math.exp, (num(2.0 * x) - np.array(den_logs, dtype=float)).tolist(), xs, "AW")
 
     return aw_weight
 
@@ -469,7 +546,11 @@ class Weight:
     a zero anywhere on the family's closed eta-domain, so no entry of any
     width meets a pole.  Values are kept for the life of the Weight: phi_0^2
     per abscissa, eta and the weight per node set (an array of abscissae),
-    each P_n per (n, node set), and each expected norm.
+    each P_n per (n, node set), and each expected norm.  phi0_sq maps a
+    list of abscissae to their values in one call: elementwise numpy
+    arithmetic, a math call per element for each transcendental and
+    builtin sum per node for each sum, so the bits are those of the
+    per-node path.
     """
 
     def __init__(self, pair: MultiIndexedPair):
@@ -502,27 +583,23 @@ class Weight:
         d = self.xi_den(e)
         return d * d if self.squared_den else d
 
-    def _phi0_at(self, x: float) -> float:
-        v = self._phi0.get(x)
-        if v is None:
-            try:
-                v = self._phi0[x] = self.phi0_sq(x)
-            except OverflowError:
-                raise FloatRangeError(f"phi_0^2 of the {self.pair.fp.family} weight leaves "
-                                      f"binary64 range at x = {x!r}") from None
-        return v
-
     def _node_set(self, xs) -> tuple:
-        """(key, eta(xs), weight(xs)) of an array of abscissae, computed once per node set."""
+        """(key, eta(xs), weight(xs)) of an array of abscissae, computed once per node set.
+
+        phi_0^2 runs once, as one call, on the abscissae the Weight has not seen.
+        """
         key = xs.tobytes()
         got = self._sets.get(key)
         if got is None:
             import numpy as np
 
             vals = xs.tolist()
-            eta = xs * xs if self._eta_is_square else np.array([self.eta(x) for x in vals])
-            phi0 = np.array([self._phi0_at(x) for x in vals])
-            w = self._integrand_scale * phi0 / self.den(eta)
+            phi0 = self._phi0
+            new = [x for x in dict.fromkeys(vals) if x not in phi0]
+            if new:
+                phi0.update(zip(new, self.phi0_sq(new)))
+            eta = xs * xs if self._eta_is_square else np.array(list(map(self.eta, vals)))
+            w = self._integrand_scale * np.array(list(map(phi0.__getitem__, vals))) / self.den(eta)
             bad = np.flatnonzero(~np.isfinite(w))
             if bad.size:
                 raise FloatRangeError(f"the {self.pair.fp.family} weight is not finite "

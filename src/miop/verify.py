@@ -364,8 +364,16 @@ def run_all(
     seed: int = 0,
     identities: Optional[list] = None,
 ) -> list:
-    """All identity checks for one (fp, D), preceded by the genericity probe."""
+    """All identity checks for one (fp, D), preceded by the genericity probe.
+
+    identities picks some of IDENTITY_TAGS (all when empty); a tag outside
+    them raises ConfigurationError before anything is built.
+    """
     wanted = identities or IDENTITY_TAGS
+    unknown = [tag for tag in wanted if tag not in _CHECKS]
+    if unknown:
+        raise ConfigurationError(f"unknown identity {unknown[0]!r}: the identities are "
+                                 f"{', '.join(IDENTITY_TAGS)}")
     if n_range[1] < 0:
         raise ConfigurationError(f"--n-range upper end must be >= 0, got {n_range[1]}")
     pair, table = shared_objects(fp, D, n_range)

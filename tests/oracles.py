@@ -70,10 +70,15 @@ reflect and z_inverse are the mirrors x -> -x and z -> 1/z.
 
 phi0_sq_mpmath is a float oracle: the W and AW weights phi_0^2 evaluated
 through mpmath's complex Gamma function and q-products, the reference for
-the binary64 kernels of miop.quad.  ortho_grid_scalar is the per-node path
-that the array quadrature of miop.quad replaced: the integrand on one
-abscissa at a time, summed by the list pairwise_sum_list inside the same
-node-doubling loop; its rows are the bit-exact reference for ortho_grid.  The pole exclusion of miop.quad, an
+the binary64 kernels of miop.quad.  phi0_sq_per_node is the per-node
+binary64 path that quad's array kernels replaced, their bit-exact
+reference: for W, log_gamma_sq with the Stirling tail stirling_tail in
+Python's complex arithmetic, for AW log_qpoch_abs_sq, each on one
+abscissa at a time.  ortho_grid_scalar is the per-node path that the
+array quadrature of miop.quad replaced: the integrand on one abscissa at
+a time, with phi0_sq_per_node's weight, summed by the list
+pairwise_sum_list inside the same node-doubling loop; its rows are the
+bit-exact reference for ortho_grid.  The pole exclusion of miop.quad, an
 exact Sturm count, has two references: pole_scan, the float scan it
 replaced (2048 compensated-Horner samples over one integration interval
 with a 1e-12 floor), and real_root_count, the distinct real roots that
@@ -89,6 +94,7 @@ and exact.SqrtQRational.  conj conjugates a scalar of either tower.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from math import comb, factorial, lcm, sqrt
@@ -98,6 +104,7 @@ import mpmath
 from miop import quad
 from miop.errors import (
     ConfigurationError,
+    FloatRangeError,
     NonConvergent,
     PoleEncountered,
     ReductionFailure,
@@ -113,12 +120,13 @@ from miop.families import (
     eta_x,
     reduce_to_eta,
     three_term,
+    twisted,
     virtual_poly,
     x_shift,
 )
 from miop import multiindex as mi
 from miop.multiindex import build
-from miop.quad import FloatPoly, QuadratureSpec, _qpoch_inf
+from miop.quad import _STIRLING, _STIRLING_SHIFT, FloatPoly, QuadratureSpec, _qpoch_inf
 
 
 def coeff(p, k: int):
@@ -928,6 +936,98 @@ def phi0_sq_mpmath(fp):
     return aw_weight
 
 
+def stirling_tail(z):
+    """sum_k c_k z^(1-2k): log Gamma(z) less (z - 1/2) log z - z + log(2 pi)/2."""
+    inv = 1 / z
+    inv2 = inv * inv
+    s = _STIRLING[-1]
+    for c in reversed(_STIRLING[:-1]):
+        s = c + inv2 * s
+    return inv * s
+
+
+def log_gamma_sq(a: float):
+    """x -> log |Gamma(a + ix)|^2 for x > 0, in binary64, one abscissa at a time.
+
+    log Gamma(a)^2 plus the log of the ratio |Gamma(a + ix)|^2 / Gamma(a)^2,
+    shifted to u = a + N >= 16 with the Stirling tail at u + ix taken in
+    Python's complex arithmetic; at a = -m the pole of Gamma(a) is divided
+    out as in miop.quad._log_gamma_sq.
+    """
+    n = max(0, math.ceil(_STIRLING_SHIFT - a))
+    u = a + n
+    shifts = [(a + k) ** 2 for k in range(n) if a + k != 0]
+    pole = len(shifts) < n
+    log_gamma_a_sq = -2.0 * math.lgamma(1.0 - a) if pole else 2.0 * math.lgamma(a)
+    tail_u = stirling_tail(u)
+
+    def at(x: float) -> float:
+        x2 = x * x
+        out = (log_gamma_a_sq + (u - 0.5) * math.log1p(x2 / (u * u)) - 2.0 * x * math.atan2(x, u)
+               + 2.0 * (stirling_tail(complex(u, x)).real - tail_u)
+               - math.log(math.prod(1.0 + x2 / s for s in shifts)))
+        return out - 2.0 * math.log(x) if pole else out
+
+    return at
+
+
+def log_qpoch_abs_sq(t: float, q: float):
+    """theta -> log |(t e^(i theta); q)_inf|^2 for real t, in binary64, one theta at a time."""
+    small, large = [], []
+    r = t
+    while abs(r) > 1e-30:
+        (small if abs(r) < 0.5 else large).append(r)
+        r *= q
+
+    def at(theta: float) -> float:
+        c = math.cos(theta)
+        out = sum(math.log1p(r * (r - 2.0 * c)) for r in small)
+        for r in large:
+            s = math.sin(0.5 * theta) if r > 0 else math.cos(0.5 * theta)
+            out += math.log((1.0 - abs(r)) ** 2 + 4.0 * abs(r) * s * s)
+        return out
+
+    return at
+
+
+def phi0_sq_per_node(fp):
+    """x -> phi_0(x; lambda)^2 one abscissa at a time: the path that the
+    array kernels of miop.quad replaced.
+
+    W and AW are the per-node binary64 kernels, independent of quad's; L
+    and J call quad's kernel on one abscissa (it maps its scalar kernel).
+    A value outside binary64 range raises FloatRangeError naming x, as the
+    Weight does.
+    """
+    if fp.family in ("L", "J"):
+        kernel = quad._phi0_sq(fp)
+        return lambda x: kernel([x])[0]
+    if fp.family == "W":
+        log_gammas = [log_gamma_sq(float(a)) for a in fp.lam]
+
+        def weight(x: float) -> float:
+            if x == 0.0:
+                return 0.0
+            return math.exp(math.log(x / math.pi) + 2.0 * math.pi * x
+                            + math.log(-math.expm1(-4.0 * math.pi * x)) + sum(f(x) for f in log_gammas))
+    else:
+        q = float(fp.q)
+        num = log_qpoch_abs_sq(1.0, q)
+        dens = [log_qpoch_abs_sq(float(a), q) for a in fp.lam]
+
+        def weight(x: float) -> float:
+            return math.exp(num(2.0 * x) - sum(f(x) for f in dens))
+
+    def phi0_sq(x: float) -> float:
+        try:
+            return weight(x)
+        except OverflowError:
+            raise FloatRangeError(f"phi_0^2 of the {fp.family} weight leaves binary64 range "
+                                  f"at x = {x!r}") from None
+
+    return phi0_sq
+
+
 def pairwise_sum_list(values) -> float:
     """Pairwise summation over a Python list: v0 + v1, v2 + v3, ..., an odd last value carried."""
     vals = list(values)
@@ -960,8 +1060,10 @@ def integrate_scalar(pairs, f, a: float, b: float, spec: QuadratureSpec, floor: 
 def ortho_grid_scalar(fp, D, n_max: int, spec: QuadratureSpec = QuadratureSpec()) -> list:
     """The rows of quad.ortho_grid, every weight and P_n evaluated per abscissa.
 
-    Shares the binary64 kernels, the node tables, the intervals and the
-    norms with miop.quad, so its rows are the bits an array evaluation of
+    phi_0^2 comes from phi0_sq_per_node, so the W and AW weights are the
+    per-node kernels, independent of quad's array kernels; the L and J
+    kernels, eta, the denominator, the node tables, the intervals and the
+    norms are miop.quad's.  Its rows are the bits an array evaluation of
     the same integrands must reproduce.
     """
     pair = build(fp, D, n_max=n_max)
@@ -975,9 +1077,10 @@ def ortho_grid_scalar(fp, D, n_max: int, spec: QuadratureSpec = QuadratureSpec()
             raise ConfigurationError(f"D={{{D.label()}}} is not admissible: twisted exponents {ends}")
     weight = quad.Weight(pair)
     eta, polys = weight.eta, [FloatPoly.from_exact(pair.P_of(n)) for n in range(n_max + 1)]
+    phi0_sq = phi0_sq_per_node(twisted(fp, D.M1, D.M2))
 
     def node_weight(x: float) -> float:
-        return weight._integrand_scale * weight.phi0_sq(x) / weight.den(eta(x))
+        return weight._integrand_scale * phi0_sq(x) / weight.den(eta(x))
 
     def pairs(level):
         if fp.family in ("L", "W"):

@@ -504,13 +504,13 @@ class TestWeightDescriptor:
         assert wd.scale == (-4.0) ** (2 * D.M)
         assert len(wd.xi_den.coeffs) - 1 == D.ell
         # lambda^[1,1] for J leaves (g, h) unchanged
-        assert wd.phi0_sq(0.3) == _phi0_sq(fp)(0.3)
+        assert wd.phi0_sq([0.3]) == _phi0_sq(fp)([0.3])
 
     def test_laguerre_shift(self):
         fp = PRESETS["l-default"]
         wd = Weight(build(fp, IndexSet.parse("I1,I2"), n_max=0))
         assert wd.scale == 2.0 ** 4
-        assert wd.phi0_sq(0.7) == _phi0_sq(FamilyParams("L", (fp.g + 2,)))(0.7)
+        assert wd.phi0_sq([0.7]) == _phi0_sq(FamilyParams("L", (fp.g + 2,)))([0.7])
 
     def test_difference_family_has_no_cF(self):
         wd = Weight(build(PRESETS["w-default"], IndexSet.parse("I1"), n_max=0))

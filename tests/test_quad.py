@@ -29,8 +29,8 @@ from miop.quad import (
     pairwise_sum,
 )
 
-from .oracles import (node_weight, ortho_grid_scalar, pairwise_sum_list, phi0_sq_mpmath,
-                      pole_scan, real_root_count)
+from .oracles import (log_gamma_sq, log_qpoch_abs_sq, node_weight, ortho_grid_scalar, pairwise_sum_list,
+                      phi0_sq_mpmath, phi0_sq_per_node, pole_scan, real_root_count)
 from .strategies import family_params, index_sets, polys
 
 EMPTY = IndexSet.parse("")
@@ -178,7 +178,7 @@ class TestWeight:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_weight_names_family_and_abscissa(self, value):
         weight = weight_of(PRESETS["w-default"], EMPTY)
-        weight.phi0_sq = lambda x: value if x > 2.0 else 1.0
+        weight.phi0_sq = lambda xs: [value if x > 2.0 else 1.0 for x in xs]
         with pytest.raises(FloatRangeError, match=r"W weight is not finite at x = 2\.5$"):
             node_weight(weight, np.array([1.5, 2.5, 3.5]))
 
@@ -242,9 +242,27 @@ def abscissas(fp, D, n):
 
 
 def kernel_and_oracle(fp, D):
-    """phi_0^2 at the twisted point of (fp, D): the binary64 kernel and the mpmath oracle."""
+    """phi_0^2 at the twisted point of (fp, D): the binary64 kernel on a list and the mpmath oracle."""
     twist = twisted(fp, D.M1, D.M2)
     return quad._phi0_sq(twist), phi0_sq_mpmath(twist)
+
+
+def ladder(fp, D, n_max, levels):
+    """Abscissas of the first node-doubling levels of entry (n_max, n_max), each level's nodes
+    on its family interval, with x = 0.0 (W's closed end) and repeats of a level's first nodes."""
+    a, b = quad._interval(fp, D, n_max, n_max)
+    tables = ([quad._ts_nodes(0.5 / 2**level, t_max=4.2)[0] for level in range(levels)] if fp.family == "W"
+              else [quad._leggauss(64 << level)[0] for level in range(levels)])
+    xs = [x for t in tables for x in ((a + b) / 2.0 + (b - a) / 2.0 * t).tolist()]
+    return xs + xs[:5] + ([0.0] if fp.family == "W" else [])
+
+
+def hex_or_error(values):
+    """The .hex() of each of values(), or the message of the FloatRangeError it raises."""
+    try:
+        return [v.hex() for v in values()]
+    except FloatRangeError as exc:
+        return str(exc)
 
 
 KERNEL_POINTS = [(FamilyParams(fam, lam, q=q), label) for fam, lam, q, label in DIFFERENCE_ORTHO_PRESETS]
@@ -261,15 +279,17 @@ class TestDifferenceKernels:
     def test_matches_mpmath_at_nodes(self, fp, label):
         D = IndexSet.parse(label)
         kernel, oracle = kernel_and_oracle(fp, D)
-        for x in abscissas(fp, D, 2):
-            assert kernel(x) == pytest.approx(oracle(x), rel=1e-12, abs=0), x
+        xs = abscissas(fp, D, 2)
+        for x, value in zip(xs, kernel(xs)):
+            assert value == pytest.approx(oracle(x), rel=1e-12, abs=0), x
 
     @pytest.mark.parametrize("fp,label", KERNEL_POINTS, ids=KERNEL_IDS)
     def test_finite_on_widest_interval(self, fp, label):
         D = IndexSet.parse(label)
         kernel = quad._phi0_sq(twisted(fp, D.M1, D.M2))
-        for x in abscissas(fp, D, 12):
-            assert 0.0 <= kernel(x) < math.inf, x
+        xs = abscissas(fp, D, 12)
+        for x, value in zip(xs, kernel(xs)):
+            assert 0.0 <= value < math.inf, x
 
     @given(family_params(("W", "AW")), st.sampled_from(["I1", "II1", "I1,II1"]))
     @settings(max_examples=16, deadline=None)
@@ -277,19 +297,48 @@ class TestDifferenceKernels:
         # twisted a_j may be negative, a nonpositive integer (W) or carry sqrt(q) (AW)
         D = IndexSet.parse(label)
         kernel, oracle = kernel_and_oracle(fp, D)
-        for x in abscissas(fp, D, 12):
-            assert 0.0 <= kernel(x) < math.inf, x
+        xs = abscissas(fp, D, 12)
+        for x, value in zip(xs, kernel(xs)):
+            assert 0.0 <= value < math.inf, x
         # the oracle meets the pole of Gamma(a_j) at x = 0 when a_j is 0, -1, ...
-        for x in [x for x in abscissas(fp, D, 2) if x > 0.0][::12]:
-            assert kernel(x) == pytest.approx(oracle(x), rel=1e-12, abs=0), x
+        xs = [x for x in abscissas(fp, D, 2) if x > 0.0][::12]
+        for x, value in zip(xs, kernel(xs)):
+            assert value == pytest.approx(oracle(x), rel=1e-12, abs=0), x
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_gamma_pole_matches_closed_form(self, m):
         # Gamma(-m) is a pole, |Gamma(-m + ix)|^2 = pi / (x sinh(pi x) prod_{k<=m} (k^2 + x^2)) is not
-        log_gamma_sq = quad._log_gamma_sq(float(-m))
-        for x in (0.05 * k for k in range(1, 200)):
+        xs = [0.05 * k for k in range(1, 200)]
+        (row,) = quad._log_gamma_sq([float(-m)])(xs).tolist()
+        for x, value in zip(xs, row):
             ref = math.pi / (x * math.sinh(math.pi * x) * math.prod(k * k + x * x for k in range(1, m + 1)))
-            assert math.exp(log_gamma_sq(x)) == pytest.approx(ref, rel=1e-14, abs=0), x
+            assert math.exp(value) == pytest.approx(ref, rel=1e-14, abs=0), x
+
+    @given(family_params(("W", "AW")), st.integers(0, 2), st.integers(0, 2), st.integers(0, 12))
+    # a twisted a_1 = 0 and a_1 = -1 (Gamma(a_1) is a pole)
+    @example(FamilyParams("W", (F(1), F(13, 10), F(6, 5), F(7, 5))), 2, 0, 2)
+    @example(FamilyParams("W", (F(0), F(13, 10), F(6, 5), F(7, 5)), check_range=False), 2, 0, 2)
+    # exp of the summed logs overflows mid-interval, first at the third abscissa
+    @example(FamilyParams("W", (F(30), F(35), F(40), F(45))), 0, 1, 0)
+    @settings(max_examples=20, deadline=None)
+    def test_array_kernel_matches_per_node_bits(self, fp, m1, m2, n_max):
+        # one call on a list of abscissae gives the bits of one evaluation per abscissa,
+        # and an overflow names the same first abscissa
+        twist = twisted(fp, m1, m2)
+        entries = [f"I{d}" for d in range(1, m1 + 1)] + [f"II{d}" for d in range(1, m2 + 1)]
+        xs = ladder(fp, IndexSet.parse(",".join(entries)), n_max, 3)
+        per_node = phi0_sq_per_node(twist)
+        assert hex_or_error(lambda: quad._phi0_sq(twist)(xs)) == hex_or_error(lambda: map(per_node, xs))
+        # the log-sums are compared too: a low bit there can vanish in the exp
+        avals = [float(a) for a in twist.lam]
+        if fp.family == "W":
+            xs = [x for x in xs if x > 0.0]
+            pairs = [(quad._log_gamma_sq(avals)(xs).tolist(), [log_gamma_sq(a) for a in avals])]
+        else:
+            pairs = [([quad._log_qpoch_abs_sq(t, float(twist.q))(np.array(xs)).tolist()],
+                      [log_qpoch_abs_sq(t, float(twist.q))]) for t in [1.0] + avals]
+        for rows, oracles in pairs:
+            assert [[v.hex() for v in row] for row in rows] == [[f(x).hex() for x in xs] for f in oracles]
 
     def test_node_weight_makes_no_mpmath_call(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -435,22 +484,25 @@ class TestOrthoGrid:
         (FamilyParams("W", DIFFERENCE_ORTHO_PRESETS[0][1]), "I1", 1),
     ], ids=["L", "W"])
     def test_each_node_evaluated_once(self, monkeypatch, fp, label, n_max):
-        # phi_0^2 runs once per distinct abscissa the integrands receive, across
-        # entries and node-doubling levels; each P_n is mirrored to float once
-        weight_calls, abscissas, mirrored = Counter(), set(), []
+        # each distinct abscissa the integrands receive reaches the phi_0^2 kernel
+        # once, across entries and node-doubling levels, in one call per new node
+        # set; each P_n is mirrored to float once
+        weight_calls, abscissas, mirrored, kernel_calls, node_sets = Counter(), set(), [], [], set()
 
         def counting_phi0_sq(fp):
             phi0_sq = phi0_sq_of(fp)
 
-            def wrapper(x):
-                weight_calls[x] += 1
-                return phi0_sq(x)
+            def wrapper(xs):
+                weight_calls.update(xs)
+                kernel_calls.append(len(xs))
+                return phi0_sq(xs)
             return wrapper
 
         def recording(integrate):
             def wrapper(f, *args, **kwargs):
                 def g(x):
                     abscissas.update(x.tolist())
+                    node_sets.add(x.tobytes())
                     return f(x)
                 return integrate(g, *args, **kwargs)
             return wrapper
@@ -468,6 +520,7 @@ class TestOrthoGrid:
         assert len(rows) == (n_max + 1) * (n_max + 2) // 2
         assert set(weight_calls) == abscissas
         assert set(weight_calls.values()) == {1}
+        assert 0 < len(kernel_calls) <= len(node_sets) and min(kernel_calls) > 0
         # the Xi denominator, then P_0 .. P_{n_max} once each
         pair = build(fp, IndexSet.parse(label), n_max=n_max)
         assert mirrored[1:] == [pair.P_of(n) for n in range(n_max + 1)]

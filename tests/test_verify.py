@@ -302,6 +302,14 @@ class TestRunAll:
         with pytest.raises(GenericityError):
             run_all(fp, IndexSet.parse("II1"), (0, 4))
 
+    @pytest.mark.parametrize("identities", [["rpp"], ["rrp", "vanishng"]])
+    def test_unknown_identity_rejected(self, identities):
+        # a misspelt tag would otherwise run no check and read as a pass
+        bad = identities[-1]
+        with pytest.raises(ConfigurationError, match=rf"unknown identity '{bad}': the identities are "
+                                                     rf"{', '.join(IDENTITY_TAGS)}$"):
+            run_all(PRESETS["l-default"], IndexSet.parse("I1"), (0, 2), identities=identities)
+
     def test_negative_upper_end_rejected(self):
         with pytest.raises(ConfigurationError, match="--n-range"):
             run_all(PRESETS["l-default"], IndexSet.parse("I1"), (-4, -1))
