@@ -42,6 +42,7 @@ from .exact import (
     LaurentPoly,
     Poly,
     Scalar,
+    SqrtQRational,
     downcast,
     format_scalar,
     q_pow,
@@ -85,7 +86,7 @@ class FamilyParams:
                 f"got {len(lam)}"
             )
         for x in lam:
-            if isinstance(x, GaussianRational) and not x.is_real:
+            if isinstance(x, (GaussianRational, SqrtQRational)) and not x.is_real:
                 raise ConfigurationError("parameters must be real")
         if self.family == "AW":
             if self.q is None:

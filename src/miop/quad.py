@@ -3,11 +3,14 @@
 Everything upstream is exact; this module is the one place binary64
 enters.  Exact polynomials are mirrored into FloatPoly (compensated
 Horner evaluation), integrands are summed pairwise in a deterministic
-order, and expected norms are computed with mpmath at high working
-precision before the final rounding to float.  The weights phi_0^2 are
-binary64 kernels for every family: W sums log |Gamma(a_j + ix)|^2 (a
-Stirling ratio to Gamma(a_j)) and the closed form of 1/|Gamma(2ix)|^2, AW
-sums the logs of the real q-product factors, and each exponentiates once.
+order, and each expected norm is rounded to float once.  The three-term
+recurrence fixes the classical norms up to one constant, A_n h_{n+1} =
+C_{n+1} h_n, so h_n is h_0 (a Gamma or q-Pochhammer product, with mpmath
+at 120 bits, once per parameter point) times the Fraction
+prod_{k<n} C_{k+1} / A_k.  The weights phi_0^2 are binary64 kernels for
+every family: W sums log |Gamma(a_j + ix)|^2 (a Stirling ratio to
+Gamma(a_j)) and the closed form of 1/|Gamma(2ix)|^2, AW sums the logs of
+the real q-product factors, and each exponentiates once.
 
 Each quadrature level is one numpy array expression over its node set:
 the weight array times the P_n and P_m arrays, summed by halving steps
@@ -21,7 +24,7 @@ node, so its bits are those of the per-node path (L and J call their
 scalar kernel per abscissa, and eta = cos for J and AW is a math call per
 abscissa too).  Every output bit is what the per-node scalar path gives.
 A weight or integrand value that leaves binary64 range raises
-FloatRangeError.  mpmath serves the norms (at 120 bits) and
+FloatRangeError.  mpmath serves h_0 (at 120 bits) and
 the AW alpha/kappa prefactor of Psi_D^2 (at mpmath's default 53 bits),
 numpy the node tables and the level sums of every grid.  Both are
 imported inside the functions that use them, so importing this module
@@ -57,14 +60,15 @@ refuses (PoleEncountered) any zero on the family's closed eta-domain,
 [0, inf) for L/W and [-1, 1] for J/AW, so no entry meets a pole whatever
 its interval.  Every (n, m) entry integrates
 against that weight.  The Weight evaluates phi_0^2 once per distinct
-abscissa, the weight once per node set, each P_n once per (n, node set)
-and each expected norm once per n, so entries sharing an interval,
-tanh-sinh levels (each contains the nodes of the one before) and repeated
-checks on one Weight reuse the values; the node tables are built once per
-process.  An entry asks for an expected norm, the floor of its acceptance
-test, only when it first compares two levels, so a grid whose first node
-set leaves binary64 range computes none.  The integrand's operation order,
-and so every output bit, is what a fresh evaluation gives.
+abscissa, keeps one record per node set (the weight, eta and each P_n
+asked for there) and computes each expected norm once per n, so entries
+sharing an interval, tanh-sinh levels (each contains the nodes of the
+one before) and repeated checks on one Weight reuse the values; the node
+tables are built once per process.  An entry asks for an expected norm,
+the floor of its acceptance test, only when it first compares two
+levels, so a grid whose first node set leaves binary64 range computes
+none, and no h_0.  The integrand's operation order, and so every output
+bit, is what a fresh evaluation gives.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable
 
 from .errors import ConfigurationError, FloatRangeError, NonConvergent, PoleEncountered
@@ -81,6 +86,7 @@ from .families import (
     FamilyParams,
     energy,
     reduce_to_eta,
+    three_term,
     twisted,
     virtual_energy,
     x_shift,
@@ -276,15 +282,6 @@ def integrate_ts(f: Callable, a: float, b: float, spec: QuadratureSpec,
 # -- weights ----------------------------------------------------------------------
 
 
-def _eta_of_x(fp: FamilyParams) -> Callable[[float], float]:
-    return {
-        "L": lambda x: x * x,
-        "J": lambda x: math.cos(2.0 * x),
-        "W": lambda x: x * x,
-        "AW": math.cos,
-    }[fp.family]
-
-
 def _interval(fp: FamilyParams, D: IndexSet, n: int, m: int) -> tuple:
     """Integration interval of entry (n, m).
 
@@ -325,6 +322,11 @@ def _mapped(f, *arrays):
     args = np.broadcast_arrays(*arrays)
     values = list(map(f, *(a.ravel().tolist() for a in args)))
     return np.array(values, dtype=float).reshape(args[0].shape)
+
+
+# eta(x) on an array of abscissae: x^2 rounds the same elementwise, cos is a math call per element
+_ETA = {"L": lambda x: x * x, "J": lambda x: _mapped(math.cos, 2.0 * x),
+        "W": lambda x: x * x, "AW": lambda x: _mapped(math.cos, x)}
 
 
 def _each(f, args: list, xs: list, family: str) -> list:
@@ -494,7 +496,7 @@ def _qpoch_inf(u, q):
     """(u; q)_infinity, truncated at the first factor with |u q^k| <= 10^-30.
 
     The cut is fixed at any working precision.  It is computed once per
-    call, at the caller's precision (classical_norm runs under workprec(120)).
+    call, at the caller's precision (_h0 runs under workprec(120)).
     """
     import mpmath
 
@@ -504,15 +506,6 @@ def _qpoch_inf(u, q):
     while abs(t) > tol:
         out *= 1 - t
         t *= q
-    return out
-
-
-def _qpoch_fin(u, q, k: int):
-    import mpmath
-
-    out = mpmath.mpf(1)
-    for t in range(k):
-        out *= 1 - u * q**t
     return out
 
 
@@ -541,22 +534,23 @@ class Weight:
 
     Holds the pair, eta(x), phi_0^2 at the twisted point, the float
     denominator (Xi_D for L/J, squared at use; the shift product
-    Xi(x - i gamma/2) Xi(x + i gamma/2) for W/AW) and the scale.  Before
+    Xi(x - i gamma/2) Xi(x + i gamma/2) for W/AW), the scale and a
+    FloatPoly of each P_{D,n} the pair holds.  Before
     any node is evaluated, a Sturm count on the exact denominator refuses
     a zero anywhere on the family's closed eta-domain, so no entry of any
     width meets a pole.  Values are kept for the life of the Weight: phi_0^2
-    per abscissa, eta and the weight per node set (an array of abscissae),
-    each P_n per (n, node set), and each expected norm.  phi0_sq maps a
-    list of abscissae to their values in one call: elementwise numpy
-    arithmetic, a math call per element for each transcendental and
-    builtin sum per node for each sum, so the bits are those of the
-    per-node path.
+    per abscissa, one record per node set (an array of abscissae) holding
+    the weight, eta and each P_n asked for there, and each expected norm.
+    phi0_sq maps a list of abscissae to their values in one call:
+    elementwise numpy arithmetic, a math call per element for each
+    transcendental and builtin sum per node for each sum, so the bits are
+    those of the per-node path.
     """
 
     def __init__(self, pair: MultiIndexedPair):
         fp, D = pair.fp, pair.D
         self.pair = pair
-        self.eta = _eta_of_x(fp)
+        self.eta = _ETA[fp.family]
         self.phi0_sq = _phi0_sq(twisted(fp, D.M1, D.M2))
         self.squared_den = fp.family in ("L", "J")
         den = _denominator(pair)
@@ -569,13 +563,9 @@ class Weight:
         _check_no_pole(self, den)
         # stored polynomials differ from verbatim ones by sqrt(p_radicand)
         self._integrand_scale = self.scale * float(pair.p_radicand)
-        # eta = x^2 rounds the same elementwise; numpy's cos may not round as
-        # libm's does, so J and AW take eta one node at a time
-        self._eta_is_square = fp.family in ("L", "W")
         self._phi0 = {}  # x -> phi_0^2(x)
-        self._sets = {}  # node-set bytes -> (eta(xs), integrand_scale * phi_0^2(xs) / den(eta(xs)))
-        self._polys = {}  # n -> FloatPoly of P_{D,n}
-        self._p = {}  # (n, node-set bytes) -> P_{D,n}(eta(xs))
+        self._sets = {}  # node-set bytes -> (weight(xs), eta(xs), {n: P_{D,n}(eta(xs))})
+        self._polys = [FloatPoly.from_exact(pair.P_of(n)) for n in range(pair.n_max + 1)]
         self._norms = {}  # n -> expected_norm(fp, D, n)
 
     def den(self, e):
@@ -584,7 +574,7 @@ class Weight:
         return d * d if self.squared_den else d
 
     def _node_set(self, xs) -> tuple:
-        """(key, eta(xs), weight(xs)) of an array of abscissae, computed once per node set.
+        """(weight(xs), eta(xs), {n: P_{D,n}(eta(xs))}) of an array of abscissae, once per node set.
 
         phi_0^2 runs once, as one call, on the abscissae the Weight has not seen.
         """
@@ -598,29 +588,23 @@ class Weight:
             new = [x for x in dict.fromkeys(vals) if x not in phi0]
             if new:
                 phi0.update(zip(new, self.phi0_sq(new)))
-            eta = xs * xs if self._eta_is_square else np.array(list(map(self.eta, vals)))
+            eta = self.eta(xs)
             w = self._integrand_scale * np.array(list(map(phi0.__getitem__, vals))) / self.den(eta)
             bad = np.flatnonzero(~np.isfinite(w))
             if bad.size:
                 raise FloatRangeError(f"the {self.pair.fp.family} weight is not finite "
                                       f"at x = {vals[bad[0]]!r}")
-            got = self._sets[key] = (eta, w)
-        return key, *got
-
-    def _p_at(self, n: int, key: bytes, eta):
-        v = self._p.get((n, key))
-        if v is None:
-            poly = self._polys.get(n)
-            if poly is None:
-                poly = self._polys[n] = FloatPoly.from_exact(self.pair.P_of(n))
-            v = self._p[n, key] = poly(eta)
-        return v
+            got = self._sets[key] = (w, eta, {})
+        return got
 
     def integrand(self, n: int, m: int) -> Callable:
         """xs -> p_radicand Psi_D^2 P_{D,n} P_{D,m} on an array of abscissae."""
         def f(xs):
-            key, eta, w = self._node_set(xs)
-            return (w * self._p_at(n, key, eta)) * self._p_at(m, key, eta)
+            w, eta, p = self._node_set(xs)
+            for k in (n, m):
+                if k not in p:
+                    p[k] = self._polys[k](eta)
+            return (w * p[n]) * p[m]
 
         return f
 
@@ -699,39 +683,34 @@ def _mpf(x):
     return mpmath.mpf(f.numerator) / f.denominator
 
 
-def classical_norm(fp: FamilyParams, n: int) -> float:
-    """h_n: the classical normalization constant, via mpmath."""
+@lru_cache(maxsize=32)
+def _h0(fp: FamilyParams):
+    """h_0 of the classical family at fp, an mpf at 120 bits: the one
+    transcendental factor of every h_n."""
     import mpmath
 
     with mpmath.workprec(_MP_PREC):
         if fp.family == "L":
-            g = _mpf(fp.g)
-            val = mpmath.gamma(n + g + mpmath.mpf(1) / 2) / (2 * mpmath.factorial(n))
-        elif fp.family == "J":
+            return mpmath.gamma(_mpf(fp.g) + 0.5) / 2
+        if fp.family == "J":
             g, h = _mpf(fp.g), _mpf(fp.h)
-            val = (
-                mpmath.gamma(n + g + mpmath.mpf(1) / 2)
-                * mpmath.gamma(n + h + mpmath.mpf(1) / 2)
-                / (2 * mpmath.factorial(n) * (2 * n + g + h) * mpmath.gamma(n + g + h))
-            )
-        elif fp.family == "W":
-            a = [_mpf(v) for v in fp.lam]
-            b1 = sum(a)
-            val = 2 * mpmath.pi * mpmath.factorial(n) * mpmath.rf(n + b1 - 1, n)
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    val *= mpmath.gamma(n + a[i] + a[j])
-            val /= mpmath.gamma(2 * n + b1)
-        else:
-            q = _mpf(fp.q)
-            a = [_mpf(v) for v in fp.lam]
-            b4 = a[0] * a[1] * a[2] * a[3]
-            val = 2 * mpmath.pi * _qpoch_fin(b4 * q ** (n - 1), q, n) * _qpoch_inf(b4 * q ** (2 * n), q)
-            val /= _qpoch_inf(q ** (n + 1), q)
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    val /= _qpoch_inf(a[i] * a[j] * q**n, q)
-        return float(val)
+            return mpmath.gamma(g + 0.5) * mpmath.gamma(h + 0.5) / (2 * mpmath.gamma(g + h + 1))
+        a = [_mpf(v) for v in fp.lam]
+        if fp.family == "W":
+            pairs = mpmath.fprod(mpmath.gamma(x + y) for x, y in combinations(a, 2))
+            return 2 * mpmath.pi * pairs / mpmath.gamma(sum(a))
+        q = _mpf(fp.q)
+        pairs = mpmath.fprod(_qpoch_inf(x * y, q) for x, y in combinations(a, 2))
+        return 2 * mpmath.pi * _qpoch_inf(mpmath.fprod(a), q) / (_qpoch_inf(q, q) * pairs)
+
+
+def classical_norm(fp: FamilyParams, n: int) -> float:
+    """h_n = h_0 prod_{k<n} C_{k+1} / A_k (as A_k h_{k+1} = C_{k+1} h_k), rounded once to binary64."""
+    import mpmath
+
+    ratio = math.prod(three_term(fp, k + 1)[2] / three_term(fp, k)[0] for k in range(n))
+    with mpmath.workprec(_MP_PREC):
+        return float(_h0(fp) * _mpf(ratio))
 
 
 def _energy_factor(fp: FamilyParams, D: IndexSet, n: int) -> Scalar:

@@ -218,10 +218,9 @@ def check_seed_proportionality(pair: MultiIndexedPair) -> VerificationReport:
     if p0.degree != xi_s.degree:
         report.add("fail", witness=f"deg P_0 = {p0.degree} vs deg Xi(shifted) = {xi_s.degree}")
         return report
+    # build_xi refuses a zero Xi, so past the degree check both leading coefficients are nonzero
     c = p0.lc / xi_s.lc
-    if not c:
-        report.add("fail", witness="proportionality constant is zero")
-    elif p0 == xi_s * c:
+    if p0 == xi_s * c:
         note = f"c = {format_scalar(c)}"
         if pair.p_radicand != 1 or xi_rad != 1:
             note += (

@@ -83,7 +83,10 @@ exact Sturm count, has two references: pole_scan, the float scan it
 replaced (2048 compensated-Horner samples over one integration interval
 with a 1e-12 floor), and real_root_count, the distinct real roots that
 mpmath's polyroots finds on an open interval.  node_weight reads a Weight's
-weight factor on an array of abscissae.
+weight factor on an array of abscissae, and eta_of_x is the scalar map
+x -> eta of each family.  classical_norm_closed_form is the per-n Gamma
+or q-Pochhammer product that miop.quad's h_0 times an exact recurrence
+ratio replaced, the bit-exact reference for classical_norm.
 
 GaussianRational, SqrtQRational, make_sqrtq, downcast and format_scalar at
 the end of this module are the Fraction-pair scalar tower that the
@@ -1061,9 +1064,10 @@ def ortho_grid_scalar(fp, D, n_max: int, spec: QuadratureSpec = QuadratureSpec()
     """The rows of quad.ortho_grid, every weight and P_n evaluated per abscissa.
 
     phi_0^2 comes from phi0_sq_per_node, so the W and AW weights are the
-    per-node kernels, independent of quad's array kernels; the L and J
-    kernels, eta, the denominator, the node tables, the intervals and the
-    norms are miop.quad's.  Its rows are the bits an array evaluation of
+    per-node kernels, independent of quad's array kernels, and eta is
+    eta_of_x's, one abscissa at a time; the L and J kernels, the
+    denominator, the node tables, the intervals and the norms are
+    miop.quad's.  Its rows are the bits an array evaluation of
     the same integrands must reproduce.
     """
     pair = build(fp, D, n_max=n_max)
@@ -1076,7 +1080,7 @@ def ortho_grid_scalar(fp, D, n_max: int, spec: QuadratureSpec = QuadratureSpec()
         if min(ends) <= Fraction(-1, 2):
             raise ConfigurationError(f"D={{{D.label()}}} is not admissible: twisted exponents {ends}")
     weight = quad.Weight(pair)
-    eta, polys = weight.eta, [FloatPoly.from_exact(pair.P_of(n)) for n in range(n_max + 1)]
+    eta, polys = eta_of_x(fp), [FloatPoly.from_exact(pair.P_of(n)) for n in range(n_max + 1)]
     phi0_sq = phi0_sq_per_node(twisted(fp, D.M1, D.M2))
 
     def node_weight(x: float) -> float:
@@ -1113,7 +1117,62 @@ def ortho_grid_scalar(fp, D, n_max: int, spec: QuadratureSpec = QuadratureSpec()
 def node_weight(weight: quad.Weight, xs):
     """p_radicand Psi_D(xs)^2 of a Weight on an array of abscissae: the
     weight factor of its integrand."""
-    return weight._node_set(xs)[2]
+    return weight._node_set(xs)[0]
+
+
+def eta_of_x(fp):
+    """x -> eta(x) of the family on one float abscissa."""
+    return {
+        "L": lambda x: x * x,
+        "J": lambda x: math.cos(2.0 * x),
+        "W": lambda x: x * x,
+        "AW": math.cos,
+    }[fp.family]
+
+
+def _mpf(x):
+    f = Fraction(x)
+    return mpmath.mpf(f.numerator) / f.denominator
+
+
+def _qpoch_fin(u, q, k: int):
+    out = mpmath.mpf(1)
+    for t in range(k):
+        out *= 1 - u * q**t
+    return out
+
+
+def classical_norm_closed_form(fp: FamilyParams, n: int) -> float:
+    """h_n from its closed form at n, a Gamma or q-Pochhammer product at 120 bits."""
+    with mpmath.workprec(quad._MP_PREC):
+        if fp.family == "L":
+            g = _mpf(fp.g)
+            val = mpmath.gamma(n + g + mpmath.mpf(1) / 2) / (2 * mpmath.factorial(n))
+        elif fp.family == "J":
+            g, h = _mpf(fp.g), _mpf(fp.h)
+            val = (
+                mpmath.gamma(n + g + mpmath.mpf(1) / 2)
+                * mpmath.gamma(n + h + mpmath.mpf(1) / 2)
+                / (2 * mpmath.factorial(n) * (2 * n + g + h) * mpmath.gamma(n + g + h))
+            )
+        elif fp.family == "W":
+            a = [_mpf(v) for v in fp.lam]
+            b1 = sum(a)
+            val = 2 * mpmath.pi * mpmath.factorial(n) * mpmath.rf(n + b1 - 1, n)
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    val *= mpmath.gamma(n + a[i] + a[j])
+            val /= mpmath.gamma(2 * n + b1)
+        else:
+            q = _mpf(fp.q)
+            a = [_mpf(v) for v in fp.lam]
+            b4 = a[0] * a[1] * a[2] * a[3]
+            val = 2 * mpmath.pi * _qpoch_fin(b4 * q ** (n - 1), q, n) * _qpoch_inf(b4 * q ** (2 * n), q)
+            val /= _qpoch_inf(q ** (n + 1), q)
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    val /= _qpoch_inf(a[i] * a[j] * q**n, q)
+        return float(val)
 
 
 def pole_scan(den: Poly, eta, a: float, b: float, samples: int = 2048):

@@ -664,3 +664,24 @@ class TestFlagValidation:
     def test_bad_fraction(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--family", "L", "--g", "pi", "--D", "I1")
         assert code == 2 and "exact rational" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("verify", "--preset", "l-default", "--D", "I1", "--n-range", "a..2"),
+         "error: --n-range expects integers, got 'a..2'"),
+        (("gen", "--preset", "l-default", "--D", "I1", "--N", "-1"), "error: --N must be nonnegative"),
+        (("rtable", "--preset", "l-default", "--M", "-1"), "error: --M must be nonnegative"),
+        (("ortho", "--preset", "l-default", "--D", "I1", "--n", "1..2"), "error: --n grid must start at 0"),
+        (("gen", "--D", "I1"), "error: either --preset or --family is required"),
+        (("verify", "--preset", "l-default", "--D", "I1", "--n-range"),
+         "miop verify: error: argument --n-range: expected one argument"),
+    ], ids=["n-range-not-integer", "gen-negative-N", "rtable-negative-M", "ortho-n-from-1",
+            "no-preset-or-family", "range-flag-without-value"])
+    def test_configuration_error_exits_two(self, capsys, argv, message):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refuses a flag without its value after its usage text
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if "error" in line] == [message]
+        assert "Traceback" not in err

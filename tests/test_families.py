@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from miop.errors import ConfigurationError, MiopError, SingularCoefficient
-from miop.exact import GaussianRational, Poly, SqrtQRational, scalar_sign
+from miop.exact import GaussianRational, I, Poly, SqrtQRational, scalar_sign, sqrt_q
 from miop.families import (
     PRESETS,
     FamilyParams,
@@ -72,8 +72,14 @@ class TestFamilyParams:
             FamilyParams("AW", (F(1, 2), F(1, 3), F(1, 4), F(6, 5)), q=F(1, 4))
 
     def test_nonreal_parameter_rejected(self):
-        with pytest.raises(ConfigurationError, match="real"):
-            FamilyParams("W", (GaussianRational(1, 1), F(1), F(1), F(1)))
+        # i sqrt(q) lies in the sqrt layer, not in Q(i); both are refused as
+        # non-real, with range checks on or off
+        for check_range in (True, False):
+            with pytest.raises(ConfigurationError, match="parameters must be real"):
+                FamilyParams("W", (GaussianRational(1, 1), F(1), F(1), F(1)), check_range=check_range)
+            with pytest.raises(ConfigurationError, match="parameters must be real"):
+                FamilyParams("AW", (sqrt_q(F(1, 3)) * I, F(1, 3), F(1, 4), F(1, 5)), q=F(1, 3),
+                             check_range=check_range)
 
     def test_range_override(self):
         fp = FamilyParams("L", (F(-3, 2),), check_range=False)

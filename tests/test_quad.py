@@ -29,8 +29,9 @@ from miop.quad import (
     pairwise_sum,
 )
 
-from .oracles import (log_gamma_sq, log_qpoch_abs_sq, node_weight, ortho_grid_scalar, pairwise_sum_list,
-                      phi0_sq_mpmath, phi0_sq_per_node, pole_scan, real_root_count)
+from .oracles import (classical_norm_closed_form, eta_of_x, log_gamma_sq, log_qpoch_abs_sq, node_weight,
+                      ortho_grid_scalar, pairwise_sum_list, phi0_sq_mpmath, phi0_sq_per_node, pole_scan,
+                      real_root_count)
 from .strategies import family_params, index_sets, polys
 
 EMPTY = IndexSet.parse("")
@@ -217,7 +218,7 @@ class TestWeight:
         if refused:
             # the float scan over the widest interval refuses every point the count refuses
             with pytest.raises(PoleEncountered):
-                pole_scan(den, quad._eta_of_x(fp), *quad._interval(fp, pair.D, 1, 1))
+                pole_scan(den, eta_of_x(fp), *quad._interval(fp, pair.D, 1, 1))
         lo, hi = quad._ETA_DOMAIN[fp.family]
         if den.is_zero or den(lo) == 0 or (hi is not None and den(hi) == 0):
             assert refused
@@ -365,6 +366,21 @@ class TestClassicalNorms:
             / (2 * (g + h) * mpmath.gamma(g + h))
         )
         assert classical_norm(fp, 0) == pytest.approx(float(ref), rel=1e-13)
+
+    @given(family_params(), st.integers(0, 8))
+    @example(PRESETS["aw-q13"], 8)
+    @settings(max_examples=80, deadline=None)
+    def test_ratio_form_matches_closed_form_bits(self, fp, n):
+        # h_0 times the exact ratio prod C_{k+1} / A_k rounds to the bits of the per-n closed form
+        assert classical_norm(fp, n).hex() == classical_norm_closed_form(fp, n).hex()
+
+    def test_wilson_grid_computes_h0_once(self):
+        quad._h0.cache_clear()
+        family, lam, _, label = DIFFERENCE_ORTHO_PRESETS[0]
+        ortho_grid(FamilyParams(family, lam), IndexSet.parse(label), 2)
+        info = quad._h0.cache_info()
+        # one h_0 for the three norms n = 0, 1, 2
+        assert (info.misses, info.hits) == (1, 2)
 
     @pytest.mark.parametrize("key", ["l-default", "j-default"])
     def test_classical_quadrature_norms(self, key):

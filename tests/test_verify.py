@@ -140,6 +140,13 @@ class TestRegeneration:
         with pytest.raises(LeadingCoefficientZero):
             regenerate_from_initial(build(fp, IndexSet.parse(""), n_max=4), table, 4)
 
+    def test_nonconstant_leading_entry_raises(self):
+        fp, D = PRESETS["l-default"], IndexSet.parse("I1")
+        table = build_rtable(fp, D.M, (0, 2))
+        table.entries[D.M, 0, D.M + 1] = table.entries[D.M, 0, D.M + 1] + ETA
+        with pytest.raises(LeadingCoefficientZero, match="leading entry at n=0 is not constant"):
+            regenerate_from_initial(build(fp, D, n_max=4), table, 4)
+
 
 class TestSeedProportionality:
     @pytest.mark.parametrize("name", ["l-default", "j-default", "w-default", "aw-default"])
@@ -166,6 +173,17 @@ class TestSeedProportionality:
 
         monkeypatch.setattr(verify_mod, "build", no_build)
         assert check_seed_proportionality(pair).passed
+
+    @pytest.mark.parametrize("corrupt,witness", [
+        (lambda p0: p0 * ETA, "deg P_0 = 2 vs deg Xi(shifted) = 1"),
+        (lambda p0: p0 + 1, "eta^0 coefficient 1"),
+    ], ids=["degree", "coefficient"])
+    def test_corrupted_seed_fails_with_witness(self, corrupt, witness):
+        pair = build(PRESETS["l-default"], IndexSet.parse("I1"), n_max=0)
+        bad = dataclasses.replace(pair, P={**pair.P, 0: corrupt(pair.P_of(0))})
+        rep = check_seed_proportionality(bad)
+        assert not rep.passed
+        assert rep.witness == witness
 
 
 class TestPrefixChain:
@@ -198,6 +216,13 @@ class TestDegreesAndGenericity:
         with pytest.raises(GenericityError):
             genericity_probe(*shared_objects(fp, IndexSet.parse("II1"), (0, 4)), (0, 4))
 
+    def test_probe_rejects_vanishing_leading_entry(self):
+        fp, D = PRESETS["l-default"], IndexSet.parse("I1")
+        table = build_rtable(fp, D.M, (0, 4))
+        table.entries[D.M, 2, D.M + 1] = Poly.zero()
+        with pytest.raises(GenericityError, match=r"R\^\[1\]_\{2,2\} vanishes at"):
+            genericity_probe(build(fp, D, n_max=4), table, (0, 4))
+
 
 class TestRandomParameters:
     """In-range points off the presets: the pair passes the recurrence and
@@ -229,6 +254,20 @@ class TestPermutation:
         rep = check_permutation(build(PRESETS["l-default"], IndexSet.parse("I1"), n_max=1), n_max=1)
         assert rep.passed
 
+    @pytest.mark.parametrize("corrupt,witness", [
+        (lambda p: dataclasses.replace(p, Xi=p.Xi * 3), "perm [0, 2, 1]: |leading coefficient| changed"),
+        (lambda p: dataclasses.replace(p, P={**p.P, 2: p.P_of(2) + 1}),
+         "perm [0, 2, 1]: P_2 not matched by global sign"),
+    ], ids=["leading-coefficient", "P_2"])
+    def test_wrong_permuted_pair_fails_with_witness(self, monkeypatch, corrupt, witness):
+        # seed 0 shuffles three columns to [0, 2, 1]
+        real_build = verify_mod.build
+        monkeypatch.setattr(verify_mod, "build", lambda *args, **kwargs: corrupt(real_build(*args, **kwargs)))
+        fp, D = PRESETS["j-default"], IndexSet.parse("I1,I2,II1")
+        rep = check_permutation(build(fp, D, n_max=2), n_max=2, seed=0)
+        assert not rep.passed
+        assert rep.witness == witness
+
 
 class TestTableLaws:
     def test_shift_law_passes_both_calculi(self):
@@ -246,6 +285,15 @@ class TestTableLaws:
         assert rep.passed
         # level s carries (s+1)(s+2)/2 forced zeros
         assert "6 entries vanish" in rep.rows[-1]["witness"]
+
+    def test_vanishing_catches_corruption(self):
+        fp, D = PRESETS["l-default"], IndexSet.parse("I1")
+        table = build_rtable(fp, D.M, (-D.M - 1, 4))
+        table.entries[1, -1, 1] = Poly.one()
+        rep = check_vanishing(table, D)
+        assert not rep.passed
+        assert [r["status"] for r in rep.rows] == ["pass", "fail"]
+        assert rep.witness == "n=-1: nonzero entry at level 1, (n=-1, k=1)"
 
     def test_shift_law_catches_corruption(self):
         fp = PRESETS["l-default"]
