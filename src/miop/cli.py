@@ -8,13 +8,13 @@ Subcommands
 
 Each subcommand takes the parsed argparse namespace, resolves its family
 point and validates its own flags.  Every flag default lives in the parser
-(the quadrature ones read from QuadratureSpec), except the rtable window,
-whose default -M-1..8 depends on --M.
+(--rtol reads QuadratureSpec's), except the rtable window, whose default
+-M-1..8 depends on --M.
 
 Outputs are deterministic: exact scalars serialize as strings, every digit
-of them (gen and rtable lift Python's int-to-text digit limit while they
-format them), JSON keys are sorted, floats use shortest round-trip repr, and
-payloads carry no timestamps.  Every artifact embeds a provenance block
+of them (gen, rtable and verify lift Python's int-to-text digit limit
+while they format them), JSON keys are sorted, floats use shortest
+round-trip repr, and payloads carry no timestamps.  Every artifact embeds a provenance block
 with the resolved configuration and a digest of the content, so results
 are traceable to (family, lambda, D, N) alone.
 
@@ -147,9 +147,9 @@ def _emit_json(payload: dict, out: Optional[str], fp: FamilyParams, preset: Opti
 @contextlib.contextmanager
 def _all_digits():
     """Lift Python's limit on the decimal digits of an int converted to text
-    (4300 by default, since 3.10.7) while gen and rtable turn exact scalars
-    into text, so they print in full.  Flags are parsed under the limit, so
-    an over-long --g exits 2; the limit is restored after."""
+    (4300 by default, since 3.10.7) while gen, rtable and verify turn exact
+    scalars into text, so they print in full.  Flags are parsed under the
+    limit, so an over-long --g exits 2; the limit is restored after."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -217,21 +217,22 @@ def cmd_verify(args) -> int:
     sets = [IndexSet.parse(label) for label in ([args.D] if args.D is not None else _SWEEP_SETS)]
     lo, hi = _parse_range(args.n_range, "--n-range")
     identities = None if args.identity == "all" else [args.identity]
-    reports = [rep for fp in fps for D in sets
-               for rep in run_all(fp, D, (min(lo, -D.M - 1), hi), seed=args.seed,
-                                  identities=identities)]
-    if args.format == "json":
-        text = "".join(json.dumps(obj, sort_keys=True, default=str) + "\n"
-                       for rep in reports for obj in rep.stream())
-    else:
-        text = "".join(rep.one_line() + "\n" for rep in reports)
-    bad = next((rep for rep in reports if not rep.passed), None)
-    verdict = "PASS"
-    if bad is not None:
-        # the point as its flags spell it: "g=7/3 h=9/4", "a=... q=1/4"
-        point = " ".join(f"{k}={','.join(v) if isinstance(v, list) else v}"
-                         for k, v in bad.fp.to_json().items() if k != "family")
-        verdict = f"FAIL  {bad.identity} {bad.fp.family} D={{{bad.D.label()}}} {point}: {bad.witness}"
+    with _all_digits():
+        reports = [rep for fp in fps for D in sets
+                   for rep in run_all(fp, D, (min(lo, -D.M - 1), hi), seed=args.seed,
+                                      identities=identities)]
+        if args.format == "json":
+            text = "".join(json.dumps(obj, sort_keys=True, default=str) + "\n"
+                           for rep in reports for obj in rep.stream())
+        else:
+            text = "".join(rep.one_line() + "\n" for rep in reports)
+        bad = next((rep for rep in reports if not rep.passed), None)
+        verdict = "PASS"
+        if bad is not None:
+            # the point as its flags spell it: "g=7/3 h=9/4", "a=... q=1/4"
+            point = " ".join(f"{k}={','.join(v) if isinstance(v, list) else v}"
+                             for k, v in bad.fp.to_json().items() if k != "family")
+            verdict = f"FAIL  {bad.identity} {bad.fp.family} D={{{bad.D.label()}}} {point}: {bad.witness}"
     _emit(text + verdict + "\n", args.out)
     return 0 if bad is None else 1
 
@@ -243,7 +244,7 @@ def cmd_ortho(args) -> int:
     fp, _ = _resolve_family(args)
     D = IndexSet.parse(args.D)
     lo, hi = _parse_range(args.n, "--n")
-    spec = QuadratureSpec(nodes=args.nodes, rtol=args.rtol)
+    spec = QuadratureSpec(rtol=args.rtol)
     if fp.is_difference and not args.difference_weights:
         raise ConfigurationError(
             f"quadrature weights for family {fp.family} are optional; "
@@ -310,8 +311,6 @@ def _parser() -> argparse.ArgumentParser:
     orth.add_argument(_DIFFERENCE_FLAG, action="store_true", dest="difference_weights")
     orth.add_argument("--rtol", type=float, default=QuadratureSpec.rtol,
                       help="acceptance tolerance (default %(default)s)")
-    orth.add_argument("--nodes", type=int, default=QuadratureSpec.nodes,
-                      help="starting Gauss-Legendre order for J and AW (default %(default)s)")
 
     return parser
 

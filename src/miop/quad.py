@@ -23,13 +23,14 @@ per element, and each sum over parameters or factors is builtin sum per
 node, so its bits are those of the per-node path (L and J call their
 scalar kernel per abscissa, and eta = cos for J and AW is a math call per
 abscissa too).  Every output bit is what the per-node scalar path gives.
-A weight or integrand value that leaves binary64 range raises
-FloatRangeError.  mpmath serves h_0 (at 120 bits) and
-the AW alpha/kappa prefactor of Psi_D^2 (at mpmath's default 53 bits),
-numpy the node tables and the level sums of every grid.  Both are
-imported inside the functions that use them, so importing this module
-(and with it miop.cli) loads neither: the first `ortho` use pays for
-them, and `gen`, `rtable` and `verify` never do.
+An exact parameter, coefficient, radicand or norm factor, or a weight or
+integrand value, that leaves binary64 range raises FloatRangeError.
+mpmath serves h_0 (at 120 bits) and the AW alpha/kappa prefactor of
+Psi_D^2 (at mpmath's default 53 bits), numpy the node tables and the
+level sums of every grid.  Both are imported inside the functions that
+use them, so importing this module (and with it miop.cli) loads neither:
+the first `ortho` use pays for them, and `gen`, `rtable` and `verify`
+never do.
 
 The deformed weight is
 
@@ -44,10 +45,9 @@ being handed to the float side.  The orthogonality statement under test:
         = prod_j (E_n - Etilde_{d_j}) * h_n * delta_{nm}.
 
 The family picks the rule: Gauss-Legendre for J and AW on their finite
-periods, tanh-sinh for L and W on (0, cutoff).  Both share one
-node-doubling acceptance contract (QuadratureSpec: rtol and the starting
-Gauss-Legendre order): the result is accepted once doubling moves it by
-less than the target tolerance, and NonConvergent is raised otherwise.
+periods (64, 128, ..., 8192 nodes), tanh-sinh for L and W on (0, cutoff)
+(step 1/2, 1/4, ..., 1/256).  A result is accepted once a level moves it
+by less than QuadratureSpec.rtol, and NonConvergent is raised otherwise.
 
 A grid builds one pair, checks exactly that the energy factor
 prod_j (E_n - Etilde_{d_j}) is positive for every n it covers (else
@@ -101,13 +101,21 @@ _MP_PREC = 120
 _SPLITTER = 134217729.0  # 2^27 + 1
 
 
+def _binary64(x, what: str) -> float:
+    """float(x) of an exact scalar, or FloatRangeError naming what, never x's digits."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise FloatRangeError(f"{what} leaves binary64 range") from None
+
+
 class FloatPoly:
     """binary64 mirror of an exact Poly with compensated Horner evaluation."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = [float(c) for c in coeffs]
+        self.coeffs = [_binary64(c, "a polynomial coefficient") for c in coeffs]
 
     @classmethod
     def from_exact(cls, p: Poly) -> "FloatPoly":
@@ -161,28 +169,18 @@ def pairwise_sum(values) -> float:
 # -- quadrature engines -----------------------------------------------------------
 
 
-# The largest Gauss-Legendre order built (the default contract's last level);
-# numpy's eigensolve for the nodes costs the cube of the order.
-MAX_NODES = 8192
-# Levels of the node-doubling loop: from the default 64 nodes the last
-# Gauss-Legendre level is MAX_NODES, and tanh-sinh stops at step h = 1/256.
+# Levels of the node-doubling loop: Gauss-Legendre doubles its order from
+# 64 to 8192 nodes, tanh-sinh halves its step from h = 1/2 to 1/256.
 MAX_LEVELS = 8
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Acceptance contract for the node-doubling loop.
+    """Acceptance contract for the node-doubling loop: its relative tolerance."""
 
-    nodes is the starting Gauss-Legendre order, at most MAX_NODES; tanh-sinh
-    always starts at step h = 1/2 and does not read it.
-    """
-
-    nodes: int = 64
     rtol: float = 1e-12
 
     def __post_init__(self):
-        if not 1 <= self.nodes <= MAX_NODES:
-            raise ConfigurationError(f"quadrature needs 1 <= nodes <= {MAX_NODES}, got {self.nodes}")
         if not 0 < self.rtol < math.inf:
             raise ConfigurationError(f"quadrature needs a finite rtol > 0, got {self.rtol}")
 
@@ -191,7 +189,6 @@ class QuadratureSpec:
 class QuadResult:
     value: float
     err_estimate: float
-    nodes: int
 
 
 @lru_cache(maxsize=32)
@@ -229,22 +226,15 @@ def _integrate(nodes_at: Callable[[int], tuple], f, a: float, b: float, spec: Qu
                 where = f"at x = {bad[0]!r}" if bad else "in its sum"
                 raise FloatRangeError(f"{rule} integrand leaves binary64 range {where}")
             if prev is not None and abs(cur - prev) <= spec.rtol * max(abs(cur), floor()):
-                return QuadResult(cur, abs(cur - prev), xs.size)
+                return QuadResult(cur, abs(cur - prev))
             prev = cur
     raise NonConvergent(f"{rule} did not settle below rtol={spec.rtol} in {MAX_LEVELS} levels")
 
 
 def integrate_gl(f: Callable, a: float, b: float, spec: QuadratureSpec,
                  floor: Callable[[], float] = lambda: 0.0) -> QuadResult:
-    """Gauss-Legendre from spec.nodes nodes, doubling the order at each level
-    up to MAX_NODES."""
-    def nodes_at(level: int) -> tuple:
-        # no first level is built without room for a second to compare it with
-        if spec.nodes << max(level, 1) > MAX_NODES:
-            raise NonConvergent(f"Gauss-Legendre did not settle below rtol={spec.rtol} by order {MAX_NODES}")
-        return _leggauss(spec.nodes << level)
-
-    return _integrate(nodes_at, f, a, b, spec, floor, "Gauss-Legendre")
+    """Gauss-Legendre from 64 nodes, doubling the order at each level."""
+    return _integrate(lambda level: _leggauss(64 << level), f, a, b, spec, floor, "Gauss-Legendre")
 
 
 @lru_cache(maxsize=32)
@@ -295,13 +285,13 @@ def _interval(fp: FamilyParams, D: IndexSet, n: int, m: int) -> tuple:
         return (0.0, math.pi)
     if fp.family == "L":
         # integrand ~ x^K e^{-x^2}, K = 2g + 2(n+m)
-        K = 2.0 * float(fp.g) + 2.0 * (n + m) + 4.0
+        K = 2.0 * _binary64(fp.g, "the parameter g") + 2.0 * (n + m) + 4.0
         x = 6.0
         while x * x - K * math.log(x) < 60.0:
             x += 1.0
         return (0.0, x)
     # |Gamma(a+ix)|^2-type weights decay like e^{-2 pi x} x^K
-    K = 2.0 * float(fp.b1) + 4.0 * (D.ell + max(n, m)) + 4.0
+    K = 2.0 * _binary64(fp.b1, "the parameter sum b1") + 4.0 * (D.ell + max(n, m)) + 4.0
     x = 10.0
     while 2.0 * math.pi * x - K * math.log(x) < 60.0:
         x += 2.0
@@ -449,7 +439,7 @@ def _phi0_sq(fp: FamilyParams) -> Callable[[list], list]:
     abscissa.
     """
     if fp.family == "L":
-        g2 = 2.0 * float(fp.g)
+        g2 = 2.0 * _binary64(fp.g, "the parameter g")
 
         def l_weight(x: float) -> float:
             try:
@@ -458,12 +448,12 @@ def _phi0_sq(fp: FamilyParams) -> Callable[[list], list]:
                 return math.exp(g2 * math.log(x) - x * x)
         return lambda xs: _each(l_weight, xs, xs, "L")
     if fp.family == "J":
-        g2, h2 = 2.0 * float(fp.g), 2.0 * float(fp.h)
+        g2, h2 = 2.0 * _binary64(fp.g, "the parameter g"), 2.0 * _binary64(fp.h, "the parameter h")
         return lambda xs: _each(lambda x: math.sin(x) ** g2 * math.cos(x) ** h2, xs, xs, "J")
     import numpy as np
 
     if fp.family == "W":
-        log_gamma_sq = _log_gamma_sq([float(a) for a in fp.lam])
+        log_gamma_sq = _log_gamma_sq([_binary64(a, "a parameter a_j") for a in fp.lam])
 
         def w_weight(xs: list) -> list:
             # the closed end x = 0 of (0, cutoff): 1/|Gamma(2ix)|^2 vanishes like 4x^2
@@ -480,9 +470,9 @@ def _phi0_sq(fp: FamilyParams) -> Callable[[list], list]:
         return w_weight
     # |(e^{2ix}; q)_inf|^2 / prod_j |(a_j e^{ix}; q)_inf|^2; float() also reads
     # the SqrtQRational parameters a twist by sqrt(q) leaves
-    q = float(fp.q)
+    q = _binary64(fp.q, "the parameter q")
     num = _log_qpoch_abs_sq(1.0, q)
-    dens = [_log_qpoch_abs_sq(float(a), q) for a in fp.lam]
+    dens = [_log_qpoch_abs_sq(_binary64(a, "a parameter a_j"), q) for a in fp.lam]
 
     def aw_weight(xs: list) -> list:
         x = np.array(xs, dtype=float)
@@ -519,8 +509,8 @@ def _difference_prefactor_sq(fp: FamilyParams, D: IndexSet) -> float:
     lam2 = twisted(fp, M1, M2).lam
     q = mpmath.mpf(fp.q.numerator) / fp.q.denominator
     # pairwise products collapse the half-integer q-powers of the twist
-    a1 = float(lam2[0] * lam2[1]) / float(fp.q)
-    a2 = float(lam2[2] * lam2[3]) / float(fp.q)
+    a1 = _binary64(lam2[0] * lam2[1], "a parameter product") / _binary64(fp.q, "the parameter q")
+    a2 = _binary64(lam2[2] * lam2[3], "a parameter product") / _binary64(fp.q, "the parameter q")
     kappa_exp = -Fraction(M1 * (M1 + 1), 4) - Fraction(M2 * (M2 + 1), 4) + Fraction(5, 2) * M1 * M2
     kexp2 = 2 * kappa_exp
     pref_sq = mpmath.mpf(a1) ** M1 * mpmath.mpf(a2) ** M2 * (1 / q) ** (
@@ -541,10 +531,6 @@ class Weight:
     width meets a pole.  Values are kept for the life of the Weight: phi_0^2
     per abscissa, one record per node set (an array of abscissae) holding
     the weight, eta and each P_n asked for there, and each expected norm.
-    phi0_sq maps a list of abscissae to their values in one call:
-    elementwise numpy arithmetic, a math call per element for each
-    transcendental and builtin sum per node for each sum, so the bits are
-    those of the per-node path.
     """
 
     def __init__(self, pair: MultiIndexedPair):
@@ -559,10 +545,10 @@ class Weight:
             c_F = 2.0 if fp.family == "L" else -4.0
             self.scale = c_F ** (2 * D.M)
         else:
-            self.scale = _difference_prefactor_sq(fp, D) / float(pair.xi_radicand)
+            self.scale = _difference_prefactor_sq(fp, D) / _binary64(pair.xi_radicand, "the Xi radicand")
         _check_no_pole(self, den)
         # stored polynomials differ from verbatim ones by sqrt(p_radicand)
-        self._integrand_scale = self.scale * float(pair.p_radicand)
+        self._integrand_scale = self.scale * _binary64(pair.p_radicand, "the P radicand")
         self._phi0 = {}  # x -> phi_0^2(x)
         self._sets = {}  # node-set bytes -> (weight(xs), eta(xs), {n: P_{D,n}(eta(xs))})
         self._polys = [FloatPoly.from_exact(pair.P_of(n)) for n in range(pair.n_max + 1)]
@@ -723,7 +709,7 @@ def _energy_factor(fp: FamilyParams, D: IndexSet, n: int) -> Scalar:
 
 def expected_norm(fp: FamilyParams, D: IndexSet, n: int) -> float:
     """prod_j (E_n - Etilde_{d_j}) * h_n for the diagonal entry."""
-    return float(_energy_factor(fp, D, n)) * classical_norm(fp, n)
+    return _binary64(_energy_factor(fp, D, n), "the norm factor") * classical_norm(fp, n)
 
 
 # -- orthogonality ----------------------------------------------------------------

@@ -320,14 +320,15 @@ def check_permutation(pair: MultiIndexedPair, n_max: int = 3, seed: int = 0) -> 
 def _level_report(identity: str, table: RTable, D: IndexSet, bad: list,
                   fail, ok) -> VerificationReport:
     """One row per level s = 0..M: the first violation (s, n, k, ...) in bad
-    at level s, worded by fail, or a pass row worded by ok(s)."""
+    at level s, a row of its n worded by fail(s, k, ...), or a pass row
+    worded by ok(s)."""
     report = VerificationReport(identity, table.fp, D, table.window)
     for s in range(table.M + 1):
         first = next((v for v in bad if v[0] == s), None)
         if first is None:
             report.add("pass", s=s, witness=ok(s))
         else:
-            report.add("fail", n=first[1], s=s, witness=fail(*first))
+            report.add("fail", n=first[1], s=s, witness=fail(s, *first[2:]))
     return report
 
 
@@ -341,8 +342,8 @@ def check_rtable_shift(table: RTable, D: IndexSet) -> VerificationReport:
     laws = check_rprop2_rprop3 if table.fp.is_difference else check_rprop
     bad = _kept(table, "shift-laws", lambda: tuple(laws(table)))
 
-    def fail(s, n, k, *law):
-        return f"level {s} entry (n={n}, k={k})" + (f" [{law[0]}]" if law else "")
+    def fail(s, k, *law):
+        return f"level {s} entry k={k}" + (f" [{law[0]}]" if law else "")
 
     return _level_report("rtable-shift", table, D, bad, fail,
                          lambda s: f"level {s} reduces to level {s - 1}")
@@ -352,7 +353,7 @@ def check_vanishing(table: RTable, D: IndexSet) -> VerificationReport:
     """R^[s]_{n,k} = 0 on the triangle -s-1 <= n <= -1, -n <= k <= s+1,
     which holds 1 + 2 + ... + (s+1) entries at level s."""
     return _level_report("vanishing", table, D, check_vanishing_region(table),
-                         lambda s, n, k: f"nonzero entry at level {s}, (n={n}, k={k})",
+                         lambda s, k: f"nonzero entry at level {s}, k={k}",
                          lambda s: f"{(s + 1) * (s + 2) // 2} entries vanish at level {s}")
 
 

@@ -286,6 +286,24 @@ class TestVerify:
         assert code == 0, err
         assert out.strip().endswith("PASS") and "FAIL" not in out
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int-to-text digit limit")
+    def test_scalars_beyond_int_digit_limit_print_exactly(self, capsys):
+        # under a 640-digit limit, g = 10^250/3 gives a seed-proportionality
+        # constant of more digits; verify formats it with the limit lifted
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, "verify", "--family", "J", "--g", f"{10**250}/3",
+                                     "--h", "7/3", "--D", "II1,II2,II3", "--n-range", "0..0",
+                                     "--identity", "seed-proportionality", "--format", "json")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0 and err == ""
+        row, verdict = out.splitlines()
+        assert verdict == "PASS" and len(json.loads(row)["witness"]) > 640
+
     def test_inline_family(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--family", "L", "--g", "5/2", "--D", "II1",
@@ -475,29 +493,20 @@ class TestOrtho:
         # the (0, 0) entry settles at the same tanh-sinh level either way
         assert tuned.splitlines()[1] == default.splitlines()[1]
 
-    def test_nodes_alone_keeps_default_output(self, capsys):
-        # --nodes must not loosen the default rtol; tanh-sinh ignores nodes
-        args = ("ortho", "--preset", "l-default", "--D", "I1", "--n", "0..1")
-        _, default, _ = run_cli(capsys, *args)
-        code, tuned, _ = run_cli(capsys, *args, "--nodes", "64")
-        assert code == 0
-        assert tuned == default
-
-    @pytest.mark.parametrize("flag", ["--nodes=0", "--nodes=-3", "--rtol=0", "--rtol=-1e-9",
-                                      "--rtol=inf"])
+    @pytest.mark.parametrize("flag", ["--rtol=0", "--rtol=-1e-9", "--rtol=inf"])
     def test_bad_spec_rejected(self, capsys, flag):
         code, _, err = run_cli(capsys, "ortho", "--preset", "j-default", "--D", "I1",
                                "--n", "0..1", flag)
         assert code == 2
         assert flag[2:flag.index("=")] in err and "Traceback" not in err
 
-    def test_nodes_above_cap_rejected(self, capsys):
-        # a 10^6-order Gauss-Legendre table would need a 7 TiB companion matrix
-        code, out, err = run_cli(capsys, "ortho", "--preset", "j-default", "--D", "I1",
-                                 "--n", "0..0", "--nodes", "1000000")
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
-        assert "nodes <= 8192" in err
+    def test_nodes_flag_rejected(self, capsys):
+        # the Gauss-Legendre schedule is fixed (64 to 8192 nodes): there is no --nodes
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "ortho", "--preset", "j-default", "--D", "I1", "--n", "0..0",
+                    "--nodes", "64")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --nodes 64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,csv", [
         (("--preset", "l-default", "--D", "I1,II1", "--n", "0..2"), _GOLDEN_L),
@@ -587,6 +596,20 @@ class TestOrtho:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("error: FloatRangeError: ") and where in err and "at x = " in err
+
+    @pytest.mark.parametrize("argv,what", [
+        (("--family", "L", "--g", str(10**400), "--D", "I1", "--n", "0..0"), "the parameter g"),
+        (("--family", "W", "--a", f"{10**400},1,1,1", "--D", "I1", "--n", "0..0", _DIFFERENCE),
+         "a parameter a_j"),
+        # g = 10^200 fits, but P_2 has a coefficient of about 10^400
+        (("--family", "L", "--g", str(10**200), "--D", "I1", "--n", "0..2"),
+         "a polynomial coefficient"),
+    ], ids=["L-g", "W-a", "L-coeff"])
+    def test_exact_value_beyond_binary64_exits_one(self, capsys, argv, what):
+        # an in-range point whose exact values do not fit in a float names the quantity, not its digits
+        code, out, err = run_cli(capsys, "ortho", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: FloatRangeError: {what} leaves binary64 range\n"
 
     @given(family_params(), st.sampled_from(["I1", "II1", "I1,II1"]))
     @settings(max_examples=60, deadline=None)

@@ -111,26 +111,26 @@ class TestPairwiseSum:
 
 
 class TestQuadratureSpec:
-    @pytest.mark.parametrize("bad", [{"nodes": 0}, {"nodes": -3}, {"rtol": 0.0},
-                                     {"rtol": -1e-9}, {"rtol": math.inf}])
+    @pytest.mark.parametrize("bad", [{"rtol": 0.0}, {"rtol": -1e-9}, {"rtol": math.inf},
+                                     {"rtol": -math.inf}, {"rtol": math.nan}])
     def test_nonpositive_contract_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             QuadratureSpec(**bad)
 
     def test_doubling_contract_reported(self):
-        spec = QuadratureSpec(nodes=8, rtol=1e-12)
+        spec = QuadratureSpec(rtol=1e-12)
         res = integrate_gl(np.cos, 0.0, 1.0, spec)
         assert res.value == pytest.approx(math.sin(1.0), rel=1e-14)
         assert res.err_estimate <= spec.rtol * abs(res.value)
 
     def test_nonconvergent_when_levels_exhausted(self, monkeypatch):
         monkeypatch.setattr(quad, "MAX_LEVELS", 1)
-        spec = QuadratureSpec(nodes=2, rtol=1e-15)
+        spec = QuadratureSpec(rtol=1e-15)
         with pytest.raises(NonConvergent):
             integrate_gl(lambda x: np.exp(-x) * np.sin(40 * x), 0.0, 6.0, spec)
 
-    def test_gauss_legendre_order_capped(self, monkeypatch):
-        # a non-settling integral stops before an order above MAX_NODES
+    def test_gauss_legendre_fixed_schedule(self, monkeypatch):
+        # a non-settling integral asks for 64, 128, ..., 8192 nodes, then gives up
         orders = []
 
         def fake_leggauss(n):
@@ -138,15 +138,9 @@ class TestQuadratureSpec:
             return np.array([0.0]), np.array([float(n)])
 
         monkeypatch.setattr(quad, "_leggauss", fake_leggauss)
-        with pytest.raises(NonConvergent, match="8192"):
-            integrate_gl(np.cos, 0.0, 1.0, QuadratureSpec(nodes=3000))
-        assert orders == [3000, 6000]
-        orders.clear()
-        with pytest.raises(NonConvergent, match="8192"):  # one level alone cannot settle
-            integrate_gl(np.cos, 0.0, 1.0, QuadratureSpec(nodes=5000))
-        assert orders == []
-        with pytest.raises(ConfigurationError, match="8192"):
-            QuadratureSpec(nodes=quad.MAX_NODES + 1)
+        with pytest.raises(NonConvergent, match="Gauss-Legendre did not settle .* in 8 levels"):
+            integrate_gl(np.cos, 0.0, 1.0, QuadratureSpec())
+        assert orders == [64 << level for level in range(8)] and orders[-1] == 8192
 
     def test_tanh_sinh_gaussian(self):
         spec = QuadratureSpec(rtol=1e-12)
@@ -158,7 +152,7 @@ class TestQuadratureSpec:
     def test_non_finite_integrand_raises(self, f, recwarn):
         # an inf, a nan or an overflow is reported as such, with no numpy warning
         with pytest.raises(FloatRangeError, match="binary64"):
-            integrate_gl(f, 0.0, 1.0, QuadratureSpec(nodes=8))
+            integrate_gl(f, 0.0, 1.0, QuadratureSpec())
         assert not recwarn.list
 
 
@@ -416,6 +410,12 @@ class TestExpectedNorm:
     def test_empty_set_reduces_to_classical(self):
         fp = PRESETS["j-default"]
         assert expected_norm(fp, EMPTY, 3) == classical_norm(fp, 3)
+
+    def test_norm_factor_beyond_binary64_named(self):
+        # the energy factor E_0 - Etilde_1 = 4 (g + 3/2) does not fit in a float
+        fp = FamilyParams("L", (F(10**400),))
+        with pytest.raises(FloatRangeError, match="^the norm factor leaves binary64 range$"):
+            expected_norm(fp, IndexSet.parse("I1"), 0)
 
 
 class TestDeformedOrthogonality:
